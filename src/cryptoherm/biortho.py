@@ -9,12 +9,14 @@ solver returns paired column families ``right`` / ``left`` such that
 
 with energies strictly ascending.  In the reference normalization each
 right column has unit Euclidean norm and its largest-modulus entry is
-real positive; the left column absorbs the biorthonormalization
-rescaling.  All freedom left after that is the diagonal rescaling
+real positive; the left columns are adjoint(inverse(right)), fixed by
+the right ones.  All freedom left after that is the diagonal rescaling
 
     right_n -> kappa_n right_n,   left_n -> left_n / conj(kappa_n),
 
 which ``renormalize`` applies while tracking the cumulative ``kappa``.
+Reruns on the same input are byte-identical at a fixed BLAS thread
+count.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from numpy.typing import NDArray
 
 from .errors import (
     ComplexSpectrum,
-    ConjugationMismatch,
     ConvergenceFailure,
     DegenerateSpectrum,
     DimensionMismatch,
@@ -40,8 +41,8 @@ from .linalg import (
     frobenius,
 )
 
-#: eigenvalue clusters and pairing mismatches tighter than this times
-#: ||H||_F count as spectrum obstructions (exceptional-point territory)
+#: eigenvalue clusters tighter than this times ||H||_F count as
+#: spectrum obstructions (exceptional-point territory)
 SPECTRUM_FACTOR = 1e-8
 
 #: an exactly defective pair is split by the eigensolver by roughly
@@ -84,16 +85,13 @@ def _fix_column_phases(vectors: ComplexMatrix) -> ComplexMatrix:
     tie-break window of the column maximum, which keeps the choice
     stable across backends that order degenerate maxima differently.
     """
-    out = vectors.copy()
-    for n in range(out.shape[1]):
-        mags = np.abs(out[:, n])
-        top = float(mags.max())
-        if top == 0.0:
-            raise ConvergenceFailure(f"eigenvector column {n} is zero")
-        anchor = int(np.argmax(mags >= top * (1.0 - _ANCHOR_TIE)))
-        phase = out[anchor, n] / abs(out[anchor, n])
-        out[:, n] = out[:, n] / phase
-    return out
+    mags = np.abs(vectors)
+    top = mags.max(axis=0)
+    if np.any(top == 0.0):
+        raise ConvergenceFailure(f"eigenvector column {int(np.argmin(top))} is zero")
+    anchor = np.argmax(mags >= top * (1.0 - _ANCHOR_TIE), axis=0)
+    pivots = vectors[anchor, np.arange(vectors.shape[1])]
+    return vectors / (pivots / np.abs(pivots))
 
 
 def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
@@ -102,6 +100,9 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
     Degeneracy is screened before reality so that an exceptional point,
     whose numerically split eigenvalues may wander slightly off the real
     axis, is reported as DegenerateSpectrum rather than ComplexSpectrum.
+    The left vectors are the rows of inverse(right), conjugated, so
+    biorthonormality holds by construction; a numerically singular
+    ``right`` means a defective pairing and raises ConvergenceFailure.
     """
     a = as_complex_matrix(h, "hamiltonian")
     n = a.shape[0]
@@ -128,51 +129,29 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
             f"exceeds {tol.bound(scale):.3e}",
             eigenvalues=values,
         )
-    energies = values.real.astype(np.float64)
-
-    left_values, left_vecs = eig(a.conj().T)
-
-    # pair each right eigenvalue with the conjugate of an unused left one
-    left_cols = np.empty_like(right)
-    used = np.zeros(n, dtype=bool)
-    for k in range(n):
-        dist = np.abs(np.conj(left_values) - values[k])
-        dist[used] = np.inf
-        m = int(np.argmin(dist))
-        if dist[m] > cluster:
-            raise ConjugationMismatch(
-                f"no adjoint eigenvalue conjugate-matches E_{k} = {values[k]:.6g} "
-                f"(best distance {dist[m]:.3e})"
-            )
-        used[m] = True
-        left_cols[:, k] = left_vecs[:, m]
 
     right = _fix_column_phases(right)
-
-    # scale left columns so that adjoint(left_n) @ right_n = 1
-    for k in range(n):
-        overlap = np.vdot(left_cols[:, k], right[:, k])
-        if abs(overlap) < 1e-14:
-            raise ConvergenceFailure(
-                f"left/right overlap for level {k} vanished ({abs(overlap):.3e}); "
-                "system is numerically defective"
-            )
-        left_cols[:, k] = left_cols[:, k] / np.conj(overlap)
+    try:
+        left = np.linalg.inv(right).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"eigenvector matrix is singular ({exc}); system is numerically defective"
+        ) from exc
 
     system = BiorthogonalSystem(
-        energies=energies,
+        energies=values.real.astype(np.float64),
         right=np.ascontiguousarray(right),
-        left=np.ascontiguousarray(left_cols),
+        left=np.ascontiguousarray(left),
         kappa=np.ones(n, dtype=np.complex128),
     )
 
     resid = biorthonormality_residual(system)
-    if resid > BIORTHO_RESIDUAL_CAP:
+    if not resid <= BIORTHO_RESIDUAL_CAP:  # NaN from an overflowing inverse fails too
         raise ConvergenceFailure(
             f"biorthonormality residual {resid:.3e} exceeds cap {BIORTHO_RESIDUAL_CAP:.0e}"
         )
     comp = completeness_residual(system)
-    if comp > COMPLETENESS_RESIDUAL_CAP:
+    if not comp <= COMPLETENESS_RESIDUAL_CAP:
         raise ConvergenceFailure(
             f"completeness residual {comp:.3e} exceeds cap {COMPLETENESS_RESIDUAL_CAP:.0e}"
         )
@@ -189,14 +168,8 @@ def completeness_residual(system: BiorthogonalSystem) -> float:
     """Frobenius deviation of sum_n right_n adjoint(left_n) from the identity.
 
     Kappa-independent, since each term carries kappa_n / kappa_n.
-    Accumulated level by level in index order so the rounding pattern is
-    reproducible.
     """
-    n = system.dim
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        acc += np.outer(system.right[:, k], system.left[:, k].conj())
-    return frobenius(acc - np.eye(n))
+    return frobenius(system.right @ system.left.conj().T - np.eye(system.dim))
 
 
 def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:

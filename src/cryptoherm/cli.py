@@ -10,8 +10,9 @@ Four subcommands over JSON matrix files:
 * hermitize  - singularity scan of the Hermitian partner family of P
 
 Exit codes: 0 ok, 1 usage or I/O problem, 2 a symmetry or factorization
-verdict failed, 3 spectrum obstruction (complex or degenerate), 4
-quasiparity coefficients not real (no involutive rescaling exists).
+verdict failed, 3 spectrum obstruction (complex, degenerate or
+defective; diagnose still prints its report), 4 quasiparity
+coefficients not real (no involutive rescaling exists).
 Identical inputs and flags produce byte-identical stdout and files.
 """
 from __future__ import annotations
@@ -32,17 +33,14 @@ from .errors import (
     DimensionMismatch,
     MatrixFileError,
     NonRealQuasiparity,
+    NotHermitian,
+    NotPositiveDefinite,
     SingularMatrix,
     VanishingOverlap,
     ZeroKappa,
 )
 from .linalg import Tolerance, eig, frobenius
-from .metric import (
-    REALITY_REL,
-    build_bundle,
-    involutive_normalization,
-    reference_quasiparity_coeffs,
-)
+from .metric import build_bundle, involutive_normalization, nonreal_levels
 from .models import PseudoMetric, classify_h2, discriminant_h2, hermitian_rotation, hermitian_sum
 from .symmetry import (
     pseudo_hermiticity_residual,
@@ -85,8 +83,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="relative tolerance for verdicts (default 1e-10)")
     p.add_argument("--tol-abs", type=float, default=1e-12, metavar="X",
                    help="absolute tolerance for verdicts (default 1e-12)")
-    p.add_argument("--seed", type=int, default=None, metavar="N",
-                   help="seed reserved for randomized data generators")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="real part of b: fixed value or inclusive range")
     s.add_argument("--b-im", required=True, metavar="V|MIN:MAX:STEPS",
                    help="imaginary part of b: fixed value or inclusive range")
-    _add_common_flags(s)
     s.set_defaults(func=cmd_sweep)
 
     h = sub.add_parser("hermitize", help="Hermitian partner scan of a candidate P")
@@ -184,10 +179,8 @@ def _metric_payload(system, bundle) -> dict:
     }
 
 
-def _nonreal_warning(system, p) -> str | None:
-    q1 = reference_quasiparity_coeffs(system, p)
-    rel = np.abs(q1.imag) / np.abs(q1)
-    bad = np.flatnonzero(rel > REALITY_REL)
+def _nonreal_warning(q) -> str | None:
+    bad, _ = nonreal_levels(q)
     if bad.size == 0:
         return None
     return (
@@ -237,7 +230,7 @@ def cmd_diagnose(args) -> int:
     metric_failed = False
     try:
         system = solve_biorthogonal(h, tol)
-    except (ComplexSpectrum, DegenerateSpectrum) as exc:
+    except (ComplexSpectrum, DegenerateSpectrum, ConvergenceFailure) as exc:
         obstruction = exc
         warnings.append(f"spectrum obstruction: {type(exc).__name__}: {exc}")
     else:
@@ -254,10 +247,14 @@ def cmd_diagnose(args) -> int:
             warnings.append(f"metric construction failed: {exc}")
         else:
             metric_block = _metric_payload(system, bundle)
-            note = _nonreal_warning(system, pm.matrix)
+            note = _nonreal_warning(bundle.coeffs.q)
             if note is not None:
                 warnings.append(note)
-            verdicts.append(quasi_hermiticity_residual(h, bundle.theta, tol))
+            try:
+                verdicts.append(quasi_hermiticity_residual(h, bundle.theta, tol))
+            except (NotHermitian, NotPositiveDefinite) as exc:
+                metric_failed = True
+                warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
 
     report["verdicts"] = [_verdict_payload(v) for v in verdicts]
     report["metric"] = metric_block
@@ -291,7 +288,7 @@ def cmd_metric(args) -> int:
         system = renormalize(system, kappa)
 
     bundle = build_bundle(system, pm, tol)
-    note = _nonreal_warning(system, pm.matrix)
+    note = _nonreal_warning(bundle.coeffs.q)
     if note is not None:
         warnings.append(note)
 
@@ -437,8 +434,26 @@ def cmd_hermitize(args) -> int:
     return EXIT_OK
 
 
+def _attach_axis_values(argv: list[str]) -> list[str]:
+    """Rewrite "--b-re -1:1:5" as "--b-re=-1:1:5".
+
+    argparse takes a value that starts with "-" and is not a plain
+    negative number for a flag, so a negative sweep range would
+    otherwise be refused.
+    """
+    out: list[str] = []
+    for token in argv:
+        negative = token.startswith("-") and not token.startswith("--")
+        if negative and out and out[-1] in ("--b-re", "--b-im"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_axis_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -64,10 +64,6 @@ class VanishingOverlap(CryptoHermError):
         self.overlap = overlap
 
 
-class ConjugationMismatch(CryptoHermError):
-    """Left and right spectra could not be paired by complex conjugation."""
-
-
 class NonRealQuasiparity(CryptoHermError):
     """Quasiparity coefficients are not real, so no involutive scaling exists."""
 

@@ -11,13 +11,14 @@ from cryptoherm import (
     adjoint,
     biorthonormality_residual,
     build_h2,
+    build_h3,
     completeness_residual,
     frobenius,
     renormalize,
     solve_biorthogonal,
 )
 from cryptoherm.errors import DimensionMismatch
-from conftest import sample_h2_params
+from conftest import sample_h2_params, sample_h3_params
 
 
 def test_two_level_energies_oracle(h2_system):
@@ -54,13 +55,24 @@ def test_exceptional_point_reported_as_degenerate():
     assert info.value.gap < info.value.threshold
 
 
+def _similar_to_diagonal(rng, n=16):
+    """Seeded H = S D S^-1 with real, well-separated levels D."""
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    levels = np.sort(rng.uniform(-1.0, 1.0, n)) + np.arange(n)
+    return s @ np.diag(levels) @ np.linalg.inv(s)
+
+
 def test_eigen_pairing_sampled(rng):
-    for _ in range(50):
-        a, d, b = sample_h2_params(rng)
-        h = build_h2(a, d, b)
+    # the left columns come from inverse(right), so check them as
+    # eigenvectors of adjoint(H) directly, on 2-, 3- and 16-level cases
+    hs = [build_h2(*sample_h2_params(rng)) for _ in range(50)]
+    hs += [build_h3(*sample_h3_params(rng)) for _ in range(30)]
+    hs += [_similar_to_diagonal(rng) for _ in range(5)]
+    for h in hs:
         sys_ = solve_biorthogonal(h)
         hd = adjoint(h)
-        for n in range(2):
+        assert biorthonormality_residual(sys_) <= 1e-10
+        for n in range(sys_.dim):
             e = sys_.energies[n]
             assert np.linalg.norm(h @ sys_.right[:, n] - e * sys_.right[:, n]) < 1e-10
             assert np.linalg.norm(hd @ sys_.left[:, n] - e * sys_.left[:, n]) < 1e-8

@@ -84,6 +84,27 @@ class TestExitMatrix:
         assert "dimension mismatch" in err
 
 
+def _near_ep_cases():
+    # build_h2(1, 0, i beta) has disc = 1 - 4 beta^2; walk it to +-10^-k
+    cases = [
+        pytest.param(1.0, 0.0, 1j * np.sqrt((1.0 - sign * 10.0**-k) / 4.0),
+                     id=f"disc={sign * 10.0**-k:+.0e}")
+        for k in range(2, 15)
+        for sign in (1, -1)
+    ]
+    return cases + [pytest.param(1.0, 0.0, 0.5 - 1e-9, id="b=0.5-1e-9")]
+
+
+@pytest.mark.parametrize("a,d,b", _near_ep_cases())
+def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_path):
+    h = tmp_path / "h.json"
+    save_matrix(h, build_h2(a, d, b))
+    code, out, _ = run(capsys, "diagnose", str(h), files["p2.json"])
+    report = json.loads(out)
+    assert "spectrum" in report and "verdicts" in report
+    assert code in (0, 2, 3)
+
+
 class TestDiagnoseReport:
     def test_schema_fields(self, files, capsys):
         _, out, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])
@@ -240,6 +261,15 @@ class TestSweep:
         for line in out.strip().splitlines()[1:]:
             cols = line.split(",")
             assert float(cols[4]) == pytest.approx(np.sqrt(abs(float(cols[2]))), abs=1e-15)
+
+    def test_negative_range_as_separate_argument(self, capsys):
+        _, joined, _ = run(capsys, "sweep", "--model", "h2", "--a", "1", "--d", "0",
+                           "--b-re=-1:1:5", "--b-im=-1:1:5")
+        code, spaced, _ = run(capsys, "sweep", "--model", "h2", "--a", "1", "--d", "0",
+                              "--b-re", "-1:1:5", "--b-im", "-1:1:5")
+        assert code == 0
+        assert spaced.encode() == joined.encode()
+        assert len(spaced.strip().splitlines()) == 26
 
     def test_grid_order_row_major(self, capsys):
         _, out, _ = run(capsys, "sweep", "--model", "h2", "--a", "1", "--d", "0",
