@@ -42,10 +42,8 @@ from .linalg import (
 )
 
 #: eigenvalue clusters tighter than this times ||H||_F count as
-#: spectrum obstructions (exceptional-point territory)
-SPECTRUM_FACTOR = 1e-8
-
-#: an exactly defective pair is split by the eigensolver by roughly
+#: spectrum obstructions (exceptional-point territory).  An exactly
+#: defective pair is split by the eigensolver by roughly
 #: sqrt(machine eps) * ||H||, i.e. ~1.5e-8 * ||H||, so the cluster
 #: detection floor has to sit above that or exceptional points leak
 #: through as spuriously split spectra
@@ -66,12 +64,15 @@ class BiorthogonalSystem:
     ``right[:, n]`` and ``left[:, n]`` belong to ``energies[n]``;
     ``kappa[n]`` is the cumulative rescaling applied on top of the
     reference normalization (all ones straight out of the solver).
+    ``eigenvalues`` are the complex values the eigensolver returned,
+    whose real parts are ``energies`` (None for a system built by hand).
     """
 
     energies: NDArray[np.float64]
     right: ComplexMatrix
     left: ComplexMatrix
     kappa: NDArray[np.complex128]
+    eigenvalues: NDArray[np.complex128] | None = None
 
     @property
     def dim(self) -> int:
@@ -84,11 +85,11 @@ def _fix_column_phases(vectors: ComplexMatrix) -> ComplexMatrix:
     The anchor is the first index whose modulus is within a relative
     tie-break window of the column maximum, which keeps the choice
     stable across backends that order degenerate maxima differently.
+    Columns come from ``linalg.eig`` with unit norm, so every maximum
+    is at least 1/sqrt(n).
     """
     mags = np.abs(vectors)
     top = mags.max(axis=0)
-    if np.any(top == 0.0):
-        raise ConvergenceFailure(f"eigenvector column {int(np.argmin(top))} is zero")
     anchor = np.argmax(mags >= top * (1.0 - _ANCHOR_TIE), axis=0)
     pivots = vectors[anchor, np.arange(vectors.shape[1])]
     return vectors / (pivots / np.abs(pivots))
@@ -103,11 +104,12 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
     The left vectors are the rows of inverse(right), conjugated, so
     biorthonormality holds by construction; a numerically singular
     ``right`` means a defective pairing and raises ConvergenceFailure.
+    Every refusal after the eigensolve carries its eigenvalues.
     """
     a = as_complex_matrix(h, "hamiltonian")
     n = a.shape[0]
     scale = frobenius(a)
-    cluster = max(SPECTRUM_FACTOR, _CLUSTER_FLOOR) * scale
+    cluster = _CLUSTER_FLOOR * scale
 
     values, right = eig(a)
 
@@ -120,6 +122,7 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
                 f"eigenvalue gap {gap:.3e} below cluster threshold {cluster:.3e}",
                 gap=gap,
                 threshold=cluster,
+                eigenvalues=values,
             )
 
     imag_worst = float(np.max(np.abs(values.imag)))
@@ -135,7 +138,8 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
         left = np.linalg.inv(right).conj().T
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
-            f"eigenvector matrix is singular ({exc}); system is numerically defective"
+            f"eigenvector matrix is singular ({exc}); system is numerically defective",
+            eigenvalues=values,
         ) from exc
 
     system = BiorthogonalSystem(
@@ -143,17 +147,20 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
         right=np.ascontiguousarray(right),
         left=np.ascontiguousarray(left),
         kappa=np.ones(n, dtype=np.complex128),
+        eigenvalues=values,
     )
 
     resid = biorthonormality_residual(system)
     if not resid <= BIORTHO_RESIDUAL_CAP:  # NaN from an overflowing inverse fails too
         raise ConvergenceFailure(
-            f"biorthonormality residual {resid:.3e} exceeds cap {BIORTHO_RESIDUAL_CAP:.0e}"
+            f"biorthonormality residual {resid:.3e} exceeds cap {BIORTHO_RESIDUAL_CAP:.0e}",
+            eigenvalues=values,
         )
     comp = completeness_residual(system)
     if not comp <= COMPLETENESS_RESIDUAL_CAP:
         raise ConvergenceFailure(
-            f"completeness residual {comp:.3e} exceeds cap {COMPLETENESS_RESIDUAL_CAP:.0e}"
+            f"completeness residual {comp:.3e} exceeds cap {COMPLETENESS_RESIDUAL_CAP:.0e}",
+            eigenvalues=values,
         )
     return system
 

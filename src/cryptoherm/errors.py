@@ -30,23 +30,34 @@ class SingularMatrix(CryptoHermError):
         self.condition = condition
 
 
-class ConvergenceFailure(CryptoHermError):
-    """The underlying eigensolver did not converge."""
+class SpectrumObstruction(CryptoHermError):
+    """No biorthogonal system exists for this spectrum.
 
-
-class ComplexSpectrum(CryptoHermError):
-    """Eigenvalues carry imaginary parts beyond tolerance."""
+    ``eigenvalues`` holds the values the eigensolver returned when the
+    refusal came after it ran, and None when the eigensolver itself
+    failed.
+    """
 
     def __init__(self, message: str, eigenvalues=None):
         super().__init__(message)
         self.eigenvalues = eigenvalues
 
 
-class DegenerateSpectrum(CryptoHermError):
+class ConvergenceFailure(SpectrumObstruction):
+    """The eigensolver did not converge, or its eigenvectors are defective."""
+
+
+class ComplexSpectrum(SpectrumObstruction):
+    """Eigenvalues carry imaginary parts beyond tolerance."""
+
+
+class DegenerateSpectrum(SpectrumObstruction):
     """Two eigenvalues sit closer than the degeneracy threshold."""
 
-    def __init__(self, message: str, gap: float = 0.0, threshold: float = 0.0):
-        super().__init__(message)
+    def __init__(
+        self, message: str, gap: float = 0.0, threshold: float = 0.0, eigenvalues=None
+    ):
+        super().__init__(message, eigenvalues)
         self.gap = gap
         self.threshold = threshold
 

@@ -137,17 +137,22 @@ def payload_to_matrix(obj, where: str = "matrix file") -> ComplexMatrix:
     return np.array(flat, dtype=np.complex128).reshape(dim, dim)
 
 
-def load_matrix(path) -> tuple[ComplexMatrix, dict]:
-    """Read a MatrixFile; returns (matrix, parsed payload)."""
-    where = str(path)
+def _read_json(path, where: str):
+    """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"{where}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def load_matrix(path) -> tuple[ComplexMatrix, dict]:
+    """Read a MatrixFile; returns (matrix, parsed payload)."""
+    where = str(path)
+    obj = _read_json(path, where)
     return payload_to_matrix(obj, where), obj
 
 
@@ -159,14 +164,7 @@ def save_matrix(path, m) -> None:
 def load_kappa(path, dim: int) -> NDArray[np.complex128]:
     """Read a kappa file: JSON array of exactly ``dim`` [re, im] pairs."""
     where = str(path)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MatrixFileError(f"{where}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
+    obj = _read_json(path, where)
     if not isinstance(obj, list) or len(obj) != dim:
         raise MatrixFileError(f"{where}: expected an array of {dim} [re, im] pairs")
     values = [_pair_to_complex(entry, f"{where}: [{i}]") for i, entry in enumerate(obj)]

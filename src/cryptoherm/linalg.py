@@ -6,8 +6,13 @@ here once:
 
 * matrices are square ``complex128`` arrays with finite entries,
 * residuals are Frobenius norms,
-* predicates compare a residual against ``tol.abs + tol.rel * scale``
-  so verdicts do not depend on the overall scale of the operator,
+* residual predicates compare a residual against
+  ``tol.abs + tol.rel * scale`` so verdicts do not depend on the overall
+  scale of the operator; positivity is judged against the eigensolver's
+  own accuracy instead (see ``is_positive_definite``),
+* inverses are refused above one condition cap, whether the condition
+  number is measured here (``inverse``) or taken from an SVD the caller
+  already has (``models.PseudoMetric``),
 * eigenvalues are sorted ascending by real part, ties by imaginary
   part, and eigenvector columns are returned with unit Euclidean norm.
 """
@@ -93,10 +98,15 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ``m`` is Hermitian with smallest eigenvalue above tolerance.
+    """True when ``m`` is Hermitian and its smallest eigenvalue is resolved positive.
 
-    Non-Hermitian input reports False rather than raising; callers that
-    need a hard failure wrap this themselves.
+    ``tol`` governs only the Hermiticity pre-check.  The smallest
+    eigenvalue must exceed ``n * eps * lambda_max``, the backward-error
+    limit of the Hermitian eigensolver: anything above it is a positive
+    eigenvalue, however ill-conditioned the matrix (a metric close to
+    an exceptional point has lambda_min ~ disc * ||m||).  Non-Hermitian
+    input reports False rather than raising; callers that need a hard
+    failure wrap this themselves.
     """
     a = as_complex_matrix(m)
     if not is_hermitian(a, tol):
@@ -104,7 +114,7 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     # eigvalsh sees only one triangle, so symmetrize the tiny residual away
     h = 0.5 * (a + a.conj().T)
     w = np.linalg.eigvalsh(h)
-    return bool(w[0] > tol.bound(frobenius(a)))
+    return bool(w[0] > a.shape[0] * np.finfo(np.float64).eps * w[-1])
 
 
 def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
@@ -129,7 +139,11 @@ def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
 def inverse(m) -> ComplexMatrix:
     """Matrix inverse, refused when the condition estimate exceeds the cap."""
     a = as_complex_matrix(m)
-    cond = float(np.linalg.cond(a))
+    return _inverse_within_cap(a, float(np.linalg.cond(a)))
+
+
+def _inverse_within_cap(a: ComplexMatrix, cond: float) -> ComplexMatrix:
+    """inv(a), or SingularMatrix when its 2-norm condition number ``cond`` is too large."""
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise SingularMatrix(
             f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",

@@ -16,6 +16,7 @@ and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -25,6 +26,7 @@ from .linalg import (
     ComplexMatrix,
     DEFAULT_TOL,
     Tolerance,
+    _inverse_within_cap,
     as_complex_matrix,
     frobenius,
     is_hermitian,
@@ -145,6 +147,13 @@ class PseudoMetric:
     actually verified at construction time.  ``hermitian_sum`` can
     legitimately produce a singular matrix, so ``invertible`` is a
     reported fact rather than an invariant.
+
+    The candidate's one SVD is taken in ``from_matrix``: it gives
+    ``smallest_singular_value``, ``invertible`` and ``condition``
+    (sv_max / sv_min, bit for bit ``np.linalg.cond``).  ``inverse`` is
+    computed from the matrix on first use and then kept, so every
+    symmetry check on one candidate shares a single inversion, and
+    callers that never need it never pay for it.
     """
 
     matrix: ComplexMatrix
@@ -153,10 +162,16 @@ class PseudoMetric:
     involutive: bool
     invertible: bool
     smallest_singular_value: float
+    condition: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def inverse(self) -> ComplexMatrix:
+        """inverse(P), refused with SingularMatrix exactly as ``linalg.inverse`` is."""
+        return _inverse_within_cap(self.matrix, self.condition)
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
@@ -172,6 +187,8 @@ class PseudoMetric:
             involutive=frobenius(a @ a - eye) <= tol.bound(scale),
             invertible=bool(sv[-1] > tol.bound(float(sv[0]))),
             smallest_singular_value=float(sv[-1]),
+            # np.linalg.cond also reports inf for a singular matrix
+            condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),
         )
 
 

@@ -16,16 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from .errors import NotHermitian, NotPositiveDefinite
 from .linalg import (
-    ComplexMatrix,
     DEFAULT_TOL,
     Tolerance,
     as_complex_matrix,
+    commutator_residual,
     frobenius,
-    inverse,
     is_hermitian,
     is_positive_definite,
 )
@@ -51,10 +48,17 @@ class SymmetryVerdict:
     detail: Mapping[str, float] | None = None
 
 
-def _candidate(p) -> ComplexMatrix:
-    if isinstance(p, PseudoMetric):
-        return p.matrix
-    return as_complex_matrix(p, "pseudometric")
+def _verdict(name: str, residual: float, tol: Tolerance, detail=None) -> SymmetryVerdict:
+    # every residual is already relative, so the bound is taken at scale 1
+    bound = tol.bound(1.0)
+    return SymmetryVerdict(
+        name=name, residual=residual, holds=residual <= bound, tolerance=bound, detail=detail
+    )
+
+
+def _candidate(p, tol: Tolerance) -> PseudoMetric:
+    # a PseudoMetric carries its inverse, so checks sharing one invert P once
+    return p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p, tol)
 
 
 def _relative(num: float, scale: float) -> float:
@@ -65,17 +69,11 @@ def _relative(num: float, scale: float) -> float:
 def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check adjoint(H) = P H inverse(P), residual relative to ||H||_F."""
     hm = as_complex_matrix(h, "hamiltonian")
-    pm = _candidate(p)
+    pm = _candidate(p, tol)
     residual = _relative(
-        frobenius(pm @ hm @ inverse(pm) - hm.conj().T), frobenius(hm)
+        frobenius(pm.matrix @ hm @ pm.inverse - hm.conj().T), frobenius(hm)
     )
-    bound = tol.bound(1.0)
-    return SymmetryVerdict(
-        name="pseudo_hermitian",
-        residual=residual,
-        holds=residual <= bound,
-        tolerance=bound,
-    )
+    return _verdict("pseudo_hermitian", residual, tol)
 
 
 def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -89,26 +87,24 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     flag an internal inconsistency).
     """
     hm = as_complex_matrix(h, "hamiltonian")
-    pm = _candidate(p)
+    cand = _candidate(p, tol)
+    pm, pinv = cand.matrix, cand.inverse
     hnorm = frobenius(hm)
     hdag = hm.conj().T
-    pinv = inverse(pm)
 
     r1 = _relative(frobenius(pm @ hm @ pinv - hdag), hnorm)
     r2 = _relative(frobenius(pm.conj().T @ hm @ pinv.conj().T - hdag), hnorm)
     s = pinv @ pm.conj().T
-    r_comm = _relative(frobenius(hm @ s - s @ hm), hnorm * frobenius(s))
+    r_comm = _relative(commutator_residual(hm, s), hnorm * frobenius(s))
 
     bound = tol.bound(1.0)
     degenerate = is_hermitian(pm, tol)
     dependency_ok = not (r1 <= bound and r_comm <= bound and r2 > _DEPENDENT_SLACK * bound)
-    residual = max(r1, r2, r_comm)
-    return SymmetryVerdict(
-        name="weak_triplet",
-        residual=residual,
-        holds=residual <= bound,
-        tolerance=bound,
-        detail={
+    return _verdict(
+        "weak_triplet",
+        max(r1, r2, r_comm),
+        tol,
+        {
             "pseudo": r1,
             "pseudo_adjoint": r2,
             "commutant": r_comm,
@@ -127,35 +123,20 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
     """
     hm = as_complex_matrix(h, "hamiltonian")
     th = as_complex_matrix(theta, "theta")
-    if not is_hermitian(th, tol):
-        raise NotHermitian("metric candidate is not self-adjoint")
+    # positivity includes the Hermiticity test; repeat it only to name the failure
     if not is_positive_definite(th, tol):
+        if not is_hermitian(th, tol):
+            raise NotHermitian("metric candidate is not self-adjoint")
         raise NotPositiveDefinite("metric candidate is not positive definite")
     residual = _relative(
         frobenius(th @ hm - hm.conj().T @ th), frobenius(th) * frobenius(hm)
     )
-    bound = tol.bound(1.0)
-    return SymmetryVerdict(
-        name="quasi_hermitian",
-        residual=residual,
-        holds=residual <= bound,
-        tolerance=bound,
-    )
+    return _verdict("quasi_hermitian", residual, tol)
 
 
 def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check H S = S H, residual relative to ||H||_F ||S||_F."""
     hm = as_complex_matrix(h, "hamiltonian")
     sm = as_complex_matrix(s, "symmetry")
-    if hm.shape != sm.shape:
-        raise DimensionMismatch(f"shape mismatch: {hm.shape} vs {sm.shape}")
-    residual = _relative(
-        frobenius(hm @ sm - sm @ hm), frobenius(hm) * frobenius(sm)
-    )
-    bound = tol.bound(1.0)
-    return SymmetryVerdict(
-        name="pt_commutant",
-        residual=residual,
-        holds=residual <= bound,
-        tolerance=bound,
-    )
+    residual = _relative(commutator_residual(hm, sm), frobenius(hm) * frobenius(sm))
+    return _verdict("pt_commutant", residual, tol)

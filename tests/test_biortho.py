@@ -53,6 +53,15 @@ def test_exceptional_point_reported_as_degenerate():
     with pytest.raises(DegenerateSpectrum) as info:
         solve_biorthogonal(build_h2(1.0, 0.0, 0.5j))
     assert info.value.gap < info.value.threshold
+    assert info.value.eigenvalues.shape == (2,)
+
+
+def test_system_keeps_complex_eigenvalues(h2_system):
+    # the report prints these, so they must be eig's values, imaginary parts included
+    _, sys_ = h2_system
+    assert sys_.eigenvalues.dtype == np.complex128
+    assert np.array_equal(sys_.eigenvalues.real, sys_.energies)
+    assert renormalize(sys_, [2.0, 1j]).eigenvalues is sys_.eigenvalues
 
 
 def _similar_to_diagonal(rng, n=16):

@@ -103,6 +103,38 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
     report = json.loads(out)
     assert "spectrum" in report and "verdicts" in report
     assert code in (0, 2, 3)
+    disc = (a - d) ** 2 - 4.0 * abs(b) ** 2
+    if 1e-12 * 0.99 <= disc <= 1e-6 * 1.01:
+        # Theta's smallest eigenvalue shrinks like disc, but stays resolved
+        assert code == 0
+        assert report["metric"] is not None
+
+
+@pytest.mark.parametrize(
+    "command,h_name,p_name,expected",
+    [
+        ("diagnose", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 2}),
+        ("diagnose", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 2}),
+        ("metric", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 1}),
+        ("metric", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 1}),
+    ],
+)
+def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
+                                    monkeypatch, tmp_path):
+    # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P
+    save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
+    paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
+    calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, _, _ = run(capsys, command, paths[h_name], paths[p_name],
+                     "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    counts = {"eig": calls["eig"], "p_svd": calls["svd"] + calls["cond"], "inv": calls["inv"]}
+    assert counts == expected
 
 
 class TestDiagnoseReport:

@@ -105,15 +105,20 @@ class TestMatrixPayload:
         with pytest.raises(MatrixFileError):
             payload_to_matrix([[1.0, 0.0]])
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(MatrixFileError):
-            load_matrix(tmp_path / "nope.json")
+    @pytest.mark.parametrize("load", [load_matrix, lambda path: load_kappa(path, 2)],
+                             ids=["load_matrix", "load_kappa"])
+    def test_missing_file(self, load, tmp_path):
+        path = tmp_path / "nope.json"
+        with pytest.raises(MatrixFileError, match=r"nope\.json: .*No such file"):
+            load(path)
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("load", [load_matrix, lambda path: load_kappa(path, 2)],
+                             ids=["load_matrix", "load_kappa"])
+    def test_invalid_json(self, load, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(MatrixFileError):
-            load_matrix(path)
+        with pytest.raises(MatrixFileError, match=r"bad\.json: invalid JSON \("):
+            load(path)
 
 
 class TestKappaFile:

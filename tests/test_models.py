@@ -3,6 +3,7 @@ import pytest
 
 from cryptoherm import (
     PseudoMetric,
+    SingularMatrix,
     adjoint,
     build_h2,
     build_h3,
@@ -12,6 +13,7 @@ from cryptoherm import (
     frobenius,
     hermitian_rotation,
     hermitian_sum,
+    inverse,
     is_hermitian,
     parity2,
     swap2,
@@ -130,6 +132,30 @@ class TestPseudoMetricFlags:
 
     def test_dim(self):
         assert PseudoMetric.from_matrix(cyclic_p(4)).dim == 4
+
+    @pytest.mark.parametrize(
+        "m",
+        [parity2(), cyclic_p(3), np.diag([1.0 + 0j, 0.0]), np.zeros((2, 2), complex),
+         np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])],
+        ids=["parity2", "cyclic3", "singular", "zero", "general"],
+    )
+    def test_condition_is_numpy_cond(self, m):
+        assert PseudoMetric.from_matrix(m).condition == np.linalg.cond(m)
+
+    def test_inverse_is_computed_once_and_matches_linalg(self):
+        p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
+        pm = PseudoMetric.from_matrix(p)
+        assert np.array_equal(pm.inverse, inverse(p))
+        assert pm.inverse is pm.inverse
+
+    def test_inverse_refused_like_linalg(self):
+        partner = hermitian_sum(cyclic_p(4))
+        with pytest.raises(SingularMatrix) as lib:
+            inverse(partner.matrix)
+        with pytest.raises(SingularMatrix) as lazy:
+            partner.inverse
+        assert str(lazy.value) == str(lib.value)
+        assert lazy.value.condition == lib.value.condition
 
 
 class TestHermitianSum:
