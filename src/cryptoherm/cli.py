@@ -14,6 +14,8 @@ verdict failed, 3 spectrum obstruction (complex, degenerate or
 defective; diagnose still prints its report), 4 quasiparity
 coefficients not real (no involutive rescaling exists).
 Identical inputs and flags produce byte-identical stdout and files.
+The argument parser is built once per process, at import; ``main`` only
+parses and dispatches.
 """
 from __future__ import annotations
 
@@ -167,13 +169,12 @@ def _spectrum_payload(values, tol: Tolerance, scale: float) -> dict:
 
 
 def _metric_payload(system, bundle) -> dict:
-    theta_min = float(np.linalg.eigvalsh(0.5 * (bundle.theta + bundle.theta.conj().T))[0])
     residuals = {k: float(v) for k, v in bundle.residuals.items()}
     return {
         "kappa": io.complex_pairs(system.kappa),
         "quasiparity_coeffs": io.complex_pairs(bundle.coeffs.q),
         "charge_coeffs": io.complex_pairs(bundle.coeffs.c),
-        "theta_min_eigenvalue": theta_min,
+        "theta_min_eigenvalue": float(bundle.theta_eigenvalues[0]),
         "residuals": residuals,
         "factorizations_hold": bool(max(residuals.values()) <= FACTORIZATION_TOL),
     }
@@ -188,6 +189,16 @@ def _nonreal_warning(q) -> str | None:
         + ",".join(str(int(i)) for i in bad)
         + "; no involutive rescaling exists"
     )
+
+
+def _report_head(command: str, tol: Tolerance, **operands) -> dict:
+    """The fields every JSON report opens with; ``operands`` are fingerprinted in order."""
+    return {
+        "schema": 1,
+        "command": command,
+        "model_fingerprint": io.fingerprint(operands),
+        "tolerance": {"rel": tol.rel, "abs": tol.abs},
+    }
 
 
 def _emit_report(report: dict, out_dir: str | None) -> None:
@@ -205,17 +216,8 @@ def cmd_diagnose(args) -> int:
     pm = PseudoMetric.from_matrix(p, tol)
     scale = frobenius(h)
 
-    report: dict = {
-        "schema": 1,
-        "command": "diagnose",
-        "model_fingerprint": io.fingerprint(
-            {
-                "hamiltonian": io.matrix_to_payload(h),
-                "pseudometric": io.matrix_to_payload(p),
-            }
-        ),
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
-    }
+    report = _report_head("diagnose", tol, hamiltonian=io.matrix_to_payload(h),
+                          pseudometric=io.matrix_to_payload(p))
     warnings: list[str] = []
 
     obstruction = None
@@ -243,7 +245,7 @@ def cmd_diagnose(args) -> int:
                 f"{io.format_float(float(gaps.min()))}"
             )
         try:
-            bundle = build_bundle(system, pm, tol)
+            bundle = build_bundle(system, pm)
         except VanishingOverlap as exc:
             metric_failed = True
             warnings.append(f"metric construction failed: {exc}")
@@ -253,7 +255,7 @@ def cmd_diagnose(args) -> int:
             if note is not None:
                 warnings.append(note)
             try:
-                verdicts.append(quasi_hermiticity_residual(h, bundle.theta, tol))
+                verdicts.append(quasi_hermiticity_residual(h, bundle, tol))
             except (NotHermitian, NotPositiveDefinite) as exc:
                 metric_failed = True
                 warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
@@ -289,7 +291,7 @@ def cmd_metric(args) -> int:
         kappa_tag = io.complex_pairs(kappa)
         system = renormalize(system, kappa)
 
-    bundle = build_bundle(system, pm, tol)
+    bundle = build_bundle(system, pm)
     note = _nonreal_warning(bundle.coeffs.q)
     if note is not None:
         warnings.append(note)
@@ -300,20 +302,10 @@ def cmd_metric(args) -> int:
     io.save_matrix(out_dir / "q.json", bundle.quasiparity)
     io.save_matrix(out_dir / "c.json", bundle.charge)
 
-    report: dict = {
-        "schema": 1,
-        "command": "metric",
-        "model_fingerprint": io.fingerprint(
-            {
-                "hamiltonian": io.matrix_to_payload(h),
-                "pseudometric": io.matrix_to_payload(p),
-                "kappa": kappa_tag,
-            }
-        ),
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
-        "metric": _metric_payload(system, bundle),
-        "files": ["theta.json", "q.json", "c.json"],
-    }
+    report = _report_head("metric", tol, hamiltonian=io.matrix_to_payload(h),
+                          pseudometric=io.matrix_to_payload(p), kappa=kappa_tag)
+    report["metric"] = _metric_payload(system, bundle)
+    report["files"] = ["theta.json", "q.json", "c.json"]
 
     if involutive:
         n = system.dim
@@ -339,38 +331,55 @@ def cmd_metric(args) -> int:
     return EXIT_OK
 
 
+def _finite(name: str, values):
+    """``values`` unchanged, or a usage error when any is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise _UsageError(f"{name}: values must be finite")
+    return values
+
+
 def _parse_axis(expr: str, name: str) -> np.ndarray:
     parts = expr.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            return _finite(name, np.array([float(parts[0])]))
         if len(parts) == 3:
             lo, hi = float(parts[0]), float(parts[1])
             steps = int(parts[2])
             if steps < 2:
                 raise _UsageError(f"{name}: steps must be >= 2, got {steps}")
-            return np.linspace(lo, hi, steps)
+            # a non-finite end, or MAX - MIN beyond float64, shows up as NaN/inf points
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _finite(name, np.linspace(lo, hi, steps))
     except ValueError as exc:
         raise _UsageError(f"{name}: cannot parse {expr!r} ({exc})") from exc
     raise _UsageError(f"{name}: expected V or MIN:MAX:STEPS, got {expr!r}")
 
 
+def _sweep_row(a: float, d: float, re: float, im: float) -> str:
+    try:
+        domain = classify_h2(a, d, complex(re, im))
+    except OverflowError as exc:
+        raise _UsageError(
+            f"h2 classification overflows at b_re = {io.format_float(re)}, "
+            f"b_im = {io.format_float(im)}"
+        ) from exc
+    # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
+    gap = float(np.sqrt(abs(domain.discriminant)))
+    return (
+        f"{io.format_float(re)},{io.format_float(im)},"
+        f"{io.format_float(domain.discriminant)},{domain.tag},{io.format_float(gap)}\n"
+    )
+
+
 def cmd_sweep(args) -> int:
+    a, d = _finite("--a", args.a), _finite("--d", args.d)
     re_axis = _parse_axis(args.b_re, "--b-re")
     im_axis = _parse_axis(args.b_im, "--b-im")
-    a, d = args.a, args.d
-
-    out = sys.stdout
-    out.write("b_re,b_im,discriminant,class,min_gap\n")
-    for re in re_axis:
-        for im in im_axis:
-            domain = classify_h2(a, d, complex(re, im))
-            # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
-            gap = float(np.sqrt(abs(domain.discriminant)))
-            out.write(
-                f"{io.format_float(re)},{io.format_float(im)},"
-                f"{io.format_float(domain.discriminant)},{domain.tag},{io.format_float(gap)}\n"
-            )
+    # every row is computed before any is written, so a refused point prints nothing
+    rows = [_sweep_row(a, d, re, im) for re in re_axis for im in im_axis]
+    sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n")
+    sys.stdout.writelines(rows)
     return EXIT_OK
 
 
@@ -386,7 +395,7 @@ def _parse_theta(expr: str) -> list[float]:
             raise _UsageError("--theta: scan needs at least one point")
     else:
         try:
-            return [float(x) for x in expr.split(",")]
+            return _finite("--theta", [float(x) for x in expr.split(",")])
         except ValueError as exc:
             raise _UsageError(f"--theta: cannot parse {expr!r}") from exc
     return [2.0 * np.pi * k / count for k in range(count)]
@@ -417,20 +426,15 @@ def cmd_hermitize(args) -> int:
             }
         )
 
-    report = {
-        "schema": 1,
-        "command": "hermitize",
-        "model_fingerprint": io.fingerprint({"pseudometric": io.matrix_to_payload(p)}),
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
-        "sum": {
-            "smallest_singular_value": summed.smallest_singular_value,
-            "invertible": summed.invertible,
-            "self_adjoint": summed.self_adjoint,
-        },
-        "rotation": rotations,
-        "warnings": warnings,
+    report = _report_head("hermitize", tol, pseudometric=io.matrix_to_payload(p))
+    report["sum"] = {
+        "smallest_singular_value": summed.smallest_singular_value,
+        "invertible": summed.invertible,
+        "self_adjoint": summed.self_adjoint,
     }
-    print(io.canonical_json(report))
+    report["rotation"] = rotations
+    report["warnings"] = warnings
+    _emit_report(report, None)
     return EXIT_OK
 
 
@@ -451,20 +455,16 @@ def _attach_axis_values(argv: list[str]) -> list[str]:
     return out
 
 
+#: parse_args returns a fresh namespace on every call, so one parser serves them all
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = _attach_axis_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MatrixFileError, DimensionMismatch, ZeroKappa) as exc:
+    except (_UsageError, MatrixFileError, DimensionMismatch, ZeroKappa) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SingularMatrix as exc:

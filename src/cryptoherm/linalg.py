@@ -9,7 +9,8 @@ here once:
 * residual predicates compare a residual against
   ``tol.abs + tol.rel * scale`` so verdicts do not depend on the overall
   scale of the operator; positivity is judged against the eigensolver's
-  own accuracy instead (see ``is_positive_definite``),
+  own accuracy instead, by the one rule in ``resolved_positive`` (see
+  ``is_positive_definite`` for why),
 * inverses are refused above one condition cap, whether the condition
   number is measured here (``inverse``) or taken from an SVD the caller
   already has (``models.PseudoMetric``),
@@ -109,12 +110,19 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     failure wrap this themselves.
     """
     a = as_complex_matrix(m)
-    if not is_hermitian(a, tol):
-        return False
+    return is_hermitian(a, tol) and resolved_positive(hermitian_eigenvalues(a))
+
+
+def hermitian_eigenvalues(m) -> NDArray[np.float64]:
+    """Ascending eigenvalues of the Hermitian part 0.5 * (m + adjoint(m))."""
+    a = as_complex_matrix(m)
     # eigvalsh sees only one triangle, so symmetrize the tiny residual away
-    h = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(h)
-    return bool(w[0] > a.shape[0] * np.finfo(np.float64).eps * w[-1])
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+
+
+def resolved_positive(w: NDArray[np.float64]) -> bool:
+    """The positivity rule on ascending eigenvalues ``w``: w[0] > n * eps * w[-1]."""
+    return bool(w[0] > w.size * np.finfo(np.float64).eps * w[-1])
 
 
 def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:

@@ -22,6 +22,7 @@ hermiticity of Theta, normalized by ||Theta||_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -35,10 +36,9 @@ from .errors import (
 )
 from .linalg import (
     ComplexMatrix,
-    DEFAULT_TOL,
-    Tolerance,
     as_complex_matrix,
     frobenius,
+    hermitian_eigenvalues,
 )
 from .models import PseudoMetric
 
@@ -62,13 +62,22 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class MetricBundle:
-    """All operators built from one system plus their identity residuals."""
+    """All operators built from one system plus their identity residuals.
+
+    ``theta_eigenvalues`` is computed on first use and then kept, so the
+    report and the positivity check share one Hermitian eigensolve.
+    """
 
     theta: ComplexMatrix
     quasiparity: ComplexMatrix
     charge: ComplexMatrix
     coeffs: CoefficientSet
     residuals: Mapping[str, float]
+
+    @cached_property
+    def theta_eigenvalues(self) -> NDArray[np.float64]:
+        """Ascending eigenvalues of theta's Hermitian part."""
+        return hermitian_eigenvalues(self.theta)
 
 
 def _candidate_matrix(p) -> ComplexMatrix:
@@ -166,7 +175,7 @@ def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
     return system.left @ system.left.conj().T
 
 
-def verify_factorizations(theta, p, q, c, tol: Tolerance = DEFAULT_TOL) -> dict[str, float]:
+def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     """Residuals of the four factorizations plus hermiticity of theta.
 
     Keys are fixed ("theta_hermitian", "pq", "cp", "qdag_pdag",
@@ -188,8 +197,9 @@ def verify_factorizations(theta, p, q, c, tol: Tolerance = DEFAULT_TOL) -> dict[
         "theta_hermitian": frobenius(th - th.conj().T) / scale,
         "pq": frobenius(pm @ qm - th) / scale,
         "cp": frobenius(cm @ pm - th) / scale,
-        "qdag_pdag": frobenius(qm.conj().T @ pm.conj().T - th) / scale,
-        "pdag_cdag": frobenius(pm.conj().T @ cm.conj().T - th) / scale,
+        # conj(A^T B^T) = adjoint(A) adjoint(B) bit for bit, without conjugate copies
+        "qdag_pdag": frobenius((qm.T @ pm.T).conj() - th) / scale,
+        "pdag_cdag": frobenius((pm.T @ cm.T).conj() - th) / scale,
     }
 
 
@@ -218,14 +228,14 @@ def involutive_normalization(
     return target, rescaled
 
 
-def build_bundle(system: BiorthogonalSystem, p, tol: Tolerance = DEFAULT_TOL) -> MetricBundle:
+def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     """Assemble theta, Q, C, the coefficients and the residual map at once."""
     pm = _candidate_matrix(p)
     coeffs = coefficient_set(system, pm)
     theta = build_metric(system)
     quasiparity = _spectral_sum(system.right, coeffs.q, system.left)
     charge = _spectral_sum(system.left, coeffs.q, system.right)
-    residuals = verify_factorizations(theta, pm, quasiparity, charge, tol)
+    residuals = verify_factorizations(theta, pm, quasiparity, charge)
     return MetricBundle(
         theta=theta,
         quasiparity=quasiparity,

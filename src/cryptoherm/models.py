@@ -15,6 +15,7 @@ and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -72,11 +73,18 @@ def build_h2(a, d, b) -> ComplexMatrix:
 
 
 def discriminant_h2(a, d, b) -> float:
-    """(a - d)^2 - 4|b|^2; positive means two real eigenvalues."""
+    """(a - d)^2 - 4|b|^2; positive means two real eigenvalues.
+
+    Raises OverflowError when the value leaves float64, whether Python
+    raises it on the way or the difference a - d already overflowed.
+    """
     ar = _real_scalar(a, "a")
     dr = _real_scalar(d, "d")
     bc = _complex_scalar(b, "b")
-    return (ar - dr) ** 2 - 4.0 * abs(bc) ** 2
+    disc = (ar - dr) ** 2 - 4.0 * abs(bc) ** 2
+    if not math.isfinite(disc):
+        raise OverflowError(f"discriminant of a = {ar!r}, d = {dr!r}, b = {bc!r} overflows")
+    return disc
 
 
 def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:

@@ -8,7 +8,8 @@ invariant under H -> s H for real s > 0:
 * weak_triplet:       the same plus its adjoint-candidate twin and the
                       commutation of H with S = inverse(P) adjoint(P)
 * quasi_hermitian:    Theta H = adjoint(H) Theta for Hermitian positive
-                      definite Theta (multiplicative form, no inversion)
+                      definite Theta (multiplicative form, no inversion);
+                      a MetricBundle lends its kept spectrum of Theta
 * pt_commutant:       H S = S H
 """
 from __future__ import annotations
@@ -23,9 +24,11 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     frobenius,
+    hermitian_eigenvalues,
     is_hermitian,
-    is_positive_definite,
+    resolved_positive,
 )
+from .metric import MetricBundle
 from .models import PseudoMetric
 
 #: how much slack the dependent third triplet equation is allowed
@@ -117,16 +120,19 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
 def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check Theta H = adjoint(H) Theta for a metric candidate Theta.
 
-    Theta must be Hermitian positive definite; the residual is the
-    multiplicative form ||Theta H - adjoint(H) Theta||_F divided by
-    ||Theta||_F ||H||_F, which avoids amplification by cond(Theta).
+    ``theta`` is a matrix or a MetricBundle; a bundle's positivity is
+    judged on its kept eigenvalues, so it is not solved again.  Theta
+    must be Hermitian positive definite (``linalg.is_positive_definite``);
+    the residual is the multiplicative form ||Theta H - adjoint(H) Theta||_F
+    divided by ||Theta||_F ||H||_F, which avoids amplification by cond(Theta).
     """
     hm = as_complex_matrix(h, "hamiltonian")
-    th = as_complex_matrix(theta, "theta")
-    # positivity includes the Hermiticity test; repeat it only to name the failure
-    if not is_positive_definite(th, tol):
-        if not is_hermitian(th, tol):
-            raise NotHermitian("metric candidate is not self-adjoint")
+    bundle = theta if isinstance(theta, MetricBundle) else None
+    th = as_complex_matrix(theta if bundle is None else bundle.theta, "theta")
+    if not is_hermitian(th, tol):
+        raise NotHermitian("metric candidate is not self-adjoint")
+    w = hermitian_eigenvalues(th) if bundle is None else bundle.theta_eigenvalues
+    if not resolved_positive(w):
         raise NotPositiveDefinite("metric candidate is not positive definite")
     residual = _relative(
         frobenius(th @ hm - hm.conj().T @ th), frobenius(th) * frobenius(hm)

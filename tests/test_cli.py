@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -113,18 +114,19 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
 @pytest.mark.parametrize(
     "command,h_name,p_name,expected",
     [
-        ("diagnose", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 2}),
-        ("diagnose", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 2}),
-        ("metric", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 1}),
-        ("metric", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 1}),
+        ("diagnose", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1}),
+        ("diagnose", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1}),
+        ("metric", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1}),
+        ("metric", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
                                     monkeypatch, tmp_path):
-    # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P
+    # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
+    # and one Hermitian eigensolve of Theta shared by the report and the positivity check
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
     paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
-    calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0}
+    calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
@@ -133,8 +135,56 @@ def test_each_operand_factored_once(command, h_name, p_name, expected, files, ca
     code, _, _ = run(capsys, command, paths[h_name], paths[p_name],
                      "--out-dir", str(tmp_path / "out"))
     assert code == 0
-    counts = {"eig": calls["eig"], "p_svd": calls["svd"] + calls["cond"], "inv": calls["inv"]}
+    counts = {"eig": calls["eig"], "p_svd": calls["svd"] + calls["cond"], "inv": calls["inv"],
+              "eigvalsh": calls["eigvalsh"]}
     assert counts == expected
+
+
+def test_main_builds_no_parser(files, capsys, monkeypatch, tmp_path):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    codes = [
+        run(capsys, "diagnose", files["h3.json"], files["p3.json"])[0],
+        run(capsys, "metric", files["h3.json"], files["p3.json"],
+            "--out-dir", str(tmp_path / "m"))[0],
+        run(capsys, "sweep", "--model", "h2", "--a", "1", "--d", "0",
+            "--b-re", "-1:1:3", "--b-im", "0")[0],
+        run(capsys, "hermitize", files["p3.json"], "--theta", "scan:4")[0],
+    ]
+    assert codes == [0, 0, 0, 0]
+    assert added == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "nan", "--b-im", "0"],
+        ["sweep", "--model", "h2", "--a", "inf", "--d", "0", "--b-re", "0", "--b-im", "0"],
+        ["sweep", "--model", "h2", "--a", "1", "--d=-inf", "--b-re", "0", "--b-im", "0"],
+        ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0", "--b-im", "0:nan:3"],
+        ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0:1:2",
+         "--b-im", "1e308:1e308:2"],
+        ["sweep", "--model", "h2", "--a", "1e308", "--d=-1e308", "--b-re", "0", "--b-im", "0"],
+        ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "-1e308:1e308:3",
+         "--b-im", "0"],
+        ["hermitize", "P", "--theta", "nan"],
+        ["hermitize", "P", "--theta", "0,inf"],
+    ],
+    ids=lambda argv: " ".join(argv[3:] if argv[0] == "sweep" else argv[2:]),
+)
+def test_non_finite_or_overflowing_argument_is_usage(argv, files, capsys):
+    argv = [files["p3.json"] if token == "P" else token for token in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestDiagnoseReport:

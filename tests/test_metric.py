@@ -174,6 +174,31 @@ class TestFactorizations:
         )
         assert max(res.values()) <= 1e-10
 
+    @pytest.mark.parametrize("which", ["h2", "h3", "random"])
+    def test_residuals_match_the_four_products(self, which, h2_system, h3_system, rng):
+        if which == "random":
+            theta, p, qop, cop = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                                  for _ in range(4))
+        else:
+            (_, sys_), p = {
+                "h2": (h2_system, parity2()),
+                "h3": (h3_system, cyclic_p(3)),
+            }[which]
+            theta = build_metric(sys_)
+            qop, cop = build_quasiparity(sys_, p), build_charge(sys_, p)
+        scale = np.linalg.norm(theta)
+        expected = {
+            "theta_hermitian": np.linalg.norm(theta - theta.conj().T) / scale,
+            "pq": np.linalg.norm(p @ qop - theta) / scale,
+            "cp": np.linalg.norm(cop @ p - theta) / scale,
+            "qdag_pdag": np.linalg.norm(qop.conj().T @ p.conj().T - theta) / scale,
+            "pdag_cdag": np.linalg.norm(p.conj().T @ cop.conj().T - theta) / scale,
+        }
+        res = verify_factorizations(theta, p, qop, cop)
+        assert tuple(res) == RESIDUAL_KEYS
+        for key in RESIDUAL_KEYS:
+            assert res[key] == pytest.approx(expected[key], rel=0, abs=1e-15)
+
     def test_trivial_bundle_residuals(self, rng):
         sys_ = _hermitian_system(rng)
         eye = np.eye(4)

@@ -68,6 +68,12 @@ class TestClassify:
     def test_custom_band_widens_boundary(self):
         assert classify_h2(1.0, 0.0, 0.49j, boundary_band=0.1).tag == "boundary"
 
+    @pytest.mark.parametrize("a,d,b", [(1e308, -1e308, 0.0), (1.0, 0.0, 1e308j)])
+    def test_overflowing_discriminant_raises(self, a, d, b):
+        # a - d overflows to inf silently; 4|b|^2 makes Python raise on its own
+        with pytest.raises(OverflowError):
+            discriminant_h2(a, d, b)
+
     def test_band_must_be_non_negative(self):
         with pytest.raises(ValueError):
             classify_h2(1.0, 0.0, 0.4j, boundary_band=-1.0)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cryptoherm import (
+    MetricBundle,
     NotHermitian,
     NotPositiveDefinite,
     SingularMatrix,
+    build_bundle,
     build_h2,
     build_h3,
     build_metric,
@@ -18,6 +20,7 @@ from cryptoherm import (
     weak_triplet_check,
 )
 from cryptoherm.errors import DimensionMismatch
+from cryptoherm.metric import CoefficientSet
 from conftest import sample_h2_params_any, sample_h3_params
 
 
@@ -110,6 +113,29 @@ class TestQuasiHermiticity:
         h, _ = h2_system
         with pytest.raises(NotPositiveDefinite):
             quasi_hermiticity_residual(h, np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("which", ["h2", "h3"])
+    def test_bundle_gives_the_matrix_verdict(self, which, h2_system, h3_system):
+        (h, sys_), p = {"h2": (h2_system, parity2()), "h3": (h3_system, cyclic_p(3))}[which]
+        bundle = build_bundle(sys_, p)
+        assert quasi_hermiticity_residual(h, bundle) == quasi_hermiticity_residual(h, bundle.theta)
+
+    @pytest.mark.parametrize(
+        "theta,error",
+        [([[1.0, 1.0], [0.0, 1.0]], NotHermitian), ([[1.0, 0.0], [0.0, -1.0]], NotPositiveDefinite)],
+    )
+    def test_bundle_refused_like_matrix(self, theta, error, h2_system):
+        h, _ = h2_system
+        theta = np.array(theta, dtype=complex)
+        ones = np.ones(2, dtype=complex)
+        bundle = MetricBundle(theta=theta, quasiparity=np.eye(2), charge=np.eye(2),
+                              coeffs=CoefficientSet(q=ones, c=ones), residuals={})
+        messages = []
+        for candidate in (bundle, theta):
+            with pytest.raises(error) as info:
+                quasi_hermiticity_residual(h, candidate)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_exterior_model_admits_no_metric(self, rng):
         # complex spectrum: every positive candidate leaves a visible floor
