@@ -32,7 +32,6 @@ from .linalg import (
     commutator_residual,
     eig,
     frobenius,
-    inverse,
     is_hermitian,
     is_positive_definite,
 )
@@ -40,11 +39,7 @@ from .metric import (
     CoefficientSet,
     MetricBundle,
     build_bundle,
-    build_charge,
     build_metric,
-    build_quasiparity,
-    charge_coeffs,
-    coefficient_set,
     involutive_normalization,
     quasiparity_coeffs,
     verify_factorizations,
@@ -95,14 +90,10 @@ __all__ = [
     "adjoint",
     "biorthonormality_residual",
     "build_bundle",
-    "build_charge",
     "build_h2",
     "build_h3",
     "build_metric",
-    "build_quasiparity",
-    "charge_coeffs",
     "classify_h2",
-    "coefficient_set",
     "commutator_residual",
     "completeness_residual",
     "cyclic_p",
@@ -111,7 +102,6 @@ __all__ = [
     "frobenius",
     "hermitian_rotation",
     "hermitian_sum",
-    "inverse",
     "involutive_normalization",
     "is_hermitian",
     "is_positive_definite",

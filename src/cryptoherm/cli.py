@@ -139,8 +139,8 @@ def _tol(args) -> Tolerance:
 
 
 def _load_pair(args):
-    h, _ = io.load_matrix(args.hamiltonian)
-    p, _ = io.load_matrix(args.pseudometric)
+    h = io.load_matrix(args.hamiltonian)
+    p = io.load_matrix(args.pseudometric)
     if h.shape != p.shape:
         raise MatrixFileError(
             f"dimension mismatch: H is {h.shape[0]}x{h.shape[0]}, "
@@ -403,7 +403,7 @@ def _parse_theta(expr: str) -> list[float]:
 
 def cmd_hermitize(args) -> int:
     tol = _tol(args)
-    p, _ = io.load_matrix(args.pseudometric)
+    p = io.load_matrix(args.pseudometric)
     thetas = _parse_theta(args.theta)
     warnings: list[str] = []
 
@@ -438,18 +438,22 @@ def cmd_hermitize(args) -> int:
     return EXIT_OK
 
 
-def _attach_axis_values(argv: list[str]) -> list[str]:
-    """Rewrite "--b-re -1:1:5" as "--b-re=-1:1:5".
+def _attach_option_values(argv: list[str]) -> list[str]:
+    """Rewrite "--a -1e-3" as "--a=-1e-3", for every option but --help.
 
     argparse takes a value that starts with "-" and is not a plain
-    negative number for a flag, so a negative sweep range would
-    otherwise be refused.
+    negative decimal such as -0.5 for a flag, so "-1e-3", "-1:1:5" or
+    "-1.5,0" would otherwise be refused.  Every option of this parser
+    except --help takes exactly one value, so the token after a bare
+    option is always its value.
     """
     out: list[str] = []
     for token in argv:
         negative = token.startswith("-") and not token.startswith("--")
-        if negative and out and out[-1] in ("--b-re", "--b-im"):
-            out[-1] = f"{out[-1]}={token}"
+        prev = out[-1] if out else ""
+        bare_option = prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
+        if negative and bare_option:
+            out[-1] = f"{prev}={token}"
         else:
             out.append(token)
     return out
@@ -460,7 +464,7 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    argv = _attach_axis_values(sys.argv[1:] if argv is None else list(argv))
+    argv = _attach_option_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)

@@ -149,11 +149,10 @@ def _read_json(path, where: str):
         raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
 
 
-def load_matrix(path) -> tuple[ComplexMatrix, dict]:
-    """Read a MatrixFile; returns (matrix, parsed payload)."""
+def load_matrix(path) -> ComplexMatrix:
+    """Read and validate a MatrixFile."""
     where = str(path)
-    obj = _read_json(path, where)
-    return payload_to_matrix(obj, where), obj
+    return payload_to_matrix(_read_json(path, where), where)
 
 
 def save_matrix(path, m) -> None:

@@ -11,9 +11,6 @@ here once:
   scale of the operator; positivity is judged against the eigensolver's
   own accuracy instead, by the one rule in ``resolved_positive`` (see
   ``is_positive_definite`` for why),
-* inverses are refused above one condition cap, whether the condition
-  number is measured here (``inverse``) or taken from an SVD the caller
-  already has (``models.PseudoMetric``),
 * eigenvalues are sorted ascending by real part, ties by imaginary
   part, and eigenvector columns are returned with unit Euclidean norm.
 """
@@ -24,16 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    SingularMatrix,
-)
+from .errors import ConvergenceFailure, DimensionMismatch
 
 ComplexMatrix = NDArray[np.complex128]
-
-#: refuse to invert anything with a 2-norm condition estimate above this
-CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -142,22 +132,3 @@ def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
     vectors = vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     return values, np.ascontiguousarray(vectors)
-
-
-def inverse(m) -> ComplexMatrix:
-    """Matrix inverse, refused when the condition estimate exceeds the cap."""
-    a = as_complex_matrix(m)
-    return _inverse_within_cap(a, float(np.linalg.cond(a)))
-
-
-def _inverse_within_cap(a: ComplexMatrix, cond: float) -> ComplexMatrix:
-    """inv(a), or SingularMatrix when its 2-norm condition number ``cond`` is too large."""
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise SingularMatrix(
-            f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",
-            condition=cond,
-        )
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap hits first
-        raise SingularMatrix(f"inversion failed: {exc}") from exc

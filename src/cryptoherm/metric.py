@@ -12,7 +12,8 @@ so the whole kappa dependence is carried by the stored columns plus the
 |kappa|^-2 weight in the coefficients.  The charge coefficients are
 c_n = conj(q_n) by definition, since <v|adjoint(P)|v> = conj(<v|P|v>).
 Each sum is one matrix product, and reruns on the same input are
-byte-identical at a fixed BLAS thread count.
+byte-identical at a fixed BLAS thread count.  ``build_bundle`` is the one
+builder of Q, C and the coefficients; callers read them from its bundle.
 
 The factorization identities Theta = P Q = C P = adjoint(Q) adjoint(P)
 = adjoint(P) adjoint(C) hold exactly when P intertwines H with its
@@ -86,20 +87,23 @@ def _candidate_matrix(p) -> ComplexMatrix:
     return as_complex_matrix(p, "pseudometric")
 
 
-def _reference_right(system: BiorthogonalSystem) -> ComplexMatrix:
-    """Undo the cumulative rescaling: columns of unit norm, fixed phase."""
-    return system.right / system.kappa[None, :]
+def reference_quasiparity_coeffs(
+    system: BiorthogonalSystem, p
+) -> NDArray[np.complex128]:
+    """Coefficients of the kappa = 1 system, before any rescaling.
 
-
-def _inverse_overlaps(system: BiorthogonalSystem, p: ComplexMatrix) -> NDArray[np.complex128]:
-    """1 / <v_n|P|v_n> over the reference right vectors v_n."""
-    if p.shape[0] != system.dim:
+    q1_n = 1 / <v_n|P|v_n> over the reference right vectors v_n (unit
+    norm, fixed phase).  An overlap below OVERLAP_FACTOR * ||P||_F
+    * ||v_n||^2 raises VanishingOverlap naming the first such level.
+    """
+    pm = _candidate_matrix(p)
+    if pm.shape[0] != system.dim:
         raise DimensionMismatch(
-            f"candidate dimension {p.shape[0]} != system dimension {system.dim}"
+            f"candidate dimension {pm.shape[0]} != system dimension {system.dim}"
         )
-    v = _reference_right(system)
-    overlaps = np.sum(v.conj() * (p @ v), axis=0)
-    floors = OVERLAP_FACTOR * frobenius(p) * np.sum(np.abs(v) ** 2, axis=0)
+    v = system.right / system.kappa[None, :]  # undo the cumulative rescaling
+    overlaps = np.sum(v.conj() * (pm @ v), axis=0)
+    floors = OVERLAP_FACTOR * frobenius(pm) * np.sum(np.abs(v) ** 2, axis=0)
     small = np.flatnonzero(np.abs(overlaps) < floors)
     if small.size:
         n = int(small[0])
@@ -112,28 +116,10 @@ def _inverse_overlaps(system: BiorthogonalSystem, p: ComplexMatrix) -> NDArray[n
     return 1.0 / overlaps
 
 
-def reference_quasiparity_coeffs(
-    system: BiorthogonalSystem, p
-) -> NDArray[np.complex128]:
-    """Coefficients of the kappa = 1 system, before any rescaling."""
-    return _inverse_overlaps(system, _candidate_matrix(p))
-
-
 def quasiparity_coeffs(system: BiorthogonalSystem, p) -> NDArray[np.complex128]:
     """q_n of the current system: reference value divided by |kappa_n|^2."""
     q1 = reference_quasiparity_coeffs(system, p)
     return q1 / np.abs(system.kappa) ** 2
-
-
-def charge_coeffs(system: BiorthogonalSystem, p) -> NDArray[np.complex128]:
-    """c_n = conj(q_n), the coefficients of the adjoint candidate."""
-    return np.conj(quasiparity_coeffs(system, p))
-
-
-def coefficient_set(system: BiorthogonalSystem, p) -> CoefficientSet:
-    """Both coefficient families from one overlap pass."""
-    q = quasiparity_coeffs(system, p)
-    return CoefficientSet(q=q, c=np.conj(q))
 
 
 def nonreal_levels(q: NDArray[np.complex128]) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
@@ -151,18 +137,6 @@ def _spectral_sum(
 ) -> ComplexMatrix:
     """sum_n kets_n weights_n adjoint(bras_n)."""
     return (kets * weights[None, :]) @ bras.conj().T
-
-
-def build_quasiparity(system: BiorthogonalSystem, p) -> ComplexMatrix:
-    """Q = sum_n right_n q_n adjoint(left_n); satisfies Q right_n = q_n right_n."""
-    q = quasiparity_coeffs(system, p)
-    return _spectral_sum(system.right, q, system.left)
-
-
-def build_charge(system: BiorthogonalSystem, p) -> ComplexMatrix:
-    """C = sum_n left_n q_n adjoint(right_n); adjoint(C) right_n = c_n right_n."""
-    q = quasiparity_coeffs(system, p)
-    return _spectral_sum(system.left, q, system.right)
 
 
 def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
@@ -229,17 +203,23 @@ def involutive_normalization(
 
 
 def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
-    """Assemble theta, Q, C, the coefficients and the residual map at once."""
+    """Assemble theta, Q, C, the coefficients and the residual map at once.
+
+    The only builder of Q = sum_n right_n q_n adjoint(left_n) (so
+    Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
+    (so adjoint(C) right_n = c_n right_n) and of the coefficient set
+    (q, c = conj(q)), all from one overlap pass.
+    """
     pm = _candidate_matrix(p)
-    coeffs = coefficient_set(system, pm)
+    q = quasiparity_coeffs(system, p)
     theta = build_metric(system)
-    quasiparity = _spectral_sum(system.right, coeffs.q, system.left)
-    charge = _spectral_sum(system.left, coeffs.q, system.right)
+    quasiparity = _spectral_sum(system.right, q, system.left)
+    charge = _spectral_sum(system.left, q, system.right)
     residuals = verify_factorizations(theta, pm, quasiparity, charge)
     return MetricBundle(
         theta=theta,
         quasiparity=quasiparity,
         charge=charge,
-        coeffs=coeffs,
+        coeffs=CoefficientSet(q=q, c=np.conj(q)),
         residuals=residuals,
     )

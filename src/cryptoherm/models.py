@@ -22,12 +22,11 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularMatrix
 from .linalg import (
     ComplexMatrix,
     DEFAULT_TOL,
     Tolerance,
-    _inverse_within_cap,
     as_complex_matrix,
     frobenius,
     is_hermitian,
@@ -37,6 +36,9 @@ DomainTag = Literal["interior", "exterior", "boundary"]
 
 #: default boundary band is this factor times (|a| + |d| + |b|)^2
 BOUNDARY_BAND_FACTOR = 1e-9
+
+#: refuse to invert a candidate whose 2-norm condition number exceeds this
+CONDITION_CAP = 1e12
 
 
 def _real_scalar(x, name: str) -> float:
@@ -158,10 +160,13 @@ class PseudoMetric:
 
     The candidate's one SVD is taken in ``from_matrix``: it gives
     ``smallest_singular_value``, ``invertible`` and ``condition``
-    (sv_max / sv_min, bit for bit ``np.linalg.cond``).  ``inverse`` is
-    computed from the matrix on first use and then kept, so every
-    symmetry check on one candidate shares a single inversion, and
-    callers that never need it never pay for it.
+    (sv_max / sv_min, bit for bit ``np.linalg.cond``) and ``unitary``
+    (||adjoint(P) P - I||_F = ||sv^2 - 1||_2).  ``inverse`` is computed
+    from the matrix on first use and then kept, so every symmetry check
+    on one candidate shares a single inversion, and callers that never
+    need it never pay for it.  P is the only matrix the package inverts
+    under a condition cap: a ``condition`` that is not finite or exceeds
+    CONDITION_CAP makes ``inverse`` raise SingularMatrix.
     """
 
     matrix: ComplexMatrix
@@ -178,21 +183,28 @@ class PseudoMetric:
 
     @cached_property
     def inverse(self) -> ComplexMatrix:
-        """inverse(P), refused with SingularMatrix exactly as ``linalg.inverse`` is."""
-        return _inverse_within_cap(self.matrix, self.condition)
+        """inverse(P), refused with SingularMatrix above CONDITION_CAP."""
+        cond = self.condition
+        if not np.isfinite(cond) or cond > CONDITION_CAP:
+            raise SingularMatrix(
+                f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",
+                condition=cond,
+            )
+        try:
+            return np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap hits first
+            raise SingularMatrix(f"inversion failed: {exc}") from exc
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
         a = as_complex_matrix(m, "pseudometric")
-        n = a.shape[0]
-        eye = np.eye(n)
         scale = frobenius(a) ** 2
         sv = np.linalg.svd(a, compute_uv=False)
         return cls(
             matrix=a,
             self_adjoint=is_hermitian(a, tol),
-            unitary=frobenius(a.conj().T @ a - eye) <= tol.bound(scale),
-            involutive=frobenius(a @ a - eye) <= tol.bound(scale),
+            unitary=frobenius(sv**2 - 1.0) <= tol.bound(scale),
+            involutive=frobenius(a @ a - np.eye(a.shape[0])) <= tol.bound(scale),
             invertible=bool(sv[-1] > tol.bound(float(sv[0]))),
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix

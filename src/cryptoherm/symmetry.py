@@ -95,7 +95,7 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     hnorm = frobenius(hm)
     hdag = hm.conj().T
 
-    r1 = _relative(frobenius(pm @ hm @ pinv - hdag), hnorm)
+    r1 = pseudo_hermiticity_residual(hm, cand, tol).residual
     r2 = _relative(frobenius(pm.conj().T @ hm @ pinv.conj().T - hdag), hnorm)
     s = pinv @ pm.conj().T
     r_comm = _relative(commutator_residual(hm, s), hnorm * frobenius(s))

@@ -187,6 +187,26 @@ def test_non_finite_or_overflowing_argument_is_usage(argv, files, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "h2", "--a", "-1e-3", "--d", "0.5", "--b-re", "0", "--b-im", "0"],
+        ["sweep", "--model", "h2", "--a", "1", "--d", "-2e-1", "--b-re", "0", "--b-im", "0"],
+        ["hermitize", "P", "--theta", "-1.5,0"],
+        ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0", "--b-im", "-1:1:3"],
+    ],
+    ids=["a", "d", "theta", "b-im"],
+)
+def test_negative_option_value_as_separate_argument(argv, files, capsys):
+    argv = [files["p3.json"] if token == "P" else token for token in argv]
+    flag = next(i for i, token in enumerate(argv) if token.startswith("--") and
+                argv[i + 1].startswith("-"))
+    joined = argv[:flag] + [f"{argv[flag]}={argv[flag + 1]}"] + argv[flag + 2:]
+    expected = run(capsys, *joined)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *argv) == expected  # exit code, stdout and stderr
+
+
 class TestDiagnoseReport:
     def test_schema_fields(self, files, capsys):
         _, out, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])
@@ -244,14 +264,14 @@ class TestMetricCommand:
                            "--out-dir", str(out_dir))
         assert code == 0
         for name in ("theta.json", "q.json", "c.json"):
-            matrix, _ = load_matrix(out_dir / name)
+            matrix = load_matrix(out_dir / name)
             assert matrix.shape == (2, 2)
         assert json.loads(out)["involutive"] == {"applied": False}
 
     def test_written_theta_matches_oracle(self, files, capsys, tmp_path):
         out_dir = tmp_path / "ops"
         run(capsys, "metric", files["h2.json"], files["p2.json"], "--out-dir", str(out_dir))
-        theta, _ = load_matrix(out_dir / "theta.json")
+        theta = load_matrix(out_dir / "theta.json")
         expected = np.array(
             [[25.0 / 9.0, (20.0 / 9.0) * 1j], [-(20.0 / 9.0) * 1j, 25.0 / 9.0]]
         )
@@ -286,8 +306,8 @@ class TestMetricCommand:
         run(capsys, "metric", files["h2.json"], files["p2.json"], "--out-dir", str(d1))
         run(capsys, "metric", files["h2.json"], files["p2.json"],
             "--kappa", str(kfile), "--out-dir", str(d2))
-        t1, _ = load_matrix(d1 / "theta.json")
-        t2, _ = load_matrix(d2 / "theta.json")
+        t1 = load_matrix(d1 / "theta.json")
+        t2 = load_matrix(d2 / "theta.json")
         assert np.max(np.abs(t1 - t2)) <= 1e-12
 
     def test_bad_kappa_file_is_usage_error(self, files, capsys, tmp_path):

@@ -71,9 +71,8 @@ class TestMatrixPayload:
         m = build_h3(0.1, 0.3 + 0.4j)
         path = tmp_path / "m.json"
         save_matrix(path, m)
-        back, payload = load_matrix(path)
+        back = load_matrix(path)
         assert np.array_equal(back, m)
-        assert payload["dim"] == 3
 
     def test_rejects_wrong_data_length(self):
         with pytest.raises(MatrixFileError):

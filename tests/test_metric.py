@@ -5,13 +5,10 @@ from cryptoherm import (
     NonRealQuasiparity,
     VanishingOverlap,
     adjoint,
-    build_charge,
+    build_bundle,
     build_h2,
     build_h3,
     build_metric,
-    build_quasiparity,
-    charge_coeffs,
-    coefficient_set,
     cyclic_p,
     frobenius,
     involutive_normalization,
@@ -76,23 +73,23 @@ class TestChargeCoeffs:
         _, sys_ = h3_system
         p = cyclic_p(3)
         q = quasiparity_coeffs(sys_, p)
-        c = charge_coeffs(sys_, p)
+        c = build_bundle(sys_, p).coeffs.c
         assert c == pytest.approx(np.conj(q), abs=1e-12)
 
     def test_hermitian_identity_candidate(self, rng):
         sys_ = _hermitian_system(rng)
-        assert charge_coeffs(sys_, np.eye(4)) == pytest.approx(np.ones(4), abs=1e-12)
+        assert build_bundle(sys_, np.eye(4)).coeffs.c == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_real_for_self_adjoint_candidate(self, h2_system):
         _, sys_ = h2_system
-        c = charge_coeffs(sys_, parity2())
+        c = build_bundle(sys_, parity2()).coeffs.c
         q = quasiparity_coeffs(sys_, parity2())
         assert np.max(np.abs(c.imag)) <= 1e-12
         assert c == pytest.approx(q, abs=1e-12)
 
     def test_coefficient_set_bundles_both(self, h2_system):
         _, sys_ = h2_system
-        cs = coefficient_set(sys_, parity2())
+        cs = build_bundle(sys_, parity2()).coeffs
         assert cs.q == pytest.approx([-5.0 / 3.0, 5.0 / 3.0], abs=1e-12)
         assert cs.c == pytest.approx(np.conj(cs.q), abs=1e-12)
 
@@ -101,8 +98,9 @@ class TestBuilders:
     def test_hermitian_identity_gives_identity_operators(self, rng):
         sys_ = _hermitian_system(rng)
         eye = np.eye(4)
-        assert np.allclose(build_quasiparity(sys_, eye), eye, atol=1e-12)
-        assert np.allclose(build_charge(sys_, eye), eye, atol=1e-12)
+        bundle = build_bundle(sys_, eye)
+        assert np.allclose(bundle.quasiparity, eye, atol=1e-12)
+        assert np.allclose(bundle.charge, eye, atol=1e-12)
         assert np.allclose(build_metric(sys_), eye, atol=1e-12)
 
     def test_metric_oracle_two_level(self, h2_system):
@@ -129,7 +127,7 @@ class TestBuilders:
         _, sys_ = h3_system
         p = cyclic_p(3)
         q = quasiparity_coeffs(sys_, p)
-        qop = build_quasiparity(sys_, p)
+        qop = build_bundle(sys_, p).quasiparity
         for n in range(3):
             v = sys_.right[:, n]
             assert np.linalg.norm(qop @ v - q[n] * v) <= 1e-10
@@ -137,8 +135,8 @@ class TestBuilders:
     def test_charge_adjoint_eigen_relation(self, h3_system):
         _, sys_ = h3_system
         p = cyclic_p(3)
-        c = charge_coeffs(sys_, p)
-        cop = build_charge(sys_, p)
+        bundle = build_bundle(sys_, p)
+        c, cop = bundle.coeffs.c, bundle.charge
         for n in range(3):
             v = sys_.right[:, n]
             assert np.linalg.norm(adjoint(cop) @ v - c[n] * v) <= 1e-10
@@ -148,8 +146,8 @@ class TestBuilders:
         p = parity2()
         r = 1.7
         scaled = renormalize(sys_, np.full(2, r, dtype=complex))
-        q_before = build_quasiparity(sys_, p)
-        q_after = build_quasiparity(scaled, p)
+        q_before = build_bundle(sys_, p).quasiparity
+        q_after = build_bundle(scaled, p).quasiparity
         assert np.allclose(q_after, q_before / r**2, atol=1e-12)
 
 
@@ -157,9 +155,8 @@ class TestFactorizations:
     def test_key_set_is_pinned(self, h2_system):
         _, sys_ = h2_system
         p = parity2()
-        res = verify_factorizations(
-            build_metric(sys_), p, build_quasiparity(sys_, p), build_charge(sys_, p)
-        )
+        bundle = build_bundle(sys_, p)
+        res = verify_factorizations(build_metric(sys_), p, bundle.quasiparity, bundle.charge)
         assert tuple(res.keys()) == RESIDUAL_KEYS
 
     @pytest.mark.parametrize("which", ["h2", "h3"])
@@ -168,10 +165,8 @@ class TestFactorizations:
             "h2": (h2_system, parity2()),
             "h3": (h3_system, cyclic_p(3)),
         }[which]
-        theta = build_metric(sys_)
-        res = verify_factorizations(
-            theta, p, build_quasiparity(sys_, p), build_charge(sys_, p)
-        )
+        bundle = build_bundle(sys_, p)
+        res = verify_factorizations(build_metric(sys_), p, bundle.quasiparity, bundle.charge)
         assert max(res.values()) <= 1e-10
 
     @pytest.mark.parametrize("which", ["h2", "h3", "random"])
@@ -185,7 +180,8 @@ class TestFactorizations:
                 "h3": (h3_system, cyclic_p(3)),
             }[which]
             theta = build_metric(sys_)
-            qop, cop = build_quasiparity(sys_, p), build_charge(sys_, p)
+            bundle = build_bundle(sys_, p)
+            qop, cop = bundle.quasiparity, bundle.charge
         scale = np.linalg.norm(theta)
         expected = {
             "theta_hermitian": np.linalg.norm(theta - theta.conj().T) / scale,
@@ -202,17 +198,16 @@ class TestFactorizations:
     def test_trivial_bundle_residuals(self, rng):
         sys_ = _hermitian_system(rng)
         eye = np.eye(4)
-        res = verify_factorizations(
-            build_metric(sys_), eye, build_quasiparity(sys_, eye), build_charge(sys_, eye)
-        )
+        bundle = build_bundle(sys_, eye)
+        res = verify_factorizations(build_metric(sys_), eye, bundle.quasiparity, bundle.charge)
         assert max(res.values()) <= 1e-12
 
     def test_corrupted_quasiparity_breaks_only_its_own_identities(self, h3_system):
         _, sys_ = h3_system
         p = cyclic_p(3)
         theta = build_metric(sys_)
-        qop = build_quasiparity(sys_, p)
-        cop = build_charge(sys_, p)
+        bundle = build_bundle(sys_, p)
+        qop, cop = bundle.quasiparity, bundle.charge
         # double one spectral weight: P@Q moves, C@P stays put
         q = quasiparity_coeffs(sys_, p)
         corrupted = qop + np.outer(sys_.right[:, 0], sys_.left[:, 0].conj()) * q[0]
@@ -251,8 +246,8 @@ class TestInvolutive:
         kappa, out = involutive_normalization(sys_, p)
         assert kappa == pytest.approx(np.full(2, np.sqrt(5.0 / 3.0)), abs=1e-12)
         assert quasiparity_coeffs(out, p) == pytest.approx([-1.0, 1.0], abs=1e-10)
-        qop = build_quasiparity(out, p)
-        cop = build_charge(out, p)
+        bundle = build_bundle(out, p)
+        qop, cop = bundle.quasiparity, bundle.charge
         assert frobenius(qop @ qop - np.eye(2)) <= 1e-10
         assert frobenius(cop @ cop - np.eye(2)) <= 1e-10
 
@@ -269,7 +264,7 @@ class TestInvolutive:
         sys_ = _hermitian_system(rng)
         kappa, out = involutive_normalization(sys_, np.eye(4))
         assert kappa == pytest.approx(np.ones(4), abs=1e-12)
-        assert np.allclose(build_quasiparity(out, np.eye(4)), np.eye(4), atol=1e-10)
+        assert np.allclose(build_bundle(out, np.eye(4)).quasiparity, np.eye(4), atol=1e-10)
 
     def test_non_real_coefficients_refused_with_indices(self, h3_system):
         _, sys_ = h3_system
@@ -318,8 +313,9 @@ def test_naive_loop_equivalence_three_level(h3_system):
                 cop[i, j] += sys_.left[i, k] * q[k] * np.conj(sys_.right[j, k])
 
     assert np.max(np.abs(build_metric(sys_) - theta)) <= 1e-12
-    assert np.max(np.abs(build_quasiparity(sys_, p) - qop)) <= 1e-12
-    assert np.max(np.abs(build_charge(sys_, p) - cop)) <= 1e-12
+    bundle = build_bundle(sys_, p)
+    assert np.max(np.abs(bundle.quasiparity - qop)) <= 1e-12
+    assert np.max(np.abs(bundle.charge - cop)) <= 1e-12
 
 
 def test_metric_quasi_hermitian_across_interior_samples(rng):

@@ -13,11 +13,12 @@ from cryptoherm import (
     frobenius,
     hermitian_rotation,
     hermitian_sum,
-    inverse,
     is_hermitian,
     parity2,
     swap2,
 )
+from cryptoherm.linalg import DEFAULT_TOL
+from cryptoherm.models import CONDITION_CAP
 from conftest import sample_h2_params_any, sample_h3_params
 
 
@@ -148,20 +149,44 @@ class TestPseudoMetricFlags:
     def test_condition_is_numpy_cond(self, m):
         assert PseudoMetric.from_matrix(m).condition == np.linalg.cond(m)
 
+    def test_unitary_flag_is_the_product_form(self, rng):
+        # ||adjoint(P) P - I||_F against tol.bound(||P||_F^2), computed with the product
+        cases = [parity2(), swap2()] + [cyclic_p(n) for n in range(2, 17)]
+        for n in (2, 3, 16, 64):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            cases += [u, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+            cases += [u + eps * rng.standard_normal((n, n)) for eps in (1e-15, 1e-6)]
+            # uniform scalings of u on both sides of the flag's threshold, ~0.5e-10 sqrt(n)
+            cases += [u * (1.0 + t * 0.5e-10 * np.sqrt(n)) for t in (0.5, 0.8, 1.25, 2.0)]
+        flags = []
+        for m in cases:
+            pm = PseudoMetric.from_matrix(m)
+            product = frobenius(m.conj().T @ m - np.eye(m.shape[0]))
+            assert pm.unitary == (product <= DEFAULT_TOL.bound(frobenius(m) ** 2))
+            flags.append(pm.unitary)
+        assert all(flags[:17]) and True in flags[17:] and False in flags[17:]
+
     def test_inverse_is_computed_once_and_matches_linalg(self):
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
         pm = PseudoMetric.from_matrix(p)
-        assert np.array_equal(pm.inverse, inverse(p))
+        assert np.array_equal(pm.inverse, np.linalg.inv(p))
         assert pm.inverse is pm.inverse
+
+    def test_cyclic_inverse_is_adjoint(self):
+        p = cyclic_p(5)
+        assert np.allclose(PseudoMetric.from_matrix(p).inverse, p.conj().T, atol=1e-14)
+
+    def test_inverse_roundtrip(self, rng):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+        assert np.allclose(m @ PseudoMetric.from_matrix(m).inverse, np.eye(4), atol=1e-12)
 
     def test_inverse_refused_like_linalg(self):
         partner = hermitian_sum(cyclic_p(4))
-        with pytest.raises(SingularMatrix) as lib:
-            inverse(partner.matrix)
-        with pytest.raises(SingularMatrix) as lazy:
+        cond = np.linalg.cond(partner.matrix)
+        with pytest.raises(SingularMatrix) as info:
             partner.inverse
-        assert str(lazy.value) == str(lib.value)
-        assert lazy.value.condition == lib.value.condition
+        assert str(info.value) == f"condition estimate {cond:.3e} exceeds cap 1e+12"
+        assert info.value.condition == cond and cond > CONDITION_CAP
 
 
 class TestHermitianSum:
