@@ -58,7 +58,9 @@ from .models import (
     swap2,
 )
 from .symmetry import (
+    Diagnosis,
     SymmetryVerdict,
+    diagnose,
     pseudo_hermiticity_residual,
     pt_commutant_check,
     quasi_hermiticity_residual,
@@ -74,6 +76,7 @@ __all__ = [
     "ConvergenceFailure",
     "CryptoHermError",
     "DegenerateSpectrum",
+    "Diagnosis",
     "DimensionMismatch",
     "DomainClass",
     "MatrixFileError",
@@ -97,6 +100,7 @@ __all__ = [
     "commutator_residual",
     "completeness_residual",
     "cyclic_p",
+    "diagnose",
     "discriminant_h2",
     "eig",
     "frobenius",

@@ -2,8 +2,9 @@
 
 Four subcommands over JSON matrix files:
 
-* diagnose   - run every applicable symmetry check plus the full metric
-               pipeline on one (H, P) pair, report JSON to stdout
+* diagnose   - render ``cryptoherm.diagnose`` of one (H, P) pair (every
+               applicable symmetry check plus the full metric pipeline)
+               as a JSON report on stdout
 * metric     - build Theta/Q/C (optionally kappa-rescaled or involutive)
                and write them as matrix files
 * sweep      - CSV scan of the two-level model's reality domain
@@ -15,12 +16,15 @@ defective; diagnose still prints its report), 4 quasiparity
 coefficients not real (no involutive rescaling exists).
 Identical inputs and flags produce byte-identical stdout and files.
 The argument parser is built once per process, at import; ``main`` only
-parses and dispatches.
+parses and dispatches.  The commands load, call the library and render:
+what a diagnosis finds and whether it holds is decided in
+``symmetry.diagnose``; only the exit codes, the CLI's contract, live here.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +36,6 @@ from .errors import (
     DimensionMismatch,
     MatrixFileError,
     NonRealQuasiparity,
-    NotHermitian,
-    NotPositiveDefinite,
     SingularMatrix,
     SpectrumObstruction,
     VanishingOverlap,
@@ -42,22 +44,12 @@ from .errors import (
 # cli no longer calls eig; the name stays bound because bench/test_bench.py's
 # tracer test checks that the cryptoherm.cli.eig binding is wrapped
 from .linalg import Tolerance, eig, frobenius  # noqa: F401
-from .metric import build_bundle, involutive_normalization, nonreal_levels
+from .metric import build_bundle, involutive_normalization, nonreal_warnings
 from .models import PseudoMetric, classify_h2, hermitian_rotation, hermitian_sum
-from .symmetry import (
-    pseudo_hermiticity_residual,
-    quasi_hermiticity_residual,
-    weak_triplet_check,
-)
-
-#: factorization residuals above this fail the report verdict
-FACTORIZATION_TOL = 1e-9
+from .symmetry import diagnose
 
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
-
-#: spectral gaps below this times ||H||_F draw a proximity warning
-GAP_WARN_FACTOR = 1e-6
 
 #: number of scan points when --theta scan is given without a count
 DEFAULT_SCAN_POINTS = 64
@@ -149,46 +141,15 @@ def _load_pair(args):
     return h, p
 
 
-def _verdict_payload(v) -> dict:
-    return {
-        "name": v.name,
-        "residual": float(v.residual),
-        "holds": bool(v.holds),
-        "tolerance": float(v.tolerance),
-        "detail": dict(v.detail) if v.detail is not None else None,
-    }
-
-
-def _spectrum_payload(values, tol: Tolerance, scale: float) -> dict:
-    worst = float(np.max(np.abs(values.imag)))
-    return {
-        "values": io.complex_pairs(values),
-        "all_real": bool(worst <= tol.bound(scale)),
-        "max_imag": worst,
-    }
-
-
 def _metric_payload(system, bundle) -> dict:
-    residuals = {k: float(v) for k, v in bundle.residuals.items()}
     return {
         "kappa": io.complex_pairs(system.kappa),
         "quasiparity_coeffs": io.complex_pairs(bundle.coeffs.q),
         "charge_coeffs": io.complex_pairs(bundle.coeffs.c),
         "theta_min_eigenvalue": float(bundle.theta_eigenvalues[0]),
-        "residuals": residuals,
-        "factorizations_hold": bool(max(residuals.values()) <= FACTORIZATION_TOL),
+        "residuals": {k: float(v) for k, v in bundle.residuals.items()},
+        "factorizations_hold": bundle.factorizations_hold,
     }
-
-
-def _nonreal_warning(q) -> str | None:
-    bad, _ = nonreal_levels(q)
-    if bad.size == 0:
-        return None
-    return (
-        "non-real quasiparity at levels "
-        + ",".join(str(int(i)) for i in bad)
-        + "; no involutive rescaling exists"
-    )
 
 
 def _report_head(command: str, tol: Tolerance, **operands) -> dict:
@@ -213,64 +174,23 @@ def _emit_report(report: dict, out_dir: str | None) -> None:
 def cmd_diagnose(args) -> int:
     tol = _tol(args)
     h, p = _load_pair(args)
-    pm = PseudoMetric.from_matrix(p, tol)
-    scale = frobenius(h)
+    found = diagnose(h, p, tol)
 
     report = _report_head("diagnose", tol, hamiltonian=io.matrix_to_payload(h),
                           pseudometric=io.matrix_to_payload(p))
-    warnings: list[str] = []
-
-    obstruction = None
-    try:
-        system = solve_biorthogonal(h, tol)
-        values = system.eigenvalues
-    except SpectrumObstruction as exc:
-        if exc.eigenvalues is None:  # the eigensolver itself failed: no spectrum to report
-            raise
-        obstruction, values = exc, exc.eigenvalues
-        warnings.append(f"spectrum obstruction: {type(exc).__name__}: {exc}")
-    report["spectrum"] = _spectrum_payload(values, tol, scale)
-
-    verdicts = [pseudo_hermiticity_residual(h, pm, tol)]
-    if not pm.self_adjoint:
-        verdicts.append(weak_triplet_check(h, pm, tol))
-
-    metric_block = None
-    metric_failed = False
-    if obstruction is None:
-        gaps = np.diff(system.energies)
-        if system.dim > 1 and float(gaps.min()) < GAP_WARN_FACTOR * scale:
-            warnings.append(
-                "degeneracy proximity: smallest gap "
-                f"{io.format_float(float(gaps.min()))}"
-            )
-        try:
-            bundle = build_bundle(system, pm)
-        except VanishingOverlap as exc:
-            metric_failed = True
-            warnings.append(f"metric construction failed: {exc}")
-        else:
-            metric_block = _metric_payload(system, bundle)
-            note = _nonreal_warning(bundle.coeffs.q)
-            if note is not None:
-                warnings.append(note)
-            try:
-                verdicts.append(quasi_hermiticity_residual(h, bundle, tol))
-            except (NotHermitian, NotPositiveDefinite) as exc:
-                metric_failed = True
-                warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
-
-    report["verdicts"] = [_verdict_payload(v) for v in verdicts]
-    report["metric"] = metric_block
-    report["warnings"] = warnings
+    report["spectrum"] = {
+        "values": io.complex_pairs(found.eigenvalues),
+        "all_real": found.all_real,
+        "max_imag": float(np.max(np.abs(found.eigenvalues.imag))),
+    }
+    report["verdicts"] = [asdict(v) for v in found.verdicts]
+    report["metric"] = None if found.bundle is None else _metric_payload(found.system, found.bundle)
+    report["warnings"] = found.warnings
     _emit_report(report, args.out_dir)
 
-    if obstruction is not None:
+    if found.obstruction is not None:
         return EXIT_SPECTRUM
-    ok = all(v.holds for v in verdicts)
-    if metric_failed or metric_block is None or not metric_block["factorizations_hold"]:
-        ok = False
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if found.holds else EXIT_VERDICT
 
 
 def cmd_metric(args) -> int:
@@ -281,7 +201,6 @@ def cmd_metric(args) -> int:
     kappa_tag: object = None
     system = solve_biorthogonal(h, tol)
     involutive = args.kappa == "involutive"
-    warnings: list[str] = []
 
     if involutive:
         kappa_tag = "involutive"
@@ -292,9 +211,6 @@ def cmd_metric(args) -> int:
         system = renormalize(system, kappa)
 
     bundle = build_bundle(system, pm)
-    note = _nonreal_warning(bundle.coeffs.q)
-    if note is not None:
-        warnings.append(note)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,10 +237,10 @@ def cmd_metric(args) -> int:
     else:
         report["involutive"] = {"applied": False}
 
-    report["warnings"] = warnings
+    report["warnings"] = nonreal_warnings(bundle.coeffs.q)
     _emit_report(report, None)
 
-    if not report["metric"]["factorizations_hold"]:
+    if not bundle.factorizations_hold:
         return EXIT_VERDICT
     if involutive and not report["involutive"]["holds"]:
         return EXIT_VERDICT

@@ -49,6 +49,9 @@ OVERLAP_FACTOR = 1e-10
 #: relative imaginary part above which a coefficient is not "real"
 REALITY_REL = 1e-10
 
+#: factorization residuals above this fail a bundle's verdict
+FACTORIZATION_TOL = 1e-9
+
 #: fixed key order of the residual map
 RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
 
@@ -79,6 +82,11 @@ class MetricBundle:
     def theta_eigenvalues(self) -> NDArray[np.float64]:
         """Ascending eigenvalues of theta's Hermitian part."""
         return hermitian_eigenvalues(self.theta)
+
+    @property
+    def factorizations_hold(self) -> bool:
+        """Every residual is at most FACTORIZATION_TOL."""
+        return max(self.residuals.values()) <= FACTORIZATION_TOL
 
 
 def _candidate_matrix(p) -> ComplexMatrix:
@@ -130,6 +138,15 @@ def nonreal_levels(q: NDArray[np.complex128]) -> tuple[NDArray[np.intp], NDArray
     """
     rel = np.abs(q.imag) / np.abs(q)
     return np.flatnonzero(rel > REALITY_REL), rel
+
+
+def nonreal_warnings(q: NDArray[np.complex128]) -> list[str]:
+    """The report warning for non-real coefficients: none, or one naming the levels."""
+    bad, _ = nonreal_levels(q)
+    if bad.size == 0:
+        return []
+    levels = ",".join(str(int(i)) for i in bad)
+    return [f"non-real quasiparity at levels {levels}; no involutive rescaling exists"]
 
 
 def _spectral_sum(

@@ -28,7 +28,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_complex_matrix,
-    frobenius,
     is_hermitian,
 )
 
@@ -160,19 +159,17 @@ class PseudoMetric:
 
     The candidate's one SVD is taken in ``from_matrix``: it gives
     ``smallest_singular_value``, ``invertible`` and ``condition``
-    (sv_max / sv_min, bit for bit ``np.linalg.cond``) and ``unitary``
-    (||adjoint(P) P - I||_F = ||sv^2 - 1||_2).  ``inverse`` is computed
-    from the matrix on first use and then kept, so every symmetry check
-    on one candidate shares a single inversion, and callers that never
-    need it never pay for it.  P is the only matrix the package inverts
-    under a condition cap: a ``condition`` that is not finite or exceeds
-    CONDITION_CAP makes ``inverse`` raise SingularMatrix.
+    (sv_max / sv_min, bit for bit ``np.linalg.cond``).  ``inverse`` is
+    computed from the matrix on first use and then kept, so every
+    symmetry check on one candidate shares a single inversion, and
+    callers that never need it never pay for it.  P is the only matrix
+    the package inverts under a condition cap: a ``condition`` that is
+    not finite or exceeds CONDITION_CAP makes ``inverse`` raise
+    SingularMatrix.
     """
 
     matrix: ComplexMatrix
     self_adjoint: bool
-    unitary: bool
-    involutive: bool
     invertible: bool
     smallest_singular_value: float
     condition: float
@@ -198,13 +195,10 @@ class PseudoMetric:
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
         a = as_complex_matrix(m, "pseudometric")
-        scale = frobenius(a) ** 2
         sv = np.linalg.svd(a, compute_uv=False)
         return cls(
             matrix=a,
             self_adjoint=is_hermitian(a, tol),
-            unitary=frobenius(sv**2 - 1.0) <= tol.bound(scale),
-            involutive=frobenius(a @ a - np.eye(a.shape[0])) <= tol.bound(scale),
             invertible=bool(sv[-1] > tol.bound(float(sv[0]))),
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix

@@ -11,16 +11,30 @@ invariant under H -> s H for real s > 0:
                       definite Theta (multiplicative form, no inversion);
                       a MetricBundle lends its kept spectrum of Theta
 * pt_commutant:       H S = S H
+
+Every check refuses operands of different shapes with DimensionMismatch.
+``diagnose`` runs the whole pipeline on one (H, P) pair and returns a
+Diagnosis: the spectrum, the verdicts, the metric bundle and the
+warnings, and where the construction fails (complex eigenvalues, a
+degenerate or defective spectrum, a vanishing overlap, a metric that is
+not Hermitian positive definite).  It is the one place that policy
+lives; the CLI's ``diagnose`` report only renders it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NotHermitian, NotPositiveDefinite
+import numpy as np
+from numpy.typing import NDArray
+
+from .biortho import BiorthogonalSystem, solve_biorthogonal
+from .errors import NotHermitian, NotPositiveDefinite, SpectrumObstruction, VanishingOverlap
+from .io import format_float
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _same_shape,
     as_complex_matrix,
     commutator_residual,
     frobenius,
@@ -28,12 +42,15 @@ from .linalg import (
     is_hermitian,
     resolved_positive,
 )
-from .metric import MetricBundle
+from .metric import MetricBundle, build_bundle, nonreal_warnings
 from .models import PseudoMetric
 
 #: how much slack the dependent third triplet equation is allowed
 #: relative to the two independent ones
 _DEPENDENT_SLACK = 10.0
+
+#: spectral gaps below this times ||H||_F draw a proximity warning
+GAP_WARN_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,9 +76,11 @@ def _verdict(name: str, residual: float, tol: Tolerance, detail=None) -> Symmetr
     )
 
 
-def _candidate(p, tol: Tolerance) -> PseudoMetric:
+def _candidate(hm, p, tol: Tolerance) -> PseudoMetric:
     # a PseudoMetric carries its inverse, so checks sharing one invert P once
-    return p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p, tol)
+    pm = p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p, tol)
+    _same_shape(hm, pm.matrix)
+    return pm
 
 
 def _relative(num: float, scale: float) -> float:
@@ -72,7 +91,7 @@ def _relative(num: float, scale: float) -> float:
 def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check adjoint(H) = P H inverse(P), residual relative to ||H||_F."""
     hm = as_complex_matrix(h, "hamiltonian")
-    pm = _candidate(p, tol)
+    pm = _candidate(hm, p, tol)
     residual = _relative(
         frobenius(pm.matrix @ hm @ pm.inverse - hm.conj().T), frobenius(hm)
     )
@@ -90,7 +109,7 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     flag an internal inconsistency).
     """
     hm = as_complex_matrix(h, "hamiltonian")
-    cand = _candidate(p, tol)
+    cand = _candidate(hm, p, tol)
     pm, pinv = cand.matrix, cand.inverse
     hnorm = frobenius(hm)
     hdag = hm.conj().T
@@ -129,6 +148,7 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
     hm = as_complex_matrix(h, "hamiltonian")
     bundle = theta if isinstance(theta, MetricBundle) else None
     th = as_complex_matrix(theta if bundle is None else bundle.theta, "theta")
+    _same_shape(hm, th)
     if not is_hermitian(th, tol):
         raise NotHermitian("metric candidate is not self-adjoint")
     w = hermitian_eigenvalues(th) if bundle is None else bundle.theta_eigenvalues
@@ -146,3 +166,87 @@ def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     sm = as_complex_matrix(s, "symmetry")
     residual = _relative(commutator_residual(hm, sm), frobenius(hm) * frobenius(sm))
     return _verdict("pt_commutant", residual, tol)
+
+
+@dataclass(frozen=True)
+class Diagnosis:
+    """What ``diagnose`` found for one (H, P) pair.
+
+    ``eigenvalues`` are the eigensolver's values, kept also when the
+    spectrum is obstructed; ``all_real`` is max |Im E| <= tol.bound(||H||_F).
+    ``system`` and ``bundle`` are None when ``obstruction`` is set, and
+    ``bundle`` is also None when an overlap <v|P|v> vanished; a bundle
+    whose Theta is not Hermitian positive definite is kept.  ``holds``
+    means no obstruction, no metric refusal, and every verdict and
+    factorization holds.
+    """
+
+    eigenvalues: NDArray[np.complex128]
+    all_real: bool
+    verdicts: tuple[SymmetryVerdict, ...]
+    warnings: tuple[str, ...]
+    system: BiorthogonalSystem | None
+    bundle: MetricBundle | None
+    obstruction: SpectrumObstruction | None
+    holds: bool
+
+
+def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
+    """Run every applicable check on (H, P) and say where the construction fails.
+
+    The verdicts come in a fixed order: pseudo_hermitian, weak_triplet
+    (only for a non-self-adjoint P) and, once the bundle is built,
+    quasi_hermitian.  A spectrum obstruction, a vanishing overlap and a
+    metric that is not Hermitian positive definite become warnings, not
+    exceptions; a SpectrumObstruction without eigenvalues (the
+    eigensolver itself failed) is raised, as is a singular P.
+    """
+    hm = as_complex_matrix(h, "hamiltonian")
+    pm = _candidate(hm, p, tol)
+    scale = frobenius(hm)
+    warnings: list[str] = []
+    system = bundle = obstruction = None
+    try:
+        system = solve_biorthogonal(hm, tol)
+        values = system.eigenvalues
+    except SpectrumObstruction as exc:
+        if exc.eigenvalues is None:  # the eigensolver itself failed: no spectrum to report
+            raise
+        obstruction, values = exc, exc.eigenvalues
+        warnings.append(f"spectrum obstruction: {type(exc).__name__}: {exc}")
+
+    if pm.self_adjoint:
+        verdicts = [pseudo_hermiticity_residual(hm, pm, tol)]
+    else:
+        # the triplet's first equation is the P equation, so it is solved once
+        triplet = weak_triplet_check(hm, pm, tol)
+        verdicts = [_verdict("pseudo_hermitian", triplet.detail["pseudo"], tol), triplet]
+
+    holds = False  # set only once the whole pipeline has run
+    if system is not None:
+        gaps = np.diff(system.energies)
+        if system.dim > 1 and float(gaps.min()) < GAP_WARN_FACTOR * scale:
+            warnings.append(f"degeneracy proximity: smallest gap {format_float(float(gaps.min()))}")
+        try:
+            bundle = build_bundle(system, pm)
+        except VanishingOverlap as exc:
+            warnings.append(f"metric construction failed: {exc}")
+        else:
+            warnings += nonreal_warnings(bundle.coeffs.q)
+            try:
+                verdicts.append(quasi_hermiticity_residual(hm, bundle, tol))
+            except (NotHermitian, NotPositiveDefinite) as exc:
+                warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
+            else:
+                holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
+
+    return Diagnosis(
+        eigenvalues=values,
+        all_real=bool(float(np.max(np.abs(values.imag))) <= tol.bound(scale)),
+        verdicts=tuple(verdicts),
+        warnings=tuple(warnings),
+        system=system,
+        bundle=bundle,
+        obstruction=obstruction,
+        holds=holds,
+    )

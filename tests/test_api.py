@@ -1,4 +1,7 @@
-"""The package surface: ``__all__`` and the README's library table stay in step with the code."""
+"""The package surface stays in step with the code.
+
+``__all__``, the README's library table and the README's python examples.
+"""
 import importlib
 import re
 from pathlib import Path
@@ -39,3 +42,17 @@ def test_readme_table_covers_the_modules():
 def test_readme_table_names_exist(module, names):
     mod = importlib.import_module(module)
     assert [name for name in names if not hasattr(mod, name)] == []
+
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_has_python_examples():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "block", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))]
+)
+def test_readme_python_block_runs(block):
+    exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cryptoherm import (
+    ComplexSpectrum,
+    DegenerateSpectrum,
     MetricBundle,
     NotHermitian,
     NotPositiveDefinite,
@@ -11,6 +13,7 @@ from cryptoherm import (
     build_h3,
     build_metric,
     cyclic_p,
+    diagnose,
     parity2,
     pseudo_hermiticity_residual,
     pt_commutant_check,
@@ -19,6 +22,7 @@ from cryptoherm import (
     swap2,
     weak_triplet_check,
 )
+from cryptoherm import symmetry
 from cryptoherm.errors import DimensionMismatch
 from cryptoherm.metric import CoefficientSet
 from conftest import sample_h2_params_any, sample_h3_params
@@ -188,3 +192,73 @@ def test_all_residuals_scale_invariant(h3_system):
         assert abs(
             pt_commutant_check(hs, p).residual - pt_commutant_check(h, p).residual
         ) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "check, operand",
+    [(pseudo_hermiticity_residual, cyclic_p(3)), (weak_triplet_check, cyclic_p(3)),
+     (quasi_hermiticity_residual, np.eye(3)), (diagnose, cyclic_p(3))],
+    ids=["pseudo_hermitian", "weak_triplet", "quasi_hermitian", "diagnose"],
+)
+def test_shape_mismatch_is_dimension_mismatch(check, operand):
+    with pytest.raises(DimensionMismatch, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        check(build_h2(1.0, 0.0, 0.3j), operand)
+
+
+@pytest.mark.parametrize(
+    "h, p",
+    [(build_h3(0.0, 0.3 + 0.4j), cyclic_p(3)), (build_h2(1.0, 0.0, 0.4j), parity2())],
+    ids=["h3-cyclic3", "h2-parity2"],
+)
+def test_diagnose_solves_the_p_equation_once(h, p, monkeypatch):
+    calls = []
+    direct = symmetry.pseudo_hermiticity_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "pseudo_hermiticity_residual", counted)
+    found = diagnose(h, p)
+    assert len(calls) == 1
+    assert found.verdicts[0] == direct(h, p)
+
+
+def _h2_at_discriminant(disc):
+    # build_h2(1, 0, i beta) has disc = 1 - 4 beta^2
+    return build_h2(1.0, 0.0, 1j * np.sqrt((1.0 - disc) / 4.0))
+
+
+@pytest.mark.parametrize(
+    "h, p, obstruction, holds, verdicts, warning",
+    [
+        (build_h3(0.0, 0.3 + 0.4j), cyclic_p(3), None, True,
+         ("pseudo_hermitian", "weak_triplet", "quasi_hermitian"),
+         "non-real quasiparity at levels "),
+        (build_h2(1.0, 0.0, 0.3j), swap2(), None, False, ("pseudo_hermitian",),
+         "metric construction failed: <v_0|P|v_0> = "),
+        (build_h2(1.0, 0.0, 0.7), parity2(), ComplexSpectrum, False, ("pseudo_hermitian",),
+         "spectrum obstruction: ComplexSpectrum: "),
+        (build_h2(1.0, 0.0, 0.5), parity2(), DegenerateSpectrum, False, ("pseudo_hermitian",),
+         "spectrum obstruction: DegenerateSpectrum: "),
+        (_h2_at_discriminant(1e-12), parity2(), None, True,
+         ("pseudo_hermitian", "quasi_hermitian"), "degeneracy proximity: smallest gap "),
+    ],
+    ids=["ok", "vanishing_overlap", "complex_spectrum", "degenerate_spectrum",
+         "degeneracy_proximity"],
+)
+def test_diagnose_outcomes(h, p, obstruction, holds, verdicts, warning):
+    found = diagnose(h, p)
+    assert found.holds is holds
+    assert tuple(v.name for v in found.verdicts) == verdicts
+    assert len(found.warnings) == 1 and found.warnings[0].startswith(warning)
+    if obstruction is None:
+        assert found.obstruction is None and found.all_real
+        assert np.array_equal(found.eigenvalues, found.system.eigenvalues)
+        assert (found.bundle is None) == (warning.startswith("metric construction failed"))
+    else:
+        assert isinstance(found.obstruction, obstruction)
+        assert found.system is None and found.bundle is None
+        assert np.array_equal(found.eigenvalues, found.obstruction.eigenvalues)
+    if obstruction is ComplexSpectrum:
+        assert not found.all_real
