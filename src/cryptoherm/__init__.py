@@ -56,6 +56,7 @@ from .models import (
     hermitian_sum,
     parity2,
     swap2,
+    sweep_h2,
 )
 from .symmetry import (
     Diagnosis,
@@ -117,6 +118,7 @@ __all__ = [
     "renormalize",
     "solve_biorthogonal",
     "swap2",
+    "sweep_h2",
     "verify_factorizations",
     "weak_triplet_check",
 ]

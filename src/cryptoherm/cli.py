@@ -7,7 +7,9 @@ Four subcommands over JSON matrix files:
                as a JSON report on stdout
 * metric     - build Theta/Q/C (optionally kappa-rescaled or involutive)
                and write them as matrix files
-* sweep      - CSV scan of the two-level model's reality domain
+* sweep      - CSV scan of the two-level model's reality domain, one
+               row per point of ``models.sweep_h2``; each axis value
+               is formatted once
 * hermitize  - singularity scan of the Hermitian partner family of P
 
 Exit codes: 0 ok, 1 usage or I/O problem, 2 a symmetry or factorization
@@ -23,6 +25,7 @@ what a diagnosis finds and whether it holds is decided in
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -45,7 +48,7 @@ from .errors import (
 # tracer test checks that the cryptoherm.cli.eig binding is wrapped
 from .linalg import Tolerance, eig, frobenius  # noqa: F401
 from .metric import build_bundle, involutive_normalization, nonreal_warnings
-from .models import PseudoMetric, classify_h2, hermitian_rotation, hermitian_sum
+from .models import PseudoMetric, hermitian_rotation, hermitian_sum, sweep_h2
 from .symmetry import diagnose
 
 #: involution residuals above this fail the involutive-mode verdict
@@ -197,6 +200,8 @@ def cmd_metric(args) -> int:
     tol = _tol(args)
     h, p = _load_pair(args)
     pm = PseudoMetric.from_matrix(p, tol)
+    # refused before anything is written, as diagnose refuses it
+    pm.check_condition()
 
     kappa_tag: object = None
     system = solve_biorthogonal(h, tol)
@@ -272,28 +277,24 @@ def _parse_axis(expr: str, name: str) -> np.ndarray:
     raise _UsageError(f"{name}: expected V or MIN:MAX:STEPS, got {expr!r}")
 
 
-def _sweep_row(a: float, d: float, re: float, im: float) -> str:
-    try:
-        domain = classify_h2(a, d, complex(re, im))
-    except OverflowError as exc:
-        raise _UsageError(
-            f"h2 classification overflows at b_re = {io.format_float(re)}, "
-            f"b_im = {io.format_float(im)}"
-        ) from exc
-    # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
-    gap = float(np.sqrt(abs(domain.discriminant)))
-    return (
-        f"{io.format_float(re)},{io.format_float(im)},"
-        f"{io.format_float(domain.discriminant)},{domain.tag},{io.format_float(gap)}\n"
-    )
-
-
 def cmd_sweep(args) -> int:
     a, d = _finite("--a", args.a), _finite("--d", args.d)
     re_axis = _parse_axis(args.b_re, "--b-re")
     im_axis = _parse_axis(args.b_im, "--b-im")
+    res = [io.format_float(x) for x in re_axis]
+    ims = [io.format_float(x) for x in im_axis]
+    points = sweep_h2(a, d, re_axis, im_axis)
     # every row is computed before any is written, so a refused point prints nothing
-    rows = [_sweep_row(a, d, re, im) for re in re_axis for im in im_axis]
+    rows = []
+    for re in res:
+        for im in ims:
+            try:
+                disc, tag = next(points)
+            except OverflowError as exc:
+                raise _UsageError(f"h2 classification overflows at b_re = {re}, b_im = {im}") from exc
+            # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
+            gap = math.sqrt(abs(disc))
+            rows.append(f"{re},{im},{format(disc, '.17g')},{tag},{format(gap, '.17g')}\n")
     sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n")
     sys.stdout.writelines(rows)
     return EXIT_OK

@@ -12,13 +12,21 @@ whose reality domain is controlled by the discriminant
 together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
+
+The two-level classification has one kernel: the discriminant, the
+default boundary band and the tag are each computed in one private
+helper on validated Python floats.  ``discriminant_h2`` and
+``classify_h2`` validate each argument once and call it for one point;
+``sweep_h2`` validates a and d once, computes (a - d)^2 and |a| + |d|
+once, and calls it for every point of a grid, with the same float
+operations and therefore the same bits as ``classify_h2``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -44,16 +52,20 @@ def _real_scalar(x, name: str) -> float:
     xc = complex(x)
     if xc.imag != 0.0:
         raise ValueError(f"{name} must be real, got {x!r}")
-    if not np.isfinite(xc.real):
+    if not math.isfinite(xc.real):
         raise ValueError(f"{name} must be finite")
     return xc.real
 
 
 def _complex_scalar(x, name: str) -> complex:
     xc = complex(x)
-    if not (np.isfinite(xc.real) and np.isfinite(xc.imag)):
+    if not (math.isfinite(xc.real) and math.isfinite(xc.imag)):
         raise ValueError(f"{name} must be finite")
     return xc
+
+
+def _h2_params(a, d, b) -> tuple[float, float, complex]:
+    return _real_scalar(a, "a"), _real_scalar(d, "d"), _complex_scalar(b, "b")
 
 
 @dataclass(frozen=True)
@@ -65,11 +77,53 @@ class DomainClass:
     boundary_band: float
 
 
+# The h2 kernel uses CPython's ``**`` and ``abs(complex)`` on Python floats:
+# numpy's squares and complex moduli differ from them in the last bit for
+# some inputs, and the sweep's CSV must not move by one byte.
+
+
+def _h2_invariants(a: float, d: float) -> tuple[float, float]:
+    """((a - d)**2, |a| + |d|).
+
+    A square that overflows comes back as inf: it would overflow at every
+    b, and an inf makes ``_h2_discriminant`` refuse the first point.
+    """
+    try:
+        diff2 = (a - d) ** 2
+    except OverflowError:
+        diff2 = math.inf
+    return diff2, abs(a) + abs(d)
+
+
+def _h2_discriminant(diff2: float, modulus: float) -> float:
+    """(a - d)**2 - 4|b|**2 from ``diff2`` = (a - d)**2 and ``modulus`` = |b|.
+
+    Raises OverflowError when the value leaves float64, whether Python
+    raises it on the way or the result is not finite (a - d or 4|b|**2
+    can reach inf without raising).
+    """
+    disc = diff2 - 4.0 * modulus**2
+    if not math.isfinite(disc):
+        raise OverflowError(
+            f"discriminant overflows at (a - d)**2 = {diff2!r}, |b| = {modulus!r}"
+        )
+    return disc
+
+
+def _h2_band(sum_ad: float, modulus: float) -> float:
+    """Default boundary band BOUNDARY_BAND_FACTOR * (|a| + |d| + |b|)**2; may raise OverflowError."""
+    return BOUNDARY_BAND_FACTOR * (sum_ad + modulus) ** 2
+
+
+def _h2_tag(disc: float, band: float) -> DomainTag:
+    if abs(disc) <= band:
+        return "boundary"
+    return "interior" if disc > 0 else "exterior"
+
+
 def build_h2(a, d, b) -> ComplexMatrix:
     """Two-level model matrix [[a, b], [-conj(b), d]]."""
-    ar = _real_scalar(a, "a")
-    dr = _real_scalar(d, "d")
-    bc = _complex_scalar(b, "b")
+    ar, dr, bc = _h2_params(a, d, b)
     return np.array([[ar, bc], [-np.conj(bc), dr]], dtype=np.complex128)
 
 
@@ -79,13 +133,9 @@ def discriminant_h2(a, d, b) -> float:
     Raises OverflowError when the value leaves float64, whether Python
     raises it on the way or the difference a - d already overflowed.
     """
-    ar = _real_scalar(a, "a")
-    dr = _real_scalar(d, "d")
-    bc = _complex_scalar(b, "b")
-    disc = (ar - dr) ** 2 - 4.0 * abs(bc) ** 2
-    if not math.isfinite(disc):
-        raise OverflowError(f"discriminant of a = {ar!r}, d = {dr!r}, b = {bc!r} overflows")
-    return disc
+    ar, dr, bc = _h2_params(a, d, b)
+    diff2, _ = _h2_invariants(ar, dr)
+    return _h2_discriminant(diff2, abs(bc))
 
 
 def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
@@ -93,22 +143,38 @@ def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
 
     The boundary band defaults to ``1e-9 * (|a| + |d| + |b|)^2`` so the
     verdict scales with the square of the parameters, just like the
-    discriminant does.
+    discriminant does.  Raises OverflowError where ``discriminant_h2``
+    does, or where that default band overflows.
     """
-    disc = discriminant_h2(a, d, b)
-    if boundary_band is None:
-        scale = abs(_real_scalar(a, "a")) + abs(_real_scalar(d, "d")) + abs(complex(b))
-        boundary_band = BOUNDARY_BAND_FACTOR * scale**2
-    band = float(boundary_band)
+    ar, dr, bc = _h2_params(a, d, b)
+    diff2, sum_ad = _h2_invariants(ar, dr)
+    modulus = abs(bc)
+    disc = _h2_discriminant(diff2, modulus)
+    band = _h2_band(sum_ad, modulus) if boundary_band is None else float(boundary_band)
     if band < 0:
         raise ValueError("boundary_band must be non-negative")
-    if abs(disc) <= band:
-        tag: DomainTag = "boundary"
-    elif disc > 0:
-        tag = "interior"
-    else:
-        tag = "exterior"
-    return DomainClass(tag=tag, discriminant=disc, boundary_band=band)
+    return DomainClass(tag=_h2_tag(disc, band), discriminant=disc, boundary_band=band)
+
+
+def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:
+    """(discriminant, tag) of ``classify_h2(a, d, complex(re, im))`` over a grid.
+
+    Points come in row-major order: every ``im`` for the first ``re``,
+    then the next ``re``.  a, d and each axis value are validated once,
+    and (a - d)^2 and |a| + |d| are computed once; each point costs only
+    its own arithmetic, with the same float operations as ``classify_h2``
+    and so the same bits.  The generator raises OverflowError at the
+    first point where ``classify_h2`` would.
+    """
+    ar, dr = _real_scalar(a, "a"), _real_scalar(d, "d")
+    res = [_real_scalar(x, "b_re") for x in re_axis]
+    ims = [_real_scalar(x, "b_im") for x in im_axis]
+    diff2, sum_ad = _h2_invariants(ar, dr)
+    for re in res:
+        for im in ims:
+            modulus = abs(complex(re, im))
+            disc = _h2_discriminant(diff2, modulus)
+            yield disc, _h2_tag(disc, _h2_band(sum_ad, modulus))
 
 
 def parity2() -> ComplexMatrix:
@@ -178,15 +244,23 @@ class PseudoMetric:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def inverse(self) -> ComplexMatrix:
-        """inverse(P), refused with SingularMatrix above CONDITION_CAP."""
+    def check_condition(self) -> None:
+        """Raise SingularMatrix when ``condition`` is not finite or exceeds CONDITION_CAP.
+
+        The one cap test: ``inverse`` runs it, and a caller that must
+        refuse such a candidate without inverting it calls it directly.
+        """
         cond = self.condition
-        if not np.isfinite(cond) or cond > CONDITION_CAP:
+        if not math.isfinite(cond) or cond > CONDITION_CAP:
             raise SingularMatrix(
                 f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",
                 condition=cond,
             )
+
+    @cached_property
+    def inverse(self) -> ComplexMatrix:
+        """inverse(P), refused with SingularMatrix above CONDITION_CAP."""
+        self.check_condition()
         try:
             return np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap hits first

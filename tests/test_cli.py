@@ -1,12 +1,19 @@
 import argparse
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cryptoherm import build_h2, build_h3, cyclic_p, parity2
+from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2
 from cryptoherm.cli import main
-from cryptoherm.io import load_matrix, save_matrix
+from cryptoherm.io import format_float, load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -83,6 +90,18 @@ class TestExitMatrix:
         code, _, err = run(capsys, "diagnose", files["h3.json"], files["p2.json"])
         assert code == 1
         assert "dimension mismatch" in err
+
+    def test_metric_refuses_singular_pseudometric_before_writing(self, files, capsys, tmp_path):
+        save_matrix(tmp_path / "p_singular.json", np.diag([1.0 + 0j, 0.0]))
+        out_dir = tmp_path / "m"
+        code, out, err = run(capsys, "metric", files["h2.json"], str(tmp_path / "p_singular.json"),
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == "error: pseudometric not invertible: condition estimate inf exceeds cap 1e+12\n"
+        assert not out_dir.exists()
+        # diagnose refuses the same pair with the same line
+        assert run(capsys, "diagnose", files["h2.json"], str(tmp_path / "p_singular.json")) == (
+            1, "", err)
 
 
 def _near_ep_cases():
@@ -378,6 +397,88 @@ class TestSweep:
                         "--b-re", "0:1:2", "--b-im", "0:1:2")
         pairs = [tuple(line.split(",")[:2]) for line in out.strip().splitlines()[1:]]
         assert pairs == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+
+    # sha256 of stdout, recorded before the sweep moved to models.sweep_h2: the
+    # README form, a 100x100 grid as in the cli_batch workload and a 16x16 grid
+    # as in paper_small.  A change to the h2 arithmetic that moves one byte fails here.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--a", "0.7", "--d=-0.3", "--b-re", "-1:1:5", "--b-im", "-1:1:5"],
+             "811012eebe24b47495fb73d7fb8eff25159e019d0a7661f222c7e96c778a29dc"),
+            (["--a=1.1363729474083468", "--d=-0.34082498412710244",
+              "--b-re=-1:1:100", "--b-im=-1:1:100"],
+             "f85321da55a33358b885c9a4ab11b95cd7cfc077d8d906d9f79b3ecadcd8f8fc"),
+            (["--a=0.26416978289279486", "--d=-0.8007315433720227",
+              "--b-re=-1:1:16", "--b-im=-1:1:16"],
+             "caa94018d12df6791f6cd9368e5ead4229cdb13666f6eeadb18e4e149c16b178"),
+        ],
+        ids=["readme", "100x100", "16x16"],
+    )
+    def test_golden_digest(self, argv, digest, capsys):
+        code, out, err = run(capsys, "sweep", "--model", "h2", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            (["--a", "1e200", "--d=-1e200", "--b-re", "0:1:3", "--b-im", "0"],
+             "b_re = 0, b_im = 0"),
+            (["--a", "1", "--d", "0", "--b-re", "0:1e200:3", "--b-im", "0"],
+             "b_re = 4.9999999999999998e+199, b_im = 0"),
+            (["--a", "1e154", "--d", "0", "--b-re", "0", "--b-im", "0:2e154:3"],
+             "b_re = 0, b_im = 1e+154"),
+            (["--a", "1e308", "--d=-1e308", "--b-re", "0", "--b-im", "0"],
+             "b_re = 0, b_im = 0"),
+        ],
+        ids=["a-d squared raises", "4|b|^2 raises", "4|b|^2 reaches inf", "a-d is inf"],
+    )
+    def test_overflow_names_the_first_point(self, argv, point, capsys):
+        assert run(capsys, "sweep", "--model", "h2", *argv) == (
+            1, "", f"error: h2 classification overflows at {point}\n")
+
+
+def _axis_value():
+    """0, or a float whose magnitude runs from 1e-300 to 1e160, either sign."""
+    magnitude = st.floats(min_value=-300.0, max_value=160.0).map(lambda e: 10.0**e)
+    signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda t: t[0] * t[1])
+    return st.one_of(st.just(0.0), signed)
+
+
+_AXIS = st.one_of(
+    _axis_value().map(lambda v: (repr(v), np.array([v]))),
+    st.tuples(_axis_value(), _axis_value(), st.integers(min_value=2, max_value=5)).map(
+        lambda t: (f"{t[0]!r}:{t[1]!r}:{t[2]}", np.linspace(t[0], t[1], t[2]))),
+)
+_DIAGONAL = st.one_of(_axis_value(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_DIAGONAL, d=_DIAGONAL, re_axis=_AXIS, im_axis=_AXIS)
+def test_sweep_rows_match_classify_h2(a, d, re_axis, im_axis):
+    (re_expr, re_values), (im_expr, im_values) = re_axis, im_axis
+    expected = ["b_re,b_im,discriminant,class,min_gap"]
+    refused = None
+    for re, im in itertools.product(re_values, im_values):
+        try:
+            dc = classify_h2(a, d, complex(re, im))
+        except OverflowError:
+            refused = (f"error: h2 classification overflows at "
+                       f"b_re = {format_float(re)}, b_im = {format_float(im)}\n")
+            break
+        expected.append(
+            f"{format_float(re)},{format_float(im)},{format_float(dc.discriminant)},"
+            f"{dc.tag},{format_float(math.sqrt(abs(dc.discriminant)))}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--model", "h2", f"--a={a!r}", f"--d={d!r}",
+                     f"--b-re={re_expr}", f"--b-im={im_expr}"])
+    got = (code, out.getvalue(), err.getvalue())
+    if refused:
+        assert got == (1, "", refused)
+    else:
+        assert got == (0, "\n".join(expected) + "\n", "")
 
 
 class TestHermitize:

@@ -16,6 +16,7 @@ from cryptoherm import (
     is_hermitian,
     parity2,
     swap2,
+    sweep_h2,
 )
 from cryptoherm.models import CONDITION_CAP
 from conftest import sample_h2_params_any, sample_h3_params
@@ -168,6 +169,11 @@ class TestPseudoMetricFlags:
             partner.inverse
         assert str(info.value) == f"condition estimate {cond:.3e} exceeds cap 1e+12"
         assert info.value.condition == cond and cond > CONDITION_CAP
+        # the same test, without an inversion
+        with pytest.raises(SingularMatrix) as direct:
+            partner.check_condition()
+        assert str(direct.value) == str(info.value)
+        PseudoMetric.from_matrix(cyclic_p(4)).check_condition()
 
 
 class TestHermitianSum:
@@ -217,6 +223,41 @@ class TestHermitianRotation:
     def test_theta_must_be_real(self):
         with pytest.raises(ValueError):
             hermitian_rotation(parity2(), 1j)
+
+
+@pytest.mark.parametrize(
+    "a,d,re_axis,im_axis",
+    [
+        (1.0, 0.0, [0.0], np.linspace(0.0, 1.0, 11)),  # hits the boundary at 0.5
+        (0.7, -0.3, np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)),
+        (1e200, 1e200, [0.0], [0.0]),  # the default band overflows
+        (1.0, 0.0, [0.0, 1e200, 1.0], [0.0]),  # 4|b|^2 overflows at the second point
+        (1e200, -1e200, [0.0, 1.0], [0.0]),  # (a - d)^2 overflows at every point
+        (1e200, -1e200, [], [0.0]),  # ... and a grid with no points refuses none
+    ],
+)
+def test_sweep_h2_is_classify_h2_row_major(a, d, re_axis, im_axis):
+    def drain(points):
+        out = []
+        try:
+            out.extend(points)
+        except OverflowError:
+            out.append("overflow")
+        return out
+
+    def reference():
+        for re in re_axis:
+            for im in im_axis:
+                dc = classify_h2(a, d, complex(re, im))
+                yield dc.discriminant, dc.tag
+
+    assert drain(sweep_h2(a, d, re_axis, im_axis)) == drain(reference())
+
+
+@pytest.mark.parametrize("re_axis,im_axis", [([np.nan], [0.0]), ([0.0], [0.0, np.inf])])
+def test_sweep_h2_refuses_non_finite_axes(re_axis, im_axis):
+    with pytest.raises(ValueError):
+        list(sweep_h2(1.0, 0.0, re_axis, im_axis))
 
 
 def test_discriminant_matches_classify(rng):
