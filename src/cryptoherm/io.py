@@ -9,12 +9,21 @@ floats always carry 17 significant digits (exact double round-trip),
 keys keep insertion order, layout is fixed.  Two runs over the same
 inputs therefore produce byte-identical bytes, which the fingerprint
 (sha256 over the canonical form of the parsed inputs) relies on.
+
+Both directions take one pass per matrix.  ``canonical_json`` renders a
+list of [float, float] pairs, the layout ``complex_pairs`` produces, with
+one finiteness check and one ``%`` over a fixed template; every other
+value goes through one formatter lookup per type.  A pair list read from
+a file is checked for shape and type, converted by one ``np.array`` and
+checked for finiteness once; only a list that fails that is walked entry
+by entry, to name the first offending entry.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +39,27 @@ def format_float(x) -> str:
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return format(v, ".17g")
+
+
+#: list elements that make a list render inline, on one line
+_NUMERIC = (bool, int, float, np.integer, np.floating)
+
+
+def _check_finite(floats) -> None:
+    """Raise format_float's ValueError for the first non-finite float, if any."""
+    if not all(map(math.isfinite, floats)):
+        format_float(next(x for x in floats if not math.isfinite(x)))
+
+
+def _float_pairs(seq) -> tuple | None:
+    """The flattened values of a list of [float, float] lists, else None.
+
+    Exactly ``float``: '%.17g' renders True as 1, where JSON wants true.
+    """
+    if set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(seq))
+    return flat if set(map(type, flat)) == {float} else None
 
 
 def _render(value, indent: int, pieces: list[str]) -> None:
@@ -52,8 +82,15 @@ def _render(value, indent: int, pieces: list[str]) -> None:
         if not seq:
             pieces.append("[]")
             return
-        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in seq):
-            pieces.append("[" + ", ".join(_scalar(x) for x in seq) + "]")
+        flat = _float_pairs(seq)
+        if flat is not None:
+            # one pass for the whole list; '%.17g' % x is format(x, ".17g")
+            _check_finite(flat)
+            row = "  " * (indent + 1) + "[%.17g, %.17g]"
+            pieces.append("[\n" + ",\n".join([row] * len(seq)) % flat + "\n" + pad + "]")
+            return
+        if all(issubclass(t, _NUMERIC) for t in set(map(type, seq))):
+            pieces.append("[" + ", ".join(map(_scalar, seq)) + "]")
             return
         pieces.append("[\n")
         for i, sub in enumerate(seq):
@@ -65,7 +102,7 @@ def _render(value, indent: int, pieces: list[str]) -> None:
         pieces.append(_scalar(value))
 
 
-def _scalar(value) -> str:
+def _scalar_by_kind(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -77,6 +114,20 @@ def _scalar(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+#: scalar formatter per exact type; any other type goes through _scalar_by_kind
+_SCALAR_FORMAT = {
+    type(None): lambda _: "null",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: format_float,
+    str: json.dumps,
+}
+
+
+def _scalar(value) -> str:
+    return _SCALAR_FORMAT.get(type(value), _scalar_by_kind)(value)
 
 
 def canonical_json(value) -> str:
@@ -93,8 +144,8 @@ def fingerprint(value) -> str:
 
 def complex_pairs(values) -> list[list[float]]:
     """Flatten a complex sequence into [re, im] pairs."""
-    arr = np.asarray(values, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in arr]
+    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
+    return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _pair_to_complex(entry, where: str) -> complex:
@@ -104,10 +155,35 @@ def _pair_to_complex(entry, where: str) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
     ):
         raise MatrixFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:
+        raise MatrixFileError(f"{where}: entry out of float64 range {entry!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise MatrixFileError(f"{where}: non-finite entry {entry!r}")
     return complex(re, im)
+
+
+def _pairs_to_complex(entries: list, where: str) -> NDArray[np.complex128]:
+    """Validate a list of [re, im] pairs; entry i is named ``f"{where}[{i}]"`` in errors.
+
+    A list of 2-element lists of int/float (not bool) is converted in
+    one pass.  Anything else, and any value that overflows or is not
+    finite, goes through the per-entry check, which names the first
+    offending entry.
+    """
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        flat = list(chain.from_iterable(entries))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                parts = np.array(flat, dtype=np.float64)
+            except OverflowError:  # an int beyond float64, named below
+                pass
+            else:
+                if np.isfinite(parts).all():
+                    return parts.view(np.complex128)
+    values = [_pair_to_complex(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+    return np.array(values, dtype=np.complex128)
 
 
 def matrix_to_payload(m) -> dict:
@@ -131,10 +207,7 @@ def payload_to_matrix(obj, where: str = "matrix file") -> ComplexMatrix:
         raise MatrixFileError(
             f"{where}: 'data' must hold exactly dim^2 = {dim * dim} pairs"
         )
-    flat = [
-        _pair_to_complex(entry, f"{where}: data[{i}]") for i, entry in enumerate(data)
-    ]
-    return np.array(flat, dtype=np.complex128).reshape(dim, dim)
+    return _pairs_to_complex(data, f"{where}: data").reshape(dim, dim)
 
 
 def _read_json(path, where: str):
@@ -145,7 +218,7 @@ def _read_json(path, where: str):
         raise MatrixFileError(f"{where}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
 
 
@@ -166,8 +239,7 @@ def load_kappa(path, dim: int) -> NDArray[np.complex128]:
     obj = _read_json(path, where)
     if not isinstance(obj, list) or len(obj) != dim:
         raise MatrixFileError(f"{where}: expected an array of {dim} [re, im] pairs")
-    values = [_pair_to_complex(entry, f"{where}: [{i}]") for i, entry in enumerate(obj)]
-    out = np.array(values, dtype=np.complex128)
+    out = _pairs_to_complex(obj, f"{where}: ")
     if np.any(out == 0):
         raise MatrixFileError(f"{where}: kappa entries must be nonzero")
     return out

@@ -224,19 +224,19 @@ class PseudoMetric:
     reported fact rather than an invariant.
 
     The candidate's one SVD is taken in ``from_matrix``: it gives
-    ``smallest_singular_value``, ``invertible`` and ``condition``
-    (sv_max / sv_min, bit for bit ``np.linalg.cond``).  ``inverse`` is
-    computed from the matrix on first use and then kept, so every
-    symmetry check on one candidate shares a single inversion, and
-    callers that never need it never pay for it.  P is the only matrix
-    the package inverts under a condition cap: a ``condition`` that is
-    not finite or exceeds CONDITION_CAP makes ``inverse`` raise
+    ``smallest_singular_value`` and ``condition`` (sv_max / sv_min, bit
+    for bit ``np.linalg.cond``).  ``invertible`` is the one
+    invertibility rule: ``condition`` is finite and at most
+    CONDITION_CAP.  ``inverse`` is computed from the matrix on first
+    use and then kept, so every symmetry check on one candidate shares a
+    single inversion, and callers that never need it never pay for it.
+    P is the only matrix the package inverts under a condition cap: a
+    candidate that is not ``invertible`` makes ``inverse`` raise
     SingularMatrix.
     """
 
     matrix: ComplexMatrix
     self_adjoint: bool
-    invertible: bool
     smallest_singular_value: float
     condition: float
 
@@ -244,14 +244,19 @@ class PseudoMetric:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def invertible(self) -> bool:
+        """True when ``condition`` is finite and at most CONDITION_CAP."""
+        return math.isfinite(self.condition) and self.condition <= CONDITION_CAP
+
     def check_condition(self) -> None:
-        """Raise SingularMatrix when ``condition`` is not finite or exceeds CONDITION_CAP.
+        """Raise SingularMatrix when the candidate is not ``invertible``.
 
         The one cap test: ``inverse`` runs it, and a caller that must
         refuse such a candidate without inverting it calls it directly.
         """
-        cond = self.condition
-        if not math.isfinite(cond) or cond > CONDITION_CAP:
+        if not self.invertible:
+            cond = self.condition
             raise SingularMatrix(
                 f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",
                 condition=cond,
@@ -273,7 +278,6 @@ class PseudoMetric:
         return cls(
             matrix=a,
             self_adjoint=is_hermitian(a, tol),
-            invertible=bool(sv[-1] > tol.bound(float(sv[0]))),
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix
             condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),

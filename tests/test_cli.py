@@ -104,6 +104,67 @@ class TestExitMatrix:
             1, "", err)
 
 
+class TestInvertibilityRule:
+    """One rule: a pseudo-metric is invertible when cond(P) is finite and <= 1e12."""
+
+    @pytest.fixture
+    def diag_p(self, tmp_path):
+        def write(small):
+            path = tmp_path / f"p_{small}.json"
+            save_matrix(path, np.diag([1.0 + 0j, small]))
+            return str(path)
+        return write
+
+    def test_cond_1e11_accepted_everywhere(self, files, diag_p, capsys, tmp_path):
+        p = diag_p(-1e-11)
+        code, out, err = run(capsys, "hermitize", p, "--theta", "1.0")
+        report = json.loads(out)
+        assert (code, err, report["warnings"]) == (0, "", [])
+        assert report["sum"]["invertible"] is True
+        assert report["rotation"][0]["invertible"] is True
+        for argv in (["diagnose", files["h2.json"], p],
+                     ["metric", files["h2.json"], p, "--out-dir", str(tmp_path / "m")]):
+            code, out, err = run(capsys, *argv)
+            assert code != 1 and err == "" and json.loads(out)["schema"] == 1
+
+    def test_cond_1e13_refused_everywhere(self, files, diag_p, capsys, tmp_path):
+        p = diag_p(-1e-13)
+        refusal = "error: pseudometric not invertible: condition estimate 1.000e+13 exceeds cap 1e+12\n"
+        assert run(capsys, "diagnose", files["h2.json"], p) == (1, "", refusal)
+        assert run(capsys, "metric", files["h2.json"], p,
+                   "--out-dir", str(tmp_path / "m")) == (1, "", refusal)
+        code, out, _ = run(capsys, "hermitize", p, "--theta", "1.0")
+        report = json.loads(out)
+        assert code == 0
+        assert report["sum"]["invertible"] is False
+        assert report["rotation"][0]["invertible"] is False
+        assert report["warnings"] == ["singular Hermitian partner: P + adjoint(P)",
+                                      "singular Hermitian partner at theta = 1"]
+
+
+class TestIntegerBeyondFloat64:
+    """An integer that float64 cannot hold is one error line, never a traceback."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("command", ["diagnose", "hermitize"])
+    def test_matrix_file(self, command, files, capsys, tmp_path):
+        h = tmp_path / "huge.json"
+        h.write_text(f'{{"dim": 2, "data": [[1, 0], [0, 0], [0, 0], [-{self.HUGE}, 0.5]]}}')
+        argv = [command, str(h)] + ([files["p2.json"]] if command == "diagnose" else [])
+        assert run(capsys, *argv) == (
+            1, "", f"error: {h}: data[3]: entry out of float64 range [-{self.HUGE}, 0.5]\n")
+
+    def test_kappa_file(self, files, capsys, tmp_path):
+        kappa = tmp_path / "k.json"
+        kappa.write_text(f"[[1, 0], [0, {self.HUGE}]]")
+        out_dir = tmp_path / "m"
+        assert run(capsys, "metric", files["h2.json"], files["p2.json"], "--kappa", str(kappa),
+                   "--out-dir", str(out_dir)) == (
+            1, "", f"error: {kappa}: [1]: entry out of float64 range [0, {self.HUGE}]\n")
+        assert not out_dir.exists()
+
+
 def _near_ep_cases():
     # build_h2(1, 0, i beta) has disc = 1 - 4 beta^2; walk it to +-10^-k
     cases = [

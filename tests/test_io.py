@@ -1,4 +1,8 @@
+import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,3 +142,295 @@ class TestKappaFile:
         path.write_text("[[0.0, 0.0], [1.0, 0.0]]")
         with pytest.raises(MatrixFileError):
             load_kappa(path, 2)
+
+
+# an integer JSON reads exactly but float64 cannot hold
+HUGE = 10**400
+
+
+class TestIntegerBeyondFloat64:
+    def test_payload_names_the_entry(self):
+        data = [[1, 0], [0, 0], [0.5, 0], [0, -HUGE]]
+        with pytest.raises(MatrixFileError) as info:
+            payload_to_matrix({"dim": 2, "data": data})
+        assert str(info.value) == f"matrix file: data[3]: entry out of float64 range [0, {-HUGE}]"
+
+    def test_load_matrix(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dim": 1, "data": [[{HUGE}, 0]]}}')
+        with pytest.raises(MatrixFileError, match=r"m\.json: data\[0\]: entry out of float64 range \[1000"):
+            load_matrix(path)
+
+    def test_load_kappa(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(f"[[1.0, 0.0], [0, {HUGE}]]")
+        with pytest.raises(MatrixFileError, match=r"k\.json: \[1\]: entry out of float64 range \[0, 1000"):
+            load_kappa(path, 2)
+
+    @pytest.mark.parametrize("load, template", [
+        (load_matrix, '{{"dim": 1, "data": [[{}, 0]]}}'),
+        (lambda path: load_kappa(path, 1), "[[{}, 0]]"),
+    ], ids=["load_matrix", "load_kappa"])
+    def test_beyond_the_digit_limit_of_int(self, load, template, tmp_path):
+        # an interpreter with an int digit limit (4300 by default) refuses to
+        # read this integer with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "m.json"
+        path.write_text(template.format("1" + "0" * 5000))
+        with pytest.raises(MatrixFileError,
+                           match=r"m\.json: (invalid JSON \(|(data)?\[0\]: entry out of float64 range)"):
+            load(path)
+
+
+# -- reference equivalence --------------------------------------------------
+# The per-element renderer and pair parser as they were before the one-pass
+# versions; canonical_json and the loaders must match them byte for byte.
+
+
+def _ref_render(value, indent, pieces):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        items = list(value.items())
+        for i, (key, sub) in enumerate(items):
+            pieces.append("  " * (indent + 1))
+            pieces.append(json.dumps(str(key)))
+            pieces.append(": ")
+            _ref_render(sub, indent + 1, pieces)
+            pieces.append(",\n" if i + 1 < len(items) else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            pieces.append("[]")
+            return
+        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in seq):
+            pieces.append("[" + ", ".join(_ref_scalar(x) for x in seq) + "]")
+            return
+        pieces.append("[\n")
+        for i, sub in enumerate(seq):
+            pieces.append("  " * (indent + 1))
+            _ref_render(sub, indent + 1, pieces)
+            pieces.append(",\n" if i + 1 < len(seq) else "\n")
+        pieces.append(pad + "]")
+    else:
+        pieces.append(_ref_scalar(value))
+
+
+def _ref_scalar(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"cannot serialize non-finite value {value!r}")
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _ref_canonical_json(value):
+    pieces = []
+    _ref_render(value, 0, pieces)
+    return "".join(pieces)
+
+
+def _ref_pair_to_complex(entry, where):
+    if (
+        not isinstance(entry, (list, tuple))
+        or len(entry) != 2
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
+    ):
+        raise MatrixFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
+    re, im = float(entry[0]), float(entry[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise MatrixFileError(f"{where}: non-finite entry {entry!r}")
+    return complex(re, im)
+
+
+def _ref_pairs(entries, where):
+    values = [_ref_pair_to_complex(e, f"{where}[{i}]") for i, e in enumerate(entries)]
+    return np.array(values, dtype=np.complex128)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TypeError, MatrixFileError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                -1e-300, 1e300, 0.1, 1 / 3, 2.0**53, 1e16]
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_EDGE_FLOATS))
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+pair_element = st.one_of(
+    finite_floats,
+    finite_floats,
+    finite_floats,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    finite_floats.map(np.float64),
+)
+pair_lists = st.one_of(
+    st.lists(st.lists(finite_floats, min_size=2, max_size=2), max_size=12),
+    st.lists(st.lists(pair_element, min_size=2, max_size=2), max_size=12),
+    st.lists(st.tuples(pair_element, pair_element), max_size=6),
+    st.lists(st.lists(pair_element, max_size=3), max_size=6),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite_floats,
+    finite_floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=8),
+)
+reports = st.recursive(
+    st.one_of(scalars, pair_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+def test_canonical_json_matches_reference(value):
+    assert canonical_json(value) == _ref_canonical_json(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=1, max_size=12),
+       st.data())
+def test_non_finite_value_raises_as_reference(pairs, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[row][data.draw(st.integers(0, 1))] = data.draw(non_finite)
+    report = {"ok": 1.5, "values": pairs, "after": [math.nan]}
+    got = _outcome(canonical_json, report)
+    assert got[0] is ValueError
+    assert got == _outcome(_ref_canonical_json, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_parser_matches_reference_bit_for_bit(dim, data):
+    number = st.one_of(
+        finite_floats,
+        st.integers(-(2**64), 2**64),
+        # 2**1024 - 2**970 - 1 is the largest integer that rounds to a finite float64
+        st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63) - 1, 10**308, -(10**308),
+                         2**1024 - 2**970 - 1]),
+    )
+    entries = data.draw(st.lists(st.lists(number, min_size=2, max_size=2),
+                                 min_size=dim * dim, max_size=dim * dim))
+    got = payload_to_matrix({"dim": dim, "data": entries})
+    want = _ref_pairs(entries, "matrix file: data").reshape(dim, dim)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _load_kappa_text(text, dim):
+    """load_kappa of ``text`` written to a file named KAPPA; errors name it KAPPA."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "KAPPA"
+        path.write_text(text)
+        try:
+            return load_kappa(path, dim)
+        except MatrixFileError as exc:
+            raise MatrixFileError(str(exc).replace(str(path), "KAPPA")) from None
+
+
+_MALFORMED = [
+    "1+2i", None, 1.0, {"re": 1.0}, [1.0], [1.0, 2.0, 3.0], [1.0, None], [True, 0.0],
+    [0, False], [[1.0], 0.0], ["1", 0], (1.0, math.inf), [math.nan, 0.0], [0, -math.inf],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=1, max_size=9),
+       st.data())
+def test_parser_errors_match_reference(entries, data):
+    for _ in range(data.draw(st.integers(1, 2))):
+        entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(st.sampled_from(_MALFORMED))
+    got = _outcome(_load_kappa_text, json.dumps(entries), len(entries))
+    want = _outcome(_ref_pairs, json.loads(json.dumps(entries)), "KAPPA: ")
+    assert got[0] is MatrixFileError
+    assert got == want
+
+
+# -- golden digests ---------------------------------------------------------
+# sha256 of the canonical bytes, recorded before the one-pass renderer.  The
+# inputs use only exact operations (uniform draws, ldexp), not LAPACK, so the
+# same bytes are expected on every machine.
+
+
+def _wide_matrix(seed, n=64):
+    """Complex n x n with exponents over 2^-1070 .. 2^1020, subnormals and signed zeros."""
+    rng = np.random.default_rng(seed)
+    parts = np.ldexp(2.0 * rng.random((n, n, 2)) - 1.0, rng.integers(-1070, 1020, (n, n, 2)))
+    zeros = rng.integers(0, 8, (n, n, 2))
+    parts[zeros == 0] = 0.0
+    parts[zeros == 1] = -0.0
+    return parts.view(np.complex128)[..., 0]
+
+
+def _diagnose_shaped_report():
+    return {
+        "schema": 1,
+        "command": "diagnose",
+        "model_fingerprint": "0" * 64,
+        "tolerance": {"rel": 1e-10, "abs": 1e-12},
+        "spectrum": {"values": matrix_to_payload(_wide_matrix(1, 3))["data"],
+                     "all_real": False, "max_imag": 2.5e-300},
+        "verdicts": [
+            {"name": "pseudo_hermitian", "residual": 5e-324, "holds": True,
+             "tolerance": 1.01e-10, "detail": None},
+            {"name": "quasi_hermitian", "residual": -0.0, "holds": False,
+             "tolerance": 1.01e-10, "detail": 'not "positive"'},
+        ],
+        "metric": {
+            "kappa": matrix_to_payload(_wide_matrix(2, 3))["data"],
+            "theta_min_eigenvalue": 1.7976931348623157e308,
+            "residuals": {"pq": 0.1, "cp": 1 / 3},
+            "factorizations_hold": True,
+        },
+        "warnings": ["w\u00e9", ""],
+        "empty": {}, "none": [], "mixed": [1, 2.5, True, None],
+    }
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestGoldenDigests:
+    def test_save_matrix(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(path, _wide_matrix(0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bf5aee0280eff275fc661f43f9d5835bdc0cf38e0e83cef5e703a168a4bfe0bf")
+
+    def test_fingerprint(self):
+        operands = {"hamiltonian": matrix_to_payload(_wide_matrix(1)),
+                    "pseudometric": matrix_to_payload(_wide_matrix(2))}
+        assert fingerprint(operands) == (
+            "70f0867bb187a0ced01cd17ecc4f8a1d9a4b723bfbcb0e9b1787a4f7c2ac4236")
+
+    def test_diagnose_shaped_report(self):
+        assert _sha256(canonical_json(_diagnose_shaped_report())) == (
+            "7081ab1f43b6d4a62a0d96c544a7bf3e4c2af82d2b2896012395dc55d45b41d7")

@@ -176,6 +176,20 @@ class TestPseudoMetricFlags:
         PseudoMetric.from_matrix(cyclic_p(4)).check_condition()
 
 
+    @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
+    def test_invertible_is_the_condition_cap(self, small, invertible):
+        # cond 1e11 sits under CONDITION_CAP = 1e12, cond 1e13 above it
+        p = np.diag([1.0 + 0j, small])
+        for pm in (PseudoMetric.from_matrix(p), hermitian_sum(p)):
+            assert pm.invertible is invertible
+            assert pm.invertible == (pm.condition <= CONDITION_CAP)
+            if invertible:
+                pm.check_condition()
+            else:
+                with pytest.raises(SingularMatrix):
+                    pm.check_condition()
+
+
 class TestHermitianSum:
     def test_always_hermitian(self, rng):
         for _ in range(20):
