@@ -13,13 +13,14 @@ inputs therefore produce byte-identical bytes, which the fingerprint
 Both directions take one pass per matrix.  ``canonical_json`` renders a
 list of [float, float] pairs, the layout ``complex_pairs`` produces, with
 one finiteness check and one ``%`` over a fixed template; every other
-value goes through one formatter lookup per type.  A pair list read from
+value goes through one scalar dispatch per type.  A pair list read from
 a file is checked for shape and type, converted by one ``np.array`` and
 checked for finiteness once; only a list that fails that is walked entry
 by entry, to name the first offending entry.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -102,32 +103,37 @@ def _render(value, indent: int, pieces: list[str]) -> None:
         pieces.append(_scalar(value))
 
 
-def _scalar_by_kind(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+@functools.singledispatch
+def _scalar(value) -> str:
+    """JSON text of one scalar; the handler is chosen once per type, subclasses included."""
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-#: scalar formatter per exact type; any other type goes through _scalar_by_kind
-_SCALAR_FORMAT = {
-    type(None): lambda _: "null",
-    bool: lambda v: "true" if v else "false",
-    int: str,
-    float: format_float,
-    str: json.dumps,
-}
+@_scalar.register(type(None))
+def _(value) -> str:
+    return "null"
 
 
-def _scalar(value) -> str:
-    return _SCALAR_FORMAT.get(type(value), _scalar_by_kind)(value)
+@_scalar.register(bool)
+def _(value) -> str:
+    return "true" if value else "false"
+
+
+@_scalar.register(int)
+@_scalar.register(np.integer)
+def _(value) -> str:
+    return str(int(value))
+
+
+@_scalar.register(float)
+@_scalar.register(np.floating)
+def _(value) -> str:
+    return format_float(value)
+
+
+@_scalar.register(str)
+def _(value) -> str:
+    return json.dumps(value)
 
 
 def canonical_json(value) -> str:

@@ -224,10 +224,12 @@ class PseudoMetric:
     reported fact rather than an invariant.
 
     The candidate's one SVD is taken in ``from_matrix``: it gives
-    ``smallest_singular_value`` and ``condition`` (sv_max / sv_min, bit
-    for bit ``np.linalg.cond``).  ``invertible`` is the one
-    invertibility rule: ``condition`` is finite and at most
-    CONDITION_CAP.  ``inverse`` is computed from the matrix on first
+    ``smallest_singular_value``, ``condition`` (sv_max / sv_min, bit
+    for bit ``np.linalg.cond``) and ``negligible`` (sv_max is within
+    ``tol.abs``, so the matrix is zero up to rounding whatever its
+    condition).  ``invertible`` is the one invertibility rule:
+    ``condition`` is finite and at most CONDITION_CAP, and the candidate
+    is not ``negligible``.  ``inverse`` is computed from the matrix on first
     use and then kept, so every symmetry check on one candidate shares a
     single inversion, and callers that never need it never pay for it.
     P is the only matrix the package inverts under a condition cap: a
@@ -239,6 +241,7 @@ class PseudoMetric:
     self_adjoint: bool
     smallest_singular_value: float
     condition: float
+    negligible: bool
 
     @property
     def dim(self) -> int:
@@ -246,25 +249,31 @@ class PseudoMetric:
 
     @property
     def invertible(self) -> bool:
-        """True when ``condition`` is finite and at most CONDITION_CAP."""
-        return math.isfinite(self.condition) and self.condition <= CONDITION_CAP
+        """True when ``condition`` is finite and at most CONDITION_CAP and P is not negligible."""
+        return self._refusal() is None
+
+    def _refusal(self) -> str | None:
+        cond = self.condition
+        if not math.isfinite(cond) or cond > CONDITION_CAP:
+            return f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}"
+        if self.negligible:
+            return "largest singular value within the absolute tolerance: zero up to rounding"
+        return None
 
     def check_condition(self) -> None:
         """Raise SingularMatrix when the candidate is not ``invertible``.
 
-        The one cap test: ``inverse`` runs it, and a caller that must
-        refuse such a candidate without inverting it calls it directly.
+        The one invertibility test: ``inverse`` runs it, and a caller
+        that must refuse such a candidate without inverting it calls it
+        directly.
         """
-        if not self.invertible:
-            cond = self.condition
-            raise SingularMatrix(
-                f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}",
-                condition=cond,
-            )
+        refusal = self._refusal()
+        if refusal is not None:
+            raise SingularMatrix(refusal, condition=self.condition)
 
     @cached_property
     def inverse(self) -> ComplexMatrix:
-        """inverse(P), refused with SingularMatrix above CONDITION_CAP."""
+        """inverse(P), refused with SingularMatrix unless ``invertible``."""
         self.check_condition()
         try:
             return np.linalg.inv(self.matrix)
@@ -281,6 +290,7 @@ class PseudoMetric:
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix
             condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),
+            negligible=bool(sv[0] <= tol.abs),
         )
 
 

@@ -141,6 +141,19 @@ class TestInvertibilityRule:
         assert report["warnings"] == ["singular Hermitian partner: P + adjoint(P)",
                                       "singular Hermitian partner at theta = 1"]
 
+    def test_zero_up_to_rounding_refused_everywhere(self, files, diag_p, capsys, tmp_path):
+        # cond 1, but every singular value sits under --tol-abs 1e-12
+        p = str(tmp_path / "p_tiny.json")
+        save_matrix(p, 1e-13 * parity2())
+        refusal = ("error: pseudometric not invertible: largest singular value"
+                   " within the absolute tolerance: zero up to rounding\n")
+        assert run(capsys, "diagnose", files["h2.json"], p) == (1, "", refusal)
+        assert run(capsys, "metric", files["h2.json"], p,
+                   "--out-dir", str(tmp_path / "m")) == (1, "", refusal)
+        # a smaller --tol-abs makes the same file a valid pseudo-metric
+        code, out, err = run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "1e-14")
+        assert code != 1 and err == "" and json.loads(out)["schema"] == 1
+
 
 class TestIntegerBeyondFloat64:
     """An integer that float64 cannot hold is one error line, never a traceback."""
@@ -552,6 +565,16 @@ class TestHermitize:
         assert report["sum"]["invertible"] is False
         singular = [i for i, row in enumerate(report["rotation"]) if not row["invertible"]]
         assert singular == [0, 16, 32, 48]  # theta in {0, pi/2, pi, 3pi/2}
+
+    def test_self_adjoint_scan_singular_at_zero_and_pi(self, files, capsys):
+        # for parity2 the partner is -2 sin(theta) P: exactly 0 at theta = 0,
+        # and about 2.4e-16 P at theta = pi, zero up to rounding
+        code, out, _ = run(capsys, "hermitize", files["p2.json"], "--theta", "scan:4")
+        assert code == 0
+        report = json.loads(out)
+        assert [row["invertible"] for row in report["rotation"]] == [False, True, False, True]
+        assert report["warnings"] == ["singular Hermitian partner at theta = 0",
+                                      "singular Hermitian partner at theta = 3.1415926535897931"]
 
     def test_explicit_theta_list(self, files, capsys, tmp_path):
         p4 = tmp_path / "p4.json"

@@ -4,6 +4,7 @@ import pytest
 from cryptoherm import (
     PseudoMetric,
     SingularMatrix,
+    Tolerance,
     adjoint,
     build_h2,
     build_h3,
@@ -175,6 +176,17 @@ class TestPseudoMetricFlags:
         assert str(direct.value) == str(info.value)
         PseudoMetric.from_matrix(cyclic_p(4)).check_condition()
 
+
+    def test_negligible_matrix_is_not_invertible(self):
+        # well conditioned, but zero up to rounding: -2 sin(pi) P for self-adjoint P
+        pm = hermitian_rotation(parity2(), np.pi)
+        assert pm.condition == pytest.approx(1.0) and pm.negligible
+        assert not pm.invertible
+        with pytest.raises(SingularMatrix, match="zero up to rounding"):
+            pm.inverse
+        # the absolute tolerance sets what counts as zero
+        pm = PseudoMetric.from_matrix(1e-13 * parity2(), Tolerance(abs=1e-14))
+        assert pm.invertible and not pm.negligible
 
     @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
     def test_invertible_is_the_condition_cap(self, small, invertible):
