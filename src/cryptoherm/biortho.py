@@ -107,8 +107,12 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
     Every refusal after the eigensolve carries its eigenvalues.
     """
     a = as_complex_matrix(h, "hamiltonian")
+    return _solve(a, frobenius(a), tol)
+
+
+def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem:
+    # solve_biorthogonal on a trusted H whose Frobenius norm ``scale`` is known
     n = a.shape[0]
-    scale = frobenius(a)
     cluster = _CLUSTER_FLOOR * scale
 
     values, right = eig(a)
@@ -167,8 +171,7 @@ def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
 
 def biorthonormality_residual(system: BiorthogonalSystem) -> float:
     """Frobenius norm of adjoint(left) @ right minus the identity."""
-    n = system.dim
-    return frobenius(system.left.conj().T @ system.right - np.eye(n))
+    return frobenius(system.left.conj().T @ system.right - np.eye(system.dim))
 
 
 def completeness_residual(system: BiorthogonalSystem) -> float:
@@ -191,7 +194,7 @@ def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:
         raise DimensionMismatch(
             f"kappa must have shape ({system.dim},), got {k.shape}"
         )
-    if not np.all(np.isfinite(k.real)) or not np.all(np.isfinite(k.imag)):
+    if not np.isfinite(k).all():
         raise ZeroKappa("kappa contains non-finite entries")
     if np.any(k == 0):
         raise ZeroKappa("kappa contains zero entries")

@@ -203,13 +203,12 @@ def cmd_metric(args) -> int:
     # refused before anything is written, as diagnose refuses it
     pm.check_condition()
 
-    kappa_tag: object = None
     system = solve_biorthogonal(h, tol)
     involutive = args.kappa == "involutive"
+    kappa_tag = args.kappa  # None or "involutive"; a kappa file is reported by its pairs
 
     if involutive:
-        kappa_tag = "involutive"
-        _, system = involutive_normalization(system, pm.matrix)
+        _, system = involutive_normalization(system, pm)
     elif args.kappa is not None:
         kappa = io.load_kappa(args.kappa, system.dim)
         kappa_tag = io.complex_pairs(kappa)
@@ -245,11 +244,8 @@ def cmd_metric(args) -> int:
     report["warnings"] = nonreal_warnings(bundle.coeffs.q)
     _emit_report(report, None)
 
-    if not bundle.factorizations_hold:
-        return EXIT_VERDICT
-    if involutive and not report["involutive"]["holds"]:
-        return EXIT_VERDICT
-    return EXIT_OK
+    holds = bundle.factorizations_hold and (not involutive or report["involutive"]["holds"])
+    return EXIT_OK if holds else EXIT_VERDICT
 
 
 def _finite(name: str, values):

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MatrixFileError
-from .linalg import ComplexMatrix, as_complex_matrix
+from .linalg import ComplexMatrix, as_complex_matrix, frobenius
 
 
 def format_float(x) -> str:
@@ -224,14 +224,23 @@ def _read_json(path, where: str):
         raise MatrixFileError(f"{where}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+    # JSONDecodeError, an integer past int's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
 
 
 def load_matrix(path) -> ComplexMatrix:
-    """Read and validate a MatrixFile."""
+    """Read and validate a MatrixFile; a matrix whose Frobenius norm overflows is refused.
+
+    Every entry being finite does not make ||M||_F finite, and the
+    package measures every residual against that norm.
+    """
     where = str(path)
-    return payload_to_matrix(_read_json(path, where), where)
+    m = payload_to_matrix(_read_json(path, where), where)
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        if not math.isfinite(frobenius(m)):
+            raise MatrixFileError(f"{where}: Frobenius norm overflows float64")
+    return m
 
 
 def save_matrix(path, m) -> None:

@@ -13,6 +13,21 @@ here once:
   ``is_positive_definite`` for why),
 * eigenvalues are sorted ascending by real part, ties by imaginary
   part, and eigenvector columns are returned with unit Euclidean norm.
+
+Operands are validated at the boundary: every public function that
+takes a matrix passes it through ``as_complex_matrix`` (square,
+non-empty, finite, one ``np.isfinite`` pass), and ``io.load_matrix``
+refuses a file whose entries or Frobenius norm leave float64.  Inside
+the package, a step that receives arrays its caller already validated
+takes them as trusted and does not check them again:
+``hermitian_eigenvalues``, and the private steps behind
+``solve_biorthogonal``, ``verify_factorizations`` and the symmetry
+checks, which ``diagnose`` and ``build_bundle`` call directly;
+``diagnose`` measures ||H||_F once and hands it down.  Matrices the
+package derives itself (Theta, Q, C, inverse(P)) are not re-validated
+as operands; the checks that catch one that overflows stay where they
+are: the solver's residual caps, P's condition cap, the Hermiticity
+test of Theta and the renderer's finiteness checks.
 """
 from __future__ import annotations
 
@@ -54,7 +69,7 @@ def as_complex_matrix(m, name: str = "matrix") -> ComplexMatrix:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(a)
 
@@ -85,7 +100,12 @@ def commutator_residual(a, b) -> float:
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when ``m`` equals its adjoint up to tolerance."""
     a = as_complex_matrix(m)
-    return frobenius(a - a.conj().T) <= tol.bound(frobenius(a))
+    return _hermitian(a, frobenius(a), tol)
+
+
+def _hermitian(a: ComplexMatrix, norm: float, tol: Tolerance) -> bool:
+    # is_hermitian on a trusted array whose Frobenius norm is already known
+    return frobenius(a - a.conj().T) <= tol.bound(norm)
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -100,12 +120,11 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     failure wrap this themselves.
     """
     a = as_complex_matrix(m)
-    return is_hermitian(a, tol) and resolved_positive(hermitian_eigenvalues(a))
+    return _hermitian(a, frobenius(a), tol) and resolved_positive(hermitian_eigenvalues(a))
 
 
-def hermitian_eigenvalues(m) -> NDArray[np.float64]:
-    """Ascending eigenvalues of the Hermitian part 0.5 * (m + adjoint(m))."""
-    a = as_complex_matrix(m)
+def hermitian_eigenvalues(a: ComplexMatrix) -> NDArray[np.float64]:
+    """Ascending eigenvalues of the Hermitian part 0.5 * (a + adjoint(a)) of a trusted array."""
     # eigvalsh sees only one triangle, so symmetrize the tiny residual away
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 

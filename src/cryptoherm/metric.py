@@ -90,9 +90,7 @@ class MetricBundle:
 
 
 def _candidate_matrix(p) -> ComplexMatrix:
-    if isinstance(p, PseudoMetric):
-        return p.matrix
-    return as_complex_matrix(p, "pseudometric")
+    return p.matrix if isinstance(p, PseudoMetric) else as_complex_matrix(p, "pseudometric")
 
 
 def reference_quasiparity_coeffs(
@@ -126,8 +124,7 @@ def reference_quasiparity_coeffs(
 
 def quasiparity_coeffs(system: BiorthogonalSystem, p) -> NDArray[np.complex128]:
     """q_n of the current system: reference value divided by |kappa_n|^2."""
-    q1 = reference_quasiparity_coeffs(system, p)
-    return q1 / np.abs(system.kappa) ** 2
+    return reference_quasiparity_coeffs(system, p) / np.abs(system.kappa) ** 2
 
 
 def nonreal_levels(q: NDArray[np.complex128]) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
@@ -181,6 +178,13 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
             raise DimensionMismatch(
                 f"operator shape {other.shape} != theta shape {th.shape}"
             )
+    return _factorization_residuals(th, pm, qm, cm)
+
+
+def _factorization_residuals(
+    th: ComplexMatrix, pm: ComplexMatrix, qm: ComplexMatrix, cm: ComplexMatrix
+) -> dict[str, float]:
+    # verify_factorizations on trusted arrays of one shape
     scale = frobenius(th)
     if scale == 0.0:
         raise ValueError("theta is zero; factorization residuals are undefined")
@@ -232,7 +236,7 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     theta = build_metric(system)
     quasiparity = _spectral_sum(system.right, q, system.left)
     charge = _spectral_sum(system.left, q, system.right)
-    residuals = verify_factorizations(theta, pm, quasiparity, charge)
+    residuals = _factorization_residuals(theta, pm, quasiparity, charge)
     return MetricBundle(
         theta=theta,
         quasiparity=quasiparity,

@@ -30,13 +30,14 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import SingularMatrix
 from .linalg import (
     ComplexMatrix,
     DEFAULT_TOL,
     Tolerance,
+    _hermitian,
     as_complex_matrix,
-    is_hermitian,
+    frobenius,
 )
 
 DomainTag = Literal["interior", "exterior", "boundary"]
@@ -286,7 +287,7 @@ class PseudoMetric:
         sv = np.linalg.svd(a, compute_uv=False)
         return cls(
             matrix=a,
-            self_adjoint=is_hermitian(a, tol),
+            self_adjoint=_hermitian(a, frobenius(a), tol),
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix
             condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),

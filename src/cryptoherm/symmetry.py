@@ -8,8 +8,7 @@ invariant under H -> s H for real s > 0:
 * weak_triplet:       the same plus its adjoint-candidate twin and the
                       commutation of H with S = inverse(P) adjoint(P)
 * quasi_hermitian:    Theta H = adjoint(H) Theta for Hermitian positive
-                      definite Theta (multiplicative form, no inversion);
-                      a MetricBundle lends its kept spectrum of Theta
+                      definite Theta (multiplicative form, no inversion)
 * pt_commutant:       H S = S H
 
 Every check refuses operands of different shapes with DimensionMismatch.
@@ -19,6 +18,10 @@ warnings, and where the construction fails (complex eigenvalues, a
 degenerate or defective spectrum, a vanishing overlap, a metric that is
 not Hermitian positive definite).  It is the one place that policy
 lives; the CLI's ``diagnose`` report only renders it.
+
+The public checks validate their operands; ``diagnose`` validates H and
+P once, measures ||H||_F once and runs the same checks as private steps
+on those trusted arrays, with the bundle's kept spectrum of Theta.
 """
 from __future__ import annotations
 
@@ -28,18 +31,19 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .biortho import BiorthogonalSystem, solve_biorthogonal
+from .biortho import BiorthogonalSystem, _solve
 from .errors import NotHermitian, NotPositiveDefinite, SpectrumObstruction, VanishingOverlap
 from .io import format_float
 from .linalg import (
+    ComplexMatrix,
     DEFAULT_TOL,
     Tolerance,
+    _hermitian,
     _same_shape,
     as_complex_matrix,
     commutator_residual,
     frobenius,
     hermitian_eigenvalues,
-    is_hermitian,
     resolved_positive,
 )
 from .metric import MetricBundle, build_bundle, nonreal_warnings
@@ -76,11 +80,13 @@ def _verdict(name: str, residual: float, tol: Tolerance, detail=None) -> Symmetr
     )
 
 
-def _candidate(hm, p, tol: Tolerance) -> PseudoMetric:
-    # a PseudoMetric carries its inverse, so checks sharing one invert P once
+def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
+    # H validated, and P as a PseudoMetric, which carries its inverse, so
+    # checks sharing one invert P once
+    hm = as_complex_matrix(h, "hamiltonian")
     pm = p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p, tol)
     _same_shape(hm, pm.matrix)
-    return pm
+    return hm, pm
 
 
 def _relative(num: float, scale: float) -> float:
@@ -88,14 +94,16 @@ def _relative(num: float, scale: float) -> float:
     return num / scale if scale > 0.0 else 0.0
 
 
+def _p_equation(hm, x, x_inverse, hnorm: float) -> float:
+    # ||X H inverse(X) - adjoint(H)||_F / ||H||_F: the P equation, and with
+    # X = adjoint(P) the triplet's adjoint equation
+    return _relative(frobenius(x @ hm @ x_inverse - hm.conj().T), hnorm)
+
+
 def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check adjoint(H) = P H inverse(P), residual relative to ||H||_F."""
-    hm = as_complex_matrix(h, "hamiltonian")
-    pm = _candidate(hm, p, tol)
-    residual = _relative(
-        frobenius(pm.matrix @ hm @ pm.inverse - hm.conj().T), frobenius(hm)
-    )
-    return _verdict("pseudo_hermitian", residual, tol)
+    hm, pm = _operands(h, p, tol)
+    return _verdict("pseudo_hermitian", _p_equation(hm, pm.matrix, pm.inverse, frobenius(hm)), tol)
 
 
 def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -103,24 +111,27 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
 
     detail keys: "pseudo" (P equation), "pseudo_adjoint" (adjoint(P)
     equation), "commutant" ([H, S] with S = inverse(P) adjoint(P)),
-    "degenerate" (1.0 when P is self-adjoint and the triplet collapses),
-    "dependency_ok" (1.0 unless the two independent equations pass while
-    the dependent one fails by more than 10x the tolerance, which would
-    flag an internal inconsistency).
+    "degenerate" (1.0 when P is self-adjoint and the triplet collapses,
+    as ``PseudoMetric.self_adjoint`` says), "dependency_ok" (1.0 unless
+    the two independent equations pass while the dependent one fails by
+    more than 10x the tolerance, which would flag an internal
+    inconsistency).
     """
-    hm = as_complex_matrix(h, "hamiltonian")
-    cand = _candidate(hm, p, tol)
-    pm, pinv = cand.matrix, cand.inverse
+    hm, pm = _operands(h, p, tol)
     hnorm = frobenius(hm)
-    hdag = hm.conj().T
+    return _weak_triplet(hm, hnorm, pm, _p_equation(hm, pm.matrix, pm.inverse, hnorm), tol)
 
-    r1 = pseudo_hermiticity_residual(hm, cand, tol).residual
-    r2 = _relative(frobenius(pm.conj().T @ hm @ pinv.conj().T - hdag), hnorm)
+
+def _weak_triplet(
+    hm, hnorm: float, cand: PseudoMetric, r1: float, tol: Tolerance
+) -> SymmetryVerdict:
+    # weak_triplet_check on a trusted H, given ||H||_F and the P equation's residual r1
+    pm, pinv = cand.matrix, cand.inverse
+    r2 = _p_equation(hm, pm.conj().T, pinv.conj().T, hnorm)
     s = pinv @ pm.conj().T
-    r_comm = _relative(commutator_residual(hm, s), hnorm * frobenius(s))
+    r_comm = _relative(frobenius(hm @ s - s @ hm), hnorm * frobenius(s))
 
     bound = tol.bound(1.0)
-    degenerate = is_hermitian(pm, tol)
     dependency_ok = not (r1 <= bound and r_comm <= bound and r2 > _DEPENDENT_SLACK * bound)
     return _verdict(
         "weak_triplet",
@@ -130,7 +141,7 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
             "pseudo": r1,
             "pseudo_adjoint": r2,
             "commutant": r_comm,
-            "degenerate": 1.0 if degenerate else 0.0,
+            "degenerate": 1.0 if cand.self_adjoint else 0.0,
             "dependency_ok": 1.0 if dependency_ok else 0.0,
         },
     )
@@ -139,24 +150,26 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
 def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check Theta H = adjoint(H) Theta for a metric candidate Theta.
 
-    ``theta`` is a matrix or a MetricBundle; a bundle's positivity is
-    judged on its kept eigenvalues, so it is not solved again.  Theta
-    must be Hermitian positive definite (``linalg.is_positive_definite``);
-    the residual is the multiplicative form ||Theta H - adjoint(H) Theta||_F
-    divided by ||Theta||_F ||H||_F, which avoids amplification by cond(Theta).
+    Theta must be Hermitian positive definite
+    (``linalg.is_positive_definite``); the residual is the multiplicative
+    form ||Theta H - adjoint(H) Theta||_F divided by ||Theta||_F ||H||_F,
+    which avoids amplification by cond(Theta).
     """
     hm = as_complex_matrix(h, "hamiltonian")
-    bundle = theta if isinstance(theta, MetricBundle) else None
-    th = as_complex_matrix(theta if bundle is None else bundle.theta, "theta")
+    th = as_complex_matrix(theta, "theta")
     _same_shape(hm, th)
-    if not is_hermitian(th, tol):
+    return _quasi_hermitian(hm, frobenius(hm), th, hermitian_eigenvalues(th), tol)
+
+
+def _quasi_hermitian(hm, hnorm: float, th, theta_eigenvalues, tol: Tolerance) -> SymmetryVerdict:
+    # quasi_hermiticity_residual on trusted arrays, given ||H||_F and the
+    # ascending eigenvalues of Theta's Hermitian part
+    tnorm = frobenius(th)
+    if not _hermitian(th, tnorm, tol):
         raise NotHermitian("metric candidate is not self-adjoint")
-    w = hermitian_eigenvalues(th) if bundle is None else bundle.theta_eigenvalues
-    if not resolved_positive(w):
+    if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
-    residual = _relative(
-        frobenius(th @ hm - hm.conj().T @ th), frobenius(th) * frobenius(hm)
-    )
+    residual = _relative(frobenius(th @ hm - hm.conj().T @ th), tnorm * hnorm)
     return _verdict("quasi_hermitian", residual, tol)
 
 
@@ -201,13 +214,12 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
     exceptions; a SpectrumObstruction without eigenvalues (the
     eigensolver itself failed) is raised, as is a singular P.
     """
-    hm = as_complex_matrix(h, "hamiltonian")
-    pm = _candidate(hm, p, tol)
+    hm, pm = _operands(h, p, tol)
     scale = frobenius(hm)
     warnings: list[str] = []
     system = bundle = obstruction = None
     try:
-        system = solve_biorthogonal(hm, tol)
+        system = _solve(hm, scale, tol)
         values = system.eigenvalues
     except SpectrumObstruction as exc:
         if exc.eigenvalues is None:  # the eigensolver itself failed: no spectrum to report
@@ -215,12 +227,11 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
         obstruction, values = exc, exc.eigenvalues
         warnings.append(f"spectrum obstruction: {type(exc).__name__}: {exc}")
 
-    if pm.self_adjoint:
-        verdicts = [pseudo_hermiticity_residual(hm, pm, tol)]
-    else:
-        # the triplet's first equation is the P equation, so it is solved once
-        triplet = weak_triplet_check(hm, pm, tol)
-        verdicts = [_verdict("pseudo_hermitian", triplet.detail["pseudo"], tol), triplet]
+    pseudo = _p_equation(hm, pm.matrix, pm.inverse, scale)
+    verdicts = [_verdict("pseudo_hermitian", pseudo, tol)]
+    if not pm.self_adjoint:
+        # the P equation is the triplet's first equation: it is solved once, above
+        verdicts.append(_weak_triplet(hm, scale, pm, pseudo, tol))
 
     holds = False  # set only once the whole pipeline has run
     if system is not None:
@@ -234,7 +245,9 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
         else:
             warnings += nonreal_warnings(bundle.coeffs.q)
             try:
-                verdicts.append(quasi_hermiticity_residual(hm, bundle, tol))
+                verdicts.append(
+                    _quasi_hermitian(hm, scale, bundle.theta, bundle.theta_eigenvalues, tol)
+                )
             except (NotHermitian, NotPositiveDefinite) as exc:
                 warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
             else:

@@ -1,11 +1,13 @@
 """The package surface stays in step with the code.
 
-``__all__``, the README's library table and the README's python examples.
+``__all__``, the README's library table and the README's python examples,
+and the operand checks every public matrix entry point makes.
 """
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cryptoherm
@@ -56,3 +58,54 @@ def test_readme_has_python_examples():
 )
 def test_readme_python_block_runs(block):
     exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def _boundary_cases():
+    """(id, call) for each matrix slot of each public function that takes a matrix."""
+    h = cryptoherm.build_h2(1.0, 0.0, 0.4j)
+    p, eye = cryptoherm.parity2(), np.eye(2, dtype=complex)
+    system = cryptoherm.solve_biorthogonal(h)
+    cases = {
+        "eig": cryptoherm.eig,
+        "adjoint": cryptoherm.adjoint,
+        "is_hermitian": cryptoherm.is_hermitian,
+        "is_positive_definite": cryptoherm.is_positive_definite,
+        "commutator_residual[a]": lambda m: cryptoherm.commutator_residual(m, eye),
+        "commutator_residual[b]": lambda m: cryptoherm.commutator_residual(eye, m),
+        "solve_biorthogonal": cryptoherm.solve_biorthogonal,
+        "PseudoMetric.from_matrix": cryptoherm.PseudoMetric.from_matrix,
+        "hermitian_sum": cryptoherm.hermitian_sum,
+        "hermitian_rotation": lambda m: cryptoherm.hermitian_rotation(m, 0.3),
+        "build_bundle[p]": lambda m: cryptoherm.build_bundle(system, m),
+    }
+    for i, slot in enumerate(("theta", "p", "q", "c")):
+        cases[f"verify_factorizations[{slot}]"] = lambda m, i=i: cryptoherm.verify_factorizations(
+            *[m if j == i else eye for j in range(4)]
+        )
+    for name, good in [("pseudo_hermiticity_residual", p), ("weak_triplet_check", p),
+                       ("quasi_hermiticity_residual", eye), ("pt_commutant_check", p),
+                       ("diagnose", p)]:
+        check = getattr(cryptoherm, name)
+        cases[f"{name}[h]"] = lambda m, check=check, good=good: check(m, good)
+        cases[f"{name}[2]"] = lambda m, check=check: check(h, m)
+    return list(cases.items())
+
+
+BOUNDARY_CASES = _boundary_cases()
+BAD_OPERANDS = {
+    "nan": ([[float("nan"), 0.0], [0.0, 1.0]], ValueError, "non-finite"),
+    "inf": ([[1.0, 0.0], [0.0, float("inf")]], ValueError, "non-finite"),
+    "non-square": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], cryptoherm.DimensionMismatch, "square"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_OPERANDS)
+@pytest.mark.parametrize("call", [c for _, c in BOUNDARY_CASES], ids=[n for n, _ in BOUNDARY_CASES])
+def test_public_entry_refuses_a_bad_operand(call, bad):
+    # every public matrix entry point validates its operands, however little
+    # the package's own composition re-checks the arrays it passes inward
+    matrix, error, words = BAD_OPERANDS[bad]
+    with pytest.raises(Exception) as info:
+        call(matrix)
+    assert type(info.value) is error
+    assert words in str(info.value)

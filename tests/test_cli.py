@@ -5,12 +5,14 @@ import io
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2
 from cryptoherm.cli import main
 from cryptoherm.io import format_float, load_matrix, save_matrix
@@ -178,6 +180,66 @@ class TestIntegerBeyondFloat64:
         assert not out_dir.exists()
 
 
+def _argv(command, path, files, tmp_path):
+    """``command`` with ``path`` as its first matrix file and fixture files for the rest."""
+    if command == "hermitize":
+        return [command, str(path)]
+    return [command, str(path), files["p2.json"], "--out-dir", str(tmp_path / "out")]
+
+
+class TestFileNestedPastRecursionLimit:
+    """JSON nested deeper than the decoder can recurse is invalid JSON, not a traceback."""
+
+    @pytest.fixture
+    def nested(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        return path
+
+    def _assert_invalid(self, result, path):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["diagnose", "metric", "hermitize"])
+    def test_matrix_file(self, command, nested, files, capsys, tmp_path):
+        self._assert_invalid(run(capsys, *_argv(command, nested, files, tmp_path)), nested)
+
+    def test_kappa_file(self, nested, files, capsys, tmp_path):
+        out_dir = tmp_path / "m"
+        self._assert_invalid(run(capsys, "metric", files["h2.json"], files["p2.json"],
+                                 "--kappa", str(nested), "--out-dir", str(out_dir)), nested)
+        assert not out_dir.exists()
+
+
+class TestNormBeyondFloat64:
+    """Finite entries whose Frobenius norm overflows are refused where the file is loaded.
+
+    One error line and nothing else: pytest turns any warning into an error here.
+    """
+
+    BIG, NEG = 10**308, -(2**64) - 3
+    LAYOUTS = {
+        "off-diagonal": [[1, 0], [BIG, 0], [NEG, 0], [1, 0]],
+        "first-row": [[BIG, 0], [NEG, 0], [0, 0], [1, 0]],
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("command", ["diagnose", "metric", "hermitize"])
+    def test_refused_at_load(self, command, layout, files, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "data": self.LAYOUTS[layout]}))
+        assert run(capsys, *_argv(command, path, files, tmp_path)) == (
+            1, "", f"error: {path}: Frobenius norm overflows float64\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_as_pseudometric(self, files, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "data": self.LAYOUTS["first-row"]}))
+        assert run(capsys, "diagnose", files["h2.json"], str(path)) == (
+            1, "", f"error: {path}: Frobenius norm overflows float64\n")
+
+
 def _near_ep_cases():
     # build_h2(1, 0, i beta) has disc = 1 - 4 beta^2; walk it to +-10^-k
     cases = [
@@ -207,29 +269,44 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
 @pytest.mark.parametrize(
     "command,h_name,p_name,expected",
     [
-        ("diagnose", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1}),
-        ("diagnose", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1}),
-        ("metric", "h3.json", "p3.json", {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1}),
-        ("metric", "h2_b.json", "p2.json", {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1}),
+        ("diagnose", "h3.json", "p3.json",
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 22, "acm": 5}),
+        ("diagnose", "h2_b.json", "p2.json",
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 19, "acm": 5}),
+        ("metric", "h3.json", "p3.json",
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 15, "acm": 8}),
+        ("metric", "h2_b.json", "p2.json",
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 15, "acm": 8}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
                                     monkeypatch, tmp_path):
     # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
-    # and one Hermitian eigensolve of Theta shared by the report and the positivity check
+    # and one Hermitian eigensolve of Theta shared by the report and the positivity check;
+    # "norm" counts np.linalg.norm (the load check, ||H||_F once, the residuals) and
+    # "acm" counts as_complex_matrix through every module's binding: each loaded
+    # operand is coerced where it enters the library, not again at each inner step
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
     paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
-    calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0}
-    for name in calls:
+    calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0, "norm": 0, "acm": 0}
+    for name in ("eig", "svd", "cond", "inv", "eigvalsh", "norm"):
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def coerced(*args, _real=cryptoherm.linalg.as_complex_matrix, **kwargs):
+        calls["acm"] += 1
+        return _real(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cryptoherm") and \
+                hasattr(module, "as_complex_matrix"):
+            monkeypatch.setattr(module, "as_complex_matrix", coerced)
     code, _, _ = run(capsys, command, paths[h_name], paths[p_name],
                      "--out-dir", str(tmp_path / "out"))
     assert code == 0
     counts = {"eig": calls["eig"], "p_svd": calls["svd"] + calls["cond"], "inv": calls["inv"],
-              "eigvalsh": calls["eigvalsh"]}
+              "eigvalsh": calls["eigvalsh"], "norm": calls["norm"], "acm": calls["acm"]}
     assert counts == expected
 
 

@@ -4,11 +4,9 @@ import pytest
 from cryptoherm import (
     ComplexSpectrum,
     DegenerateSpectrum,
-    MetricBundle,
     NotHermitian,
     NotPositiveDefinite,
     SingularMatrix,
-    build_bundle,
     build_h2,
     build_h3,
     build_metric,
@@ -24,7 +22,6 @@ from cryptoherm import (
 )
 from cryptoherm import symmetry
 from cryptoherm.errors import DimensionMismatch
-from cryptoherm.metric import CoefficientSet
 from conftest import sample_h2_params_any, sample_h3_params
 
 
@@ -118,28 +115,15 @@ class TestQuasiHermiticity:
         with pytest.raises(NotPositiveDefinite):
             quasi_hermiticity_residual(h, np.diag([1.0, -1.0]))
 
-    @pytest.mark.parametrize("which", ["h2", "h3"])
-    def test_bundle_gives_the_matrix_verdict(self, which, h2_system, h3_system):
-        (h, sys_), p = {"h2": (h2_system, parity2()), "h3": (h3_system, cyclic_p(3))}[which]
-        bundle = build_bundle(sys_, p)
-        assert quasi_hermiticity_residual(h, bundle) == quasi_hermiticity_residual(h, bundle.theta)
-
     @pytest.mark.parametrize(
-        "theta,error",
-        [([[1.0, 1.0], [0.0, 1.0]], NotHermitian), ([[1.0, 0.0], [0.0, -1.0]], NotPositiveDefinite)],
+        "h, p",
+        [(build_h2(1.0, 0.0, 0.4j), parity2()), (build_h3(0.0, 0.3 + 0.4j), cyclic_p(3))],
+        ids=["h2", "h3"],
     )
-    def test_bundle_refused_like_matrix(self, theta, error, h2_system):
-        h, _ = h2_system
-        theta = np.array(theta, dtype=complex)
-        ones = np.ones(2, dtype=complex)
-        bundle = MetricBundle(theta=theta, quasiparity=np.eye(2), charge=np.eye(2),
-                              coeffs=CoefficientSet(q=ones, c=ones), residuals={})
-        messages = []
-        for candidate in (bundle, theta):
-            with pytest.raises(error) as info:
-                quasi_hermiticity_residual(h, candidate)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    def test_bundle_gives_the_matrix_verdict(self, h, p):
+        # diagnose judges positivity on the bundle's kept spectrum of Theta
+        found = diagnose(h, p)
+        assert found.verdicts[-1] == quasi_hermiticity_residual(h, found.bundle.theta)
 
     def test_exterior_model_admits_no_metric(self, rng):
         # complex spectrum: every positive candidate leaves a visible floor
@@ -211,17 +195,37 @@ def test_shape_mismatch_is_dimension_mismatch(check, operand):
     ids=["h3-cyclic3", "h2-parity2"],
 )
 def test_diagnose_solves_the_p_equation_once(h, p, monkeypatch):
-    calls = []
-    direct = symmetry.pseudo_hermiticity_residual
+    # the triplet's adjoint equation runs the same helper with adjoint(P) in place of P
+    operands = []
+    direct = symmetry._p_equation
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return direct(*args, **kwargs)
+    def counted(hm, x, *args):
+        operands.append(x)
+        return direct(hm, x, *args)
 
-    monkeypatch.setattr(symmetry, "pseudo_hermiticity_residual", counted)
+    monkeypatch.setattr(symmetry, "_p_equation", counted)
     found = diagnose(h, p)
-    assert len(calls) == 1
-    assert found.verdicts[0] == direct(h, p)
+    assert [np.array_equal(x, p) for x in operands].count(True) == 1
+    assert found.verdicts[0] == pseudo_hermiticity_residual(h, p)
+
+
+@pytest.mark.parametrize(
+    "h, p",
+    [(build_h3(0.0, 0.3 + 0.4j), cyclic_p(3)), (build_h2(1.0, 0.0, 0.4j), parity2())],
+    ids=["h3-cyclic3", "h2-parity2"],
+)
+def test_diagnose_measures_h_once(h, p, monkeypatch):
+    # ||H||_F is handed to the solver and to every symmetry step
+    operands = []
+    direct = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        operands.append(x)
+        return direct(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    diagnose(h, p)
+    assert [np.array_equal(x, h) for x in operands].count(True) == 1
 
 
 def _h2_at_discriminant(disc):
