@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +50,17 @@ from .errors import (
 # tracer test checks that the cryptoherm.cli.eig binding is wrapped
 from .linalg import Tolerance, eig, frobenius  # noqa: F401
 from .metric import build_bundle, involutive_normalization, nonreal_warnings
-from .models import PseudoMetric, hermitian_rotation, hermitian_sum, sweep_h2
-from .symmetry import diagnose
+from .models import PseudoMetric, _rotation, hermitian_sum, sweep_h2
+from .symmetry import SymmetryVerdict, diagnose
 
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
 
 #: number of scan points when --theta scan is given without a count
 DEFAULT_SCAN_POINTS = 64
+
+#: a verdict renders as a dict of these, in this order
+_VERDICT_FIELDS = tuple(f.name for f in fields(SymmetryVerdict))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,13 +170,32 @@ def _report_head(command: str, tol: Tolerance, **operands) -> dict:
     }
 
 
+@contextmanager
+def _out_dir(path: str):
+    """The directory ``path``, created when missing; an OSError in the block is an I/O error."""
+    try:
+        directory = Path(path)
+        directory.mkdir(parents=True, exist_ok=True)
+        yield directory
+    except OSError as exc:
+        raise _UsageError(f"--out-dir {path}: {exc}") from exc
+
+
 def _emit_report(report: dict, out_dir: str | None) -> None:
     text = io.canonical_json(report)
-    print(text)
+    # written before printing, so a directory that cannot take it leaves stdout empty
     if out_dir is not None:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "report.json").write_text(text + "\n", encoding="utf-8")
+        with _out_dir(out_dir) as directory:
+            (directory / "report.json").write_text(text + "\n", encoding="utf-8")
+    print(text)
+
+
+def _verdict_rows(verdicts) -> list[dict]:
+    """Each verdict as a dict of its fields in order, as ``dataclasses.asdict`` gives it.
+
+    Shallow: asdict would deep-copy each detail mapping only for it to be rendered.
+    """
+    return [{name: getattr(v, name) for name in _VERDICT_FIELDS} for v in verdicts]
 
 
 def cmd_diagnose(args) -> int:
@@ -186,7 +210,7 @@ def cmd_diagnose(args) -> int:
         "all_real": found.all_real,
         "max_imag": float(np.max(np.abs(found.eigenvalues.imag))),
     }
-    report["verdicts"] = [asdict(v) for v in found.verdicts]
+    report["verdicts"] = _verdict_rows(found.verdicts)
     report["metric"] = None if found.bundle is None else _metric_payload(found.system, found.bundle)
     report["warnings"] = found.warnings
     _emit_report(report, args.out_dir)
@@ -216,11 +240,10 @@ def cmd_metric(args) -> int:
 
     bundle = build_bundle(system, pm)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io.save_matrix(out_dir / "theta.json", bundle.theta)
-    io.save_matrix(out_dir / "q.json", bundle.quasiparity)
-    io.save_matrix(out_dir / "c.json", bundle.charge)
+    with _out_dir(args.out_dir) as out_dir:
+        io.save_matrix(out_dir / "theta.json", bundle.theta)
+        io.save_matrix(out_dir / "q.json", bundle.quasiparity)
+        io.save_matrix(out_dir / "c.json", bundle.charge)
 
     report = _report_head("metric", tol, hamiltonian=io.matrix_to_payload(h),
                           pseudometric=io.matrix_to_payload(p), kappa=kappa_tag)
@@ -277,22 +300,19 @@ def cmd_sweep(args) -> int:
     a, d = _finite("--a", args.a), _finite("--d", args.d)
     re_axis = _parse_axis(args.b_re, "--b-re")
     im_axis = _parse_axis(args.b_im, "--b-im")
-    res = [io.format_float(x) for x in re_axis]
-    ims = [io.format_float(x) for x in im_axis]
-    points = sweep_h2(a, d, re_axis, im_axis)
+    grid = list(product(map(io.format_float, re_axis), map(io.format_float, im_axis)))
     # every row is computed before any is written, so a refused point prints nothing
-    rows = []
-    for re in res:
-        for im in ims:
-            try:
-                disc, tag = next(points)
-            except OverflowError as exc:
-                raise _UsageError(f"h2 classification overflows at b_re = {re}, b_im = {im}") from exc
+    values: list = []
+    try:
+        for (re, im), (disc, tag) in zip(grid, sweep_h2(a, d, re_axis, im_axis)):
             # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
-            gap = math.sqrt(abs(disc))
-            rows.append(f"{re},{im},{format(disc, '.17g')},{tag},{format(gap, '.17g')}\n")
-    sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n")
-    sys.stdout.writelines(rows)
+            values += re, im, disc, tag, math.sqrt(abs(disc))
+    except OverflowError as exc:
+        re, im = grid[len(values) // 5]
+        raise _UsageError(f"h2 classification overflows at b_re = {re}, b_im = {im}") from exc
+    # one pass for the whole table; '%.17g' % x is format(x, ".17g")
+    sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n"
+                     + "%s,%s,%.17g,%s,%.17g\n" * len(grid) % tuple(values))
     return EXIT_OK
 
 
@@ -326,7 +346,7 @@ def cmd_hermitize(args) -> int:
 
     rotations = []
     for theta in thetas:
-        rotated = hermitian_rotation(p, theta, tol)
+        rotated = _rotation(p, theta, tol)
         if not rotated.invertible:
             warnings.append(
                 f"singular Hermitian partner at theta = {io.format_float(theta)}"

@@ -13,7 +13,9 @@ inputs therefore produce byte-identical bytes, which the fingerprint
 Both directions take one pass per matrix.  ``canonical_json`` renders a
 list of [float, float] pairs, the layout ``complex_pairs`` produces, with
 one finiteness check and one ``%`` over a fixed template; every other
-value goes through one scalar dispatch per type.  A pair list read from
+value goes through one scalar dispatch per type, and keys and strings go
+through ``json.encoder.encode_basestring_ascii``, the C encoder
+``json.dumps`` itself calls for a ``str``.  A pair list read from
 a file is checked for shape and type, converted by one ``np.array`` and
 checked for finiteness once; only a list that fails that is walked entry
 by entry, to name the first offending entry.
@@ -24,7 +26,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +77,7 @@ def _render(value, indent: int, pieces: list[str]) -> None:
         items = list(value.items())
         for i, (key, sub) in enumerate(items):
             pieces.append("  " * (indent + 1))
-            pieces.append(json.dumps(str(key)))
+            pieces.append(encode_basestring_ascii(str(key)))
             pieces.append(": ")
             _render(sub, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(items) else "\n")
@@ -133,7 +137,7 @@ def _(value) -> str:
 
 @_scalar.register(str)
 def _(value) -> str:
-    return json.dumps(value)
+    return encode_basestring_ascii(value)
 
 
 def canonical_json(value) -> str:
@@ -219,12 +223,12 @@ def payload_to_matrix(obj, where: str = "matrix file") -> ComplexMatrix:
 def _read_json(path, where: str):
     """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as f:
+            return json.loads(f.read())
     except OSError as exc:
         raise MatrixFileError(f"{where}: {exc}") from exc
-    try:
-        return json.loads(text)
-    # JSONDecodeError, an integer past int's digit limit, or nesting past the recursion limit
+    # bytes that are not UTF-8, JSONDecodeError, an integer past int's digit
+    # limit, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise MatrixFileError(f"{where}: invalid JSON ({exc})") from exc
 

@@ -31,6 +31,7 @@ test of Theta and the renderer's finiteness checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,17 @@ def as_complex_matrix(m, name: str = "matrix") -> ComplexMatrix:
 
 
 def frobenius(m: ComplexMatrix) -> float:
-    """Frobenius norm, the only norm used for residuals."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm, the only norm used for residuals.
+
+    The fast path ``np.linalg.norm`` itself takes for a matrix, without
+    its argument dispatch: the real and imaginary parts of the flattened
+    array dotted with themselves, summed, one square root.  Same float
+    operations in the same order, so the same bits and the same overflow
+    warnings.
+    """
+    x = np.asarray(m).ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def adjoint(m) -> ComplexMatrix:

@@ -13,13 +13,13 @@ together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 
-The two-level classification has one kernel: the discriminant, the
-default boundary band and the tag are each computed in one private
-helper on validated Python floats.  ``discriminant_h2`` and
-``classify_h2`` validate each argument once and call it for one point;
-``sweep_h2`` validates a and d once, computes (a - d)^2 and |a| + |d|
-once, and calls it for every point of a grid, with the same float
-operations and therefore the same bits as ``classify_h2``.
+The two-level classification has one kernel, ``_h2_point``: the
+discriminant, the default boundary band and the tag of one point, on
+validated Python floats.  ``discriminant_h2`` and ``classify_h2``
+validate each argument once and call it for one point; ``sweep_h2``
+validates a and d once, computes (a - d)^2 and |a| + |d| once, and calls
+it once for every point of a grid, with the same float operations and
+therefore the same bits as ``classify_h2``.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def _h2_invariants(a: float, d: float) -> tuple[float, float]:
     """((a - d)**2, |a| + |d|).
 
     A square that overflows comes back as inf: it would overflow at every
-    b, and an inf makes ``_h2_discriminant`` refuse the first point.
+    b, and an inf makes ``_h2_point`` refuse the first point.
     """
     try:
         diff2 = (a - d) ** 2
@@ -96,30 +96,29 @@ def _h2_invariants(a: float, d: float) -> tuple[float, float]:
     return diff2, abs(a) + abs(d)
 
 
-def _h2_discriminant(diff2: float, modulus: float) -> float:
-    """(a - d)**2 - 4|b|**2 from ``diff2`` = (a - d)**2 and ``modulus`` = |b|.
+def _h2_point(
+    diff2: float, sum_ad: float, modulus: float, band: float | None = None
+) -> tuple[float, DomainTag, float]:
+    """(discriminant, tag, band) of one point: the h2 kernel.
 
-    Raises OverflowError when the value leaves float64, whether Python
-    raises it on the way or the result is not finite (a - d or 4|b|**2
-    can reach inf without raising).
+    The discriminant is (a - d)**2 - 4|b|**2 from ``diff2`` = (a - d)**2
+    and ``modulus`` = |b|; it raises OverflowError when that leaves
+    float64, whether Python raises it on the way or the result is not
+    finite (a - d or 4|b|**2 can reach inf without raising).  ``band``
+    defaults to BOUNDARY_BAND_FACTOR * (|a| + |d| + |b|)**2 from ``sum_ad``
+    = |a| + |d|, which may raise OverflowError too; a given band is used
+    as it is.
     """
     disc = diff2 - 4.0 * modulus**2
     if not math.isfinite(disc):
         raise OverflowError(
             f"discriminant overflows at (a - d)**2 = {diff2!r}, |b| = {modulus!r}"
         )
-    return disc
-
-
-def _h2_band(sum_ad: float, modulus: float) -> float:
-    """Default boundary band BOUNDARY_BAND_FACTOR * (|a| + |d| + |b|)**2; may raise OverflowError."""
-    return BOUNDARY_BAND_FACTOR * (sum_ad + modulus) ** 2
-
-
-def _h2_tag(disc: float, band: float) -> DomainTag:
+    if band is None:
+        band = BOUNDARY_BAND_FACTOR * (sum_ad + modulus) ** 2
     if abs(disc) <= band:
-        return "boundary"
-    return "interior" if disc > 0 else "exterior"
+        return disc, "boundary", band
+    return disc, "interior" if disc > 0 else "exterior", band
 
 
 def build_h2(a, d, b) -> ComplexMatrix:
@@ -135,8 +134,9 @@ def discriminant_h2(a, d, b) -> float:
     raises it on the way or the difference a - d already overflowed.
     """
     ar, dr, bc = _h2_params(a, d, b)
-    diff2, _ = _h2_invariants(ar, dr)
-    return _h2_discriminant(diff2, abs(bc))
+    diff2, sum_ad = _h2_invariants(ar, dr)
+    # a given band skips the default one, which can overflow where the discriminant does not
+    return _h2_point(diff2, sum_ad, abs(bc), band=0.0)[0]
 
 
 def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
@@ -149,12 +149,11 @@ def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
     """
     ar, dr, bc = _h2_params(a, d, b)
     diff2, sum_ad = _h2_invariants(ar, dr)
-    modulus = abs(bc)
-    disc = _h2_discriminant(diff2, modulus)
-    band = _h2_band(sum_ad, modulus) if boundary_band is None else float(boundary_band)
-    if band < 0:
+    band = None if boundary_band is None else float(boundary_band)
+    disc, tag, band = _h2_point(diff2, sum_ad, abs(bc), band)
+    if not band >= 0:  # NaN too
         raise ValueError("boundary_band must be non-negative")
-    return DomainClass(tag=_h2_tag(disc, band), discriminant=disc, boundary_band=band)
+    return DomainClass(tag=tag, discriminant=disc, boundary_band=band)
 
 
 def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:
@@ -173,9 +172,8 @@ def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:
     diff2, sum_ad = _h2_invariants(ar, dr)
     for re in res:
         for im in ims:
-            modulus = abs(complex(re, im))
-            disc = _h2_discriminant(diff2, modulus)
-            yield disc, _h2_tag(disc, _h2_band(sum_ad, modulus))
+            disc, tag, _ = _h2_point(diff2, sum_ad, abs(complex(re, im)))
+            yield disc, tag
 
 
 def parity2() -> ComplexMatrix:
@@ -313,7 +311,10 @@ def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     -2 sin(theta - 2 pi k / n), so the family is singular exactly when
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
-    a = as_complex_matrix(p, "pseudometric")
-    th = _real_scalar(theta, "theta")
-    phase = np.exp(1j * th)
+    return _rotation(as_complex_matrix(p, "pseudometric"), _real_scalar(theta, "theta"), tol)
+
+
+def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance) -> PseudoMetric:
+    # hermitian_rotation of a trusted array at a validated real angle
+    phase = np.exp(1j * theta)
     return PseudoMetric.from_matrix(1j * (a * phase - a.conj().T * np.conj(phase)), tol)

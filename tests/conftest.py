@@ -1,6 +1,8 @@
 """Shared samplers and fixtures for the test suite."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ def sample_h3_params(rng, gap_floor: float = 1e-4):
         )
         if np.diff(levels).min() > gap_floor:
             return a, b
+
+
+def count_calls(monkeypatch, real, on_call) -> None:
+    """Wrap the package function ``real`` on every cryptoherm module that binds its name.
+
+    Each call passes its positional arguments to ``on_call`` first, so a
+    test sees every call, whichever module's binding the caller goes through.
+    """
+    def counted(*args, **kwargs):
+        on_call(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cryptoherm") and \
+                hasattr(module, real.__name__):
+            monkeypatch.setattr(module, real.__name__, counted)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import io
 import itertools
 import json
 import math
-import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2
-from cryptoherm.cli import main
-from cryptoherm.io import format_float, load_matrix, save_matrix
+from cryptoherm.cli import _verdict_rows, main
+from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
+from cryptoherm.symmetry import SymmetryVerdict
+from conftest import count_calls
 
 
 @pytest.fixture
@@ -212,6 +214,51 @@ class TestFileNestedPastRecursionLimit:
         assert not out_dir.exists()
 
 
+class TestFileNotUtf8:
+    """A file whose bytes are not UTF-8 is invalid JSON, not a UnicodeDecodeError traceback."""
+
+    @pytest.fixture
+    def utf16(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"dim": 1, "data": [[1, 0]]}'.encode("utf-16"))  # starts ff fe
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        return path
+
+    def _assert_invalid(self, result, path):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: invalid JSON ('utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["diagnose", "metric", "hermitize"])
+    def test_matrix_file(self, command, utf16, files, capsys, tmp_path):
+        self._assert_invalid(run(capsys, *_argv(command, utf16, files, tmp_path)), utf16)
+
+    def test_kappa_file(self, utf16, files, capsys, tmp_path):
+        out_dir = tmp_path / "m"
+        self._assert_invalid(run(capsys, "metric", files["h2.json"], files["p2.json"],
+                                 "--kappa", str(utf16), "--out-dir", str(out_dir)), utf16)
+        assert not out_dir.exists()
+
+
+class TestUnusableOutDir:
+    """An --out-dir that cannot be a directory is one error line, exit 1, empty stdout."""
+
+    @pytest.fixture(params=["file", "under_file"])
+    def out_dir(self, request, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        return blocker if request.param == "file" else blocker / "sub"
+
+    @pytest.mark.parametrize("command", ["diagnose", "metric"])
+    def test_refused(self, command, out_dir, files, capsys, tmp_path):
+        code, out, err = run(capsys, command, files["h2.json"], files["p2.json"],
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --out-dir {out_dir}: ") and err.count("\n") == 1
+        assert (tmp_path / "blocker").read_text() == "not a directory\n"
+
+
 class TestNormBeyondFloat64:
     """Finite entries whose Frobenius norm overflows are refused where the file is loaded.
 
@@ -270,38 +317,34 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
     "command,h_name,p_name,expected",
     [
         ("diagnose", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 22, "acm": 5}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 21, "acm": 5}),
         ("diagnose", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 19, "acm": 5}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 18, "acm": 5}),
         ("metric", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 15, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 14, "acm": 8}),
         ("metric", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 15, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 14, "acm": 8}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
                                     monkeypatch, tmp_path):
     # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
     # and one Hermitian eigensolve of Theta shared by the report and the positivity check;
-    # "norm" counts np.linalg.norm (the load check, ||H||_F once, the residuals) and
-    # "acm" counts as_complex_matrix through every module's binding: each loaded
+    # "norm" counts linalg.frobenius (the load check, ||H||_F once, the residuals) and
+    # "acm" counts as_complex_matrix, both through every module's binding: each loaded
     # operand is coerced where it enters the library, not again at each inner step
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
     paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
     calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0, "norm": 0, "acm": 0}
-    for name in ("eig", "svd", "cond", "inv", "eigvalsh", "norm"):
+    for name in ("eig", "svd", "cond", "inv", "eigvalsh"):
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-
-    def coerced(*args, _real=cryptoherm.linalg.as_complex_matrix, **kwargs):
-        calls["acm"] += 1
-        return _real(*args, **kwargs)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("cryptoherm") and \
-                hasattr(module, "as_complex_matrix"):
-            monkeypatch.setattr(module, "as_complex_matrix", coerced)
+    for key, real in (("norm", cryptoherm.linalg.frobenius),
+                      ("acm", cryptoherm.linalg.as_complex_matrix)):
+        count_calls(monkeypatch, real, lambda args, _key=key: calls.__setitem__(
+            _key, calls[_key] + 1))
     code, _, _ = run(capsys, command, paths[h_name], paths[p_name],
                      "--out-dir", str(tmp_path / "out"))
     assert code == 0
@@ -425,6 +468,24 @@ class TestDiagnoseReport:
         assert code == 0
         report = json.loads(out)
         assert all(v["holds"] for v in report["verdicts"])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_verdicts = st.lists(st.builds(
+    SymmetryVerdict,
+    name=st.text(max_size=12),
+    residual=_finite,
+    holds=st.booleans(),
+    tolerance=_finite,
+    detail=st.one_of(st.none(), st.dictionaries(st.text(max_size=8), _finite, max_size=5)),
+), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verdicts)
+def test_verdict_rows_render_as_asdict(verdicts):
+    assert canonical_json(_verdict_rows(verdicts)) == \
+        canonical_json([asdict(v) for v in verdicts])
 
 
 class TestMetricCommand:
@@ -661,6 +722,15 @@ class TestHermitize:
         assert rot[0]["invertible"] is True
         assert rot[0]["smallest_singular_value"] >= 0.1
         assert rot[1]["invertible"] is False
+
+    @pytest.mark.parametrize("points", [4, 64])
+    def test_p_validated_once_per_run(self, points, files, capsys, monkeypatch):
+        # hermitian_sum and the report coerce P; each angle checks only its rotated matrix
+        coerced = []
+        count_calls(monkeypatch, cryptoherm.linalg.as_complex_matrix, coerced.append)
+        code, _, _ = run(capsys, "hermitize", files["p3.json"], "--theta", f"scan:{points}")
+        assert code == 0
+        assert len(coerced) == points + 3
 
     def test_sum_reported_self_adjoint(self, files, capsys):
         _, out, _ = run(capsys, "hermitize", files["p3.json"], "--theta", "scan:4")

@@ -308,6 +308,18 @@ reports = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\t\n\u2028\ud800\xe9\u2603\U0001d11e'),
+    st.text(alphabet=st.characters(codec=None, exclude_categories=())),
+))
+def test_key_and_string_encoding_matches_json_dumps(text):
+    # keys and string scalars use the C encoder json.dumps itself calls for a str
+    assert canonical_json(text) == json.dumps(text)
+    assert canonical_json({text: text}) == "{\n  " + json.dumps(text) + ": " + json.dumps(text) + "\n}"
+
+
+@settings(max_examples=300, deadline=None)
 @given(reports)
 def test_canonical_json_matches_reference(value):
     assert canonical_json(value) == _ref_canonical_json(value)

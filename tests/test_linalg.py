@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,41 @@ class TestPositiveDefinite:
 
     def test_rejects_singular(self):
         assert not is_positive_definite(np.diag([1.0, 0.0]))
+
+
+@st.composite
+def _complex_views(draw):
+    """A complex128 matrix up to 8x8, entries up to 1e-300 .. 1e300, or a view of one."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * rows * cols,
+                          max_size=2 * rows * cols))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    m = np.array(parts).view(np.complex128).reshape(rows, cols) * scale
+    view = draw(st.sampled_from(["plain", "T", "H", "rows", "reversed"]))
+    return {"plain": m, "T": m.T, "H": m.conj().T, "rows": m[::2],
+            "reversed": m[::-1, ::-1]}[view]
+
+
+def _norm_and_warnings(fn, m):
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        value = fn(m)
+    return np.float64(value).tobytes(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_views())
+def test_frobenius_matches_linalg_norm_bit_for_bit(m):
+    # frobenius runs np.linalg.norm's own fast path: same bits, same overflow warnings
+    assert _norm_and_warnings(frobenius, m) == \
+        _norm_and_warnings(lambda x: float(np.linalg.norm(x)), m)
+
+
+def test_frobenius_overflow_warns_like_linalg_norm():
+    m = np.full((3, 3), 1e300 + 1e300j)
+    got = _norm_and_warnings(frobenius, m)
+    assert got == _norm_and_warnings(lambda x: float(np.linalg.norm(x)), m)
+    assert got[0] == np.float64(np.inf).tobytes() and got[1]
 
 
 class TestEig:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,10 @@ class TestClassify:
     def test_band_must_be_non_negative(self):
         with pytest.raises(ValueError):
             classify_h2(1.0, 0.0, 0.4j, boundary_band=-1.0)
+
+    def test_nan_band_refused(self):
+        with pytest.raises(ValueError, match="boundary_band must be non-negative"):
+            classify_h2(1.0, 0.0, 0.4j, boundary_band=math.nan)
 
 
 def test_parity2_and_swap2_displays():

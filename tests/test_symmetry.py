@@ -20,9 +20,9 @@ from cryptoherm import (
     swap2,
     weak_triplet_check,
 )
-from cryptoherm import symmetry
+from cryptoherm import linalg, symmetry
 from cryptoherm.errors import DimensionMismatch
-from conftest import sample_h2_params_any, sample_h3_params
+from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
 
 class TestPseudoHermiticity:
@@ -217,13 +217,7 @@ def test_diagnose_solves_the_p_equation_once(h, p, monkeypatch):
 def test_diagnose_measures_h_once(h, p, monkeypatch):
     # ||H||_F is handed to the solver and to every symmetry step
     operands = []
-    direct = np.linalg.norm
-
-    def counted(x, *args, **kwargs):
-        operands.append(x)
-        return direct(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    count_calls(monkeypatch, linalg.frobenius, lambda args: operands.append(args[0]))
     diagnose(h, p)
     assert [np.array_equal(x, h) for x in operands].count(True) == 1
 
