@@ -23,7 +23,8 @@ class NotPositiveDefinite(CryptoHermError):
 
 
 class SingularMatrix(CryptoHermError):
-    """Inversion refused: condition number above the trust cap."""
+    """Inversion refused: the condition number is above the trust cap, or the
+    candidate is ``negligible`` (zero up to rounding, whatever its condition)."""
 
     def __init__(self, message: str, condition: float = float("inf")):
         super().__init__(message)

@@ -10,15 +10,20 @@ keys keep insertion order, layout is fixed.  Two runs over the same
 inputs therefore produce byte-identical bytes, which the fingerprint
 (sha256 over the canonical form of the parsed inputs) relies on.
 
-Both directions take one pass per matrix.  ``canonical_json`` renders a
-list of [float, float] pairs, the layout ``complex_pairs`` produces, with
-one finiteness check and one ``%`` over a fixed template; every other
-value goes through one scalar dispatch per type, and keys and strings go
-through ``json.encoder.encode_basestring_ascii``, the C encoder
-``json.dumps`` itself calls for a ``str``.  A pair list read from
-a file is checked for shape and type, converted by one ``np.array`` and
-checked for finiteness once; only a list that fails that is walked entry
-by entry, to name the first offending entry.
+The renderer returns the text of each value.  A list of numbers stays on
+one line.  Every other non-empty container (a dict, a list of
+[float, float] pairs, any other list) has one block layout: the opening
+bracket, one row per line one level in, and the closing bracket at the
+parent's indent.  A pair list, the layout ``complex_pairs`` produces,
+takes one pass per matrix: one finiteness check and one ``%`` over the
+block of row templates.  Scalars go through one dispatch per type, and
+keys and strings through ``json.encoder.encode_basestring_ascii``, the
+C encoder ``json.dumps`` itself calls for a ``str``.
+
+Parsing also takes one pass per matrix.  A pair list read from a file
+is checked for shape and type, converted by one ``np.array`` and checked
+for finiteness once; only a list that fails that is walked entry by
+entry, to name the first offending entry.
 """
 from __future__ import annotations
 
@@ -67,44 +72,32 @@ def _float_pairs(seq) -> tuple | None:
     return flat if set(map(type, flat)) == {float} else None
 
 
-def _render(value, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
+def _block(opening: str, rows, closing: str, indent: int) -> str:
+    """``rows`` one per line, one level in from ``indent``, between the two brackets."""
+    inner = "\n" + "  " * (indent + 1)
+    return opening + inner + ("," + inner).join(rows) + "\n" + "  " * indent + closing
+
+
+def _render(value, indent: int) -> str:
+    """JSON text of ``value``, whose closing bracket sits at ``indent`` levels."""
     if isinstance(value, dict):
         if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        items = list(value.items())
-        for i, (key, sub) in enumerate(items):
-            pieces.append("  " * (indent + 1))
-            pieces.append(encode_basestring_ascii(str(key)))
-            pieces.append(": ")
-            _render(sub, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(items) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            pieces.append("[]")
-            return
-        flat = _float_pairs(seq)
-        if flat is not None:
-            # one pass for the whole list; '%.17g' % x is format(x, ".17g")
-            _check_finite(flat)
-            row = "  " * (indent + 1) + "[%.17g, %.17g]"
-            pieces.append("[\n" + ",\n".join([row] * len(seq)) % flat + "\n" + pad + "]")
-            return
-        if all(issubclass(t, _NUMERIC) for t in set(map(type, seq))):
-            pieces.append("[" + ", ".join(map(_scalar, seq)) + "]")
-            return
-        pieces.append("[\n")
-        for i, sub in enumerate(seq):
-            pieces.append("  " * (indent + 1))
-            _render(sub, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(seq) else "\n")
-        pieces.append(pad + "]")
-    else:
-        pieces.append(_scalar(value))
+            return "{}"
+        rows = [encode_basestring_ascii(str(key)) + ": " + _render(sub, indent + 1)
+                for key, sub in value.items()]
+        return _block("{", rows, "}", indent)
+    if not isinstance(value, (list, tuple)):
+        return _scalar(value)
+    if not value:
+        return "[]"
+    flat = _float_pairs(value)
+    if flat is not None:
+        # one pass for the whole list; '%.17g' % x is format(x, ".17g")
+        _check_finite(flat)
+        return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % flat
+    if all(issubclass(t, _NUMERIC) for t in set(map(type, value))):
+        return "[" + ", ".join(map(_scalar, value)) + "]"
+    return _block("[", [_render(sub, indent + 1) for sub in value], "]", indent)
 
 
 @functools.singledispatch
@@ -142,9 +135,7 @@ def _(value) -> str:
 
 def canonical_json(value) -> str:
     """Render to the canonical byte-stable JSON form (no trailing newline)."""
-    pieces: list[str] = []
-    _render(value, 0, pieces)
-    return "".join(pieces)
+    return _render(value, 0)
 
 
 def fingerprint(value) -> str:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cryptoherm.linalg
-from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2
+from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
 from cryptoherm.cli import _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
@@ -397,6 +397,59 @@ def test_non_finite_or_overflowing_argument_is_usage(argv, files, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_SWEEP = ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0", "--b-im", "0"]
+
+
+def _swept(flag, value):
+    """The plain sweep argv with ``flag`` set to ``value``."""
+    argv = list(_SWEEP)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope"],
+        ["sweep"],
+        _swept("--model", "h3"),
+        _swept("--a", "abc"),
+        ["diagnose", "H", "P", "--bogus"],
+        ["diagnose", "H", "P", "--tol-rel", "-1"],
+        _swept("--b-re", "abc"),
+        _swept("--b-re", "1:2"),
+        ["hermitize", "P", "--theta", "scan:x"],
+        ["hermitize", "P", "--theta", "scan:0"],
+    ],
+    ids=["no-command", "unknown-command", "sweep-no-flags", "model", "a", "unknown-flag",
+         "tol-rel", "b-re-value", "b-re-form", "theta-scan-count", "theta-scan-zero"],
+)
+def test_refused_argument_is_one_error_line(argv, files, capsys):
+    argv = [{"H": files["h2.json"], "P": files["p2.json"]}.get(token, token) for token in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_metric_vanishing_overlap_exits_two_and_writes_nothing(files, capsys, tmp_path):
+    # <v_0|swap2|v_0> is exactly zero for build_h2(1, 0, 0.4j)
+    save_matrix(tmp_path / "swap2.json", swap2())
+    out_dir = tmp_path / "m"
+    code, out, err = run(capsys, "metric", files["h2.json"], str(tmp_path / "swap2.json"),
+                         "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: <v_0|P|v_0> = ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_bare_theta_scan_is_scan_64(files, capsys):
+    bare = run(capsys, "hermitize", files["p3.json"], "--theta", "scan")
+    assert bare[0] == 0
+    assert bare == run(capsys, "hermitize", files["p3.json"], "--theta", "scan:64")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import MatrixFileError, build_h3
@@ -321,6 +321,14 @@ def test_key_and_string_encoding_matches_json_dumps(text):
 
 @settings(max_examples=300, deadline=None)
 @given(reports)
+# every renderer branch, on every run: empty containers, a tuple of dicts,
+# one pair, pairs nested next to a string, and near-pairs on the general path
+@example({"a": {}, "b": [], "c": [[]]})
+@example(({"x": 1}, {"y": [2.5, None]}))
+@example([[0.5, -0.0]])
+@example(["s", [[0.5, -1.5], [1e-310, 2.0]]])
+@example([[1.0, 2]])
+@example([[True, 1.0]])
 def test_canonical_json_matches_reference(value):
     assert canonical_json(value) == _ref_canonical_json(value)
 
