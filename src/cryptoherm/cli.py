@@ -21,6 +21,19 @@ The argument parser is built once per process, at import; ``main`` only
 parses and dispatches.  The commands load, call the library and render:
 what a diagnosis finds and whether it holds is decided in
 ``symmetry.diagnose``; only the exit codes, the CLI's contract, live here.
+
+numpy is imported only by the commands that use it.  At module scope
+this file imports the standard library, the ``cryptoherm`` package
+itself (which loads nothing until a library name is read from it),
+``errors`` and ``models.sweep_h2``, none of which loads numpy, so
+``sweep``, ``--help`` and a usage error run without it.  ``diagnose``,
+``metric`` and ``hermitize`` and the report helpers they share reach the
+library as ``cryptoherm.<module>.<name>``: the first such read imports
+the library and numpy, and every later one is a dictionary lookup, with
+no import statement run per call.  ``sweep`` builds its axes and prints
+its CSV in pure Python: a ``MIN:MAX:STEPS`` axis repeats
+``np.linspace``'s float operations point for point, and every value is
+formatted with ``%.17g``, which is ``io.format_float`` of a finite float.
 """
 from __future__ import annotations
 
@@ -31,11 +44,10 @@ from contextlib import contextmanager
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+import cryptoherm
 
-from . import io
-from .biortho import renormalize, solve_biorthogonal
 from .errors import (
     CryptoHermError,
     DimensionMismatch,
@@ -46,21 +58,16 @@ from .errors import (
     VanishingOverlap,
     ZeroKappa,
 )
-# cli no longer calls eig; the name stays bound because bench/test_bench.py's
-# tracer test checks that the cryptoherm.cli.eig binding is wrapped
-from .linalg import Tolerance, eig, frobenius  # noqa: F401
-from .metric import build_bundle, involutive_normalization, nonreal_warnings
-from .models import PseudoMetric, _rotation, hermitian_sum, sweep_h2
-from .symmetry import SymmetryVerdict, diagnose
+from .models import sweep_h2
+
+if TYPE_CHECKING:
+    from .linalg import Tolerance
 
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
 
 #: number of scan points when --theta scan is given without a count
 DEFAULT_SCAN_POINTS = 64
-
-#: a verdict renders as a dict of these, in this order
-_VERDICT_FIELDS = tuple(f.name for f in fields(SymmetryVerdict))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tol(args) -> Tolerance:
     try:
-        return Tolerance(rel=args.tol_rel, abs=args.tol_abs)
+        return cryptoherm.linalg.Tolerance(rel=args.tol_rel, abs=args.tol_abs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _load_pair(args):
-    h = io.load_matrix(args.hamiltonian)
-    p = io.load_matrix(args.pseudometric)
+    h = cryptoherm.io.load_matrix(args.hamiltonian)
+    p = cryptoherm.io.load_matrix(args.pseudometric)
     if h.shape != p.shape:
         raise MatrixFileError(
             f"dimension mismatch: H is {h.shape[0]}x{h.shape[0]}, "
@@ -151,9 +158,9 @@ def _load_pair(args):
 
 def _metric_payload(system, bundle) -> dict:
     return {
-        "kappa": io.complex_pairs(system.kappa),
-        "quasiparity_coeffs": io.complex_pairs(bundle.coeffs.q),
-        "charge_coeffs": io.complex_pairs(bundle.coeffs.c),
+        "kappa": cryptoherm.io.complex_pairs(system.kappa),
+        "quasiparity_coeffs": cryptoherm.io.complex_pairs(bundle.coeffs.q),
+        "charge_coeffs": cryptoherm.io.complex_pairs(bundle.coeffs.c),
         "theta_min_eigenvalue": float(bundle.theta_eigenvalues[0]),
         "residuals": {k: float(v) for k, v in bundle.residuals.items()},
         "factorizations_hold": bundle.factorizations_hold,
@@ -165,7 +172,7 @@ def _report_head(command: str, tol: Tolerance, **operands) -> dict:
     return {
         "schema": 1,
         "command": command,
-        "model_fingerprint": io.fingerprint(operands),
+        "model_fingerprint": cryptoherm.io.fingerprint(operands),
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
     }
 
@@ -182,7 +189,7 @@ def _out_dir(path: str):
 
 
 def _emit_report(report: dict, out_dir: str | None) -> None:
-    text = io.canonical_json(report)
+    text = cryptoherm.io.canonical_json(report)
     # written before printing, so a directory that cannot take it leaves stdout empty
     if out_dir is not None:
         with _out_dir(out_dir) as directory:
@@ -195,20 +202,21 @@ def _verdict_rows(verdicts) -> list[dict]:
 
     Shallow: asdict would deep-copy each detail mapping only for it to be rendered.
     """
-    return [{name: getattr(v, name) for name in _VERDICT_FIELDS} for v in verdicts]
+    names = [f.name for f in fields(cryptoherm.symmetry.SymmetryVerdict)]
+    return [{name: getattr(v, name) for name in names} for v in verdicts]
 
 
 def cmd_diagnose(args) -> int:
     tol = _tol(args)
     h, p = _load_pair(args)
-    found = diagnose(h, p, tol)
+    found = cryptoherm.symmetry.diagnose(h, p, tol)
 
-    report = _report_head("diagnose", tol, hamiltonian=io.matrix_to_payload(h),
-                          pseudometric=io.matrix_to_payload(p))
+    report = _report_head("diagnose", tol, hamiltonian=cryptoherm.io.matrix_to_payload(h),
+                          pseudometric=cryptoherm.io.matrix_to_payload(p))
     report["spectrum"] = {
-        "values": io.complex_pairs(found.eigenvalues),
+        "values": cryptoherm.io.complex_pairs(found.eigenvalues),
         "all_real": found.all_real,
-        "max_imag": float(np.max(np.abs(found.eigenvalues.imag))),
+        "max_imag": float(abs(found.eigenvalues.imag).max()),
     }
     report["verdicts"] = _verdict_rows(found.verdicts)
     report["metric"] = None if found.bundle is None else _metric_payload(found.system, found.bundle)
@@ -223,40 +231,42 @@ def cmd_diagnose(args) -> int:
 def cmd_metric(args) -> int:
     tol = _tol(args)
     h, p = _load_pair(args)
-    pm = PseudoMetric.from_matrix(p, tol)
+    pm = cryptoherm.models.PseudoMetric.from_matrix(p, tol)
     # refused before anything is written, as diagnose refuses it
     pm.check_condition()
 
-    system = solve_biorthogonal(h, tol)
+    system = cryptoherm.biortho.solve_biorthogonal(h, tol)
     involutive = args.kappa == "involutive"
     kappa_tag = args.kappa  # None or "involutive"; a kappa file is reported by its pairs
 
     if involutive:
-        _, system = involutive_normalization(system, pm)
+        _, system = cryptoherm.metric.involutive_normalization(system, pm)
     elif args.kappa is not None:
-        kappa = io.load_kappa(args.kappa, system.dim)
-        kappa_tag = io.complex_pairs(kappa)
-        system = renormalize(system, kappa)
+        kappa = cryptoherm.io.load_kappa(args.kappa, system.dim)
+        kappa_tag = cryptoherm.io.complex_pairs(kappa)
+        system = cryptoherm.biortho.renormalize(system, kappa)
 
-    bundle = build_bundle(system, pm)
+    bundle = cryptoherm.metric.build_bundle(system, pm)
 
     with _out_dir(args.out_dir) as out_dir:
-        io.save_matrix(out_dir / "theta.json", bundle.theta)
-        io.save_matrix(out_dir / "q.json", bundle.quasiparity)
-        io.save_matrix(out_dir / "c.json", bundle.charge)
+        cryptoherm.io.save_matrix(out_dir / "theta.json", bundle.theta)
+        cryptoherm.io.save_matrix(out_dir / "q.json", bundle.quasiparity)
+        cryptoherm.io.save_matrix(out_dir / "c.json", bundle.charge)
 
-    report = _report_head("metric", tol, hamiltonian=io.matrix_to_payload(h),
-                          pseudometric=io.matrix_to_payload(p), kappa=kappa_tag)
+    report = _report_head("metric", tol, hamiltonian=cryptoherm.io.matrix_to_payload(h),
+                          pseudometric=cryptoherm.io.matrix_to_payload(p), kappa=kappa_tag)
     report["metric"] = _metric_payload(system, bundle)
     report["files"] = ["theta.json", "q.json", "c.json"]
 
     if involutive:
+        import numpy as np
+
         n = system.dim
-        q2 = frobenius(bundle.quasiparity @ bundle.quasiparity - np.eye(n))
-        c2 = frobenius(bundle.charge @ bundle.charge - np.eye(n))
+        q2 = cryptoherm.linalg.frobenius(bundle.quasiparity @ bundle.quasiparity - np.eye(n))
+        c2 = cryptoherm.linalg.frobenius(bundle.charge @ bundle.charge - np.eye(n))
         report["involutive"] = {
             "applied": True,
-            "kappa": io.complex_pairs(system.kappa),
+            "kappa": cryptoherm.io.complex_pairs(system.kappa),
             "q_squared_residual": float(q2),
             "c_squared_residual": float(c2),
             "holds": bool(max(q2, c2) <= INVOLUTIVITY_TOL),
@@ -264,43 +274,63 @@ def cmd_metric(args) -> int:
     else:
         report["involutive"] = {"applied": False}
 
-    report["warnings"] = nonreal_warnings(bundle.coeffs.q)
+    report["warnings"] = cryptoherm.metric.nonreal_warnings(bundle.coeffs.q)
     _emit_report(report, None)
 
     holds = bundle.factorizations_hold and (not involutive or report["involutive"]["holds"])
     return EXIT_OK if holds else EXIT_VERDICT
 
 
-def _finite(name: str, values):
+def _finite(name: str, values: list[float]) -> list[float]:
     """``values`` unchanged, or a usage error when any is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
+    if not all(map(math.isfinite, values)):
         raise _UsageError(f"{name}: values must be finite")
     return values
 
 
-def _parse_axis(expr: str, name: str) -> np.ndarray:
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """``np.linspace(lo, hi, steps)`` as floats, with the same float operations.
+
+    Point i is i * step + lo with step = (hi - lo) / (steps - 1); when step
+    underflows to zero, numpy takes (i / (steps - 1)) * (hi - lo) + lo
+    instead, and the last point is ``hi`` itself.  Python's float
+    arithmetic never raises here: a span beyond float64 gives inf and NaN
+    points, as numpy's does.
+    """
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + lo for i in range(steps)]
+    else:
+        points = [i * step + lo for i in range(steps)]
+    points[-1] = hi
+    return points
+
+
+def _parse_axis(expr: str, name: str) -> list[float]:
     parts = expr.split(":")
     try:
         if len(parts) == 1:
-            return _finite(name, np.array([float(parts[0])]))
+            return _finite(name, [float(parts[0])])
         if len(parts) == 3:
             lo, hi = float(parts[0]), float(parts[1])
             steps = int(parts[2])
             if steps < 2:
                 raise _UsageError(f"{name}: steps must be >= 2, got {steps}")
             # a non-finite end, or MAX - MIN beyond float64, shows up as NaN/inf points
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _finite(name, np.linspace(lo, hi, steps))
+            return _finite(name, _linspace(lo, hi, steps))
     except ValueError as exc:
         raise _UsageError(f"{name}: cannot parse {expr!r} ({exc})") from exc
     raise _UsageError(f"{name}: expected V or MIN:MAX:STEPS, got {expr!r}")
 
 
 def cmd_sweep(args) -> int:
-    a, d = _finite("--a", args.a), _finite("--d", args.d)
+    (a,), (d,) = _finite("--a", [args.a]), _finite("--d", [args.d])
     re_axis = _parse_axis(args.b_re, "--b-re")
     im_axis = _parse_axis(args.b_im, "--b-im")
-    grid = list(product(map(io.format_float, re_axis), map(io.format_float, im_axis)))
+    # every axis value is finite, so '%.17g' % x is io.format_float(x)
+    grid = list(product(["%.17g" % x for x in re_axis], ["%.17g" % x for x in im_axis]))
     # every row is computed before any is written, so a refused point prints nothing
     values: list = []
     try:
@@ -331,25 +361,25 @@ def _parse_theta(expr: str) -> list[float]:
             return _finite("--theta", [float(x) for x in expr.split(",")])
         except ValueError as exc:
             raise _UsageError(f"--theta: cannot parse {expr!r}") from exc
-    return [2.0 * np.pi * k / count for k in range(count)]
+    return [2.0 * math.pi * k / count for k in range(count)]
 
 
 def cmd_hermitize(args) -> int:
     tol = _tol(args)
-    p = io.load_matrix(args.pseudometric)
+    p = cryptoherm.io.load_matrix(args.pseudometric)
     thetas = _parse_theta(args.theta)
     warnings: list[str] = []
 
-    summed = hermitian_sum(p, tol)
+    summed = cryptoherm.models.hermitian_sum(p, tol)
     if not summed.invertible:
         warnings.append("singular Hermitian partner: P + adjoint(P)")
 
     rotations = []
     for theta in thetas:
-        rotated = _rotation(p, theta, tol)
+        rotated = cryptoherm.models._rotation(p, theta, tol)
         if not rotated.invertible:
             warnings.append(
-                f"singular Hermitian partner at theta = {io.format_float(theta)}"
+                f"singular Hermitian partner at theta = {cryptoherm.io.format_float(theta)}"
             )
         rotations.append(
             {
@@ -359,7 +389,7 @@ def cmd_hermitize(args) -> int:
             }
         )
 
-    report = _report_head("hermitize", tol, pseudometric=io.matrix_to_payload(p))
+    report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_to_payload(p))
     report["sum"] = {
         "smallest_singular_value": summed.smallest_singular_value,
         "invertible": summed.invertible,
@@ -394,6 +424,14 @@ def _attach_option_values(argv: list[str]) -> list[str]:
 
 #: parse_args returns a fresh namespace on every call, so one parser serves them all
 _PARSER = build_parser()
+
+
+# cli never calls eig; the name stays reachable because bench/test_bench.py's
+# tracer test checks that cryptoherm.cli.eig is the wrapped linalg.eig
+def __getattr__(name: str):
+    if name == "eig":
+        return cryptoherm.linalg.eig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

@@ -20,25 +20,25 @@ validate each argument once and call it for one point; ``sweep_h2``
 validates a and d once, computes (a - d)^2 and |a| + |d| once, and calls
 it once for every point of a grid, with the same float operations and
 therefore the same bits as ``classify_h2``.
+
+The module imports neither numpy nor ``linalg`` at load time, so the
+h2 kernel (and a ``sweep`` child that needs nothing else) runs without
+them.  The matrix builders and ``PseudoMetric`` import both inside the
+function that needs them; once loaded, such an import is a dictionary
+lookup, well under the cost of the numpy work that follows it.  ``tol``
+defaults to ``linalg.DEFAULT_TOL`` wherever it is left out.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Literal
 
 from .errors import SingularMatrix
-from .linalg import (
-    ComplexMatrix,
-    DEFAULT_TOL,
-    Tolerance,
-    _hermitian,
-    as_complex_matrix,
-    frobenius,
-)
+
+if TYPE_CHECKING:
+    from .linalg import ComplexMatrix, Tolerance
 
 DomainTag = Literal["interior", "exterior", "boundary"]
 
@@ -123,6 +123,8 @@ def _h2_point(
 
 def build_h2(a, d, b) -> ComplexMatrix:
     """Two-level model matrix [[a, b], [-conj(b), d]]."""
+    import numpy as np
+
     ar, dr, bc = _h2_params(a, d, b)
     return np.array([[ar, bc], [-np.conj(bc), dr]], dtype=np.complex128)
 
@@ -178,11 +180,15 @@ def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:
 
 def parity2() -> ComplexMatrix:
     """diag(1, -1), the self-adjoint two-level candidate."""
+    import numpy as np
+
     return np.diag([1.0 + 0j, -1.0 + 0j])
 
 
 def swap2() -> ComplexMatrix:
     """[[0, 1], [1, 0]], the off-diagonal two-level candidate."""
+    import numpy as np
+
     return np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
@@ -192,6 +198,8 @@ def cyclic_p(n: int) -> ComplexMatrix:
     Unitary but not self-adjoint for n >= 3, with inverse equal to its
     adjoint and order n.
     """
+    import numpy as np
+
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"cyclic size must be an integer >= 2, got {n!r}")
     p = np.zeros((n, n), dtype=np.complex128)
@@ -203,6 +211,8 @@ def cyclic_p(n: int) -> ComplexMatrix:
 
 def build_h3(a, b) -> ComplexMatrix:
     """Cyclic three-level matrix [[a, b, b*], [b*, a, b], [b, b*, a]]."""
+    import numpy as np
+
     ar = _real_scalar(a, "a")
     bc = _complex_scalar(b, "b")
     bb = np.conj(bc)
@@ -273,6 +283,8 @@ class PseudoMetric:
     @cached_property
     def inverse(self) -> ComplexMatrix:
         """inverse(P), refused with SingularMatrix unless ``invertible``."""
+        import numpy as np
+
         self.check_condition()
         try:
             return np.linalg.inv(self.matrix)
@@ -280,12 +292,17 @@ class PseudoMetric:
             raise SingularMatrix(f"inversion failed: {exc}") from exc
 
     @classmethod
-    def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
-        a = as_complex_matrix(m, "pseudometric")
+    def from_matrix(cls, m, tol: Tolerance | None = None) -> "PseudoMetric":
+        import numpy as np
+
+        from . import linalg
+
+        tol = linalg.DEFAULT_TOL if tol is None else tol
+        a = linalg.as_complex_matrix(m, "pseudometric")
         sv = np.linalg.svd(a, compute_uv=False)
         return cls(
             matrix=a,
-            self_adjoint=_hermitian(a, frobenius(a), tol),
+            self_adjoint=linalg._hermitian(a, linalg.frobenius(a), tol),
             smallest_singular_value=float(sv[-1]),
             # np.linalg.cond also reports inf for a singular matrix
             condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),
@@ -293,17 +310,19 @@ class PseudoMetric:
         )
 
 
-def hermitian_sum(p, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
+def hermitian_sum(p, tol: Tolerance | None = None) -> PseudoMetric:
     """Self-adjoint combination P + adjoint(P).
 
     Always Hermitian; singular whenever the candidate has an eigenvalue
     on the imaginary axis (the 4-cycle shift is the canonical example).
     """
-    a = as_complex_matrix(p, "pseudometric")
+    from . import linalg
+
+    a = linalg.as_complex_matrix(p, "pseudometric")
     return PseudoMetric.from_matrix(a + a.conj().T, tol)
 
 
-def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
+def hermitian_rotation(p, theta, tol: Tolerance | None = None) -> PseudoMetric:
     """Self-adjoint one-parameter family i*(P e^{i theta} - P* e^{-i theta}).
 
     For a self-adjoint candidate this degenerates to -2 sin(theta) P at
@@ -311,10 +330,15 @@ def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     -2 sin(theta - 2 pi k / n), so the family is singular exactly when
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
-    return _rotation(as_complex_matrix(p, "pseudometric"), _real_scalar(theta, "theta"), tol)
+    from . import linalg
+
+    a = linalg.as_complex_matrix(p, "pseudometric")
+    return _rotation(a, _real_scalar(theta, "theta"), tol)
 
 
-def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance) -> PseudoMetric:
+def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance | None) -> PseudoMetric:
     # hermitian_rotation of a trusted array at a validated real angle
+    import numpy as np
+
     phase = np.exp(1j * theta)
     return PseudoMetric.from_matrix(1j * (a * phase - a.conj().T * np.conj(phase)), tol)

@@ -1,10 +1,14 @@
 """The package surface stays in step with the code.
 
 ``__all__``, the README's library table and the README's python examples,
-and the operand checks every public matrix entry point makes.
+the operand checks every public matrix entry point makes, the lazy
+package namespace, and which commands start without numpy.
 """
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,21 @@ ROWS = _library_rows()
 
 def test_every_exported_name_resolves():
     assert [name for name in cryptoherm.__all__ if not hasattr(cryptoherm, name)] == []
+
+
+def test_every_exported_name_is_listed_by_dir():
+    assert [name for name in cryptoherm.__all__ if name not in dir(cryptoherm)] == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from cryptoherm import *", namespace)
+    assert [name for name in cryptoherm.__all__ if name not in namespace] == []
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'nope'"):
+        cryptoherm.nope  # noqa: B018
 
 
 def test_readme_table_covers_the_modules():
@@ -109,3 +128,69 @@ def test_public_entry_refuses_a_bad_operand(call, bad):
         call(matrix)
     assert type(info.value) is error
     assert words in str(info.value)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: ``python -m cryptoherm.cli ARGS`` (runpy is what -m runs)
+AS_MAIN = """
+import runpy
+try:
+    runpy.run_module("cryptoherm.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+"""
+#: the console script, which calls ``cryptoherm.cli.main``
+CONSOLE_SCRIPT = """
+from cryptoherm.cli import main
+code = main(sys.argv[1:])
+"""
+SWEEP = ["sweep", "--model", "h2", "--a", "0.7", "--d", "-0.3", "--b-re", "-1:1:5",
+         "--b-im", "-1:1:5"]
+
+
+def _child(code: str, *args: str) -> tuple[int, bool]:
+    """(exit code, whether numpy is in sys.modules) of ``code`` run in a fresh interpreter."""
+    probe = "import sys\n" + code + "\nprint(code, 'numpy' in sys.modules)\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    exit_code, loaded = done.stdout.splitlines()[-1].split()
+    return int(exit_code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "code, args, exit_code",
+    [
+        (AS_MAIN, SWEEP, 0),
+        (CONSOLE_SCRIPT, SWEEP, 0),
+        (AS_MAIN, ["--help"], 0),
+        (AS_MAIN, ["sweep", "--model", "h3"], 1),
+        ("import cryptoherm\ncode = 0", [], 0),
+    ],
+    ids=["python-m-sweep", "main-sweep", "help", "usage-error", "import-cryptoherm"],
+)
+def test_child_runs_without_numpy(code, args, exit_code):
+    assert _child(code, *args) == (exit_code, False)
+
+
+def test_diagnose_child_imports_numpy(tmp_path):
+    # the positive control: the probe does see numpy when a command loads it
+    for name, matrix in [("h.json", cryptoherm.build_h2(1.0, 0.0, 0.4j)),
+                         ("p.json", cryptoherm.parity2())]:
+        cryptoherm.io.save_matrix(tmp_path / name, matrix)
+    assert _child(AS_MAIN, "diagnose", str(tmp_path / "h.json"), str(tmp_path / "p.json")) \
+        == (0, True)
+
+
+def test_package_binds_each_name_from_its_home_module():
+    # biortho holds its own binding of eig; the package's comes from linalg,
+    # so a different object under biortho.eig must not reach cryptoherm.eig
+    code = """
+import cryptoherm.biortho
+cryptoherm.biortho.eig = object()
+import cryptoherm
+code = int(cryptoherm.eig is cryptoherm.linalg.eig)
+"""
+    assert _child(code) == (1, True)

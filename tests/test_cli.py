@@ -5,16 +5,17 @@ import io
 import itertools
 import json
 import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
-from cryptoherm.cli import _verdict_rows, main
+from cryptoherm.cli import _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
 from conftest import count_calls
@@ -743,6 +744,36 @@ def test_sweep_rows_match_classify_h2(a, d, re_axis, im_axis):
         assert got == (1, "", refused)
     else:
         assert got == (0, "\n".join(expected) + "\n", "")
+
+
+#: any float64, NaN and the infinities included, from a random 64-bit pattern
+_ANY_FLOAT = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=st.one_of(st.floats(), _ANY_FLOAT), hi=st.one_of(st.floats(), _ANY_FLOAT),
+       steps=st.integers(min_value=2, max_value=40))
+@example(lo=5e-324, hi=1e-323, steps=3)  # the step underflows to 0: numpy's denormal branch
+@example(lo=3.0, hi=-3.0, steps=9)  # reversed range
+@example(lo=0.0, hi=0.0, steps=4)
+@example(lo=-1e308, hi=1e308, steps=5)  # hi - lo overflows: NaN and inf points
+def test_axis_is_np_linspace_bit_for_bit(lo, hi, steps):
+    # the sweep's MIN:MAX:STEPS axis needs no numpy, and must not move one bit from it
+    expr = f"{lo!r}:{hi!r}:{steps}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(lo, hi, steps)
+    if np.isfinite(expected).all():
+        assert np.array(_parse_axis(expr, "--b-re")).tobytes() == expected.tobytes()
+        return
+    with pytest.raises(_UsageError):
+        _parse_axis(expr, "--b-re")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--model", "h2", "--a", "1", "--d", "0", f"--b-re={expr}",
+                     "--b-im", "0"])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "error: --b-re: values must be finite\n")
 
 
 class TestHermitize:
