@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -85,6 +86,22 @@ class _Parser(argparse.ArgumentParser):
     # so usage failures are turned into exceptions handled in main()
     def error(self, message):
         raise _UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops a lone "--" given as a value (--a=--) and would hand
+        # the command an unchecked empty list where one value was due
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and value == []:
+            raise argparse.ArgumentError(action, "expected a value, got '--'")
+        return value
+
+    def _print_message(self, message, file=None):
+        # argparse ignores a failed write of --help's text; a closed stdout
+        # must reach main's error line instead of failing again at exit
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -438,7 +455,16 @@ def main(argv=None) -> int:
     argv = _attach_option_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a pipe buffers the output until here, so a closed one shows up inside main
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's own flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except (_UsageError, MatrixFileError, DimensionMismatch, ZeroKappa) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

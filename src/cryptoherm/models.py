@@ -21,6 +21,15 @@ validates a and d once, computes (a - d)^2 and |a| + |d| once, and calls
 it once for every point of a grid, with the same float operations and
 therefore the same bits as ``classify_h2``.
 
+Validation (``_h2_params``) has a fast path for the common call: a and d
+of type ``float`` exactly, b of type ``complex`` exactly, all four parts
+finite.  Such a triple is already what the coercion returns, so it is
+used as given.  Everything else takes the general coercion: ints, bools,
+strings, and numpy scalars (subclasses of float and complex, never the
+exact types), which yields the same values, refusals and messages.
+``classify_h2`` builds its ``DomainClass`` through ``_domain_class``,
+which skips the frozen ``__init__``; the instance is the same.
+
 The module imports neither numpy nor ``linalg`` at load time, so the
 h2 kernel (and a ``sweep`` child that needs nothing else) runs without
 them.  The matrix builders and ``PseudoMetric`` import both inside the
@@ -66,6 +75,10 @@ def _complex_scalar(x, name: str) -> complex:
 
 
 def _h2_params(a, d, b) -> tuple[float, float, complex]:
+    # a finite float, float, complex triple is already what the coercion returns
+    if (type(a) is float and type(d) is float and type(b) is complex and math.isfinite(a)
+            and math.isfinite(d) and math.isfinite(b.real) and math.isfinite(b.imag)):
+        return a, d, b
     return _real_scalar(a, "a"), _real_scalar(d, "d"), _complex_scalar(b, "b")
 
 
@@ -76,6 +89,19 @@ class DomainClass:
     tag: DomainTag
     discriminant: float
     boundary_band: float
+
+
+def _domain_class(tag: DomainTag, discriminant: float, boundary_band: float) -> DomainClass:
+    """``DomainClass(tag, discriminant, boundary_band)`` without the frozen ``__init__``.
+
+    That ``__init__`` stores each field through ``object.__setattr__``;
+    this fills the instance ``__dict__`` directly, in field order, so
+    ``vars()``, repr, ``==`` and hash are those of the keyword-built one.
+    """
+    dc = object.__new__(DomainClass)
+    fields = dc.__dict__
+    fields["tag"], fields["discriminant"], fields["boundary_band"] = tag, discriminant, boundary_band
+    return dc
 
 
 # The h2 kernel uses CPython's ``**`` and ``abs(complex)`` on Python floats:
@@ -155,7 +181,7 @@ def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
     disc, tag, band = _h2_point(diff2, sum_ad, abs(bc), band)
     if not band >= 0:  # NaN too
         raise ValueError("boundary_band must be non-negative")
-    return DomainClass(tag=tag, discriminant=disc, boundary_band=band)
+    return _domain_class(tag, disc, band)
 
 
 def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:

@@ -5,8 +5,12 @@ import io
 import itertools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
-from cryptoherm.cli import _parse_axis, _UsageError, _verdict_rows, main
+from cryptoherm.cli import _PARSER, _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
 from conftest import count_calls
@@ -434,6 +438,50 @@ def test_refused_argument_is_one_error_line(argv, files, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _every_option():
+    """(command, option) for every option of every command but --help, read off the parser."""
+    commands = next(action.choices for action in _PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [pytest.param(command, action.option_strings[-1], id=command + action.option_strings[-1])
+            for command, parser in commands.items()
+            for action in parser._actions if action.option_strings[-1:] not in ([], ["--help"])]
+
+
+@pytest.mark.parametrize("command,option", _every_option())
+def test_lone_double_dash_value_is_one_error_line(command, option, files, capsys, tmp_path):
+    # Python 3.11's argparse drops the "--" and would pass the command an empty list
+    argv = {"diagnose": ["diagnose", files["h2.json"], files["p2.json"]],
+            "metric": ["metric", files["h2.json"], files["p2.json"], "--out-dir", str(tmp_path)],
+            "sweep": list(_SWEEP),
+            "hermitize": ["hermitize", files["p2.json"]]}[command]
+    code, out, err = run(capsys, *argv, f"{option}=--")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {option}: expected a value, got '--'\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["diagnose", "H", "P"], _SWEEP, ["--help"]],
+                         ids=["diagnose", "sweep", "help"])
+def test_closed_stdout_is_one_error_line(argv, unbuffered, files):
+    # buffered, the output first meets the closed pipe at the flush in main;
+    # unbuffered, at the write itself
+    argv = [{"H": files["h2.json"], "P": files["p2.json"]}.get(token, token) for token in argv]
+    src = str(Path(cryptoherm.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte
+    try:
+        done = subprocess.run([sys.executable, "-m", "cryptoherm.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_metric_vanishing_overlap_exits_two_and_writes_nothing(files, capsys, tmp_path):

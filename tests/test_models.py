@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import (
+    DomainClass,
     PseudoMetric,
     SingularMatrix,
     Tolerance,
@@ -21,7 +25,7 @@ from cryptoherm import (
     swap2,
     sweep_h2,
 )
-from cryptoherm.models import CONDITION_CAP
+from cryptoherm.models import CONDITION_CAP, _h2_params
 from conftest import sample_h2_params_any, sample_h3_params
 
 
@@ -85,6 +89,55 @@ class TestClassify:
     def test_nan_band_refused(self):
         with pytest.raises(ValueError, match="boundary_band must be non-negative"):
             classify_h2(1.0, 0.0, 0.4j, boundary_band=math.nan)
+
+
+def _h2_outcome(f, a, d, b):
+    """f(a, d, b) with every float as float.hex, or the type and message it raised."""
+    try:
+        value = f(a, d, b)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, DomainClass):
+        return value.tag, value.discriminant.hex(), value.boundary_band.hex()
+    return value.hex()
+
+
+def _as_numpy(a, d, b):
+    # numpy scalars subclass float and complex, so they take the general coercion
+    return np.float64(a), np.float64(d), np.complex128(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       d=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_h2_fast_path_is_the_general_path_bit_for_bit(a, d, b):
+    assert all(x is y for x, y in zip(_h2_params(a, d, b), (a, d, b)))  # the fast path
+    for f in (classify_h2, discriminant_h2):
+        assert _h2_outcome(f, a, d, b) == _h2_outcome(f, *_as_numpy(a, d, b))
+
+
+@pytest.mark.parametrize(
+    "a,d,b",
+    [(math.nan, 0.0, 0.4j), (1.0, -math.inf, 0.4j), (1.0, 0.0, complex(math.nan, 0.4)),
+     (1.0, 0.0, complex(0.0, math.inf)), (1e308, -1e308, 0j), (1.0, 0.0, 1e308j)],
+    ids=["nan-a", "inf-d", "nan-b", "inf-b", "diff-overflows", "b-squared-overflows"],
+)
+def test_h2_refusals_are_the_same_on_both_paths(a, d, b):
+    for f in (classify_h2, discriminant_h2):
+        refused = _h2_outcome(f, a, d, b)
+        assert refused[0] in (ValueError, OverflowError)
+        assert refused == _h2_outcome(f, *_as_numpy(a, d, b))
+
+
+def test_classify_h2_returns_the_frozen_dataclass():
+    dc = classify_h2(1.0, 0.0, 0.4j)
+    built = DomainClass(tag=dc.tag, discriminant=dc.discriminant, boundary_band=dc.boundary_band)
+    assert type(dc) is DomainClass
+    assert (dc == built, hash(dc), repr(dc)) == (True, hash(built), repr(built))
+    assert list(vars(dc).items()) == list(vars(built).items())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dc.tag = "exterior"
 
 
 def test_parity2_and_swap2_displays():
@@ -266,6 +319,9 @@ class TestHermitianRotation:
         (1.0, 0.0, [0.0, 1e200, 1.0], [0.0]),  # 4|b|^2 overflows at the second point
         (1e200, -1e200, [0.0, 1.0], [0.0]),  # (a - d)^2 overflows at every point
         (1e200, -1e200, [], [0.0]),  # ... and a grid with no points refuses none
+        # classify_h2 takes the general coercion for these a and d, the fast path above
+        (np.float64(0.7), np.float64(-0.3), np.linspace(-1.0, 1.0, 5), [-0.0, 0.5]),
+        (1, 0, [0, 0.5], [0.5, 1]),
     ],
 )
 def test_sweep_h2_is_classify_h2_row_major(a, d, re_axis, im_axis):
