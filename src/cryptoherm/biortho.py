@@ -187,7 +187,9 @@ def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:
 
     The returned system keeps biorthonormality exactly (each bra still
     carries the inverse of its ket's factor) and records the cumulative
-    coefficients; energies are untouched.
+    coefficients; energies are untouched.  The coefficients divide by
+    |kappa_n|^2, so a cumulative kappa_n whose |kappa_n|^2 or
+    1/|kappa_n|^2 leaves float64 raises ZeroKappa naming the level.
     """
     k = np.asarray(kappa, dtype=np.complex128)
     if k.shape != (system.dim,):
@@ -198,9 +200,18 @@ def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:
         raise ZeroKappa("kappa contains non-finite entries")
     if np.any(k == 0):
         raise ZeroKappa("kappa contains zero entries")
+    with np.errstate(over="ignore", divide="ignore"):
+        cumulative = system.kappa * k
+        weight = np.abs(cumulative) ** 2
+        out_of_range = np.flatnonzero(~(np.isfinite(weight) & np.isfinite(1.0 / weight)))
+    if out_of_range.size:
+        n = int(out_of_range[0])
+        raise ZeroKappa(
+            f"|kappa_{n}| = {abs(cumulative[n]):.3e}: |kappa_{n}|^2 or its inverse leaves float64"
+        )
     return replace(
         system,
         right=system.right * k[None, :],
         left=system.left / np.conj(k)[None, :],
-        kappa=system.kappa * k,
+        kappa=cumulative,
     )

@@ -246,6 +246,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    import numpy as np
+
     tol = _tol(args)
     h, p = _load_pair(args)
     pm = cryptoherm.models.PseudoMetric.from_matrix(p, tol)
@@ -263,7 +265,13 @@ def cmd_metric(args) -> int:
         kappa_tag = cryptoherm.io.complex_pairs(kappa)
         system = cryptoherm.biortho.renormalize(system, kappa)
 
-    bundle = cryptoherm.metric.build_bundle(system, pm)
+    # an operator that leaves float64 is refused below, without numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        bundle = cryptoherm.metric.build_bundle(system, pm)
+    parts = (bundle.theta, bundle.quasiparity, bundle.charge, bundle.coeffs.q,
+             list(bundle.residuals.values()))
+    if not all(np.isfinite(part).all() for part in parts):
+        raise _UsageError("metric operators leave float64: theta, Q, C or a residual is not finite")
 
     with _out_dir(args.out_dir) as out_dir:
         cryptoherm.io.save_matrix(out_dir / "theta.json", bundle.theta)
@@ -276,8 +284,6 @@ def cmd_metric(args) -> int:
     report["files"] = ["theta.json", "q.json", "c.json"]
 
     if involutive:
-        import numpy as np
-
         n = system.dim
         q2 = cryptoherm.linalg.frobenius(bundle.quasiparity @ bundle.quasiparity - np.eye(n))
         c2 = cryptoherm.linalg.frobenius(bundle.charge @ bundle.charge - np.eye(n))

@@ -250,37 +250,61 @@ def build_h3(a, b) -> ComplexMatrix:
 
 @dataclass(frozen=True)
 class PseudoMetric:
-    """A candidate intertwiner together with its structural verdicts.
+    """A candidate intertwiner, with its structural verdicts computed on first read.
 
-    ``matrix`` is the candidate itself; the flags record which of the
-    properties a well-behaved candidate may (but need not) enjoy were
-    actually verified at construction time.  ``hermitian_sum`` can
-    legitimately produce a singular matrix, so ``invertible`` is a
-    reported fact rather than an invariant.
-
-    The candidate's one SVD is taken in ``from_matrix``: it gives
-    ``smallest_singular_value``, ``condition`` (sv_max / sv_min, bit
-    for bit ``np.linalg.cond``) and ``negligible`` (sv_max is within
+    ``matrix`` is the candidate itself and ``tol`` the tolerance its
+    verdicts use; ``from_matrix`` only validates and stores them.  Each
+    verdict is computed the first time it is read and then kept, so a
+    caller pays only for what it reads, and at most once per candidate.
+    ``self_adjoint`` is ``linalg.is_hermitian`` under ``tol``.  One SVD
+    gives ``smallest_singular_value``, ``condition`` (sv_max / sv_min,
+    bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is within
     ``tol.abs``, so the matrix is zero up to rounding whatever its
-    condition).  ``invertible`` is the one invertibility rule:
-    ``condition`` is finite and at most CONDITION_CAP, and the candidate
-    is not ``negligible``.  ``inverse`` is computed from the matrix on first
-    use and then kept, so every symmetry check on one candidate shares a
-    single inversion, and callers that never need it never pay for it.
-    P is the only matrix the package inverts under a condition cap: a
-    candidate that is not ``invertible`` makes ``inverse`` raise
-    SingularMatrix.
+    condition).  ``hermitian_sum`` can legitimately produce a singular
+    matrix, so ``invertible`` is a reported fact rather than an
+    invariant: it is the one invertibility rule, ``condition`` is finite
+    and at most CONDITION_CAP, and the candidate is not ``negligible``.
+    ``inverse`` is kept the same way, so every symmetry check on one
+    candidate shares a single inversion.  P is the only matrix the
+    package inverts under a condition cap: a candidate that is not
+    ``invertible`` makes ``inverse`` raise SingularMatrix.
     """
 
     matrix: ComplexMatrix
-    self_adjoint: bool
-    smallest_singular_value: float
-    condition: float
-    negligible: bool
+    tol: Tolerance
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def self_adjoint(self) -> bool:
+        """P equals its adjoint within ``tol``."""
+        from . import linalg
+
+        return linalg._hermitian(self.matrix, linalg.frobenius(self.matrix), self.tol)
+
+    @cached_property
+    def _singular_values(self):
+        # descending; the one SVD behind condition, negligible and smallest_singular_value
+        import numpy as np
+
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @cached_property
+    def smallest_singular_value(self) -> float:
+        return float(self._singular_values[-1])
+
+    @cached_property
+    def condition(self) -> float:
+        """sv_max / sv_min, inf for a singular matrix, as ``np.linalg.cond`` gives it."""
+        sv = self._singular_values
+        return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
+
+    @cached_property
+    def negligible(self) -> bool:
+        """sv_max is within ``tol.abs``: the matrix is zero up to rounding."""
+        return bool(self._singular_values[0] <= self.tol.abs)
 
     @property
     def invertible(self) -> bool:
@@ -319,20 +343,17 @@ class PseudoMetric:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance | None = None) -> "PseudoMetric":
-        import numpy as np
+        """The candidate ``m`` under ``tol`` (default ``linalg.DEFAULT_TOL``).
 
+        ``m`` must be a finite square matrix (``linalg.as_complex_matrix``);
+        nothing else is computed here: the SVD, the condition number and
+        the Hermiticity test wait until a verdict is read.
+        """
         from . import linalg
 
-        tol = linalg.DEFAULT_TOL if tol is None else tol
-        a = linalg.as_complex_matrix(m, "pseudometric")
-        sv = np.linalg.svd(a, compute_uv=False)
         return cls(
-            matrix=a,
-            self_adjoint=linalg._hermitian(a, linalg.frobenius(a), tol),
-            smallest_singular_value=float(sv[-1]),
-            # np.linalg.cond also reports inf for a singular matrix
-            condition=float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf"),
-            negligible=bool(sv[0] <= tol.abs),
+            matrix=linalg.as_complex_matrix(m, "pseudometric"),
+            tol=linalg.DEFAULT_TOL if tol is None else tol,
         )
 
 

@@ -141,6 +141,18 @@ class TestRenormalize:
         with pytest.raises(ZeroKappa):
             renormalize(sys_, bad)
 
+    def test_rejects_kappa_whose_square_leaves_float64(self, h2_system):
+        # the coefficients divide by |kappa_n|^2: 1e-200 and 1e200 square out of
+        # float64, and 1e-160 squares to a subnormal whose inverse overflows
+        _, sys_ = h2_system
+        for bad in ([1.0, 1e-200], [1.0, 1e-160], [1.0, 1e200]):
+            with pytest.raises(ZeroKappa, match=r"^\|kappa_1\| = .*: \|kappa_1\|\^2 or its inverse"):
+                renormalize(sys_, bad)
+        # the cumulative kappa is what counts: 1e100 twice is refused, 1e150 once is not
+        with pytest.raises(ZeroKappa, match=r"^\|kappa_0\| = 1.000e\+200"):
+            renormalize(renormalize(sys_, [1e100, 1.0]), [1e100, 1.0])
+        assert renormalize(sys_, [1e150, 1e-150]).kappa.tolist() == [1e150, 1e-150]
+
     def test_rejects_wrong_length(self, h2_system):
         _, sys_ = h2_system
         with pytest.raises(DimensionMismatch):

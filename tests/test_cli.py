@@ -326,16 +326,17 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
         ("diagnose", "h2_b.json", "p2.json",
          {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 18, "acm": 5}),
         ("metric", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 14, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 8}),
         ("metric", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 14, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 8}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
                                     monkeypatch, tmp_path):
     # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
     # and one Hermitian eigensolve of Theta shared by the report and the positivity check;
-    # "norm" counts linalg.frobenius (the load check, ||H||_F once, the residuals) and
+    # "norm" counts linalg.frobenius (the load check, ||H||_F once, the residuals, and P's
+    # Hermiticity test, which only diagnose reads) and
     # "acm" counts as_complex_matrix, both through every module's binding: each loaded
     # operand is coerced where it enters the library, not again at each inner step
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
@@ -649,6 +650,28 @@ class TestMetricCommand:
                            "--kappa", str(kfile), "--out-dir", str(tmp_path / "x"))
         assert code == 1
         assert "nonzero" in err
+
+    @pytest.mark.parametrize(
+        "kappa, error",
+        [
+            ("1e-200", "|kappa_0| = 1.000e-200: |kappa_0|^2 or its inverse leaves float64"),
+            ("1e-160", "|kappa_0| = 1.000e-160: |kappa_0|^2 or its inverse leaves float64"),
+            ("1e200", "|kappa_0| = 1.000e+200: |kappa_0|^2 or its inverse leaves float64"),
+            # |kappa|^2 and its inverse fit, but C overflows: the bundle itself is refused
+            ("1e-150", "metric operators leave float64: theta, Q, C or a residual is not finite"),
+        ],
+        ids=["1e-200", "1e-160", "1e200", "1e-150"],
+    )
+    def test_kappa_out_of_float64_range_is_one_error_line(self, kappa, error, files, capsys,
+                                                          tmp_path):
+        kfile = tmp_path / "k.json"
+        kfile.write_text(f"[[{kappa}, 0], [1, 0]]")
+        h = tmp_path / "h.json"
+        save_matrix(h, build_h2(1.0, 0.0, 0.3j))
+        out_dir = tmp_path / "out"
+        assert run(capsys, "metric", str(h), files["p2.json"], "--kappa", str(kfile),
+                   "--out-dir", str(out_dir)) == (1, "", f"error: {error}\n")
+        assert not out_dir.exists()
 
     def test_obstructed_spectrum_exits_three(self, files, capsys, tmp_path):
         code, _, err = run(capsys, "metric", files["h2_exterior.json"], files["p2.json"],

@@ -1,17 +1,20 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cryptoherm
 from cryptoherm import (
     DomainClass,
     PseudoMetric,
     SingularMatrix,
     Tolerance,
     adjoint,
+    build_bundle,
     build_h2,
     build_h3,
     classify_h2,
@@ -20,13 +23,15 @@ from cryptoherm import (
     frobenius,
     hermitian_rotation,
     hermitian_sum,
+    involutive_normalization,
     is_hermitian,
     parity2,
+    solve_biorthogonal,
     swap2,
     sweep_h2,
 )
 from cryptoherm.models import CONDITION_CAP, _h2_params
-from conftest import sample_h2_params_any, sample_h3_params
+from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
 
 def test_build_h2_layout():
@@ -185,6 +190,39 @@ def test_h3_weak_intertwining_sampled(rng):
         assert frobenius(p @ h @ pinv - adjoint(h)) <= 1e-13 * frobenius(h)
 
 
+@st.composite
+def _candidates(draw):
+    """A 1x1 to 4x4 complex matrix: general, zero, singular, within tol.abs or Hermitian."""
+    n = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n * n, max_size=2 * n * n))
+    m = np.array(parts).view(np.complex128).reshape(n, n)
+    kind = draw(st.sampled_from(["general", "zero", "singular", "tiny", "hermitian"]))
+    if kind == "zero":
+        return np.zeros_like(m)
+    if kind == "singular":
+        m[-1] = 0.5 * m[0] if n > 1 else 0.0
+    if kind == "tiny":
+        return 1e-14 * m  # every singular value under 1e-12
+    if kind == "hermitian":
+        return m + m.conj().T
+    return m
+
+
+def _assert_eager_verdicts(m, tol):
+    # every verdict of a lazily built candidate against the formula from_matrix
+    # used to evaluate eagerly, floats compared bit for bit
+    pm = PseudoMetric.from_matrix(m, tol)
+    sv = np.linalg.svd(m, compute_uv=False)
+    cond = float(np.linalg.cond(m))
+    negligible = bool(sv[0] <= tol.abs)
+    assert pm.self_adjoint == is_hermitian(m, tol)
+    assert float.hex(pm.condition) == float.hex(cond)
+    assert float.hex(pm.smallest_singular_value) == float.hex(float(sv[-1]))
+    assert pm.negligible is negligible
+    assert pm.invertible is (math.isfinite(cond) and cond <= CONDITION_CAP and not negligible)
+    assert type(pm.condition) is type(pm.smallest_singular_value) is float
+
+
 class TestPseudoMetricFlags:
     def test_parity2_flags(self):
         pm = PseudoMetric.from_matrix(parity2())
@@ -202,11 +240,51 @@ class TestPseudoMetricFlags:
     @pytest.mark.parametrize(
         "m",
         [parity2(), cyclic_p(3), np.diag([1.0 + 0j, 0.0]), np.zeros((2, 2), complex),
-         np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])],
-        ids=["parity2", "cyclic3", "singular", "zero", "general"],
+         np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]]), 1e-13 * cyclic_p(3),
+         np.array([[2.0, 1.0 - 1j], [1.0 + 1j, -3.0]])],
+        ids=["parity2", "cyclic3", "singular", "zero", "general", "within-tol-abs", "hermitian"],
     )
     def test_condition_is_numpy_cond(self, m):
         assert PseudoMetric.from_matrix(m).condition == np.linalg.cond(m)
+        _assert_eager_verdicts(m, Tolerance())
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=_candidates(), tol=st.sampled_from(
+        [Tolerance(), Tolerance(abs=1e-14), Tolerance(rel=1e-3, abs=0.0)]))
+    @example(m=np.zeros((3, 3), complex), tol=Tolerance())
+    @example(m=np.array([[1.0, 2.0j], [0.5, 1.0j]]), tol=Tolerance())  # singular: row 2 = row 1 / 2
+    @example(m=1e-13 * cyclic_p(3), tol=Tolerance())  # within tol.abs
+    @example(m=np.array([[2.0, 1.0 - 1j], [1.0 + 1j, -3.0]]), tol=Tolerance())  # Hermitian
+    def test_verdicts_read_lazily_are_the_eager_formulas(self, m, tol):
+        _assert_eager_verdicts(m, tol)
+
+    def test_metric_pipeline_reads_no_verdict(self, monkeypatch):
+        # from_matrix only validates and stores: the metric pipeline never reads
+        # a verdict, so it takes no SVD and no Hermiticity test of P
+        svds, hermitian_tests = [], []
+        real_svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svds.append(args)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        count_calls(monkeypatch, cryptoherm.linalg._hermitian, hermitian_tests.append)
+        pm = PseudoMetric.from_matrix(parity2())
+        _, system = involutive_normalization(solve_biorthogonal(build_h2(1.0, 0.0, 0.4j)), pm)
+        build_bundle(system, pm)
+        assert (len(svds), len(hermitian_tests)) == (0, 0)
+        # each verdict is computed once, on first read
+        assert pm.self_adjoint is pm.self_adjoint is True
+        assert len(hermitian_tests) == 1
+        # the SVD-based verdicts and the inverse share one SVD, in any reading order
+        names = ("condition", "invertible", "smallest_singular_value", "negligible", "inverse")
+        for order in itertools.permutations(names):
+            svds.clear()
+            pm = PseudoMetric.from_matrix(cyclic_p(3))
+            for name in order + order:
+                getattr(pm, name)
+            assert len(svds) == 1, order
 
     def test_inverse_is_computed_once_and_matches_linalg(self):
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
