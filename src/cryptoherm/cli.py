@@ -20,7 +20,8 @@ Identical inputs and flags produce byte-identical stdout and files.
 The argument parser is built once per process, at import; ``main`` only
 parses and dispatches.  The commands load, call the library and render:
 what a diagnosis finds and whether it holds is decided in
-``symmetry.diagnose``; only the exit codes, the CLI's contract, live here.
+``symmetry.diagnose``; only the exit codes, the CLI's contract, live here,
+those of a refused run in one ordered table, ``_REFUSALS``.
 
 numpy is imported only by the commands that use it.  At module scope
 this file imports the standard library, the ``cryptoherm`` package
@@ -79,6 +80,18 @@ EXIT_NONREAL = 4
 
 class _UsageError(Exception):
     pass
+
+
+#: a refused run's exit contract, in order: the first row whose kinds match gives
+#: the exit code and the ``error:`` prefix; a None prefix names the exception's type
+_REFUSALS = (
+    ((_UsageError, MatrixFileError, DimensionMismatch, ZeroKappa), EXIT_USAGE, ""),
+    ((SingularMatrix,), EXIT_USAGE, "pseudometric not invertible: "),
+    ((NonRealQuasiparity,), EXIT_NONREAL, ""),
+    ((SpectrumObstruction,), EXIT_SPECTRUM, None),
+    ((VanishingOverlap,), EXIT_VERDICT, ""),
+    ((CryptoHermError,), EXIT_VERDICT, None),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -471,24 +484,11 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
-    except (_UsageError, MatrixFileError, DimensionMismatch, ZeroKappa) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularMatrix as exc:
-        print(f"error: pseudometric not invertible: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonRealQuasiparity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONREAL
-    except SpectrumObstruction as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SPECTRUM
-    except VanishingOverlap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except CryptoHermError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+    except (_UsageError, CryptoHermError) as exc:
+        _, code, prefix = next(row for row in _REFUSALS if isinstance(exc, row[0]))
+        prefix = f"{type(exc).__name__}: " if prefix is None else prefix
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -188,14 +188,16 @@ def _factorization_residuals(
     scale = frobenius(th)
     if scale == 0.0:
         raise ValueError("theta is zero; factorization residuals are undefined")
-    return {
-        "theta_hermitian": frobenius(th - th.conj().T) / scale,
-        "pq": frobenius(pm @ qm - th) / scale,
-        "cp": frobenius(cm @ pm - th) / scale,
-        # conj(A^T B^T) = adjoint(A) adjoint(B) bit for bit, without conjugate copies
-        "qdag_pdag": frobenius((qm.T @ pm.T).conj() - th) / scale,
-        "pdag_cdag": frobenius((pm.T @ cm.T).conj() - th) / scale,
-    }
+    # one product at a time, read for itself and for its adjoint
+    pq, qdag_pdag = _product_residuals(pm @ qm, th, scale)
+    cp, pdag_cdag = _product_residuals(cm @ pm, th, scale)
+    return {"theta_hermitian": frobenius(th - th.conj().T) / scale,
+            "pq": pq, "cp": cp, "qdag_pdag": qdag_pdag, "pdag_cdag": pdag_cdag}
+
+
+def _product_residuals(ab: ComplexMatrix, th: ComplexMatrix, scale: float) -> tuple[float, float]:
+    # AB = theta and B^dagger A^dagger = (AB)^dagger = theta, the adjoint read off AB exactly
+    return frobenius(ab - th) / scale, frobenius(ab.conj().T - th) / scale
 
 
 def involutive_normalization(

@@ -273,10 +273,6 @@ class PseudoMetric:
     matrix: ComplexMatrix
     tol: Tolerance
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @cached_property
     def self_adjoint(self) -> bool:
         """P equals its adjoint within ``tol``."""

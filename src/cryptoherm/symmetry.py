@@ -41,7 +41,6 @@ from .linalg import (
     _hermitian,
     _same_shape,
     as_complex_matrix,
-    commutator_residual,
     frobenius,
     hermitian_eigenvalues,
     resolved_positive,
@@ -177,7 +176,8 @@ def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check H S = S H, residual relative to ||H||_F ||S||_F."""
     hm = as_complex_matrix(h, "hamiltonian")
     sm = as_complex_matrix(s, "symmetry")
-    residual = _relative(commutator_residual(hm, sm), frobenius(hm) * frobenius(sm))
+    _same_shape(hm, sm)
+    residual = _relative(frobenius(hm @ sm - sm @ hm), frobenius(hm) * frobenius(sm))
     return _verdict("pt_commutant", residual, tol)
 
 

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cryptoherm.errors
 import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
-from cryptoherm.cli import _PARSER, _parse_axis, _UsageError, _verdict_rows, main
+from cryptoherm.cli import _PARSER, _REFUSALS, _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
 from conftest import count_calls
@@ -485,6 +486,53 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered, files):
     assert done.stderr == "error: stdout was closed before the output was written\n"
 
 
+#: the exit code and the one stderr line the CLI promises for each refused run
+_EXPECTED_REFUSALS = {
+    "_UsageError": (1, "error: boom\n"),
+    "MatrixFileError": (1, "error: boom\n"),
+    "DimensionMismatch": (1, "error: boom\n"),
+    "ZeroKappa": (1, "error: boom\n"),
+    "SingularMatrix": (1, "error: pseudometric not invertible: boom\n"),
+    "NonRealQuasiparity": (4, "error: boom\n"),
+    "SpectrumObstruction": (3, "error: SpectrumObstruction: boom\n"),
+    "ConvergenceFailure": (3, "error: ConvergenceFailure: boom\n"),
+    "ComplexSpectrum": (3, "error: ComplexSpectrum: boom\n"),
+    "DegenerateSpectrum": (3, "error: DegenerateSpectrum: boom\n"),
+    "VanishingOverlap": (2, "error: boom\n"),
+    "CryptoHermError": (2, "error: CryptoHermError: boom\n"),
+    "NotHermitian": (2, "error: NotHermitian: boom\n"),
+    "NotPositiveDefinite": (2, "error: NotPositiveDefinite: boom\n"),
+}
+
+
+def _refusal_kinds():
+    """``_UsageError`` and every exception class defined in ``cryptoherm.errors``."""
+    kinds = [cls for cls in vars(cryptoherm.errors).values()
+             if isinstance(cls, type) and issubclass(cls, Exception)
+             and cls.__module__ == "cryptoherm.errors"]
+    return [pytest.param(cls, id=cls.__name__) for cls in [_UsageError, *kinds]]
+
+
+@pytest.mark.parametrize("kind", _refusal_kinds())
+def test_each_refusal_has_its_exit_code_and_line(kind, files, capsys, monkeypatch):
+    def refuse(args):
+        raise kind("boom")
+
+    commands = next(action.choices for action in _PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    monkeypatch.setitem(commands["diagnose"]._defaults, "func", refuse)
+    expected_code, expected_err = _EXPECTED_REFUSALS[kind.__name__]
+    assert run(capsys, "diagnose", files["h2.json"], files["p2.json"]) == \
+        (expected_code, "", expected_err)
+
+
+def test_no_refusal_row_is_shadowed():
+    # a row whose kinds all subclass an earlier row's kinds could never be reached
+    for i, (kinds, _, _) in enumerate(_REFUSALS):
+        earlier = tuple(cls for row in _REFUSALS[:i] for cls in row[0])
+        assert not all(issubclass(cls, earlier) for cls in kinds)
+
+
 def test_metric_vanishing_overlap_exits_two_and_writes_nothing(files, capsys, tmp_path):
     # <v_0|swap2|v_0> is exactly zero for build_h2(1, 0, 0.4j)
     save_matrix(tmp_path / "swap2.json", swap2())
@@ -911,6 +959,11 @@ class TestDeterminism:
         assert out1 == out2
         for name in ("theta.json", "q.json", "c.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_hermitize_byte_identical(self, files, capsys):
+        first = run(capsys, "hermitize", files["p3.json"], "--theta", "scan:16")
+        assert first[0] == 0
+        assert run(capsys, "hermitize", files["p3.json"], "--theta", "scan:16") == first
 
     def test_fingerprint_distinguishes_models(self, files, capsys):
         _, out1, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])

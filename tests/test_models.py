@@ -234,9 +234,6 @@ class TestPseudoMetricFlags:
         assert pm.invertible
         assert not pm.self_adjoint
 
-    def test_dim(self):
-        assert PseudoMetric.from_matrix(cyclic_p(4)).dim == 4
-
     @pytest.mark.parametrize(
         "m",
         [parity2(), cyclic_p(3), np.diag([1.0 + 0j, 0.0]), np.zeros((2, 2), complex),

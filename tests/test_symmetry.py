@@ -155,6 +155,15 @@ class TestPtCommutant:
         with pytest.raises(DimensionMismatch):
             pt_commutant_check(h, np.eye(3))
 
+    def test_each_operand_validated_once(self, h2_system, monkeypatch):
+        h, _ = h2_system
+        s = swap2()
+        expected = linalg.commutator_residual(h, s) / (linalg.frobenius(h) * linalg.frobenius(s))
+        coerced = []
+        count_calls(monkeypatch, linalg.as_complex_matrix, coerced.append)
+        assert pt_commutant_check(h, s).residual == expected
+        assert len(coerced) == 2
+
 
 def test_all_residuals_scale_invariant(h3_system):
     h, _ = h3_system
