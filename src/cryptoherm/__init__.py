@@ -44,10 +44,10 @@ _EXPORTS = {
         "VanishingOverlap",
         "ZeroKappa",
     ),
+    "h2": ("sweep_h2",),
     "linalg": (
         "Tolerance",
         "adjoint",
-        "commutator_residual",
         "eig",
         "frobenius",
         "is_hermitian",
@@ -74,7 +74,6 @@ _EXPORTS = {
         "hermitian_sum",
         "parity2",
         "swap2",
-        "sweep_h2",
     ),
     "symmetry": (
         "Diagnosis",
@@ -92,7 +91,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 #: the modules an eager ``import cryptoherm`` would load (``cli`` is not one)
-_LIBRARY = ("biortho", "errors", "io", "linalg", "metric", "models", "symmetry")
+_LIBRARY = ("biortho", "errors", "h2", "io", "linalg", "metric", "models", "symmetry")
 
 __all__ = sorted(_HOME)
 

@@ -8,7 +8,7 @@ Four subcommands over JSON matrix files:
 * metric     - build Theta/Q/C (optionally kappa-rescaled or involutive)
                and write them as matrix files
 * sweep      - CSV scan of the two-level model's reality domain, one
-               row per point of ``models.sweep_h2``; each axis value
+               row per point of ``h2.sweep_h2``; each axis value
                is formatted once
 * hermitize  - singularity scan of the Hermitian partner family of P
 
@@ -26,15 +26,17 @@ those of a refused run in one ordered table, ``_REFUSALS``.
 numpy is imported only by the commands that use it.  At module scope
 this file imports the standard library, the ``cryptoherm`` package
 itself (which loads nothing until a library name is read from it),
-``errors`` and ``models.sweep_h2``, none of which loads numpy, so
-``sweep``, ``--help`` and a usage error run without it.  ``diagnose``,
-``metric`` and ``hermitize`` and the report helpers they share reach the
-library as ``cryptoherm.<module>.<name>``: the first such read imports
-the library and numpy, and every later one is a dictionary lookup, with
-no import statement run per call.  ``sweep`` builds its axes and prints
-its CSV in pure Python: a ``MIN:MAX:STEPS`` axis repeats
-``np.linspace``'s float operations point for point, and every value is
-formatted with ``%.17g``, which is ``io.format_float`` of a finite float.
+``errors`` and ``h2.sweep_h2``, none of which loads numpy,
+``dataclasses`` or ``models``, so ``sweep``, ``--help`` and a usage
+error run without them.  ``diagnose``, ``metric`` and ``hermitize`` and
+the report helpers they share reach the library as
+``cryptoherm.<module>.<name>``: the first such read imports the library
+and numpy, and every later one is a dictionary lookup, with no import
+statement run per call but ``_verdict_rows``'s one of ``dataclasses``.
+``sweep`` builds its axes and prints its CSV in pure Python: a
+``MIN:MAX:STEPS`` axis repeats ``np.linspace``'s float operations point
+for point, and every value is formatted with ``%.17g``, which is
+``io.format_float`` of a finite float.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -60,7 +61,7 @@ from .errors import (
     VanishingOverlap,
     ZeroKappa,
 )
-from .models import sweep_h2
+from .h2 import sweep_h2
 
 if TYPE_CHECKING:
     from .linalg import Tolerance
@@ -232,6 +233,8 @@ def _verdict_rows(verdicts) -> list[dict]:
 
     Shallow: asdict would deep-copy each detail mapping only for it to be rendered.
     """
+    from dataclasses import fields  # loaded with the library; the sweep path never is
+
     names = [f.name for f in fields(cryptoherm.symmetry.SymmetryVerdict)]
     return [{name: getattr(v, name) for name in names} for v in verdicts]
 

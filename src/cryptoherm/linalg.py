@@ -99,14 +99,6 @@ def _same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def commutator_residual(a, b) -> float:
-    """Frobenius norm of ``a @ b - b @ a``."""
-    am = as_complex_matrix(a, "a")
-    bm = as_complex_matrix(b, "b")
-    _same_shape(am, bm)
-    return frobenius(am @ bm - bm @ am)
-
-
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when ``m`` equals its adjoint up to tolerance."""
     a = as_complex_matrix(m)

@@ -13,28 +13,11 @@ together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 
-The two-level classification has one kernel, ``_h2_point``: the
-discriminant, the default boundary band and the tag of one point, on
-validated Python floats.  ``discriminant_h2`` and ``classify_h2``
-validate each argument once and call it for one point; ``sweep_h2``
-validates a and d once, computes (a - d)^2 and |a| + |d| once, and calls
-it once for every point of a grid, with the same float operations and
-therefore the same bits as ``classify_h2``.
-
-Validation (``_h2_params``) has a fast path for the common call: a and d
-of type ``float`` exactly, b of type ``complex`` exactly, all four parts
-finite.  Such a triple is already what the coercion returns, so it is
-used as given.  Everything else takes the general coercion: ints, bools,
-strings, and numpy scalars (subclasses of float and complex, never the
-exact types), which yields the same values, refusals and messages.
+``discriminant_h2`` and ``classify_h2`` validate their arguments and
+call the two-level kernel of ``h2``, which ``sweep_h2`` calls once per
+grid point, so a point and its sweep row share every bit.
 ``classify_h2`` builds its ``DomainClass`` through ``_domain_class``,
-which skips the frozen ``__init__``; the instance is the same.
-
-The module imports neither numpy nor ``linalg`` at load time, so the
-h2 kernel (and a ``sweep`` child that needs nothing else) runs without
-them.  The matrix builders and ``PseudoMetric`` import both inside the
-function that needs them; once loaded, such an import is a dictionary
-lookup, well under the cost of the numpy work that follows it.  ``tol``
+which skips the frozen ``__init__``; the instance is the same.  ``tol``
 defaults to ``linalg.DEFAULT_TOL`` wherever it is left out.
 """
 from __future__ import annotations
@@ -42,44 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal
+
+import numpy as np
 
 from .errors import SingularMatrix
-
-if TYPE_CHECKING:
-    from .linalg import ComplexMatrix, Tolerance
-
-DomainTag = Literal["interior", "exterior", "boundary"]
-
-#: default boundary band is this factor times (|a| + |d| + |b|)^2
-BOUNDARY_BAND_FACTOR = 1e-9
+from .h2 import DomainTag, _complex_scalar, _h2_invariants, _h2_params, _h2_point, _real_scalar
+from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix, frobenius
 
 #: refuse to invert a candidate whose 2-norm condition number exceeds this
 CONDITION_CAP = 1e12
-
-
-def _real_scalar(x, name: str) -> float:
-    xc = complex(x)
-    if xc.imag != 0.0:
-        raise ValueError(f"{name} must be real, got {x!r}")
-    if not math.isfinite(xc.real):
-        raise ValueError(f"{name} must be finite")
-    return xc.real
-
-
-def _complex_scalar(x, name: str) -> complex:
-    xc = complex(x)
-    if not (math.isfinite(xc.real) and math.isfinite(xc.imag)):
-        raise ValueError(f"{name} must be finite")
-    return xc
-
-
-def _h2_params(a, d, b) -> tuple[float, float, complex]:
-    # a finite float, float, complex triple is already what the coercion returns
-    if (type(a) is float and type(d) is float and type(b) is complex and math.isfinite(a)
-            and math.isfinite(d) and math.isfinite(b.real) and math.isfinite(b.imag)):
-        return a, d, b
-    return _real_scalar(a, "a"), _real_scalar(d, "d"), _complex_scalar(b, "b")
 
 
 @dataclass(frozen=True)
@@ -104,53 +58,8 @@ def _domain_class(tag: DomainTag, discriminant: float, boundary_band: float) -> 
     return dc
 
 
-# The h2 kernel uses CPython's ``**`` and ``abs(complex)`` on Python floats:
-# numpy's squares and complex moduli differ from them in the last bit for
-# some inputs, and the sweep's CSV must not move by one byte.
-
-
-def _h2_invariants(a: float, d: float) -> tuple[float, float]:
-    """((a - d)**2, |a| + |d|).
-
-    A square that overflows comes back as inf: it would overflow at every
-    b, and an inf makes ``_h2_point`` refuse the first point.
-    """
-    try:
-        diff2 = (a - d) ** 2
-    except OverflowError:
-        diff2 = math.inf
-    return diff2, abs(a) + abs(d)
-
-
-def _h2_point(
-    diff2: float, sum_ad: float, modulus: float, band: float | None = None
-) -> tuple[float, DomainTag, float]:
-    """(discriminant, tag, band) of one point: the h2 kernel.
-
-    The discriminant is (a - d)**2 - 4|b|**2 from ``diff2`` = (a - d)**2
-    and ``modulus`` = |b|; it raises OverflowError when that leaves
-    float64, whether Python raises it on the way or the result is not
-    finite (a - d or 4|b|**2 can reach inf without raising).  ``band``
-    defaults to BOUNDARY_BAND_FACTOR * (|a| + |d| + |b|)**2 from ``sum_ad``
-    = |a| + |d|, which may raise OverflowError too; a given band is used
-    as it is.
-    """
-    disc = diff2 - 4.0 * modulus**2
-    if not math.isfinite(disc):
-        raise OverflowError(
-            f"discriminant overflows at (a - d)**2 = {diff2!r}, |b| = {modulus!r}"
-        )
-    if band is None:
-        band = BOUNDARY_BAND_FACTOR * (sum_ad + modulus) ** 2
-    if abs(disc) <= band:
-        return disc, "boundary", band
-    return disc, "interior" if disc > 0 else "exterior", band
-
-
 def build_h2(a, d, b) -> ComplexMatrix:
     """Two-level model matrix [[a, b], [-conj(b), d]]."""
-    import numpy as np
-
     ar, dr, bc = _h2_params(a, d, b)
     return np.array([[ar, bc], [-np.conj(bc), dr]], dtype=np.complex128)
 
@@ -184,37 +93,13 @@ def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
     return _domain_class(tag, disc, band)
 
 
-def sweep_h2(a, d, re_axis, im_axis) -> Iterator[tuple[float, DomainTag]]:
-    """(discriminant, tag) of ``classify_h2(a, d, complex(re, im))`` over a grid.
-
-    Points come in row-major order: every ``im`` for the first ``re``,
-    then the next ``re``.  a, d and each axis value are validated once,
-    and (a - d)^2 and |a| + |d| are computed once; each point costs only
-    its own arithmetic, with the same float operations as ``classify_h2``
-    and so the same bits.  The generator raises OverflowError at the
-    first point where ``classify_h2`` would.
-    """
-    ar, dr = _real_scalar(a, "a"), _real_scalar(d, "d")
-    res = [_real_scalar(x, "b_re") for x in re_axis]
-    ims = [_real_scalar(x, "b_im") for x in im_axis]
-    diff2, sum_ad = _h2_invariants(ar, dr)
-    for re in res:
-        for im in ims:
-            disc, tag, _ = _h2_point(diff2, sum_ad, abs(complex(re, im)))
-            yield disc, tag
-
-
 def parity2() -> ComplexMatrix:
     """diag(1, -1), the self-adjoint two-level candidate."""
-    import numpy as np
-
     return np.diag([1.0 + 0j, -1.0 + 0j])
 
 
 def swap2() -> ComplexMatrix:
     """[[0, 1], [1, 0]], the off-diagonal two-level candidate."""
-    import numpy as np
-
     return np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
@@ -224,8 +109,6 @@ def cyclic_p(n: int) -> ComplexMatrix:
     Unitary but not self-adjoint for n >= 3, with inverse equal to its
     adjoint and order n.
     """
-    import numpy as np
-
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"cyclic size must be an integer >= 2, got {n!r}")
     p = np.zeros((n, n), dtype=np.complex128)
@@ -237,8 +120,6 @@ def cyclic_p(n: int) -> ComplexMatrix:
 
 def build_h3(a, b) -> ComplexMatrix:
     """Cyclic three-level matrix [[a, b, b*], [b*, a, b], [b, b*, a]]."""
-    import numpy as np
-
     ar = _real_scalar(a, "a")
     bc = _complex_scalar(b, "b")
     bb = np.conj(bc)
@@ -276,15 +157,11 @@ class PseudoMetric:
     @cached_property
     def self_adjoint(self) -> bool:
         """P equals its adjoint within ``tol``."""
-        from . import linalg
-
-        return linalg._hermitian(self.matrix, linalg.frobenius(self.matrix), self.tol)
+        return _hermitian(self.matrix, frobenius(self.matrix), self.tol)
 
     @cached_property
     def _singular_values(self):
         # descending; the one SVD behind condition, negligible and smallest_singular_value
-        import numpy as np
-
         return np.linalg.svd(self.matrix, compute_uv=False)
 
     @cached_property
@@ -329,8 +206,6 @@ class PseudoMetric:
     @cached_property
     def inverse(self) -> ComplexMatrix:
         """inverse(P), refused with SingularMatrix unless ``invertible``."""
-        import numpy as np
-
         self.check_condition()
         try:
             return np.linalg.inv(self.matrix)
@@ -345,11 +220,9 @@ class PseudoMetric:
         nothing else is computed here: the SVD, the condition number and
         the Hermiticity test wait until a verdict is read.
         """
-        from . import linalg
-
         return cls(
-            matrix=linalg.as_complex_matrix(m, "pseudometric"),
-            tol=linalg.DEFAULT_TOL if tol is None else tol,
+            matrix=as_complex_matrix(m, "pseudometric"),
+            tol=DEFAULT_TOL if tol is None else tol,
         )
 
 
@@ -359,9 +232,7 @@ def hermitian_sum(p, tol: Tolerance | None = None) -> PseudoMetric:
     Always Hermitian; singular whenever the candidate has an eigenvalue
     on the imaginary axis (the 4-cycle shift is the canonical example).
     """
-    from . import linalg
-
-    a = linalg.as_complex_matrix(p, "pseudometric")
+    a = as_complex_matrix(p, "pseudometric")
     return PseudoMetric.from_matrix(a + a.conj().T, tol)
 
 
@@ -373,15 +244,11 @@ def hermitian_rotation(p, theta, tol: Tolerance | None = None) -> PseudoMetric:
     -2 sin(theta - 2 pi k / n), so the family is singular exactly when
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
-    from . import linalg
-
-    a = linalg.as_complex_matrix(p, "pseudometric")
+    a = as_complex_matrix(p, "pseudometric")
     return _rotation(a, _real_scalar(theta, "theta"), tol)
 
 
 def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance | None) -> PseudoMetric:
     # hermitian_rotation of a trusted array at a validated real angle
-    import numpy as np
-
     phase = np.exp(1j * theta)
     return PseudoMetric.from_matrix(1j * (a * phase - a.conj().T * np.conj(phase)), tol)

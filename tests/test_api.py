@@ -54,7 +54,7 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_readme_table_covers_the_modules():
     modules = [module for module, _ in ROWS]
     assert modules == [
-        "cryptoherm.linalg", "cryptoherm.models", "cryptoherm.biortho",
+        "cryptoherm.linalg", "cryptoherm.h2", "cryptoherm.models", "cryptoherm.biortho",
         "cryptoherm.metric", "cryptoherm.symmetry", "cryptoherm.io",
     ]
 
@@ -89,8 +89,6 @@ def _boundary_cases():
         "adjoint": cryptoherm.adjoint,
         "is_hermitian": cryptoherm.is_hermitian,
         "is_positive_definite": cryptoherm.is_positive_definite,
-        "commutator_residual[a]": lambda m: cryptoherm.commutator_residual(m, eye),
-        "commutator_residual[b]": lambda m: cryptoherm.commutator_residual(eye, m),
         "solve_biorthogonal": cryptoherm.solve_biorthogonal,
         "PseudoMetric.from_matrix": cryptoherm.PseudoMetric.from_matrix,
         "hermitian_sum": cryptoherm.hermitian_sum,
@@ -150,14 +148,19 @@ SWEEP = ["sweep", "--model", "h2", "--a", "0.7", "--d", "-0.3", "--b-re", "-1:1:
          "--b-im", "-1:1:5"]
 
 
-def _child(code: str, *args: str) -> tuple[int, bool]:
-    """(exit code, whether numpy is in sys.modules) of ``code`` run in a fresh interpreter."""
-    probe = "import sys\n" + code + "\nprint(code, 'numpy' in sys.modules)\n"
+#: numpy, and what loading ``models`` brings with it: its dataclasses need
+#: ``dataclasses``, which imports ``inspect``
+PROBED = ("numpy", "dataclasses", "inspect", "cryptoherm.models")
+
+
+def _child(code: str, *args: str) -> tuple[int, list[str]]:
+    """(exit code, those of ``PROBED`` in sys.modules) of ``code`` run in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(code, *[m for m in {PROBED!r} if m in sys.modules])\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    exit_code, loaded = done.stdout.splitlines()[-1].split()
-    return int(exit_code), loaded == "True"
+    exit_code, *loaded = done.stdout.splitlines()[-1].split()
+    return int(exit_code), loaded
 
 
 @pytest.mark.parametrize(
@@ -172,16 +175,16 @@ def _child(code: str, *args: str) -> tuple[int, bool]:
     ids=["python-m-sweep", "main-sweep", "help", "usage-error", "import-cryptoherm"],
 )
 def test_child_runs_without_numpy(code, args, exit_code):
-    assert _child(code, *args) == (exit_code, False)
+    assert _child(code, *args) == (exit_code, [])
 
 
 def test_diagnose_child_imports_numpy(tmp_path):
-    # the positive control: the probe does see numpy when a command loads it
+    # the positive control: the probe does see each module when a command loads it
     for name, matrix in [("h.json", cryptoherm.build_h2(1.0, 0.0, 0.4j)),
                          ("p.json", cryptoherm.parity2())]:
         cryptoherm.io.save_matrix(tmp_path / name, matrix)
     assert _child(AS_MAIN, "diagnose", str(tmp_path / "h.json"), str(tmp_path / "p.json")) \
-        == (0, True)
+        == (0, list(PROBED))
 
 
 def test_package_binds_each_name_from_its_home_module():
@@ -193,4 +196,4 @@ cryptoherm.biortho.eig = object()
 import cryptoherm
 code = int(cryptoherm.eig is cryptoherm.linalg.eig)
 """
-    assert _child(code) == (1, True)
+    assert _child(code) == (1, list(PROBED))

@@ -10,7 +10,6 @@ from cryptoherm import (
     SingularMatrix,
     Tolerance,
     adjoint,
-    commutator_residual,
     eig,
     frobenius,
     is_hermitian,
@@ -62,23 +61,6 @@ class TestCoercion:
 def test_adjoint_is_an_involution(n, seed):
     m = _random_complex(np.random.default_rng(seed), n)
     assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_commutator_residual_oracle():
-    # diag(1,-1) against the swap: [P, X] = 2 antidiag(1,-1), norm 2*sqrt(2)
-    p = np.diag([1.0, -1.0])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert commutator_residual(p, x) == pytest.approx(2.8284271247461903, abs=1e-15)
-
-
-def test_commutator_residual_vanishes_for_powers(rng):
-    m = _random_complex(rng, 4)
-    assert commutator_residual(m, m @ m) < 1e-12 * frobenius(m) ** 2
-
-
-def test_commutator_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        commutator_residual(np.eye(2), np.eye(3))
 
 
 class TestHermitian:

@@ -30,7 +30,8 @@ from cryptoherm import (
     swap2,
     sweep_h2,
 )
-from cryptoherm.models import CONDITION_CAP, _h2_params
+from cryptoherm.h2 import _h2_params
+from cryptoherm.models import CONDITION_CAP
 from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
 
