@@ -76,3 +76,10 @@ def h2_system():
 def h3_system():
     h = build_h3(0.0, 0.3 + 0.4j)
     return h, solve_biorthogonal(h)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the comparison the CLI byte corpus took, when it ran."""
+    corpus = sys.modules.get("test_golden")
+    if corpus is not None:
+        terminalreporter.write_line(f"CLI byte corpus compared by {corpus.COMPARISON}")
