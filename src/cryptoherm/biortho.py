@@ -41,9 +41,10 @@ from .linalg import (
     frobenius,
 )
 
-#: eigenvalue clusters tighter than this times ||H||_F count as
-#: spectrum obstructions (exceptional-point territory).  An exactly
-#: defective pair is split by the eigensolver by roughly
+#: eigenvalue clusters no wider than this times ||H||_F count as
+#: spectrum obstructions (exceptional-point territory, and H = 0 with
+#: n >= 2, where both sides are 0).  An exactly defective pair is split
+#: by the eigensolver by roughly
 #: sqrt(machine eps) * ||H||, i.e. ~1.5e-8 * ||H||, so the cluster
 #: detection floor has to sit above that or exceptional points leak
 #: through as spuriously split spectra
@@ -121,7 +122,7 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
         sep = np.abs(values[:, None] - values[None, :])
         np.fill_diagonal(sep, np.inf)
         gap = float(sep.min())
-        if gap < cluster:
+        if gap <= cluster:
             raise DegenerateSpectrum(
                 f"eigenvalue gap {gap:.3e} below cluster threshold {cluster:.3e}",
                 gap=gap,

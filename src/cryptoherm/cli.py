@@ -101,14 +101,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    def _get_values(self, action, arg_strings):
-        # Python 3.11 drops a lone "--" given as a value (--a=--) and would hand
-        # the command an unchecked empty list where one value was due
-        value = super()._get_values(action, arg_strings)
-        if action.nargs is None and value == []:
-            raise argparse.ArgumentError(action, "expected a value, got '--'")
-        return value
-
     def _print_message(self, message, file=None):
         # argparse ignores a failed write of --help's text; a closed stdout
         # must reach main's error line instead of failing again at exit
@@ -201,7 +193,7 @@ def _metric_payload(system, bundle) -> dict:
 def _report_head(command: str, tol: Tolerance, **operands) -> dict:
     """The fields every JSON report opens with; ``operands`` are fingerprinted in order."""
     return {
-        "schema": 1,
+        "schema": 2,
         "command": command,
         "model_fingerprint": cryptoherm.io.fingerprint(operands),
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
@@ -244,8 +236,8 @@ def cmd_diagnose(args) -> int:
     h, p = _load_pair(args)
     found = cryptoherm.symmetry.diagnose(h, p, tol)
 
-    report = _report_head("diagnose", tol, hamiltonian=cryptoherm.io.matrix_to_payload(h),
-                          pseudometric=cryptoherm.io.matrix_to_payload(p))
+    report = _report_head("diagnose", tol, hamiltonian=cryptoherm.io.matrix_digest(h),
+                          pseudometric=cryptoherm.io.matrix_digest(p))
     report["spectrum"] = {
         "values": cryptoherm.io.complex_pairs(found.eigenvalues),
         "all_real": found.all_real,
@@ -294,8 +286,8 @@ def cmd_metric(args) -> int:
         cryptoherm.io.save_matrix(out_dir / "q.json", bundle.quasiparity)
         cryptoherm.io.save_matrix(out_dir / "c.json", bundle.charge)
 
-    report = _report_head("metric", tol, hamiltonian=cryptoherm.io.matrix_to_payload(h),
-                          pseudometric=cryptoherm.io.matrix_to_payload(p), kappa=kappa_tag)
+    report = _report_head("metric", tol, hamiltonian=cryptoherm.io.matrix_digest(h),
+                          pseudometric=cryptoherm.io.matrix_digest(p), kappa=kappa_tag)
     report["metric"] = _metric_payload(system, bundle)
     report["files"] = ["theta.json", "q.json", "c.json"]
 
@@ -428,7 +420,7 @@ def cmd_hermitize(args) -> int:
             }
         )
 
-    report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_to_payload(p))
+    report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_digest(p))
     report["sum"] = {
         "smallest_singular_value": summed.smallest_singular_value,
         "invertible": summed.invertible,
@@ -441,16 +433,21 @@ def cmd_hermitize(args) -> int:
 
 
 def _attach_option_values(argv: list[str]) -> list[str]:
-    """Rewrite "--a -1e-3" as "--a=-1e-3", for every option but --help.
+    """Rewrite "--a -1e-3" as "--a=-1e-3", for every option but --help; refuse "--a=--".
 
     argparse takes a value that starts with "-" and is not a plain
     negative decimal such as -0.5 for a flag, so "-1e-3", "-1:1:5" or
     "-1.5,0" would otherwise be refused.  Every option of this parser
     except --help takes exactly one value, so the token after a bare
-    option is always its value.
+    option is always its value.  A lone "--" given as a value is refused
+    here, because argparse drops it on Python 3.10 to 3.12 (and would pass
+    the command an empty list) but keeps it as the value on 3.13.
     """
     out: list[str] = []
     for token in argv:
+        option, _, value = token.partition("=")
+        if value == "--" and option.startswith("--") and option != "--help":
+            raise _UsageError(f"argument {option}: expected a value, got '--'")
         negative = token.startswith("-") and not token.startswith("--")
         prev = out[-1] if out else ""
         bare_option = prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
@@ -474,9 +471,9 @@ def __getattr__(name: str):
 
 
 def main(argv=None) -> int:
-    argv = _attach_option_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(
+            _attach_option_values(sys.argv[1:] if argv is None else list(argv)))
         code = args.func(args)
         # a pipe buffers the output until here, so a closed one shows up inside main
         sys.stdout.flush()

@@ -7,8 +7,12 @@ with N^2 row-major entries; coefficient files are JSON arrays of
 Reports and matrix files are rendered by a small canonical serializer:
 floats always carry 17 significant digits (exact double round-trip),
 keys keep insertion order, layout is fixed.  Two runs over the same
-inputs therefore produce byte-identical bytes, which the fingerprint
-(sha256 over the canonical form of the parsed inputs) relies on.
+inputs therefore produce byte-identical bytes.  The fingerprint of a
+report's inputs is the sha256 of the canonical form of its operands,
+where each matrix stands as its shape and the sha256 of its
+little-endian complex128 bytes (``matrix_digest``): '%.17g' is
+injective on finite float64, -0 included, so this identifies exactly
+the parsed inputs the rendered matrices did, without rendering them.
 
 The renderer returns the text of each value.  A list of numbers stays on
 one line.  Every other non-empty container (a dict, a list of
@@ -141,6 +145,16 @@ def canonical_json(value) -> str:
 def fingerprint(value) -> str:
     """sha256 hex digest of the canonical form; identifies parsed inputs."""
     return hashlib.sha256(canonical_json(value).encode("ascii")).hexdigest()
+
+
+def matrix_digest(m: ComplexMatrix) -> dict:
+    """A validated matrix as ``fingerprint`` takes it: its shape and the sha256 of its bits.
+
+    The bytes are the '<c16' C-order ones; on a little-endian host a
+    matrix from ``load_matrix`` is hashed in place, without a copy.
+    """
+    a = np.ascontiguousarray(m, dtype="<c16")
+    return {"shape": list(a.shape), "sha256": hashlib.sha256(a).hexdigest()}
 
 
 def complex_pairs(values) -> list[list[float]]:

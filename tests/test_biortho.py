@@ -56,6 +56,15 @@ def test_exceptional_point_reported_as_degenerate():
     assert info.value.eigenvalues.shape == (2,)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_hamiltonian_reported_as_degenerate(n):
+    # ||H||_F = 0 makes the cluster threshold 0 as well, and a zero gap is not below it
+    with pytest.raises(DegenerateSpectrum) as info:
+        solve_biorthogonal(np.zeros((n, n)))
+    assert (info.value.gap, info.value.threshold) == (0.0, 0.0)
+    assert str(info.value) == "eigenvalue gap 0.000e+00 below cluster threshold 0.000e+00"
+
+
 def test_system_keeps_complex_eigenvalues(h2_system):
     # the report prints these, so they must be eig's values, imaginary parts included
     _, sys_ = h2_system

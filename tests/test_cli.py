@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -58,7 +59,7 @@ class TestExitMatrix:
     def test_ok(self, files, capsys):
         code, out, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])
         assert code == 0
-        assert json.loads(out)["schema"] == 1
+        assert json.loads(out)["schema"] == 2
 
     def test_usage_missing_file(self, files, capsys):
         code, _, err = run(capsys, "diagnose", files["dir"] + "/nope.json", files["p3.json"])
@@ -89,6 +90,17 @@ class TestExitMatrix:
         code, out, _ = run(capsys, "diagnose", files["h2_boundary.json"], files["p2.json"])
         assert code == 3
         assert any("DegenerateSpectrum" in w for w in json.loads(out)["warnings"])
+
+    def test_zero_hamiltonian_is_degenerate(self, files, capsys, tmp_path):
+        # the 2x2 zero H has one doubly degenerate level, like H = I
+        for name, h in (("zero.json", np.zeros((2, 2))), ("identity.json", np.eye(2))):
+            save_matrix(tmp_path / name, h)
+            code, out, err = run(capsys, "diagnose", str(tmp_path / name), files["p2.json"])
+            assert (code, err) == (3, "")
+            report = json.loads(out)
+            assert report["spectrum"]["values"] == [[h[0, 0], 0], [h[0, 0], 0]]
+            assert report["metric"] is None
+            assert any("DegenerateSpectrum" in w for w in report["warnings"])
 
     def test_non_real_quasiparity(self, files, capsys):
         code, _, err = run(capsys, "metric", files["h3.json"], files["p3.json"],
@@ -135,7 +147,7 @@ class TestInvertibilityRule:
         for argv in (["diagnose", files["h2.json"], p],
                      ["metric", files["h2.json"], p, "--out-dir", str(tmp_path / "m")]):
             code, out, err = run(capsys, *argv)
-            assert code != 1 and err == "" and json.loads(out)["schema"] == 1
+            assert code != 1 and err == "" and json.loads(out)["schema"] == 2
 
     def test_cond_1e13_refused_everywhere(self, files, diag_p, capsys, tmp_path):
         p = diag_p(-1e-13)
@@ -162,7 +174,7 @@ class TestInvertibilityRule:
                    "--out-dir", str(tmp_path / "m")) == (1, "", refusal)
         # a smaller --tol-abs makes the same file a valid pseudo-metric
         code, out, err = run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "1e-14")
-        assert code != 1 and err == "" and json.loads(out)["schema"] == 1
+        assert code != 1 and err == "" and json.loads(out)["schema"] == 2
 
 
 class TestIntegerBeyondFloat64:
@@ -323,13 +335,13 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
     "command,h_name,p_name,expected",
     [
         ("diagnose", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 21, "acm": 5}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 21, "acm": 3}),
         ("diagnose", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 18, "acm": 5}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 18, "acm": 3}),
         ("metric", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 6}),
         ("metric", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 8}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 6}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
@@ -339,7 +351,8 @@ def test_each_operand_factored_once(command, h_name, p_name, expected, files, ca
     # "norm" counts linalg.frobenius (the load check, ||H||_F once, the residuals, and P's
     # Hermiticity test, which only diagnose reads) and
     # "acm" counts as_complex_matrix, both through every module's binding: each loaded
-    # operand is coerced where it enters the library, not again at each inner step
+    # operand is coerced where it enters the library, not again at each inner step,
+    # and not for the fingerprint, which hashes the loaded arrays as they are
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
     paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
     calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0}
@@ -927,12 +940,13 @@ class TestHermitize:
 
     @pytest.mark.parametrize("points", [4, 64])
     def test_p_validated_once_per_run(self, points, files, capsys, monkeypatch):
-        # hermitian_sum and the report coerce P; each angle checks only its rotated matrix
+        # hermitian_sum coerces P, the fingerprint hashes it as loaded, and each
+        # angle checks only its rotated matrix
         coerced = []
         count_calls(monkeypatch, cryptoherm.linalg.as_complex_matrix, coerced.append)
         code, _, _ = run(capsys, "hermitize", files["p3.json"], "--theta", f"scan:{points}")
         assert code == 0
-        assert len(coerced) == points + 3
+        assert len(coerced) == points + 2
 
     def test_sum_reported_self_adjoint(self, files, capsys):
         _, out, _ = run(capsys, "hermitize", files["p3.json"], "--theta", "scan:4")
@@ -969,3 +983,89 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])
         _, out2, _ = run(capsys, "diagnose", files["h2.json"], files["p2.json"])
         assert json.loads(out1)["model_fingerprint"] != json.loads(out2)["model_fingerprint"]
+
+
+def _spellings(x: float) -> list[str]:
+    """JSON spellings of ``x`` that parse back to its exact bits.
+
+    '%.17g' spells -0.0 as "-0", which JSON reads as the integer 0, so it
+    is left out there.
+    """
+    x = float(x)
+    forms = [repr(x), "%.17g" % x, "%.16e" % x]
+    if x.is_integer() and abs(x) < 2.0 ** 53:
+        forms += [str(int(x)), f"{int(x)}.0", f"{int(x)}e0"]
+    return [f for f in forms if struct.pack("<d", float(json.loads(f))) == struct.pack("<d", x)]
+
+
+#: one float of a 2x2 operand: a diagonal real part stays in [3, 5] so every
+#: operand is well conditioned and every run has a report to read
+_PART = st.floats(-1.0, 1.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+_OPERAND = st.lists(_PART, min_size=8, max_size=8).map(
+    lambda parts: [4.0 + x / 2.0 if i in (0, 6) else x for i, x in enumerate(parts)])
+
+
+def _entry_bits(parts) -> bytes:
+    return struct.pack("<8d", *parts)
+
+
+def _diagnose_fingerprint(h_text: str, p_text: str) -> str:
+    """The model_fingerprint of ``diagnose`` on two 2x2 files, each given by its data pairs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "h.json"), Path(tmp, "p.json")]
+        for path, text in zip(paths, (h_text, p_text)):
+            path.write_text(f'{{"dim": 2, "data": [{text}]}}')
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["diagnose", *map(str, paths)])
+    return json.loads(out.getvalue())["model_fingerprint"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=_OPERAND, p=_OPERAND, change=st.sampled_from(["none", "sign", "ulp", "swap"]),
+       where=st.integers(0, 15), spell=st.randoms(use_true_random=False))
+def test_fingerprint_identifies_parsed_bits(h, p, change, where, spell):
+    # two diagnose runs share a model_fingerprint exactly when their parsed H
+    # and P are bit-identical, however each file spells its numbers
+    h2, p2 = list(h), list(p)
+    if change == "swap":
+        h2, p2 = p2, h2
+    elif change != "none":
+        parts = h2 if where < 8 else p2
+        x = parts[where % 8]
+        parts[where % 8] = -x if change == "sign" else math.nextafter(x, math.inf)
+
+    def spelled(parts) -> str:
+        return ", ".join(f"[{spell.choice(_spellings(re))}, {spell.choice(_spellings(im))}]"
+                         for re, im in zip(parts[0::2], parts[1::2]))
+
+    same_bits = (_entry_bits(h), _entry_bits(p)) == (_entry_bits(h2), _entry_bits(p2))
+    first = _diagnose_fingerprint(spelled(h), spelled(p))
+    assert (first == _diagnose_fingerprint(spelled(h2), spelled(p2))) == same_bits
+
+
+def test_fingerprint_examples():
+    p = "[1, 0], [0.25, 0], [0, 0], [-1, 0]"
+    reference = _diagnose_fingerprint("[1, 0], [0, 0], [0, 0], [2, 0]", p)
+    # 1, 1.0 and 1e0 are one float
+    assert _diagnose_fingerprint("[1.0, 0], [0, 0], [0, 0], [2, 0]", p) == reference
+    assert _diagnose_fingerprint("[1e0, 0], [0.0, 0], [0, 0], [2.0, 0.0]", p) == reference
+    # 0.0 and -0.0 are not, nor are two floats one ulp apart
+    assert _diagnose_fingerprint("[1, 0], [-0.0, 0], [0, 0], [2, 0]", p) != reference
+    assert _diagnose_fingerprint("[1.0000000000000002, 0], [0, 0], [0, 0], [2, 0]", p) != reference
+    # H and P swapped is another model
+    assert _diagnose_fingerprint(p, "[1, 0], [0, 0], [0, 0], [2, 0]") != reference
+
+
+@pytest.mark.parametrize("kappa,same", [("[[2, 0], [1, 0]]", True), ("[[2e0, 0.0], [1.0, 0]]", True),
+                                        ("[[2, -0.0], [1, 0]]", False),
+                                        ("[[2.0000000000000004, 0], [1, 0]]", False)])
+def test_fingerprint_identifies_parsed_kappa(kappa, same, files, capsys, tmp_path):
+    def fingerprint(text: str) -> str:
+        (tmp_path / "k.json").write_text(text)
+        code, out, _ = run(capsys, "metric", files["h2.json"], files["p2.json"], "--kappa",
+                           str(tmp_path / "k.json"), "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        return json.loads(out)["model_fingerprint"]
+
+    assert (fingerprint(kappa) == fingerprint("[[2.0, 0.0], [1.0, 0.0]]")) == same
