@@ -998,8 +998,8 @@ def _spellings(x: float) -> list[str]:
     return [f for f in forms if struct.pack("<d", float(json.loads(f))) == struct.pack("<d", x)]
 
 
-#: one float of a 2x2 operand: a diagonal real part stays in [3, 5] so every
-#: operand is well conditioned and every run has a report to read
+#: the eight floats of a 2x2 operand; the diagonal real parts lie in [3.5, 4.5], so
+#: every operand is well conditioned and every run has a report to read
 _PART = st.floats(-1.0, 1.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
 _OPERAND = st.lists(_PART, min_size=8, max_size=8).map(
     lambda parts: [4.0 + x / 2.0 if i in (0, 6) else x for i, x in enumerate(parts)])
@@ -1057,9 +1057,12 @@ def test_fingerprint_examples():
     assert _diagnose_fingerprint(p, "[1, 0], [0, 0], [0, 0], [2, 0]") != reference
 
 
-@pytest.mark.parametrize("kappa,same", [("[[2, 0], [1, 0]]", True), ("[[2e0, 0.0], [1.0, 0]]", True),
-                                        ("[[2, -0.0], [1, 0]]", False),
-                                        ("[[2.0000000000000004, 0], [1, 0]]", False)])
+@pytest.mark.parametrize("kappa,same", [
+    ("[[2, 0], [1, 0]]", True),
+    ("[[2e0, 0.0], [1.0, 0]]", True),
+    ("[[2, -0.0], [1, 0]]", False),
+    ("[[2.0000000000000004, 0], [1, 0]]", False),
+])
 def test_fingerprint_identifies_parsed_kappa(kappa, same, files, capsys, tmp_path):
     def fingerprint(text: str) -> str:
         (tmp_path / "k.json").write_text(text)

@@ -146,7 +146,8 @@ def inputs() -> dict[str, str]:
     }
     for k in range(6, 17):
         for sign, label in ((1.0, "p"), (-1.0, "m")):
-            files[f"walk_{label}{k}.json"] = _matrix_text(_h2(1.0, -1.0, _walk_b(sign * 10.0 ** -k)))
+            h = _h2(1.0, -1.0, _walk_b(sign * 10.0 ** -k))
+            files[f"walk_{label}{k}.json"] = _matrix_text(h)
     for n in (4, 16, 64):
         h, pseudometrics = _sds(n)
         files[f"sds{n}_h.json"] = _matrix_text(h)
@@ -250,7 +251,8 @@ def cases() -> dict[str, list[str]]:
         c[f"sds{n}-hermitize"] = ["hermitize", *_in(f"sds{n}_nonhermitian.json"),
                                   "--theta", "scan:16"]
     for n in (4, 16):
-        c[f"sds{n}-metric-involutive"] = ["metric", *_in(f"sds{n}_h.json", f"sds{n}_indefinite.json"),
+        c[f"sds{n}-metric-involutive"] = ["metric", *_in(f"sds{n}_h.json",
+                                                         f"sds{n}_indefinite.json"),
                                           "--kappa", "involutive", "--out-dir", "out"]
     return c
 
