@@ -40,6 +40,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -347,7 +348,8 @@ def parse_outputs(blob: bytes) -> dict[tuple[str, str], bytes]:
     while at < len(blob):
         end = blob.index(b"\n", at)
         marker, name, stream, size = blob[at:end].decode().split(" ")
-        assert marker == "###", f"corrupt outputs file at byte {at}"
+        if marker != "###":
+            raise ValueError(f"corrupt outputs file at byte {at}")
         start = end + 1
         sections[(name, stream)] = blob[start:start + int(size)]
         at = start + int(size) + 1
@@ -365,8 +367,6 @@ def write(work: Path) -> None:
 
 
 def _main() -> int:
-    import tempfile
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", required=True,
                         help="run every case and rewrite the committed corpus")
