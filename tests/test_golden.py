@@ -1,6 +1,6 @@
 """The CLI byte corpus of ``tools/golden.py`` against its committed manifest.
 
-Each case of the corpus runs once per session.  Where the running
+Each case of the corpus runs once per pytest run.  Where the running
 Python, numpy and BLAS versions equal the manifest's header, every
 stream (stdout, stderr, each written file) is compared by sha256.
 Elsewhere LAPACK's last bits may differ, so each stream is compared
@@ -13,7 +13,7 @@ compared exactly on both paths.  argparse words its own messages
 differently across Python minor versions, so on another minor version
 than the header's the help and usage cases are skipped.
 
-The path taken is printed at the end of the session (``conftest.py``)
+The path taken is printed in the pytest summary (``conftest.py``)
 and named in every failure.  A deliberate output change regenerates
 the corpus with ``python tools/golden.py --write``.
 """
