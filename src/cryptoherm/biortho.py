@@ -155,18 +155,15 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
         eigenvalues=values,
     )
 
-    resid = biorthonormality_residual(system)
-    if not resid <= BIORTHO_RESIDUAL_CAP:  # NaN from an overflowing inverse fails too
-        raise ConvergenceFailure(
-            f"biorthonormality residual {resid:.3e} exceeds cap {BIORTHO_RESIDUAL_CAP:.0e}",
-            eigenvalues=values,
-        )
-    comp = completeness_residual(system)
-    if not comp <= COMPLETENESS_RESIDUAL_CAP:
-        raise ConvergenceFailure(
-            f"completeness residual {comp:.3e} exceeds cap {COMPLETENESS_RESIDUAL_CAP:.0e}",
-            eigenvalues=values,
-        )
+    for name, residual, cap in (
+        ("biorthonormality", biorthonormality_residual, BIORTHO_RESIDUAL_CAP),
+        ("completeness", completeness_residual, COMPLETENESS_RESIDUAL_CAP),
+    ):
+        value = residual(system)
+        if not value <= cap:  # NaN from an overflowing inverse fails too
+            raise ConvergenceFailure(
+                f"{name} residual {value:.3e} exceeds cap {cap:.0e}", eigenvalues=values
+            )
     return system
 
 

@@ -23,16 +23,18 @@ what a diagnosis finds and whether it holds is decided in
 ``symmetry.diagnose``; only the exit codes, the CLI's contract, live here,
 those of a refused run in one ordered table, ``_REFUSALS``.
 
-numpy is imported only by the commands that use it.  At module scope
-this file imports the standard library, the ``cryptoherm`` package
-itself (which loads nothing until a library name is read from it),
-``errors`` and ``h2.sweep_h2``, none of which loads numpy,
-``dataclasses`` or ``models``, so ``sweep``, ``--help`` and a usage
-error run without them.  ``diagnose``, ``metric`` and ``hermitize`` and
-the report helpers they share reach the library as
-``cryptoherm.<module>.<name>``: the first such read imports the library
-and numpy, and every later one is a dictionary lookup, with no import
-statement run per call but ``_verdict_rows``'s one of ``dataclasses``.
+This file holds no numerical code and never imports numpy: every
+number it reports is computed, and every gate decided, in the library
+(``metric`` reads the float64 and involution gates from
+``cryptoherm.metric``).  At module scope it imports the standard
+library, the ``cryptoherm`` package itself (which loads nothing until a
+library name is read from it), ``errors`` and ``h2.sweep_h2``, none of
+which loads numpy, ``dataclasses`` or ``models``, so ``sweep``,
+``--help`` and a usage error run without them.  ``diagnose``, ``metric``
+and ``hermitize`` and the report helpers they share reach the library
+as ``cryptoherm.<module>.<name>``: the first such read imports the
+library and numpy, and every later one is a dictionary lookup, with no
+import statement run per call.
 ``sweep`` builds its axes and prints its CSV in pure Python: a
 ``MIN:MAX:STEPS`` axis repeats ``np.linspace``'s float operations point
 for point, and every value is formatted with ``%.17g``, which is
@@ -65,9 +67,6 @@ from .h2 import sweep_h2
 
 if TYPE_CHECKING:
     from .linalg import Tolerance
-
-#: involution residuals above this fail the involutive-mode verdict
-INVOLUTIVITY_TOL = 1e-10
 
 #: number of scan points when --theta scan is given without a count
 DEFAULT_SCAN_POINTS = 64
@@ -223,12 +222,11 @@ def _emit_report(report: dict, out_dir: str | None) -> None:
 def _verdict_rows(verdicts) -> list[dict]:
     """Each verdict as a dict of its fields in order, as ``dataclasses.asdict`` gives it.
 
-    Shallow: asdict would deep-copy each detail mapping only for it to be rendered.
+    A frozen dataclass without slots keeps its fields in ``__dict__`` in
+    field order.  Shallow: asdict would deep-copy each detail mapping only
+    for it to be rendered.
     """
-    from dataclasses import fields  # loaded with the library; the sweep path never is
-
-    names = [f.name for f in fields(cryptoherm.symmetry.SymmetryVerdict)]
-    return [{name: getattr(v, name) for name in names} for v in verdicts]
+    return [vars(v) for v in verdicts]
 
 
 def cmd_diagnose(args) -> int:
@@ -254,8 +252,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    import numpy as np
-
     tol = _tol(args)
     h, p = _load_pair(args)
     pm = cryptoherm.models.PseudoMetric.from_matrix(p, tol)
@@ -272,14 +268,8 @@ def cmd_metric(args) -> int:
         kappa = cryptoherm.io.load_kappa(args.kappa, system.dim)
         kappa_tag = cryptoherm.io.complex_pairs(kappa)
         system = cryptoherm.biortho.renormalize(system, kappa)
-
-    # an operator that leaves float64 is refused below, without numpy's warnings on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        bundle = cryptoherm.metric.build_bundle(system, pm)
-    parts = (bundle.theta, bundle.quasiparity, bundle.charge, bundle.coeffs.q,
-             list(bundle.residuals.values()))
-    if not all(np.isfinite(part).all() for part in parts):
-        raise _UsageError("metric operators leave float64: theta, Q, C or a residual is not finite")
+    # a bundle that leaves float64 is refused here, before anything is written
+    bundle = cryptoherm.metric.build_bundle(system, pm)
 
     with _out_dir(args.out_dir) as out_dir:
         cryptoherm.io.save_matrix(out_dir / "theta.json", bundle.theta)
@@ -291,24 +281,17 @@ def cmd_metric(args) -> int:
     report["metric"] = _metric_payload(system, bundle)
     report["files"] = ["theta.json", "q.json", "c.json"]
 
+    report["involutive"] = {"applied": involutive}
     if involutive:
-        n = system.dim
-        q2 = cryptoherm.linalg.frobenius(bundle.quasiparity @ bundle.quasiparity - np.eye(n))
-        c2 = cryptoherm.linalg.frobenius(bundle.charge @ bundle.charge - np.eye(n))
-        report["involutive"] = {
-            "applied": True,
-            "kappa": cryptoherm.io.complex_pairs(system.kappa),
-            "q_squared_residual": float(q2),
-            "c_squared_residual": float(c2),
-            "holds": bool(max(q2, c2) <= INVOLUTIVITY_TOL),
-        }
-    else:
-        report["involutive"] = {"applied": False}
+        q2, c2 = bundle.involution_residuals
+        report["involutive"].update(kappa=cryptoherm.io.complex_pairs(system.kappa),
+                                    q_squared_residual=q2, c_squared_residual=c2,
+                                    holds=bundle.involutions_hold)
 
     report["warnings"] = cryptoherm.metric.nonreal_warnings(bundle.coeffs.q)
     _emit_report(report, None)
 
-    holds = bundle.factorizations_hold and (not involutive or report["involutive"]["holds"])
+    holds = bundle.factorizations_hold and (not involutive or bundle.involutions_hold)
     return EXIT_OK if holds else EXIT_VERDICT
 
 

@@ -64,7 +64,7 @@ class DegenerateSpectrum(SpectrumObstruction):
 
 
 class ZeroKappa(CryptoHermError, ValueError):
-    """A rescaling coefficient is zero or non-finite."""
+    """A rescaling coefficient is zero or non-finite, or the metric operators leave float64."""
 
 
 class VanishingOverlap(CryptoHermError):

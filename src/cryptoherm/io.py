@@ -24,10 +24,12 @@ block of row templates.  Scalars go through one dispatch per type, and
 keys and strings through ``json.encoder.encode_basestring_ascii``, the
 C encoder ``json.dumps`` itself calls for a ``str``.
 
-Parsing also takes one pass per matrix.  A pair list read from a file
-is checked for shape and type, converted by one ``np.array`` and checked
-for finiteness once; only a list that fails that is walked entry by
-entry, to name the first offending entry.
+Parsing reads the integer token ``-0``, which the renderer writes for
+-0.0, as -0.0 and every other integer as an int, so a rendered matrix
+loads back bit for bit.  It also takes one pass per matrix.  A pair
+list read from a file is checked for shape and type, converted by one
+``np.array`` and checked for finiteness once; only a list that fails
+that is walked entry by entry, to name the first offending entry.
 """
 from __future__ import annotations
 
@@ -225,11 +227,16 @@ def payload_to_matrix(obj, where: str = "matrix file") -> ComplexMatrix:
     return _pairs_to_complex(data, f"{where}: data").reshape(dim, dim)
 
 
+def _parse_int(token: str):
+    # '%.17g' renders -0.0 as "-0", which int() would read as +0
+    return -0.0 if token == "-0" else int(token)
+
+
 def _read_json(path, where: str):
     """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
         with open(os.fspath(path), encoding="utf-8") as f:
-            return json.loads(f.read())
+            return json.loads(f.read(), parse_int=_parse_int)
     except OSError as exc:
         raise MatrixFileError(f"{where}: {exc}") from exc
     # bytes that are not UTF-8, JSONDecodeError, an integer past int's digit

@@ -26,8 +26,9 @@ checks, which ``diagnose`` and ``build_bundle`` call directly;
 ``diagnose`` measures ||H||_F once and hands it down.  Matrices the
 package derives itself (Theta, Q, C, inverse(P)) are not re-validated
 as operands; the checks that catch one that overflows stay where they
-are: the solver's residual caps, P's condition cap, the Hermiticity
-test of Theta and the renderer's finiteness checks.
+are: the solver's residual caps, P's invertibility rule, the float64
+gate of ``metric.build_bundle``, the Hermiticity test of Theta and the
+renderer's finiteness checks.
 """
 from __future__ import annotations
 

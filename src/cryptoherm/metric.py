@@ -19,6 +19,15 @@ The factorization identities Theta = P Q = C P = adjoint(Q) adjoint(P)
 = adjoint(P) adjoint(C) hold exactly when P intertwines H with its
 adjoint; ``verify_factorizations`` measures all four residuals plus the
 hermiticity of Theta, normalized by ||Theta||_F.
+
+Two gates decide whether a bundle stands, and both live here.  The
+float64 gate: ``build_bundle`` runs its sums without numpy's overflow
+warnings and refuses, with ZeroKappa, a bundle whose Theta, Q, C,
+coefficients or residuals are not finite (a Theta whose norm underflows
+to zero leaves its residuals undefined, so it is refused the same way).
+The involution gate: ``MetricBundle.involution_residuals`` measures
+||Q^2 - 1||_F and ||C^2 - 1||_F on first read, and ``involutions_hold``
+compares them with INVOLUTIVITY_TOL.
 """
 from __future__ import annotations
 
@@ -34,9 +43,11 @@ from .errors import (
     DimensionMismatch,
     NonRealQuasiparity,
     VanishingOverlap,
+    ZeroKappa,
 )
 from .linalg import (
     ComplexMatrix,
+    _same_shape,
     as_complex_matrix,
     frobenius,
     hermitian_eigenvalues,
@@ -51,6 +62,9 @@ REALITY_REL = 1e-10
 
 #: factorization residuals above this fail a bundle's verdict
 FACTORIZATION_TOL = 1e-9
+
+#: involution residuals above this fail the involutive-mode verdict
+INVOLUTIVITY_TOL = 1e-10
 
 #: fixed key order of the residual map
 RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
@@ -69,7 +83,8 @@ class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
     ``theta_eigenvalues`` is computed on first use and then kept, so the
-    report and the positivity check share one Hermitian eigensolve.
+    report and the positivity check share one Hermitian eigensolve;
+    ``involution_residuals`` is kept the same way.
     """
 
     theta: ComplexMatrix
@@ -87,6 +102,18 @@ class MetricBundle:
     def factorizations_hold(self) -> bool:
         """Every residual is at most FACTORIZATION_TOL."""
         return max(self.residuals.values()) <= FACTORIZATION_TOL
+
+    @cached_property
+    def involution_residuals(self) -> tuple[float, float]:
+        """||Q^2 - 1||_F and ||C^2 - 1||_F: how far Q and C are from involutions."""
+        eye = np.eye(self.theta.shape[0])
+        return (frobenius(self.quasiparity @ self.quasiparity - eye),
+                frobenius(self.charge @ self.charge - eye))
+
+    @property
+    def involutions_hold(self) -> bool:
+        """Both involution residuals are at most INVOLUTIVITY_TOL."""
+        return max(self.involution_residuals) <= INVOLUTIVITY_TOL
 
 
 def _candidate_matrix(p) -> ComplexMatrix:
@@ -174,20 +201,17 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     qm = as_complex_matrix(q, "quasiparity")
     cm = as_complex_matrix(c, "charge")
     for other in (pm, qm, cm):
-        if other.shape != th.shape:
-            raise DimensionMismatch(
-                f"operator shape {other.shape} != theta shape {th.shape}"
-            )
-    return _factorization_residuals(th, pm, qm, cm)
-
-
-def _factorization_residuals(
-    th: ComplexMatrix, pm: ComplexMatrix, qm: ComplexMatrix, cm: ComplexMatrix
-) -> dict[str, float]:
-    # verify_factorizations on trusted arrays of one shape
+        _same_shape(th, other)
     scale = frobenius(th)
     if scale == 0.0:
         raise ValueError("theta is zero; factorization residuals are undefined")
+    return _factorization_residuals(th, pm, qm, cm, scale)
+
+
+def _factorization_residuals(
+    th: ComplexMatrix, pm: ComplexMatrix, qm: ComplexMatrix, cm: ComplexMatrix, scale: float
+) -> dict[str, float]:
+    # verify_factorizations on trusted arrays of one shape, given ||theta||_F
     # one product at a time, read for itself and for its adjoint
     pq, qdag_pdag = _product_residuals(pm @ qm, th, scale)
     cp, pdag_cdag = _product_residuals(cm @ pm, th, scale)
@@ -231,14 +255,23 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     The only builder of Q = sum_n right_n q_n adjoint(left_n) (so
     Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
     (so adjoint(C) right_n = c_n right_n) and of the coefficient set
-    (q, c = conj(q)), all from one overlap pass.
+    (q, c = conj(q)), all from one overlap pass.  The float64 gate: a
+    bundle whose operators, coefficients or residuals are not finite
+    raises ZeroKappa, as the rescaling that leads there would.
     """
     pm = _candidate_matrix(p)
-    q = quasiparity_coeffs(system, p)
-    theta = build_metric(system)
-    quasiparity = _spectral_sum(system.right, q, system.left)
-    charge = _spectral_sum(system.left, q, system.right)
-    residuals = _factorization_residuals(theta, pm, quasiparity, charge)
+    # an operator that leaves float64 is refused below, without numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = quasiparity_coeffs(system, p)
+        theta = build_metric(system)
+        quasiparity = _spectral_sum(system.right, q, system.left)
+        charge = _spectral_sum(system.left, q, system.right)
+        # a norm that underflows to zero leaves every residual undefined: NaN
+        residuals = _factorization_residuals(theta, pm, quasiparity, charge,
+                                             frobenius(theta) or np.nan)
+    if not all(np.isfinite(part).all()
+               for part in (theta, quasiparity, charge, q, list(residuals.values()))):
+        raise ZeroKappa("metric operators leave float64: theta, Q, C or a residual is not finite")
     return MetricBundle(
         theta=theta,
         quasiparity=quasiparity,

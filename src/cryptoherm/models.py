@@ -144,7 +144,8 @@ class PseudoMetric:
     condition).  ``hermitian_sum`` can legitimately produce a singular
     matrix, so ``invertible`` is a reported fact rather than an
     invariant: it is the one invertibility rule, ``condition`` is finite
-    and at most CONDITION_CAP, and the candidate is not ``negligible``.
+    and at most CONDITION_CAP, the candidate is not ``negligible``, and
+    1 / sv_min is finite, so the inverse stays inside float64.
     ``inverse`` is kept the same way, so every symmetry check on one
     candidate shares a single inversion.  P is the only matrix the
     package inverts under a condition cap: a candidate that is not
@@ -181,15 +182,21 @@ class PseudoMetric:
 
     @property
     def invertible(self) -> bool:
-        """True when ``condition`` is finite and at most CONDITION_CAP and P is not negligible."""
+        """True when P passes the one invertibility rule.
+
+        ``condition`` is finite and at most CONDITION_CAP, P is not
+        negligible, and 1 / sv_min is finite.
+        """
         return self._refusal() is None
 
     def _refusal(self) -> str | None:
-        cond = self.condition
-        if not math.isfinite(cond) or cond > CONDITION_CAP:
-            return f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}"
+        if not self.condition <= CONDITION_CAP:  # inf for a singular matrix
+            return f"condition estimate {self.condition:.3e} exceeds cap {CONDITION_CAP:.0e}"
         if self.negligible:
             return "largest singular value within the absolute tolerance: zero up to rounding"
+        if not math.isfinite(1.0 / self.smallest_singular_value):
+            return (f"smallest singular value {self.smallest_singular_value:.3e}: "
+                    "the inverse leaves float64")
         return None
 
     def check_condition(self) -> None:

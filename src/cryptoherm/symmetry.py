@@ -15,9 +15,10 @@ Every check refuses operands of different shapes with DimensionMismatch.
 ``diagnose`` runs the whole pipeline on one (H, P) pair and returns a
 Diagnosis: the spectrum, the verdicts, the metric bundle and the
 warnings, and where the construction fails (complex eigenvalues, a
-degenerate or defective spectrum, a vanishing overlap, a metric that is
-not Hermitian positive definite).  It is the one place that policy
-lives; the CLI's ``diagnose`` report only renders it.
+degenerate or defective spectrum, a vanishing overlap, metric operators
+that leave float64, a metric that is not Hermitian positive definite).
+It is the one place that policy lives; the CLI's ``diagnose`` report
+only renders it.
 
 The public checks validate their operands; ``diagnose`` validates H and
 P once, measures ||H||_F once and runs the same checks as private steps
@@ -32,7 +33,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .biortho import BiorthogonalSystem, _solve
-from .errors import NotHermitian, NotPositiveDefinite, SpectrumObstruction, VanishingOverlap
+from .errors import (
+    NotHermitian,
+    NotPositiveDefinite,
+    SpectrumObstruction,
+    VanishingOverlap,
+    ZeroKappa,
+)
 from .io import format_float
 from .linalg import (
     ComplexMatrix,
@@ -188,7 +195,8 @@ class Diagnosis:
     ``eigenvalues`` are the eigensolver's values, kept also when the
     spectrum is obstructed; ``all_real`` is max |Im E| <= tol.bound(||H||_F).
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
-    ``bundle`` is also None when an overlap <v|P|v> vanished; a bundle
+    ``bundle`` is also None when an overlap <v|P|v> vanished or the
+    operators left float64 (``metric.build_bundle`` refused it); a bundle
     whose Theta is not Hermitian positive definite is kept.  ``holds``
     means no obstruction, no metric refusal, and every verdict and
     factorization holds.
@@ -209,10 +217,11 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
 
     The verdicts come in a fixed order: pseudo_hermitian, weak_triplet
     (only for a non-self-adjoint P) and, once the bundle is built,
-    quasi_hermitian.  A spectrum obstruction, a vanishing overlap and a
-    metric that is not Hermitian positive definite become warnings, not
-    exceptions; a SpectrumObstruction without eigenvalues (the
-    eigensolver itself failed) is raised, as is a singular P.
+    quasi_hermitian.  A spectrum obstruction, a vanishing overlap, metric
+    operators that leave float64 and a metric that is not Hermitian
+    positive definite become warnings, not exceptions; a
+    SpectrumObstruction without eigenvalues (the eigensolver itself
+    failed) is raised, as is a singular P.
     """
     hm, pm = _operands(h, p, tol)
     scale = frobenius(hm)
@@ -240,7 +249,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
             warnings.append(f"degeneracy proximity: smallest gap {format_float(float(gaps.min()))}")
         try:
             bundle = build_bundle(system, pm)
-        except VanishingOverlap as exc:
+        except (VanishingOverlap, ZeroKappa) as exc:
             warnings.append(f"metric construction failed: {exc}")
         else:
             warnings += nonreal_warnings(bundle.coeffs.q)

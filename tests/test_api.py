@@ -4,6 +4,7 @@
 the operand checks every public matrix entry point makes, the lazy
 package namespace, and which commands start without numpy.
 """
+import ast
 import importlib
 import os
 import re
@@ -176,6 +177,17 @@ def _child(code: str, *args: str) -> tuple[int, list[str]]:
 )
 def test_child_runs_without_numpy(code, args, exit_code):
     assert _child(code, *args) == (exit_code, [])
+
+
+def test_cli_holds_no_numerical_code():
+    # cli loads, calls the library and renders: it imports no numpy and keeps no gate
+    source = Path(importlib.import_module("cryptoherm.cli").__file__).read_text(encoding="utf-8")
+    nodes = list(ast.walk(ast.parse(source)))
+    modules = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module]
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    assert not names & {"np", "numpy", "INVOLUTIVITY_TOL"}
 
 
 def test_diagnose_child_imports_numpy(tmp_path):

@@ -176,6 +176,18 @@ class TestInvertibilityRule:
         code, out, err = run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "1e-14")
         assert code != 1 and err == "" and json.loads(out)["schema"] == 2
 
+    def test_inverse_beyond_float64_refused_everywhere(self, files, capsys, tmp_path):
+        # cond 1 and not negligible under --tol-abs 0, but 1 / 1e-320 overflows
+        p = str(tmp_path / "p_subnormal.json")
+        save_matrix(p, 1e-320 * parity2())
+        refusal = ("error: pseudometric not invertible: smallest singular value 1.000e-320:"
+                   " the inverse leaves float64\n")
+        assert run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "0") == (1, "", refusal)
+        out_dir = tmp_path / "m"
+        assert run(capsys, "metric", files["h2.json"], p, "--tol-abs", "0",
+                   "--out-dir", str(out_dir)) == (1, "", refusal)
+        assert not out_dir.exists()
+
 
 class TestIntegerBeyondFloat64:
     """An integer that float64 cannot hold is one error line, never a traceback."""
@@ -734,6 +746,16 @@ class TestMetricCommand:
                    "--out-dir", str(out_dir)) == (1, "", f"error: {error}\n")
         assert not out_dir.exists()
 
+    def test_theta_norm_underflow_is_one_error_line(self, files, capsys, tmp_path):
+        # the involutive kappa makes ||Theta||_F underflow to 0: no residual is defined
+        p = str(tmp_path / "p_tiny.json")
+        save_matrix(p, 1e-308 * parity2())
+        out_dir = tmp_path / "out"
+        refusal = "metric operators leave float64: theta, Q, C or a residual is not finite"
+        assert run(capsys, "metric", files["h2.json"], p, "--kappa", "involutive",
+                   "--tol-abs", "0", "--out-dir", str(out_dir)) == (1, "", f"error: {refusal}\n")
+        assert not out_dir.exists()
+
     def test_obstructed_spectrum_exits_three(self, files, capsys, tmp_path):
         code, _, err = run(capsys, "metric", files["h2_exterior.json"], files["p2.json"],
                            "--out-dir", str(tmp_path / "x"))
@@ -1061,6 +1083,7 @@ def test_fingerprint_examples():
     ("[[2, 0], [1, 0]]", True),
     ("[[2e0, 0.0], [1.0, 0]]", True),
     ("[[2, -0.0], [1, 0]]", False),
+    ("[[2, -0], [1, 0]]", False),
     ("[[2.0000000000000004, 0], [1, 0]]", False),
 ])
 def test_fingerprint_identifies_parsed_kappa(kappa, same, files, capsys, tmp_path):

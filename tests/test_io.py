@@ -78,6 +78,18 @@ class TestMatrixPayload:
         back = load_matrix(path)
         assert np.array_equal(back, m)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        # '%.17g' writes -0.0 as the integer token -0, which is read back as -0.0
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+        path = tmp_path / "m.json"
+        save_matrix(path, m)
+        assert "[-0, 0],\n    [0, -0],\n    [-0, -0]" in path.read_text()
+        back = load_matrix(path)
+        assert np.signbit(back.view(np.float64)).tolist() == \
+            np.signbit(m.view(np.float64)).tolist() == [[True, False, False, True],
+                                                        [True, True, False, False]]
+
     def test_rejects_wrong_data_length(self):
         with pytest.raises(MatrixFileError):
             payload_to_matrix({"dim": 2, "data": [[1.0, 0.0]] * 3})
@@ -130,6 +142,20 @@ class TestKappaFile:
         path.write_text('[[2.0, 0.0], [0.0, -1.0]]')
         out = load_kappa(path, 2)
         assert np.array_equal(out, np.array([2.0, -1.0j]))
+
+    def test_negative_zero_token(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("[[2, -0], [-1, 0]]")
+        k = load_kappa(path, 2)
+        assert np.signbit(k.view(np.float64)).tolist() == [False, True, True, False]
+
+    def test_dim_stays_an_integer(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim": 1, "data": [[-0, 1]]}')
+        assert load_matrix(path).shape == (1, 1)
+        path.write_text('{"dim": -0, "data": []}')
+        with pytest.raises(MatrixFileError, match="'dim' must be a positive integer"):
+            load_matrix(path)
 
     def test_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "k.json"

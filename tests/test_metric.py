@@ -3,7 +3,10 @@ import pytest
 
 from cryptoherm import (
     NonRealQuasiparity,
+    PseudoMetric,
+    Tolerance,
     VanishingOverlap,
+    ZeroKappa,
     adjoint,
     build_bundle,
     build_h2,
@@ -21,7 +24,7 @@ from cryptoherm import (
     swap2,
     verify_factorizations,
 )
-from cryptoherm.metric import RESIDUAL_KEYS
+from cryptoherm.metric import INVOLUTIVITY_TOL, RESIDUAL_KEYS
 from conftest import sample_h2_params
 
 
@@ -220,6 +223,45 @@ class TestFactorizations:
         _, sys_ = h2_system
         with pytest.raises(Exception):
             verify_factorizations(build_metric(sys_), cyclic_p(3), np.eye(2), np.eye(2))
+
+    def test_zero_theta_keeps_its_value_error(self):
+        with pytest.raises(ValueError, match="^theta is zero; factorization residuals"):
+            verify_factorizations(np.zeros((2, 2)), parity2(), np.eye(2), np.eye(2))
+
+
+class TestGates:
+    _FLOAT64 = "metric operators leave float64: theta, Q, C or a residual is not finite"
+
+    def test_involution_residuals_are_read_once(self, h2_system):
+        _, sys_ = h2_system
+        _, out = involutive_normalization(sys_, parity2())
+        bundle = build_bundle(out, parity2())
+        qop, cop, eye = bundle.quasiparity, bundle.charge, np.eye(2)
+        assert bundle.involution_residuals == (frobenius(qop @ qop - eye),
+                                               frobenius(cop @ cop - eye))
+        assert bundle.involution_residuals is bundle.involution_residuals
+        assert bundle.involutions_hold
+        # at kappa = 1 the coefficients are not +-1, so Q^2 is not the identity
+        plain = build_bundle(sys_, parity2())
+        assert min(plain.involution_residuals) > INVOLUTIVITY_TOL
+        assert not plain.involutions_hold
+
+    def test_operator_beyond_float64_is_refused_without_warnings(self, h2_system):
+        # |kappa_0|^2 and its inverse fit, but C overflows
+        _, sys_ = h2_system
+        with pytest.raises(ZeroKappa) as info:
+            build_bundle(renormalize(sys_, np.array([1e-150, 1.0])), parity2())
+        assert str(info.value) == self._FLOAT64
+
+    def test_theta_norm_underflow_is_refused(self):
+        # the involutive kappa for P = 1e-308 diag(1, -1) is about 1e154, so
+        # ||Theta||_F underflows to 0 and the residuals are undefined
+        pm = PseudoMetric.from_matrix(1e-308 * parity2(), Tolerance(abs=0.0))
+        _, out = involutive_normalization(solve_biorthogonal(build_h2(1.0, 0.0, 0.4j)), pm)
+        assert frobenius(build_metric(out)) == 0.0
+        with pytest.raises(ZeroKappa) as info:
+            build_bundle(out, pm)
+        assert str(info.value) == self._FLOAT64
 
 
 class TestKappaInvariance:

@@ -323,6 +323,18 @@ class TestPseudoMetricFlags:
         pm = PseudoMetric.from_matrix(1e-13 * parity2(), Tolerance(abs=1e-14))
         assert pm.invertible and not pm.negligible
 
+    def test_inverse_beyond_float64_is_not_invertible(self):
+        # cond 1 and, under tol.abs = 0, not negligible; but 1 / 1e-320 overflows
+        pm = PseudoMetric.from_matrix(1e-320 * parity2(), Tolerance(abs=0.0))
+        assert pm.condition == 1.0 and not pm.negligible
+        assert not pm.invertible
+        with pytest.raises(SingularMatrix) as info:
+            pm.inverse
+        assert str(info.value) == "smallest singular value 1.000e-320: the inverse leaves float64"
+        # 1 / 1e-308 still fits, and the rotation family reads the same rule
+        assert PseudoMetric.from_matrix(1e-308 * parity2(), Tolerance(abs=0.0)).invertible
+        assert not hermitian_rotation(1e-320 * swap2(), 1.0, Tolerance(abs=0.0)).invertible
+
     @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
     def test_invertible_is_the_condition_cap(self, small, invertible):
         # cond 1e11 sits under CONDITION_CAP = 1e12, cond 1e13 above it

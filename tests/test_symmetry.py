@@ -7,6 +7,7 @@ from cryptoherm import (
     NotHermitian,
     NotPositiveDefinite,
     SingularMatrix,
+    Tolerance,
     build_h2,
     build_h3,
     build_metric,
@@ -269,3 +270,12 @@ def test_diagnose_outcomes(h, p, obstruction, holds, verdicts, warning):
         assert np.array_equal(found.eigenvalues, found.obstruction.eigenvalues)
     if obstruction is ComplexSpectrum:
         assert not found.all_real
+
+
+def test_diagnose_reports_operators_beyond_float64():
+    # q_n = +-1.7e308 fits, but Q and C overflow: the bundle is refused
+    found = diagnose(build_h2(1.0, 0.0, 0.4j), 1e-308 * parity2(), Tolerance(abs=0.0))
+    assert found.warnings == ("metric construction failed: metric operators leave float64: "
+                              "theta, Q, C or a residual is not finite",)
+    assert found.bundle is None and found.system is not None and not found.holds
+    assert [v.name for v in found.verdicts] == ["pseudo_hermitian"]

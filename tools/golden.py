@@ -130,18 +130,23 @@ def inputs() -> dict[str, str]:
         "h2_boundary.json": _matrix_text(_h2(1.0, 0.0, 0.5j)),
         "h2_lopsided.json": _matrix_text([[1.0, 0.3], [0.2, 0.0]]),
         "h2_zero.json": _matrix_text(np.zeros((2, 2))),
+        # disc = 1e-12: a resolved gap of 1e-6, under the proximity warning's 1e-6 ||H||_F
+        "h2_near_ep.json": _matrix_text(_h2(1.0, 0.0, 0.5j * math.sqrt(1.0 - 1e-12))),
         "h3.json": _matrix_text([[0, 0.3 + 0.4j, 0.3 - 0.4j],
                                  [0.3 - 0.4j, 0, 0.3 + 0.4j],
                                  [0.3 + 0.4j, 0.3 - 0.4j, 0]]),
         "p2.json": _matrix_text([[1, 0], [0, -1]]),
         "swap2.json": _matrix_text([[0, 1], [1, 0]]),
         "p_singular.json": _matrix_text([[1, 0], [0, 0]]),
+        "p_subnormal.json": _matrix_text([[1e-320, 0], [0, -1e-320]]),
+        "p_tiny.json": _matrix_text([[1e-308, 0], [0, -1e-308]]),
         "p3.json": _matrix_text(np.roll(np.eye(3), 1, axis=0)),
         "p4.json": _matrix_text(np.roll(np.eye(4), 1, axis=0)),
         "huge.json": _matrix_text([[1e308, 1e308], [1e308, 1e308]]),
         "kappa.json": "[[2, 0], [0, 0.5]]",
         "kappa_zero.json": "[[0, 0], [1, 0]]",
         "kappa_tiny.json": "[[1e-200, 0], [1, 0]]",
+        "kappa_small.json": "[[1e-150, 0], [1, 0]]",
         "not_json.json": "{\"dim\": 2, \"data\": [",
         "bad_layout.json": "{\"dim\": 2, \"data\": [[1, 0], [0, 0], [0, 0]]}",
     }
@@ -192,11 +197,17 @@ def cases() -> dict[str, list[str]]:
                               *_in("kappa_zero.json"), "--out-dir", "out"]
     c["refuse-kappa-range"] = ["metric", *_in("h2.json", "p2.json"), "--kappa",
                                *_in("kappa_tiny.json"), "--out-dir", "out"]
+    c["refuse-metric-range"] = ["metric", *_in("h2.json", "p2.json"), "--kappa",
+                                *_in("kappa_small.json"), "--out-dir", "out"]
+    c["refuse-theta-underflow"] = ["metric", *_in("h2.json", "p_tiny.json"), "--kappa",
+                                   "involutive", "--tol-abs", "0", "--out-dir", "out"]
     c["refuse-out-dir"] = ["diagnose", *_in("h2.json", "p2.json"), "--out-dir",
                            "../in/h2.json/sub"]
     c["refuse-singular"] = ["diagnose", *_in("h2.json", "p_singular.json")]
     c["refuse-singular-metric"] = ["metric", *_in("h2.json", "p_singular.json"),
                                    "--out-dir", "out"]
+    c["refuse-inverse-range"] = ["diagnose", *_in("h2.json", "p_subnormal.json"),
+                                 "--tol-abs", "0"]
     c["refuse-nonreal-quasiparity"] = ["metric", *_in("h3.json", "p3.json"), "--kappa",
                                        "involutive", "--out-dir", "out"]
     c["refuse-spectrum-metric"] = ["metric", *_in("h2_exterior.json", "p2.json"),
@@ -224,6 +235,9 @@ def cases() -> dict[str, list[str]]:
     c["diagnose-complex"] = ["diagnose", *_in("h2_exterior.json", "p2.json")]
     c["diagnose-degenerate"] = ["diagnose", *_in("h2_boundary.json", "p2.json")]
     c["diagnose-zero-h"] = ["diagnose", *_in("h2_zero.json", "p2.json")]
+    c["diagnose-proximity"] = ["diagnose", *_in("h2_near_ep.json", "p2.json")]
+    c["diagnose-vanishing-overlap"] = ["diagnose", *_in("h2.json", "swap2.json")]
+    c["diagnose-metric-range"] = ["diagnose", *_in("h2.json", "p_tiny.json"), "--tol-abs", "0"]
     for k in range(6, 17):
         for label in ("p", "m"):
             c[f"walk-{label}{k}"] = ["diagnose", *_in(f"walk_{label}{k}.json", "p2.json")]
