@@ -35,6 +35,17 @@ and ``hermitize`` and the report helpers they share reach the library
 as ``cryptoherm.<module>.<name>``: the first such read imports the
 library and numpy, and every later one is a dictionary lookup, with no
 import statement run per call.
+``python -m cryptoherm.cli`` and the ``cryptoherm`` console script run
+``entry``, which runs ``main`` with the garbage collector off and freezes
+the heap once it returns.  A process runs one command, so most of its
+time is interpreter start-up and shutdown: with the collector off, the
+imports of numpy and the library that ``main`` triggers run without
+full collections, and after ``gc.freeze()`` the interpreter's last
+collections at exit have nothing to walk.  Nothing is lost: a command
+leaves no cyclic garbage (``tests/test_cli.py`` checks one argv of each
+kind).  ``main`` itself leaves the collector alone, because a caller that
+embeds it runs many commands in one process, and a freeze there would
+keep each run's leftovers for the life of the caller.
 ``sweep`` builds its axes and prints its CSV in pure Python: a
 ``MIN:MAX:STEPS`` axis repeats ``np.linspace``'s float operations point
 for point, and every value is formatted with ``%.17g``, which is
@@ -43,13 +54,14 @@ for point, and every value is formatted with ``%.17g``, which is
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import cryptoherm
 
@@ -239,7 +251,7 @@ def cmd_diagnose(args) -> int:
     report["spectrum"] = {
         "values": cryptoherm.io.complex_pairs(found.eigenvalues),
         "all_real": found.all_real,
-        "max_imag": float(abs(found.eigenvalues.imag).max()),
+        "max_imag": found.max_imag,
     }
     report["verdicts"] = _verdict_rows(found.verdicts)
     report["metric"] = None if found.bundle is None else _metric_payload(found.system, found.bundle)
@@ -474,5 +486,20 @@ def main(argv=None) -> int:
         return code
 
 
+def entry() -> NoReturn:
+    """The process entry: ``main`` on this process's arguments, then exit with its code.
+
+    The collector is off while ``main`` runs and the heap is frozen once it
+    returns (see the module docstring for why).
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        # also on argparse's SystemExit from --help
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

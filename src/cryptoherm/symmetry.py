@@ -193,7 +193,8 @@ class Diagnosis:
     """What ``diagnose`` found for one (H, P) pair.
 
     ``eigenvalues`` are the eigensolver's values, kept also when the
-    spectrum is obstructed; ``all_real`` is max |Im E| <= tol.bound(||H||_F).
+    spectrum is obstructed; ``max_imag`` is their max |Im E| and
+    ``all_real`` is max_imag <= tol.bound(||H||_F).
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
     ``bundle`` is also None when an overlap <v|P|v> vanished or the
     operators left float64 (``metric.build_bundle`` refused it); a bundle
@@ -203,6 +204,7 @@ class Diagnosis:
     """
 
     eigenvalues: NDArray[np.complex128]
+    max_imag: float
     all_real: bool
     verdicts: tuple[SymmetryVerdict, ...]
     warnings: tuple[str, ...]
@@ -262,9 +264,11 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
             else:
                 holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
 
+    max_imag = float(np.max(np.abs(values.imag)))
     return Diagnosis(
         eigenvalues=values,
-        all_real=bool(float(np.max(np.abs(values.imag))) <= tol.bound(scale)),
+        max_imag=max_imag,
+        all_real=max_imag <= tol.bound(scale),
         verdicts=tuple(verdicts),
         warnings=tuple(warnings),
         system=system,

@@ -140,8 +140,16 @@ try:
 except SystemExit as exc:
     code = exc.code
 """
-#: the console script, which calls ``cryptoherm.cli.main``
+#: the ``cryptoherm`` console script: the wrapper pip writes for pyproject's entry
 CONSOLE_SCRIPT = """
+from cryptoherm.cli import entry
+try:
+    sys.exit(entry())
+except SystemExit as exc:
+    code = exc.code
+"""
+#: ``cryptoherm.cli.main`` called by a program that embeds it
+IN_PROCESS = """
 from cryptoherm.cli import main
 code = main(sys.argv[1:])
 """
@@ -154,29 +162,45 @@ SWEEP = ["sweep", "--model", "h2", "--a", "0.7", "--d", "-0.3", "--b-re", "-1:1:
 PROBED = ("numpy", "dataclasses", "inspect", "cryptoherm.models")
 
 
-def _child(code: str, *args: str) -> tuple[int, list[str]]:
-    """(exit code, those of ``PROBED`` in sys.modules) of ``code`` run in a fresh interpreter."""
-    probe = f"import sys\n{code}\nprint(code, *[m for m in {PROBED!r} if m in sys.modules])\n"
+def _child(code: str, *args: str) -> tuple[int, list[str], tuple[bool, bool]]:
+    """``code`` run in a fresh interpreter: its exit code, those of ``PROBED`` in
+    sys.modules, and the collector after it as (enabled, any object frozen)."""
+    probe = (f"import gc, sys\n{code}\nprint(code, gc.isenabled(), gc.get_freeze_count() > 0, "
+             f"*[m for m in {PROBED!r} if m in sys.modules])\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    exit_code, *loaded = done.stdout.splitlines()[-1].split()
-    return int(exit_code), loaded
+    exit_code, enabled, frozen, *loaded = done.stdout.splitlines()[-1].split()
+    return int(exit_code), loaded, (enabled == "True", frozen == "True")
+
+
+#: the collector after ``cli.entry`` (off, heap frozen), and as a fresh interpreter has it
+ENTRY_GC, UNTOUCHED_GC = (False, True), (True, False)
 
 
 @pytest.mark.parametrize(
-    "code, args, exit_code",
+    "code, args, exit_code, collector",
     [
-        (AS_MAIN, SWEEP, 0),
-        (CONSOLE_SCRIPT, SWEEP, 0),
-        (AS_MAIN, ["--help"], 0),
-        (AS_MAIN, ["sweep", "--model", "h3"], 1),
-        ("import cryptoherm\ncode = 0", [], 0),
+        (AS_MAIN, SWEEP, 0, ENTRY_GC),
+        (CONSOLE_SCRIPT, SWEEP, 0, ENTRY_GC),
+        (IN_PROCESS, SWEEP, 0, UNTOUCHED_GC),
+        (AS_MAIN, ["--help"], 0, ENTRY_GC),
+        (AS_MAIN, ["sweep", "--model", "h3"], 1, ENTRY_GC),
+        ("import cryptoherm\ncode = 0", [], 0, UNTOUCHED_GC),
     ],
-    ids=["python-m-sweep", "main-sweep", "help", "usage-error", "import-cryptoherm"],
+    ids=["python-m-sweep", "script-sweep", "main-sweep", "help", "usage-error",
+         "import-cryptoherm"],
 )
-def test_child_runs_without_numpy(code, args, exit_code):
-    assert _child(code, *args) == (exit_code, [])
+def test_child_runs_without_numpy(code, args, exit_code, collector):
+    # the process entry also turns the collector off and freezes the heap, even
+    # on --help's SystemExit; a program that embeds main keeps its own policy
+    assert _child(code, *args) == (exit_code, [], collector)
+
+
+def test_console_script_runs_the_entry():
+    # pyproject's [project.scripts] names the callable CONSOLE_SCRIPT probes
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\ncryptoherm = "cryptoherm.cli:entry"\n' in text
 
 
 def test_cli_holds_no_numerical_code():
@@ -196,7 +220,7 @@ def test_diagnose_child_imports_numpy(tmp_path):
                          ("p.json", cryptoherm.parity2())]:
         cryptoherm.io.save_matrix(tmp_path / name, matrix)
     assert _child(AS_MAIN, "diagnose", str(tmp_path / "h.json"), str(tmp_path / "p.json")) \
-        == (0, list(PROBED))
+        == (0, list(PROBED), ENTRY_GC)
 
 
 def test_package_binds_each_name_from_its_home_module():
@@ -208,4 +232,4 @@ cryptoherm.biortho.eig = object()
 import cryptoherm
 code = int(cryptoherm.eig is cryptoherm.linalg.eig)
 """
-    assert _child(code) == (1, list(PROBED))
+    assert _child(code) == (1, list(PROBED), UNTOUCHED_GC)

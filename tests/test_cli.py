@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -509,6 +510,58 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered, files):
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == "error: stdout was closed before the output was written\n"
+
+
+def _similar_pair(n: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """H = S D S^-1 with levels 0, 1, ..., n - 1, and P = S^-dag diag(u) S^-1 intertwining it."""
+    rng = np.random.default_rng(n)
+    s = np.eye(n) + 0.3 / math.sqrt(2 * n) * (rng.standard_normal((n, n))
+                                              + 1j * rng.standard_normal((n, n)))
+    s_inv = np.linalg.inv(s)
+    return (s * np.arange(n)) @ s_inv, (s_inv.conj().T * u) @ s_inv
+
+
+#: one argv of each kind a process runs, with its exit code; {name} is a file
+_ONE_OF_EACH = {
+    "diagnose-h2": (["diagnose", "{h2}", "{p2}"], 0),
+    "diagnose-n16": (["diagnose", "{h16}", "{p16}"], 0),
+    "metric-n64-involutive": (["metric", "{h64}", "{p64}", "--kappa", "involutive",
+                               "--out-dir", "{out}"], 0),
+    "sweep-100x100": (["sweep", "--model", "h2", "--a", "0.7", "--d=-0.3", "--b-re=-1:1:100",
+                       "--b-im=-1:1:100"], 0),
+    "hermitize-scan-64": (["hermitize", "{p3}", "--theta", "scan:64"], 0),
+    "sweep-refused": (["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0",
+                       "--b-im", "0:1:1"], 1),
+    "missing-file": (["diagnose", "{missing}", "{p3}"], 1),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_OF_EACH)
+def test_a_run_leaves_no_cyclic_garbage(case, files, capsys, tmp_path):
+    # what makes cli.entry's disabled collector free: a warm run of any command
+    # leaves nothing that only the collector could reclaim
+    h16, p16 = _similar_pair(16, np.exp(1j * np.linspace(0.5, 2.5, 16)))
+    h64, p64 = _similar_pair(64, np.resize([1.0, -1.0], 64))
+    paths = {"h2": files["h2.json"], "p2": files["p2.json"], "p3": files["p3.json"],
+             "missing": str(tmp_path / "nope.json"), "out": str(tmp_path / "out")}
+    for name, matrix in [("h16", h16), ("p16", p16), ("h64", h64), ("p64", p64)]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_matrix(paths[name], matrix)
+    template, expected = _ONE_OF_EACH[case]
+    argv = [token.format(**paths) for token in template]
+    for _ in range(2):
+        assert main(argv) == expected
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert (code, garbage) == (expected, 0)
 
 
 #: the exit code and the one stderr line the CLI promises for each refused run

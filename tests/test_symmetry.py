@@ -260,6 +260,9 @@ def test_diagnose_outcomes(h, p, obstruction, holds, verdicts, warning):
     assert found.holds is holds
     assert tuple(v.name for v in found.verdicts) == verdicts
     assert len(found.warnings) == 1 and found.warnings[0].startswith(warning)
+    # the reported max |Im E| is the one the reality test reads
+    assert found.max_imag == max(abs(e.imag) for e in found.eigenvalues)
+    assert found.all_real is (found.max_imag <= Tolerance().bound(np.linalg.norm(h)))
     if obstruction is None:
         assert found.obstruction is None and found.all_real
         assert np.array_equal(found.eigenvalues, found.system.eigenvalues)
