@@ -7,13 +7,17 @@ Usage::
 runs every case and rewrites the two committed files under
 ``tests/golden/``:
 
-* ``manifest.json`` - a header with the Python, numpy and BLAS versions,
-  then, for each case, its argv, its exit code and the sha256 of its
-  stdout, of its stderr and of every file it wrote;
-* ``outputs.txt`` - the same bytes in full, one section per stream, so a
-  deliberate output change shows up line by line in a diff, and a run on
-  another numpy or BLAS can be compared token by token
+* ``manifest.json`` - a header with the Python, numpy and BLAS versions
+  and the BLAS kernel picked at run time, then, for each case, its argv,
+  its exit code and the warnings it raised;
+* ``outputs.txt`` - the one record of the expected bytes: the stdout, the
+  stderr and every file each case wrote, one section per stream, so a
+  deliberate output change shows up line by line in a diff, and a run
+  under another header can be compared token by token
   (``tests/test_golden.py``).
+
+``--write`` prints the header it recorded next to the case count, so a
+regeneration on a host with another kernel shows before its diff does.
 
 Every case runs ``cryptoherm.cli.main`` in-process, with a fresh empty
 working directory, so the files it writes (``--out-dir`` or not) are all
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import ctypes
 import io
 import json
 import math
@@ -58,13 +62,33 @@ if str(SRC) not in sys.path:
 from cryptoherm.cli import main  # noqa: E402
 
 
+def _blas_kernel() -> str:
+    """The core name of the OpenBLAS bundled with numpy, as chosen at run time; ``?`` if none.
+
+    A DYNAMIC_ARCH OpenBLAS picks its kernel for the CPU it runs on, and
+    LAPACK's last bits follow that choice.  Loading the bundled library
+    again returns the instance numpy already loaded.
+    """
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "?"
+
+
 def environment() -> dict:
-    """The versions a byte-exact comparison depends on."""
+    """The versions and the BLAS kernel a byte-exact comparison depends on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas.get('version', '?')}",
+        "blas_kernel": _blas_kernel(),
     }
 
 
@@ -332,18 +356,11 @@ def run_all(work: Path) -> dict[str, dict]:
 
 
 def manifest(results: dict[str, dict]) -> dict:
+    """The header, then each case's argv, exit code and warnings; its bytes are in outputs.txt."""
     return {
         "header": environment(),
-        "cases": {
-            name: {
-                "argv": r["argv"],
-                "exit": r["exit"],
-                "warnings": r["warnings"],
-                "sha256": {stream: hashlib.sha256(data).hexdigest()
-                           for stream, data in r["streams"].items()},
-            }
-            for name, r in results.items()
-        },
+        "cases": {name: {key: r[key] for key in ("argv", "exit", "warnings")}
+                  for name, r in results.items()},
     }
 
 
@@ -373,11 +390,12 @@ def parse_outputs(blob: bytes) -> dict[tuple[str, str], bytes]:
 def write(work: Path) -> None:
     results = run_all(work)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    MANIFEST.write_text(json.dumps(manifest(results), indent=1) + "\n", encoding="utf-8")
+    recorded = manifest(results)
+    MANIFEST.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
     OUTPUTS.write_bytes(render_outputs(results))
     codes = sorted({r["exit"] for r in results.values()})
-    print(f"{len(results)} cases, exit codes {codes}: wrote {MANIFEST.relative_to(ROOT)} "
-          f"and {OUTPUTS.relative_to(ROOT)}")
+    print(f"{len(results)} cases, exit codes {codes}, header {recorded['header']}: "
+          f"wrote {MANIFEST.relative_to(ROOT)} and {OUTPUTS.relative_to(ROOT)}")
 
 
 def _main() -> int:
