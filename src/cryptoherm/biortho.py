@@ -194,11 +194,8 @@ def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:
         raise DimensionMismatch(
             f"kappa must have shape ({system.dim},), got {k.shape}"
         )
-    if not np.isfinite(k).all():
-        raise ZeroKappa("kappa contains non-finite entries")
-    if np.any(k == 0):
-        raise ZeroKappa("kappa contains zero entries")
-    with np.errstate(over="ignore", divide="ignore"):
+    # a zero, inf or NaN entry leaves |kappa_n|^2 or its inverse non-finite: refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cumulative = system.kappa * k
         weight = np.abs(cumulative) ** 2
         out_of_range = np.flatnonzero(~(np.isfinite(weight) & np.isfinite(1.0 / weight)))

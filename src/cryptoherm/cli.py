@@ -23,10 +23,13 @@ what a diagnosis finds and whether it holds is decided in
 ``symmetry.diagnose``; only the exit codes, the CLI's contract, live here,
 those of a refused run in one ordered table, ``_REFUSALS``.
 
-This file holds no numerical code and never imports numpy: every
-number it reports is computed, and every gate decided, in the library
-(``metric`` reads the float64 and involution gates from
-``cryptoherm.metric``).  At module scope it imports the standard
+This file never imports numpy, and every number it reports about a
+model is computed, and every gate decided, in the library (``metric``
+reads the float64 and involution gates from ``cryptoherm.metric``).
+The little arithmetic left here is on the arguments, in plain floats,
+so that ``sweep`` runs without numpy: the sweep axes (``_linspace``,
+bit for bit ``np.linspace``), each point's gap sqrt(|disc|) and the
+``--theta`` scan angles.  At module scope it imports the standard
 library, the ``cryptoherm`` package itself (which loads nothing until a
 library name is read from it), ``errors`` and ``h2.sweep_h2``, none of
 which loads numpy, ``dataclasses`` or ``models``, so ``sweep``,

@@ -17,8 +17,7 @@ and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 call the two-level kernel of ``h2``, which ``sweep_h2`` calls once per
 grid point, so a point and its sweep row share every bit.
 ``classify_h2`` builds its ``DomainClass`` through ``_domain_class``,
-which skips the frozen ``__init__``; the instance is the same.  ``tol``
-defaults to ``linalg.DEFAULT_TOL`` wherever it is left out.
+which skips the frozen ``__init__``; the instance is the same.
 """
 from __future__ import annotations
 
@@ -220,20 +219,17 @@ class PseudoMetric:
             raise SingularMatrix(f"inversion failed: {exc}") from exc
 
     @classmethod
-    def from_matrix(cls, m, tol: Tolerance | None = None) -> "PseudoMetric":
-        """The candidate ``m`` under ``tol`` (default ``linalg.DEFAULT_TOL``).
+    def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
+        """The candidate ``m`` under ``tol``.
 
         ``m`` must be a finite square matrix (``linalg.as_complex_matrix``);
         nothing else is computed here: the SVD, the condition number and
         the Hermiticity test wait until a verdict is read.
         """
-        return cls(
-            matrix=as_complex_matrix(m, "pseudometric"),
-            tol=DEFAULT_TOL if tol is None else tol,
-        )
+        return cls(matrix=as_complex_matrix(m, "pseudometric"), tol=tol)
 
 
-def hermitian_sum(p, tol: Tolerance | None = None) -> PseudoMetric:
+def hermitian_sum(p, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     """Self-adjoint combination P + adjoint(P).
 
     Always Hermitian; singular whenever the candidate has an eigenvalue
@@ -243,7 +239,7 @@ def hermitian_sum(p, tol: Tolerance | None = None) -> PseudoMetric:
     return PseudoMetric.from_matrix(a + a.conj().T, tol)
 
 
-def hermitian_rotation(p, theta, tol: Tolerance | None = None) -> PseudoMetric:
+def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     """Self-adjoint one-parameter family i*(P e^{i theta} - P* e^{-i theta}).
 
     For a self-adjoint candidate this degenerates to -2 sin(theta) P at
@@ -255,7 +251,7 @@ def hermitian_rotation(p, theta, tol: Tolerance | None = None) -> PseudoMetric:
     return _rotation(a, _real_scalar(theta, "theta"), tol)
 
 
-def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance | None) -> PseudoMetric:
+def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance) -> PseudoMetric:
     # hermitian_rotation of a trusted array at a validated real angle
     phase = np.exp(1j * theta)
     return PseudoMetric.from_matrix(1j * (a * phase - a.conj().T * np.conj(phase)), tol)

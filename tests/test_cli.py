@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -316,6 +317,41 @@ class TestNormBeyondFloat64:
         path.write_text(json.dumps({"dim": 2, "data": self.LAYOUTS["first-row"]}))
         assert run(capsys, "diagnose", files["h2.json"], str(path)) == (
             1, "", f"error: {path}: Frobenius norm overflows float64\n")
+
+
+def _extreme(argv, operands, reason=None):
+    marks = () if reason is None else pytest.mark.xfail(strict=True, reason=reason)
+    return pytest.param(argv, operands, marks=marks, id=argv[0])
+
+
+@pytest.mark.parametrize("argv,operands", [
+    _extreme(["metric", "H", "P", "--kappa", "K", "--out-dir", "out"],
+             {"H": [[1, 2], [0.5, 3]], "P": [[1e150, 0], [0, -1e150]],
+              "K": [[-1, 1e-8], [1e154, 1e-12]]}),
+    _extreme(["hermitize", "P", "--theta", "0"], {"P": [[0, 1e154], [0, 0]]},
+             "ROADMAP item 4: ||P + P^dag||^2 overflows in frobenius, a RuntimeWarning, exit 0"),
+    _extreme(["diagnose", "H", "P", "--tol-abs", "0"], {"H": [[1e-170 + 1e154j]], "P": [[1 + 2j]]},
+             "ROADMAP item 4: the P equation's residual overflows, a RuntimeWarning, "
+             "then ValueError: cannot serialize non-finite value inf"),
+])
+def test_extreme_operands_keep_the_exit_contract(argv, operands, capsys, tmp_path):
+    # the README's contract: an exit code from its table, exit 1 as one error line
+    # on stderr and nothing on stdout, and no warning on the way
+    for name, rows in operands.items():
+        path = tmp_path / name
+        if name == "K":
+            path.write_text(json.dumps(rows))
+        else:
+            save_matrix(path, np.array(rows, dtype=complex))
+    argv = [str(tmp_path / token) if token in operands or token == "out" else token
+            for token in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def _near_ep_cases():

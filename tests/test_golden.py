@@ -9,10 +9,11 @@ exactly.  Elsewhere LAPACK's last bits may differ, so each stream is
 compared token by token: every token but a number exactly, and each
 number to ``REL_TOL`` relative to the larger of its expected magnitude
 and the largest one in the same expected stream (round-off residuals
-near 1e-16 sit next to values of order one).  Exit codes, warnings and the names of written files are
-compared exactly on both paths.  argparse words its own messages
-differently across Python minor versions, so on another minor version
-than the header's the help and usage cases are skipped.
+near 1e-16 sit next to values of order one).  Exit codes, warnings and
+the names of written files are compared exactly on both paths.  argparse
+words its own messages differently across Python minor versions, so on
+another minor version than the header's the help and usage cases are
+skipped.
 
 The path taken is printed in the pytest summary (``conftest.py``)
 and named in every failure.  A deliberate output change regenerates

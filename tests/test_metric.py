@@ -263,6 +263,17 @@ class TestGates:
             build_bundle(out, pm)
         assert str(info.value) == self._FLOAT64
 
+    def test_coefficient_underflow_to_zero_is_refused(self):
+        # q_1 = 1/<v|P|v>/|kappa_1|^2 is about 1e-150/1e308: it underflows to -0,
+        # while Theta, Q, C and the residuals stay finite
+        pm = PseudoMetric.from_matrix(1e150 * parity2())
+        sys_ = renormalize(solve_biorthogonal(np.array([[1.0, 2.0], [0.5, 3.0]])),
+                           np.array([-1 + 1e-8j, 1e154 + 1e-12j]))
+        assert quasiparity_coeffs(sys_, pm.matrix)[1] == 0
+        with pytest.raises(ZeroKappa) as info:
+            build_bundle(sys_, pm)
+        assert str(info.value) == self._FLOAT64
+
 
 class TestKappaInvariance:
     def test_pure_phases_leave_metric_unchanged(self, h3_system):

@@ -69,9 +69,7 @@ def _blas_kernel() -> str:
     LAPACK's last bits follow that choice.  Loading the bundled library
     again returns the instance numpy already loaded.
     """
-    package = Path(np.__file__).parent
-    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
-                       *package.glob(".dylibs/*openblas*")]):
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
         try:
             corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
@@ -153,6 +151,7 @@ def inputs() -> dict[str, str]:
         "h2_exterior.json": _matrix_text(_h2(1.0, 0.0, 0.6j)),
         "h2_boundary.json": _matrix_text(_h2(1.0, 0.0, 0.5j)),
         "h2_lopsided.json": _matrix_text([[1.0, 0.3], [0.2, 0.0]]),
+        "h2_real.json": _matrix_text([[1.0, 2.0], [0.5, 3.0]]),
         "h2_zero.json": _matrix_text(np.zeros((2, 2))),
         # disc = 1e-12: a resolved gap of 1e-6, under the proximity warning's 1e-6 ||H||_F
         "h2_near_ep.json": _matrix_text(_h2(1.0, 0.0, 0.5j * math.sqrt(1.0 - 1e-12))),
@@ -164,6 +163,7 @@ def inputs() -> dict[str, str]:
         "p_singular.json": _matrix_text([[1, 0], [0, 0]]),
         "p_subnormal.json": _matrix_text([[1e-320, 0], [0, -1e-320]]),
         "p_tiny.json": _matrix_text([[1e-308, 0], [0, -1e-308]]),
+        "p_large.json": _matrix_text([[1e150, 0], [0, -1e150]]),
         "p3.json": _matrix_text(np.roll(np.eye(3), 1, axis=0)),
         "p4.json": _matrix_text(np.roll(np.eye(4), 1, axis=0)),
         "huge.json": _matrix_text([[1e308, 1e308], [1e308, 1e308]]),
@@ -171,6 +171,8 @@ def inputs() -> dict[str, str]:
         "kappa_zero.json": "[[0, 0], [1, 0]]",
         "kappa_tiny.json": "[[1e-200, 0], [1, 0]]",
         "kappa_small.json": "[[1e-150, 0], [1, 0]]",
+        # with p_large, q_1 = 1/<v|P|v>/|kappa_1|^2 underflows to -0
+        "kappa_underflow.json": "[[-1, 1e-8], [1e154, 1e-12]]",
         "not_json.json": "{\"dim\": 2, \"data\": [",
         "bad_layout.json": "{\"dim\": 2, \"data\": [[1, 0], [0, 0], [0, 0]]}",
     }
@@ -225,6 +227,9 @@ def cases() -> dict[str, list[str]]:
                                 *_in("kappa_small.json"), "--out-dir", "out"]
     c["refuse-theta-underflow"] = ["metric", *_in("h2.json", "p_tiny.json"), "--kappa",
                                    "involutive", "--tol-abs", "0", "--out-dir", "out"]
+    c["refuse-coefficient-underflow"] = ["metric", *_in("h2_real.json", "p_large.json"),
+                                         "--kappa", *_in("kappa_underflow.json"),
+                                         "--out-dir", "out"]
     c["refuse-out-dir"] = ["diagnose", *_in("h2.json", "p2.json"), "--out-dir",
                            "../in/h2.json/sub"]
     c["refuse-singular"] = ["diagnose", *_in("h2.json", "p_singular.json")]
