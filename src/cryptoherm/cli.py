@@ -422,7 +422,9 @@ def cmd_hermitize(args) -> int:
     report["sum"] = {
         "smallest_singular_value": summed.smallest_singular_value,
         "invertible": summed.invertible,
-        "self_adjoint": summed.self_adjoint,
+        # entry (i, j) of P + adjoint(P) is a_ij + conj(a_ji), the conjugate of
+        # entry (j, i): the sum equals its adjoint bit for bit, so it is not measured
+        "self_adjoint": True,
     }
     report["rotation"] = rotations
     report["warnings"] = warnings

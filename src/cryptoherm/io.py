@@ -20,9 +20,12 @@ one line.  Every other non-empty container (a dict, a list of
 bracket, one row per line one level in, and the closing bracket at the
 parent's indent.  A pair list, the layout ``complex_pairs`` produces,
 takes one pass per matrix: one finiteness check and one ``%`` over the
-block of row templates.  Scalars go through one dispatch per type, and
-keys and strings through ``json.encoder.encode_basestring_ascii``, the
-C encoder ``json.dumps`` itself calls for a ``str``.
+block of row templates.  Each list's element types are collected once,
+and that one set decides both whether it is a pair list and whether it
+stays on one line.  A scalar goes through one ``isinstance`` chain, bool
+tested before int, and keys and strings through
+``json.encoder.encode_basestring_ascii``, the C encoder ``json.dumps``
+itself calls for a ``str``.
 
 Parsing reads the integer token ``-0``, which the renderer writes for
 -0.0, as -0.0 and every other integer as an int, so a rendered matrix
@@ -33,7 +36,6 @@ that is walked entry by entry, to name the first offending entry.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -67,14 +69,14 @@ def _check_finite(floats) -> None:
         format_float(next(x for x in floats if not math.isfinite(x)))
 
 
-def _float_pairs(seq) -> tuple | None:
-    """The flattened values of a list of [float, float] lists, else None.
+def _float_pairs(rows) -> tuple | None:
+    """The flattened values of rows that are each a list of two floats, else None.
 
     Exactly ``float``: '%.17g' renders True as 1, where JSON wants true.
     """
-    if set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+    if set(map(len, rows)) != {2}:
         return None
-    flat = tuple(chain.from_iterable(seq))
+    flat = tuple(chain.from_iterable(rows))
     return flat if set(map(type, flat)) == {float} else None
 
 
@@ -94,49 +96,31 @@ def _render(value, indent: int) -> str:
         return _block("{", rows, "}", indent)
     if not isinstance(value, (list, tuple)):
         return _scalar(value)
-    if not value:
-        return "[]"
-    flat = _float_pairs(value)
+    types = set(map(type, value))
+    flat = _float_pairs(value) if types == {list} else None
     if flat is not None:
         # one pass for the whole list; '%.17g' % x is format(x, ".17g")
         _check_finite(flat)
         return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % flat
-    if all(issubclass(t, _NUMERIC) for t in set(map(type, value))):
+    # an empty list renders here too, as []
+    if all(issubclass(t, _NUMERIC) for t in types):
         return "[" + ", ".join(map(_scalar, value)) + "]"
     return _block("[", [_render(sub, indent + 1) for sub in value], "]", indent)
 
 
-@functools.singledispatch
 def _scalar(value) -> str:
-    """JSON text of one scalar; the handler is chosen once per type, subclasses included."""
+    """JSON text of one scalar; bool is tested before int, its base class."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-@_scalar.register(type(None))
-def _(value) -> str:
-    return "null"
-
-
-@_scalar.register(bool)
-def _(value) -> str:
-    return "true" if value else "false"
-
-
-@_scalar.register(int)
-@_scalar.register(np.integer)
-def _(value) -> str:
-    return str(int(value))
-
-
-@_scalar.register(float)
-@_scalar.register(np.floating)
-def _(value) -> str:
-    return format_float(value)
-
-
-@_scalar.register(str)
-def _(value) -> str:
-    return encode_basestring_ascii(value)
 
 
 def canonical_json(value) -> str:

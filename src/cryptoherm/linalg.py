@@ -106,9 +106,22 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _hermitian(a, frobenius(a), tol)
 
 
+def _unit_factor(scale: float) -> float:
+    """2**-e for a positive ``scale`` = m 2**e with 0.5 <= m < 1, capped at 2**1023.
+
+    Scaling by a power of two is exact away from subnormals: a norm taken
+    after it, and compared or divided at that scale, has the bits it has
+    without it wherever its squares stay in float64, and a matrix no
+    larger than ``scale`` keeps its squares in float64 after it.
+    """
+    return math.ldexp(1.0, -max(math.frexp(scale)[1], -1023))
+
+
 def _hermitian(a: ComplexMatrix, norm: float, tol: Tolerance) -> bool:
-    # is_hermitian on a trusted array whose Frobenius norm is already known
-    return frobenius(a - a.conj().T) <= tol.bound(norm)
+    # is_hermitian on a trusted array whose Frobenius norm is already known,
+    # measured at unit scale: ||A - A^dag||_F^2 overflows for entries near 1e154
+    factor = _unit_factor(norm)
+    return frobenius((a - a.conj().T) * factor) <= tol.bound(norm) * factor
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -24,9 +24,9 @@ Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
 warnings and refuses, with ZeroKappa, a bundle whose Theta, Q, C,
 coefficients or residuals are not finite (a Theta whose norm underflows
-to zero leaves its residuals undefined, and a coefficient that
-underflows to zero has left float64 as well, so both are refused the
-same way).
+to zero leaves its residuals undefined, so it is refused the same way),
+and one with a coefficient that underflows to zero, which has left
+float64 as well; that refusal names the first such level.
 The involution gate: ``MetricBundle.involution_residuals`` measures
 ||Q^2 - 1||_F and ||C^2 - 1||_F on first read, and ``involutions_hold``
 compares them with INVOLUTIVITY_TOL.
@@ -258,9 +258,10 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
     (so adjoint(C) right_n = c_n right_n) and of the coefficient set
     (q, c = conj(q)), all from one overlap pass.  The float64 gate: a
-    bundle whose operators, coefficients or residuals are not finite, or
-    with a coefficient that underflows to zero, raises ZeroKappa, as the
-    rescaling that leads there would.
+    bundle whose operators, coefficients or residuals are not finite
+    raises ZeroKappa, as the rescaling that leads there would, and so does
+    one with a coefficient that underflows to zero, naming the first such
+    level.
     """
     pm = _candidate_matrix(p)
     # an operator that leaves float64 is refused below, without numpy's warnings on the way
@@ -272,11 +273,13 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         # a norm that underflows to zero leaves every residual undefined: NaN
         residuals = _factorization_residuals(theta, pm, quasiparity, charge,
                                              frobenius(theta) or np.nan)
-    # a coefficient 1/<v|P|v>/|kappa|^2 is zero only by underflow: it has left float64 too
-    if np.any(q == 0) or not all(np.isfinite(part).all()
-                                 for part in (theta, quasiparity, charge, q,
-                                              list(residuals.values()))):
+    if not all(np.isfinite(part).all()
+               for part in (theta, quasiparity, charge, q, list(residuals.values()))):
         raise ZeroKappa("metric operators leave float64: theta, Q, C or a residual is not finite")
+    # a coefficient 1/<v|P|v>/|kappa|^2 is zero only by underflow: it has left float64 too
+    underflowed = np.flatnonzero(q == 0)
+    if underflowed.size:
+        raise ZeroKappa(f"quasiparity coefficient q_{underflowed[0]} underflows to zero")
     return MetricBundle(
         theta=theta,
         quasiparity=quasiparity,

@@ -47,6 +47,7 @@ from .linalg import (
     Tolerance,
     _hermitian,
     _same_shape,
+    _unit_factor,
     as_complex_matrix,
     frobenius,
     hermitian_eigenvalues,
@@ -95,15 +96,20 @@ def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
     return hm, pm
 
 
-def _relative(num: float, scale: float) -> float:
-    # a zero-scale problem has nothing to violate
-    return num / scale if scale > 0.0 else 0.0
+def _relative(residual, scale: float) -> float:
+    # ||residual||_F / scale, both first divided by the power of two that
+    # brings scale near 1, so the squares inside the norm stay in float64
+    # wherever the ratio does.  A zero-scale problem has nothing to violate.
+    if not scale > 0.0:
+        return 0.0
+    factor = _unit_factor(scale)
+    return frobenius(residual * factor) / (scale * factor)
 
 
 def _p_equation(hm, x, x_inverse, hnorm: float) -> float:
     # ||X H inverse(X) - adjoint(H)||_F / ||H||_F: the P equation, and with
     # X = adjoint(P) the triplet's adjoint equation
-    return _relative(frobenius(x @ hm @ x_inverse - hm.conj().T), hnorm)
+    return _relative(x @ hm @ x_inverse - hm.conj().T, hnorm)
 
 
 def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -135,7 +141,7 @@ def _weak_triplet(
     pm, pinv = cand.matrix, cand.inverse
     r2 = _p_equation(hm, pm.conj().T, pinv.conj().T, hnorm)
     s = pinv @ pm.conj().T
-    r_comm = _relative(frobenius(hm @ s - s @ hm), hnorm * frobenius(s))
+    r_comm = _relative(hm @ s - s @ hm, hnorm * frobenius(s))
 
     bound = tol.bound(1.0)
     dependency_ok = not (r1 <= bound and r_comm <= bound and r2 > _DEPENDENT_SLACK * bound)
@@ -175,7 +181,7 @@ def _quasi_hermitian(hm, hnorm: float, th, theta_eigenvalues, tol: Tolerance) ->
         raise NotHermitian("metric candidate is not self-adjoint")
     if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
-    residual = _relative(frobenius(th @ hm - hm.conj().T @ th), tnorm * hnorm)
+    residual = _relative(th @ hm - hm.conj().T @ th, tnorm * hnorm)
     return _verdict("quasi_hermitian", residual, tol)
 
 
@@ -184,7 +190,7 @@ def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     hm = as_complex_matrix(h, "hamiltonian")
     sm = as_complex_matrix(s, "symmetry")
     _same_shape(hm, sm)
-    residual = _relative(frobenius(hm @ sm - sm @ hm), frobenius(hm) * frobenius(sm))
+    residual = _relative(hm @ sm - sm @ hm, frobenius(hm) * frobenius(sm))
     return _verdict("pt_commutant", residual, tol)
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -319,20 +320,19 @@ class TestNormBeyondFloat64:
             1, "", f"error: {path}: Frobenius norm overflows float64\n")
 
 
-def _extreme(argv, operands, reason=None):
-    marks = () if reason is None else pytest.mark.xfail(strict=True, reason=reason)
-    return pytest.param(argv, operands, marks=marks, id=argv[0])
-
-
 @pytest.mark.parametrize("argv,operands", [
-    _extreme(["metric", "H", "P", "--kappa", "K", "--out-dir", "out"],
-             {"H": [[1, 2], [0.5, 3]], "P": [[1e150, 0], [0, -1e150]],
-              "K": [[-1, 1e-8], [1e154, 1e-12]]}),
-    _extreme(["hermitize", "P", "--theta", "0"], {"P": [[0, 1e154], [0, 0]]},
-             "ROADMAP item 4: ||P + P^dag||^2 overflows in frobenius, a RuntimeWarning, exit 0"),
-    _extreme(["diagnose", "H", "P", "--tol-abs", "0"], {"H": [[1e-170 + 1e154j]], "P": [[1 + 2j]]},
-             "ROADMAP item 4: the P equation's residual overflows, a RuntimeWarning, "
-             "then ValueError: cannot serialize non-finite value inf"),
+    pytest.param(["metric", "H", "P", "--kappa", "K", "--out-dir", "out"],
+                 {"H": [[1, 2], [0.5, 3]], "P": [[1e150, 0], [0, -1e150]],
+                  "K": [[-1, 1e-8], [1e154, 1e-12]]}, id="metric"),
+    # ||P + P^dag||_F^2 overflows: the sum is self-adjoint by construction, not by measure
+    pytest.param(["hermitize", "P", "--theta", "0"], {"P": [[0, 1e154], [0, 0]]},
+                 id="hermitize"),
+    # the squares in the P equation's residual overflow unless it is scaled first
+    pytest.param(["diagnose", "H", "P", "--tol-abs", "0"],
+                 {"H": [[1e-170 + 1e154j]], "P": [[1 + 2j]]}, id="diagnose"),
+    # ||P - P^dag||_F^2 overflows in the test of whether P is self-adjoint
+    pytest.param(["diagnose", "H", "P"], {"H": [[0]], "P": [[1e154j]]},
+                 id="diagnose-self-adjoint"),
 ])
 def test_extreme_operands_keep_the_exit_contract(argv, operands, capsys, tmp_path):
     # the README's contract: an exit code from its table, exit 1 as one error line
@@ -352,6 +352,79 @@ def test_extreme_operands_keep_the_exit_contract(argv, operands, capsys, tmp_pat
     assert code in (0, 1, 2, 3, 4)
     if code == 1:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+#: extreme operand entries: magnitudes from the smallest subnormal to near the
+#: float64 limit, each of either sign, and half of them zero, so that most
+#: operands are sparse enough to load and reach the checks
+_MAGNITUDES = (0.0, 5e-324, 1e-320, 1e-170, 1e-8, 1.0, 1e154, 1e200, 1e300, 1.7e308)
+_EXTREME = st.one_of(st.just(0.0),
+                     st.sampled_from([sign * x for x in _MAGNITUDES for sign in (1.0, -1.0)]))
+
+
+def _extreme_pairs(count):
+    return st.lists(st.lists(_EXTREME, min_size=2, max_size=2), min_size=count, max_size=count)
+
+
+@st.composite
+def _extreme_runs(draw):
+    """An argv over the four commands and the tolerance flags, and the files it reads."""
+    command = draw(st.sampled_from(["diagnose", "metric", "sweep", "hermitize"]))
+    if command == "sweep":
+        return ["sweep", "--model", "h2",
+                *(f"--{flag}={draw(_EXTREME)!r}" for flag in ("a", "d", "b-re", "b-im"))], {}
+    n = draw(st.integers(1, 3))
+    files = {"P": {"dim": n, "data": draw(_extreme_pairs(n * n))}}
+    if command == "hermitize":
+        argv = ["hermitize", "P", "--theta", draw(st.sampled_from(["0", "scan:4", "1e-8,3"]))]
+    else:
+        files["H"] = {"dim": n, "data": draw(_extreme_pairs(n * n))}
+        argv = [command, "H", "P"]
+    if command == "metric":
+        kappa = draw(st.sampled_from(["none", "involutive", "K"]))
+        if kappa == "K":
+            files["K"] = draw(_extreme_pairs(n))
+        argv += ["--out-dir", "out"] + ([] if kappa == "none" else ["--kappa", kappa])
+    for flag in ("--tol-rel", "--tol-abs"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(_MAGNITUDES))!r}")
+    return argv, files
+
+
+def _run_in(tmp: Path, argv, files):
+    """exit code, stdout, stderr and the out dir's files of one in-process run, and its warnings."""
+    for name, payload in files.items():
+        (tmp / name).write_text(json.dumps(payload))
+    argv = [str(tmp / token) if token in files or token == "out" else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    written = {p.name: p.read_bytes() for p in sorted((tmp / "out").glob("*"))}
+    return (code, out.getvalue(), err.getvalue(), written), [
+        f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_extreme_runs())
+def test_extreme_operands_never_escape_the_exit_contract(run_case):
+    # the README's contract, whatever the operands' magnitudes: an exit code from
+    # its table, exit 1 as one error line and nothing on stdout, a diagnose report
+    # on exit 3, no warning, and the same bytes on a second run
+    argv, files = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, caught = _run_in(Path(tmp), argv, files)
+        shutil.rmtree(Path(tmp, "out"), ignore_errors=True)
+        again, _ = _run_in(Path(tmp), argv, files)
+    code, out, err, _ = first
+    assert caught == []
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if code == 3 and argv[0] == "diagnose":
+        assert "spectrum" in json.loads(out)
+    assert again == first
 
 
 def _near_ep_cases():

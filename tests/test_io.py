@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import math
@@ -313,6 +314,20 @@ pair_lists = st.one_of(
     st.lists(st.tuples(pair_element, pair_element), max_size=6),
     st.lists(st.lists(pair_element, max_size=3), max_size=6),
 )
+
+
+class _Level(enum.IntEnum):
+    GROUND = 0
+    EXCITED = 1
+    BELOW = -3
+
+
+class _Float(float):
+    pass
+
+
+# bool before int in the renderer's chain: every subclass of int, float and
+# numpy's scalar types must render as the reference does
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -321,6 +336,11 @@ scalars = st.one_of(
     finite_floats.map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.text(max_size=8),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.sampled_from(_Level),
+    finite_floats.map(_Float),
 )
 reports = st.recursive(
     st.one_of(scalars, pair_lists),
@@ -357,6 +377,14 @@ def test_key_and_string_encoding_matches_json_dumps(text):
 @example([[True, 1.0]])
 def test_canonical_json_matches_reference(value):
     assert canonical_json(value) == _ref_canonical_json(value)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), [np.bool_(False), 1], {"k": [np.bool_(True)]}])
+def test_numpy_bool_is_refused_as_reference(value):
+    # np.bool_ is neither bool nor an integer type: refused, never rendered as 1 or true
+    got = _outcome(canonical_json, value)
+    assert got[0] is TypeError
+    assert got == _outcome(_ref_canonical_json, value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -78,6 +78,11 @@ class TestHermitian:
         m[1, 0] = 0.0
         assert is_hermitian(m)
 
+    def test_measured_without_overflow_near_the_float64_limit(self):
+        # ||M||_F is finite but ||M - M^dag||_F^2 is not: measured at unit scale,
+        # with no overflow warning
+        assert not is_hermitian(np.array([[0, 1e154], [0, 0]], dtype=complex))
+
 
 class TestPositiveDefinite:
     def test_accepts_gram_matrix(self, rng):

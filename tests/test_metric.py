@@ -272,7 +272,7 @@ class TestGates:
         assert quasiparity_coeffs(sys_, pm.matrix)[1] == 0
         with pytest.raises(ZeroKappa) as info:
             build_bundle(sys_, pm)
-        assert str(info.value) == self._FLOAT64
+        assert str(info.value) == "quasiparity coefficient q_1 underflows to zero"
 
 
 class TestKappaInvariance:

@@ -164,6 +164,11 @@ def inputs() -> dict[str, str]:
         "p_subnormal.json": _matrix_text([[1e-320, 0], [0, -1e-320]]),
         "p_tiny.json": _matrix_text([[1e-308, 0], [0, -1e-308]]),
         "p_large.json": _matrix_text([[1e150, 0], [0, -1e150]]),
+        # ||P + P^dag||_F^2 overflows float64, though ||P||_F does not
+        "p_offdiag_large.json": _matrix_text([[0, 1e154], [0, 0]]),
+        # with p1_complex, the squares in the P equation's plain residual overflow
+        "h1_large_imag.json": _matrix_text([[1e-170 + 1e154j]]),
+        "p1_complex.json": _matrix_text([[1 + 2j]]),
         "p3.json": _matrix_text(np.roll(np.eye(3), 1, axis=0)),
         "p4.json": _matrix_text(np.roll(np.eye(4), 1, axis=0)),
         "huge.json": _matrix_text([[1e308, 1e308], [1e308, 1e308]]),
@@ -267,6 +272,8 @@ def cases() -> dict[str, list[str]]:
     c["diagnose-proximity"] = ["diagnose", *_in("h2_near_ep.json", "p2.json")]
     c["diagnose-vanishing-overlap"] = ["diagnose", *_in("h2.json", "swap2.json")]
     c["diagnose-metric-range"] = ["diagnose", *_in("h2.json", "p_tiny.json"), "--tol-abs", "0"]
+    c["diagnose-residual-range"] = ["diagnose", *_in("h1_large_imag.json", "p1_complex.json"),
+                                    "--tol-abs", "0"]
     for k in range(6, 17):
         for label in ("p", "m"):
             c[f"walk-{label}{k}"] = ["diagnose", *_in(f"walk_{label}{k}.json", "p2.json")]
@@ -288,6 +295,7 @@ def cases() -> dict[str, list[str]]:
     c["hermitize-p3"] = ["hermitize", *_in("p3.json")]
     c["hermitize-p4-scan8"] = ["hermitize", *_in("p4.json"), "--theta", "scan:8"]
     c["hermitize-p2-list"] = ["hermitize", *_in("p2.json"), "--theta", "-1.5,0,3.141592653589793"]
+    c["hermitize-sum-range"] = ["hermitize", *_in("p_offdiag_large.json"), "--theta", "0"]
     # seeded S D S^-1 pairs
     for n in (4, 16, 64):
         for kind in ("definite", "indefinite", "nonhermitian"):
