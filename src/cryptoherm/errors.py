@@ -1,13 +1,21 @@
 """Exception hierarchy for cryptoherm.
 
 Every failure mode that callers are expected to branch on gets its own
-class so the CLI can translate exceptions into stable exit codes.
+class so the CLI can translate exceptions into stable exit codes.  A
+raise site passes the quantities that decided the refusal as keywords
+after the message; the one constructor, on ``CryptoHermError``, keeps
+each as an attribute of the same name, and each class declares its
+attributes with the defaults read when a raise site leaves one out.
 """
 from __future__ import annotations
 
 
 class CryptoHermError(Exception):
     """Base class for all package-specific failures."""
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        vars(self).update(context)
 
 
 class DimensionMismatch(CryptoHermError, ValueError):
@@ -26,9 +34,7 @@ class SingularMatrix(CryptoHermError):
     """Inversion refused: the condition number is above the trust cap, or the
     candidate is ``negligible`` (zero up to rounding, whatever its condition)."""
 
-    def __init__(self, message: str, condition: float = float("inf")):
-        super().__init__(message)
-        self.condition = condition
+    condition = float("inf")
 
 
 class SpectrumObstruction(CryptoHermError):
@@ -39,9 +45,7 @@ class SpectrumObstruction(CryptoHermError):
     failed.
     """
 
-    def __init__(self, message: str, eigenvalues=None):
-        super().__init__(message)
-        self.eigenvalues = eigenvalues
+    eigenvalues = None
 
 
 class ConvergenceFailure(SpectrumObstruction):
@@ -55,12 +59,7 @@ class ComplexSpectrum(SpectrumObstruction):
 class DegenerateSpectrum(SpectrumObstruction):
     """Two eigenvalues sit closer than the degeneracy threshold."""
 
-    def __init__(
-        self, message: str, gap: float = 0.0, threshold: float = 0.0, eigenvalues=None
-    ):
-        super().__init__(message, eigenvalues)
-        self.gap = gap
-        self.threshold = threshold
+    gap = threshold = 0.0
 
 
 class ZeroKappa(CryptoHermError, ValueError):
@@ -70,18 +69,14 @@ class ZeroKappa(CryptoHermError, ValueError):
 class VanishingOverlap(CryptoHermError):
     """<v|P|v> vanished, so the quasiparity coefficient is undefined."""
 
-    def __init__(self, message: str, index: int = -1, overlap: complex = 0j):
-        super().__init__(message)
-        self.index = index
-        self.overlap = overlap
+    index = -1
+    overlap = 0j
 
 
 class NonRealQuasiparity(CryptoHermError):
     """Quasiparity coefficients are not real, so no involutive scaling exists."""
 
-    def __init__(self, message: str, indices=()):
-        super().__init__(message)
-        self.indices = tuple(indices)
+    indices = ()
 
 
 class MatrixFileError(CryptoHermError, ValueError):

@@ -244,7 +244,7 @@ def involutive_normalization(
             "quasiparity coefficients are not real at levels "
             f"{bad.tolist()} (relative imaginary parts "
             f"{[float(rel_imag[i]) for i in bad]})",
-            indices=bad.tolist(),
+            indices=tuple(bad.tolist()),
         )
     target = np.sqrt(np.abs(q1.real)).astype(np.complex128)
     rescaled = renormalize(system, target / system.kappa)

@@ -111,9 +111,7 @@ def cyclic_p(n: int) -> ComplexMatrix:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"cyclic size must be an integer >= 2, got {n!r}")
     p = np.zeros((n, n), dtype=np.complex128)
-    p[0, n - 1] = 1.0
-    for i in range(1, n):
-        p[i, i - 1] = 1.0
+    p[np.arange(n), np.arange(n) - 1] = 1.0
     return p
 
 

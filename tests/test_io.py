@@ -91,6 +91,15 @@ class TestMatrixPayload:
             np.signbit(m.view(np.float64)).tolist() == [[True, False, False, True],
                                                         [True, True, False, False]]
 
+    def test_tuple_and_numpy_pairs_match_the_list_form(self):
+        # pairs that are tuples or hold an np.float64 take the per-entry path
+        floats = [[1.0, -0.0], [0.5, 2.0], [-0.0, 0.25], [3.0, 0.0]]
+        want = payload_to_matrix({"dim": 2, "data": floats}).tobytes()
+        tuples = [(1.0, -0.0), (0.5, 2.0), (-0.0, 0.25), (3, 0)]
+        numpy_entry = [[1.0, -0.0], [np.float64(0.5), 2.0], [-0.0, 0.25], [3, 0]]
+        for data in (tuples, numpy_entry):
+            assert payload_to_matrix({"dim": 2, "data": data}).tobytes() == want
+
     def test_rejects_wrong_data_length(self):
         with pytest.raises(MatrixFileError):
             payload_to_matrix({"dim": 2, "data": [[1.0, 0.0]] * 3})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cryptoherm import (
+    DimensionMismatch,
     NonRealQuasiparity,
     PseudoMetric,
     Tolerance,
@@ -69,6 +70,12 @@ class TestQuasiparityCoeffs:
         with pytest.raises(VanishingOverlap) as info:
             quasiparity_coeffs(sys_, swap2())
         assert info.value.index in (0, 1)
+
+    def test_candidate_of_another_dimension_refused(self):
+        sys_ = solve_biorthogonal(build_h2(1.0, 0.0, 0.4j))
+        with pytest.raises(DimensionMismatch) as info:
+            quasiparity_coeffs(sys_, cyclic_p(3))
+        assert str(info.value) == "candidate dimension 3 != system dimension 2"
 
 
 class TestChargeCoeffs:
@@ -323,7 +330,7 @@ class TestInvolutive:
         _, sys_ = h3_system
         with pytest.raises(NonRealQuasiparity) as info:
             involutive_normalization(sys_, cyclic_p(3))
-        assert tuple(info.value.indices) == (0, 1)
+        assert info.value.indices == (0, 1)
 
     def test_injected_imaginary_coefficient_names_its_level(self):
         # candidate diag(-2i, 1) makes q1_0 = 1/(-2i) = 0.5i exactly
@@ -332,7 +339,7 @@ class TestInvolutive:
         p = np.diag([-2.0j, 1.0])
         with pytest.raises(NonRealQuasiparity) as info:
             involutive_normalization(sys_, p)
-        assert tuple(info.value.indices) == (0,)
+        assert info.value.indices == (0,)
 
     def test_idempotent_once_normalized(self, h2_system):
         _, sys_ = h2_system
