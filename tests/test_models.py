@@ -220,7 +220,8 @@ def _assert_eager_verdicts(m, tol):
     assert float.hex(pm.condition) == float.hex(cond)
     assert float.hex(pm.smallest_singular_value) == float.hex(float(sv[-1]))
     assert pm.negligible is negligible
-    assert pm.invertible is (math.isfinite(cond) and cond <= CONDITION_CAP and not negligible)
+    assert pm.invertible is (math.isfinite(cond) and cond <= CONDITION_CAP and not negligible
+                             and math.isfinite(1.0 / float(sv[-1])))
     assert type(pm.condition) is type(pm.smallest_singular_value) is float
 
 
@@ -253,6 +254,7 @@ class TestPseudoMetricFlags:
     @example(m=np.array([[1.0, 2.0j], [0.5, 1.0j]]), tol=Tolerance())  # singular: row 2 = row 1 / 2
     @example(m=1e-13 * cyclic_p(3), tol=Tolerance())  # within tol.abs
     @example(m=np.array([[2.0, 1.0 - 1j], [1.0 + 1j, -3.0]]), tol=Tolerance())  # Hermitian
+    @example(m=np.array([[2.22507386e-313j]]), tol=Tolerance(rel=1e-3, abs=0.0))  # 1 / sv_min overflows
     def test_verdicts_read_lazily_are_the_eager_formulas(self, m, tol):
         _assert_eager_verdicts(m, tol)
 
