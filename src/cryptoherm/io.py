@@ -18,14 +18,15 @@ The renderer returns the text of each value.  A list of numbers stays on
 one line.  Every other non-empty container (a dict, a list of
 [float, float] pairs, any other list) has one block layout: the opening
 bracket, one row per line one level in, and the closing bracket at the
-parent's indent.  A pair list, the layout ``complex_pairs`` produces,
-takes one pass per matrix: one finiteness check and one ``%`` over the
-block of row templates.  Each list's element types are collected once,
-and that one set decides both whether it is a pair list and whether it
-stays on one line.  A scalar goes through one ``isinstance`` chain, bool
-tested before int, and keys and strings through
-``json.encoder.encode_basestring_ascii``, the C encoder ``json.dumps``
-itself calls for a ``str``.
+parent's indent.  The pair list ``complex_pairs`` returns is a list
+subclass the renderer recognises by its type, and takes one pass per
+matrix: one finiteness check and one ``%`` over the block of row
+templates.  Any other list of pairs takes the generic path, which
+prints the same bytes.  Each other list's element types are collected
+once, and that one set decides whether it stays on one line.  A scalar
+goes through one ``isinstance`` chain, bool tested before int, and keys
+and strings through ``json.encoder.encode_basestring_ascii``, the C
+encoder ``json.dumps`` itself calls for a ``str``.
 
 Parsing reads the integer token ``-0``, which the renderer writes for
 -0.0, as -0.0 and every other integer as an int, so a rendered matrix
@@ -69,15 +70,10 @@ def _check_finite(floats) -> None:
         format_float(next(x for x in floats if not math.isfinite(x)))
 
 
-def _float_pairs(rows) -> tuple | None:
-    """The flattened values of rows that are each a list of two floats, else None.
+class _Pairs(list):
+    """The [re, im] rows ``complex_pairs`` returns: two Python floats each, by construction."""
 
-    Exactly ``float``: '%.17g' renders True as 1, where JSON wants true.
-    """
-    if set(map(len, rows)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(rows))
-    return flat if set(map(type, flat)) == {float} else None
+    __slots__ = ()
 
 
 def _block(opening: str, rows, closing: str, indent: int) -> str:
@@ -94,14 +90,14 @@ def _render(value, indent: int) -> str:
         rows = [encode_basestring_ascii(str(key)) + ": " + _render(sub, indent + 1)
                 for key, sub in value.items()]
         return _block("{", rows, "}", indent)
+    if type(value) is _Pairs and value:
+        # one pass for the whole list; '%.17g' % x is format(x, ".17g")
+        flat = tuple(chain.from_iterable(value))
+        _check_finite(flat)
+        return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % flat
     if not isinstance(value, (list, tuple)):
         return _scalar(value)
     types = set(map(type, value))
-    flat = _float_pairs(value) if types == {list} else None
-    if flat is not None:
-        # one pass for the whole list; '%.17g' % x is format(x, ".17g")
-        _check_finite(flat)
-        return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % flat
     # an empty list renders here too, as []
     if all(issubclass(t, _NUMERIC) for t in types):
         return "[" + ", ".join(map(_scalar, value)) + "]"
@@ -144,9 +140,9 @@ def matrix_digest(m: ComplexMatrix) -> dict:
 
 
 def complex_pairs(values) -> list[list[float]]:
-    """Flatten a complex sequence into [re, im] pairs."""
+    """Flatten a complex sequence into [re, im] pairs, a list the renderer knows."""
     flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-    return flat.view(np.float64).reshape(-1, 2).tolist()
+    return _Pairs(flat.view(np.float64).reshape(-1, 2).tolist())
 
 
 def _pair_to_complex(entry, where: str) -> complex:

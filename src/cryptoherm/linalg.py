@@ -102,8 +102,7 @@ def _same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when ``m`` equals its adjoint up to tolerance."""
-    a = as_complex_matrix(m)
-    return _hermitian(a, frobenius(a), tol)
+    return _hermitian(as_complex_matrix(m), tol)
 
 
 def _unit_factor(scale: float) -> float:
@@ -117,11 +116,13 @@ def _unit_factor(scale: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(scale)[1], -1023))
 
 
-def _hermitian(a: ComplexMatrix, norm: float, tol: Tolerance) -> bool:
-    # is_hermitian on a trusted array whose Frobenius norm is already known,
-    # measured at unit scale: ||A - A^dag||_F^2 overflows for entries near 1e154
-    factor = _unit_factor(norm)
-    return frobenius((a - a.conj().T) * factor) <= tol.bound(norm) * factor
+def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:
+    # is_hermitian on a trusted array, measured at unit scale: the factor comes
+    # from the largest real or imaginary part, so neither ||A||_F^2 nor
+    # ||A - A^dag||_F^2 overflows, and the verdict is the unscaled one in range
+    factor = _unit_factor(np.abs(a.ravel(order="K").view(np.float64)).max())
+    b = a * factor
+    return frobenius(b - b.conj().T) <= tol.abs * factor + tol.rel * frobenius(b)
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -136,7 +137,7 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     failure wrap this themselves.
     """
     a = as_complex_matrix(m)
-    return _hermitian(a, frobenius(a), tol) and resolved_positive(hermitian_eigenvalues(a))
+    return _hermitian(a, tol) and resolved_positive(hermitian_eigenvalues(a))
 
 
 def hermitian_eigenvalues(a: ComplexMatrix) -> NDArray[np.float64]:

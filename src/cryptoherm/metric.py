@@ -263,7 +263,9 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     one with a coefficient that underflows to zero, naming the first such
     level.
     """
-    pm = _candidate_matrix(p)
+    if not isinstance(p, PseudoMetric):  # coerced once: the coefficients take the candidate
+        p = PseudoMetric.from_matrix(p)
+    pm = p.matrix
     # an operator that leaves float64 is refused below, without numpy's warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         q = quasiparity_coeffs(system, p)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SingularMatrix
 from .h2 import DomainTag, _complex_scalar, _h2_invariants, _h2_params, _h2_point, _real_scalar
-from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix, frobenius
+from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix
 
 #: refuse to invert a candidate whose 2-norm condition number exceeds this
 CONDITION_CAP = 1e12
@@ -155,7 +155,7 @@ class PseudoMetric:
     @cached_property
     def self_adjoint(self) -> bool:
         """P equals its adjoint within ``tol``."""
-        return _hermitian(self.matrix, frobenius(self.matrix), self.tol)
+        return _hermitian(self.matrix, self.tol)
 
     @cached_property
     def _singular_values(self):

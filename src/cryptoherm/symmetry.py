@@ -176,12 +176,11 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
 def _quasi_hermitian(hm, hnorm: float, th, theta_eigenvalues, tol: Tolerance) -> SymmetryVerdict:
     # quasi_hermiticity_residual on trusted arrays, given ||H||_F and the
     # ascending eigenvalues of Theta's Hermitian part
-    tnorm = frobenius(th)
-    if not _hermitian(th, tnorm, tol):
+    if not _hermitian(th, tol):
         raise NotHermitian("metric candidate is not self-adjoint")
     if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
-    residual = _relative(th @ hm - hm.conj().T @ th, tnorm * hnorm)
+    residual = _relative(th @ hm - hm.conj().T @ th, frobenius(th) * hnorm)
     return _verdict("quasi_hermitian", residual, tol)
 
 

@@ -1,21 +1,20 @@
 """The package surface stays in step with the code.
 
 ``__all__``, the README's library table and the README's python examples,
-the operand checks every public matrix entry point makes, the lazy
-package namespace, and which commands start without numpy.
+the operand checks every public matrix entry point makes, and the lazy
+package namespace; which commands start without numpy is checked in
+``test_numpy_free.py``, whose child probe the last tests here share.
 """
 import ast
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cryptoherm
+from test_numpy_free import AS_MAIN, ENTRY_GC, PROBED, UNTOUCHED_GC, _child
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -129,77 +128,9 @@ def test_public_entry_refuses_a_bad_operand(call, bad):
     assert words in str(info.value)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: ``python -m cryptoherm.cli ARGS`` (runpy is what -m runs)
-AS_MAIN = """
-import runpy
-try:
-    runpy.run_module("cryptoherm.cli", run_name="__main__", alter_sys=True)
-    code = 0
-except SystemExit as exc:
-    code = exc.code
-"""
-#: the ``cryptoherm`` console script: the wrapper pip writes for pyproject's entry
-CONSOLE_SCRIPT = """
-from cryptoherm.cli import entry
-try:
-    sys.exit(entry())
-except SystemExit as exc:
-    code = exc.code
-"""
-#: ``cryptoherm.cli.main`` called by a program that embeds it
-IN_PROCESS = """
-from cryptoherm.cli import main
-code = main(sys.argv[1:])
-"""
-SWEEP = ["sweep", "--model", "h2", "--a", "0.7", "--d", "-0.3", "--b-re", "-1:1:5",
-         "--b-im", "-1:1:5"]
-
-
-#: numpy, and what loading ``models`` brings with it: its dataclasses need
-#: ``dataclasses``, which imports ``inspect``
-PROBED = ("numpy", "dataclasses", "inspect", "cryptoherm.models")
-
-
-def _child(code: str, *args: str) -> tuple[int, list[str], tuple[bool, bool]]:
-    """``code`` run in a fresh interpreter: its exit code, those of ``PROBED`` in
-    sys.modules, and the collector after it as (enabled, any object frozen)."""
-    probe = (f"import gc, sys\n{code}\nprint(code, gc.isenabled(), gc.get_freeze_count() > 0, "
-             f"*[m for m in {PROBED!r} if m in sys.modules])\n")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    exit_code, enabled, frozen, *loaded = done.stdout.splitlines()[-1].split()
-    return int(exit_code), loaded, (enabled == "True", frozen == "True")
-
-
-#: the collector after ``cli.entry`` (off, heap frozen), and as a fresh interpreter has it
-ENTRY_GC, UNTOUCHED_GC = (False, True), (True, False)
-
-
-@pytest.mark.parametrize(
-    "code, args, exit_code, collector",
-    [
-        (AS_MAIN, SWEEP, 0, ENTRY_GC),
-        (CONSOLE_SCRIPT, SWEEP, 0, ENTRY_GC),
-        (IN_PROCESS, SWEEP, 0, UNTOUCHED_GC),
-        (AS_MAIN, ["--help"], 0, ENTRY_GC),
-        (AS_MAIN, ["sweep", "--model", "h3"], 1, ENTRY_GC),
-        ("import cryptoherm\ncode = 0", [], 0, UNTOUCHED_GC),
-    ],
-    ids=["python-m-sweep", "script-sweep", "main-sweep", "help", "usage-error",
-         "import-cryptoherm"],
-)
-def test_child_runs_without_numpy(code, args, exit_code, collector):
-    # the process entry also turns the collector off and freezes the heap, even
-    # on --help's SystemExit; a program that embeds main keeps its own policy
-    assert _child(code, *args) == (exit_code, [], collector)
-
-
 def test_console_script_runs_the_entry():
-    # pyproject's [project.scripts] names the callable CONSOLE_SCRIPT probes
-    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    # pyproject's [project.scripts] names the callable test_numpy_free.CONSOLE_SCRIPT probes
+    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert '\ncryptoherm = "cryptoherm.cli:entry"\n' in text
 
 
@@ -219,8 +150,9 @@ def test_diagnose_child_imports_numpy(tmp_path):
     for name, matrix in [("h.json", cryptoherm.build_h2(1.0, 0.0, 0.4j)),
                          ("p.json", cryptoherm.parity2())]:
         cryptoherm.io.save_matrix(tmp_path / name, matrix)
-    assert _child(AS_MAIN, "diagnose", str(tmp_path / "h.json"), str(tmp_path / "p.json")) \
-        == (0, list(PROBED), ENTRY_GC)
+    code, _, err, loaded, collector = _child(AS_MAIN, "diagnose", str(tmp_path / "h.json"),
+                                             str(tmp_path / "p.json"))
+    assert (code, err, loaded, collector) == (0, b"", list(PROBED), ENTRY_GC)
 
 
 def test_package_binds_each_name_from_its_home_module():
@@ -232,4 +164,4 @@ cryptoherm.biortho.eig = object()
 import cryptoherm
 code = int(cryptoherm.eig is cryptoherm.linalg.eig)
 """
-    assert _child(code) == (1, list(PROBED), UNTOUCHED_GC)
+    assert _child(code) == (1, b"", b"", list(PROBED), UNTOUCHED_GC)

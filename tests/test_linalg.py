@@ -83,6 +83,14 @@ class TestHermitian:
         # with no overflow warning
         assert not is_hermitian(np.array([[0, 1e154], [0, 0]], dtype=complex))
 
+    def test_measured_without_overflow_where_the_norm_leaves_float64(self):
+        # ||M||_F itself overflows: the unit scale comes from the largest entry,
+        # so there is no overflow warning and the verdicts are the in-range ones
+        near = 1e300 * np.array([[1, 1], [1 + 1e-12, 1]], dtype=complex)
+        assert is_hermitian(near)
+        assert not is_positive_definite(near)  # one eigenvalue is -5.0e287
+        assert not is_hermitian(1e300 * np.array([[1, 1], [1.5, 1]], dtype=complex))
+
 
 class TestPositiveDefinite:
     def test_accepts_gram_matrix(self, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cryptoherm.linalg
 from cryptoherm import (
     DimensionMismatch,
     NonRealQuasiparity,
@@ -26,7 +27,7 @@ from cryptoherm import (
     verify_factorizations,
 )
 from cryptoherm.metric import INVOLUTIVITY_TOL, RESIDUAL_KEYS
-from conftest import sample_h2_params
+from conftest import count_calls, sample_h2_params
 
 
 W3 = np.exp(2j * np.pi / 3)
@@ -159,6 +160,15 @@ class TestBuilders:
         q_before = build_bundle(sys_, p).quasiparity
         q_after = build_bundle(scaled, p).quasiparity
         assert np.allclose(q_after, q_before / r**2, atol=1e-12)
+
+
+    def test_array_candidate_coerced_once(self, h2_system, monkeypatch):
+        # the coefficients take the candidate build_bundle has already wrapped
+        _, sys_ = h2_system
+        coerced = []
+        count_calls(monkeypatch, cryptoherm.linalg.as_complex_matrix, coerced.append)
+        build_bundle(sys_, parity2())
+        assert [args[1:] for args in coerced] == [("pseudometric",)]
 
 
 class TestFactorizations:
