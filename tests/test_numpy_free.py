@@ -102,8 +102,9 @@ def _refused(option: str) -> bytes:
 
 #: (code, argv, exit code, stdout, stderr, collector) of each child.  The sweep
 #: digests were recorded before the sweep moved to models.sweep_h2: the README
-#: form, a 100x100 grid as in the cli_batch workload and a 16x16 grid as in
-#: paper_small, so a change to the h2 arithmetic that moves one byte fails here.
+#: form (also as ``--d=-0.3``, which prints the same bytes), a 100x100 grid as in
+#: the cli_batch workload and a 16x16 grid as in paper_small, so a change to the
+#: h2 arithmetic that moves one byte fails here.
 #: argparse's wording differs between versions, so --help and the usage error
 #: pin only their first words; a lone "--" as a value is one exact line on every
 #: Python, refused before diagnose would load numpy or read its files.
@@ -111,6 +112,8 @@ CHILDREN = {
     "python-m-sweep": (AS_MAIN, SWEEP, 0, SWEEP_SHA256, b"", ENTRY_GC),
     "script-sweep": (CONSOLE_SCRIPT, SWEEP, 0, SWEEP_SHA256, b"", ENTRY_GC),
     "main-sweep": (IN_PROCESS, SWEEP, 0, SWEEP_SHA256, b"", UNTOUCHED_GC),
+    "sweep-readme": (IN_PROCESS, [*SWEEP[:5], "--d=-0.3", *SWEEP[7:]], 0, SWEEP_SHA256, b"",
+                     UNTOUCHED_GC),
     "sweep-100x100": (
         AS_MAIN, ["sweep", "--model", "h2", "--a=1.1363729474083468", "--d=-0.34082498412710244",
                   "--b-re=-1:1:100", "--b-im=-1:1:100"],
