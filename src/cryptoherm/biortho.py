@@ -91,7 +91,7 @@ def _fix_column_phases(vectors: ComplexMatrix) -> ComplexMatrix:
     """
     mags = np.abs(vectors)
     top = mags.max(axis=0)
-    anchor = np.argmax(mags >= top * (1.0 - _ANCHOR_TIE), axis=0)
+    anchor = (mags >= top * (1.0 - _ANCHOR_TIE)).argmax(axis=0)
     pivots = vectors[anchor, np.arange(vectors.shape[1])]
     return vectors / (pivots / np.abs(pivots))
 
@@ -120,7 +120,7 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
 
     if n > 1:
         sep = np.abs(values[:, None] - values[None, :])
-        np.fill_diagonal(sep, np.inf)
+        sep.flat[:: n + 1] = np.inf  # the diagonal, each value against itself
         gap = float(sep.min())
         if gap <= cluster:
             raise DegenerateSpectrum(
@@ -130,7 +130,7 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
                 eigenvalues=values,
             )
 
-    imag_worst = float(np.max(np.abs(values.imag)))
+    imag_worst = float(np.abs(values.imag).max())
     if imag_worst > tol.bound(scale):
         raise ComplexSpectrum(
             f"spectrum is not real: max |Im E| = {imag_worst:.3e} "

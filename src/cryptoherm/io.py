@@ -24,13 +24,17 @@ matrix: one finiteness check and one ``%`` over the block of row
 templates.  Any other list of pairs takes the generic path, which
 prints the same bytes.  Each other list's element types are collected
 once, and that one set decides whether it stays on one line.  A scalar
-goes through one ``isinstance`` chain, bool tested before int, and keys
-and strings through ``json.encoder.encode_basestring_ascii``, the C
-encoder ``json.dumps`` itself calls for a ``str``.
+goes through one ``isinstance`` chain, ``_scalar``, which tests a
+report's floats, strs and bools first, bool before int; ``_render``
+sends an exact float, str or bool there before any container test.
+Keys and strings go through ``json.encoder.encode_basestring_ascii``,
+the C encoder ``json.dumps`` itself calls for a ``str``.
 
 Parsing reads the integer token ``-0``, which the renderer writes for
 -0.0, as -0.0 and every other integer as an int, so a rendered matrix
-loads back bit for bit.  It also takes one pass per matrix.  A pair
+loads back bit for bit.  One module-level decoder reads every file, and
+a file that opens with a UTF-8 byte-order mark is refused in
+``json.loads``' own words.  Parsing also takes one pass per matrix.  A pair
 list read from a file is checked for shape and type, converted by one
 ``np.array`` and checked for finiteness once; only a list that fails
 that is walked entry by entry, to name the first offending entry.
@@ -63,6 +67,9 @@ def format_float(x) -> str:
 #: list elements that make a list render inline, on one line
 _NUMERIC = (bool, int, float, np.integer, np.floating)
 
+#: the scalar types a report is nearly all made of, which _render knows by their exact type
+_EXACT = frozenset({float, str, bool})
+
 
 def _check_finite(floats) -> None:
     """Raise format_float's ValueError for the first non-finite float, if any."""
@@ -84,6 +91,8 @@ def _block(opening: str, rows, closing: str, indent: int) -> str:
 
 def _render(value, indent: int) -> str:
     """JSON text of ``value``, whose closing bracket sits at ``indent`` levels."""
+    if type(value) in _EXACT:  # a scalar, known before any container test
+        return _scalar(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -105,17 +114,17 @@ def _render(value, indent: int) -> str:
 
 
 def _scalar(value) -> str:
-    """JSON text of one scalar; bool is tested before int, its base class."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """JSON text of one scalar; a report's floats, strs and bools first, bool before int."""
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -212,11 +221,18 @@ def _parse_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+#: one decoder for every file, as ``json.loads(text, parse_int=_parse_int)`` would build
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
 def _read_json(path, where: str):
     """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
         with open(os.fspath(path), encoding="utf-8") as f:
-            return json.loads(f.read(), parse_int=_parse_int)
+            text = f.read()
+        if text.startswith("\ufeff"):  # json.loads' own refusal, word for word
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise MatrixFileError(f"{where}: {exc}") from exc
     # bytes that are not UTF-8, JSONDecodeError, an integer past int's digit

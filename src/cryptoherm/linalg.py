@@ -23,7 +23,8 @@ takes them as trusted and does not check them again:
 ``hermitian_eigenvalues``, and the private steps behind
 ``solve_biorthogonal``, ``verify_factorizations`` and the symmetry
 checks, which ``diagnose`` and ``build_bundle`` call directly;
-``diagnose`` measures ||H||_F once and hands it down.  Matrices the
+``diagnose`` measures ||H||_F once and hands it down, and ``build_bundle``
+keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
 package derives itself (Theta, Q, C, inverse(P)) are not re-validated
 as operands; the checks that catch one that overflows stay where they
 are: the solver's residual caps, P's invertibility rule, the float64
@@ -51,7 +52,7 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.rel) and np.isfinite(self.abs)):
+        if not (math.isfinite(self.rel) and math.isfinite(self.abs)):
             raise ValueError("tolerances must be finite")
         if self.rel < 0 or self.abs < 0:
             raise ValueError("tolerances must be non-negative")
@@ -146,9 +147,13 @@ def hermitian_eigenvalues(a: ComplexMatrix) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 
 
+#: float64 machine epsilon, read once
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def resolved_positive(w: NDArray[np.float64]) -> bool:
     """The positivity rule on ascending eigenvalues ``w``: w[0] > n * eps * w[-1]."""
-    return bool(w[0] > w.size * np.finfo(np.float64).eps * w[-1])
+    return bool(w[0] > w.size * _EPS * w[-1])
 
 
 def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
@@ -166,5 +171,7 @@ def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    return values, np.ascontiguousarray(vectors)
+    # the column norms np.linalg.norm(axis=0) takes, with that wrapper's own
+    # float operations: the real part of conj(v) * v, summed down the column, one sqrt
+    norms = np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=0, keepdims=True))
+    return values, np.ascontiguousarray(vectors / norms)

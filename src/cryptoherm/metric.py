@@ -33,6 +33,7 @@ compares them with INVOLUTIVITY_TOL.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -84,9 +85,11 @@ class CoefficientSet:
 class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
-    ``theta_eigenvalues`` is computed on first use and then kept, so the
-    report and the positivity check share one Hermitian eigensolve;
-    ``involution_residuals`` is kept the same way.
+    ``theta_norm`` is ||theta||_F, measured once for the residuals and
+    read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
+    computed on first use and then kept, so the report and the positivity
+    check share one Hermitian eigensolve; ``involution_residuals`` is
+    kept the same way.
     """
 
     theta: ComplexMatrix
@@ -94,6 +97,7 @@ class MetricBundle:
     charge: ComplexMatrix
     coeffs: CoefficientSet
     residuals: Mapping[str, float]
+    theta_norm: float
 
     @cached_property
     def theta_eigenvalues(self) -> NDArray[np.float64]:
@@ -137,9 +141,9 @@ def reference_quasiparity_coeffs(
             f"candidate dimension {pm.shape[0]} != system dimension {system.dim}"
         )
     v = system.right / system.kappa[None, :]  # undo the cumulative rescaling
-    overlaps = np.sum(v.conj() * (pm @ v), axis=0)
-    floors = OVERLAP_FACTOR * frobenius(pm) * np.sum(np.abs(v) ** 2, axis=0)
-    small = np.flatnonzero(np.abs(overlaps) < floors)
+    overlaps = (v.conj() * (pm @ v)).sum(axis=0)
+    floors = OVERLAP_FACTOR * frobenius(pm) * (np.abs(v) ** 2).sum(axis=0)
+    small = (np.abs(overlaps) < floors).nonzero()[0]
     if small.size:
         n = int(small[0])
         raise VanishingOverlap(
@@ -163,7 +167,7 @@ def nonreal_levels(q: NDArray[np.complex128]) -> tuple[NDArray[np.intp], NDArray
     current and the reference coefficients give the same levels.
     """
     rel = np.abs(q.imag) / np.abs(q)
-    return np.flatnonzero(rel > REALITY_REL), rel
+    return (rel > REALITY_REL).nonzero()[0], rel
 
 
 def nonreal_warnings(q: NDArray[np.complex128]) -> list[str]:
@@ -272,14 +276,15 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         theta = build_metric(system)
         quasiparity = _spectral_sum(system.right, q, system.left)
         charge = _spectral_sum(system.left, q, system.right)
+        theta_norm = frobenius(theta)
         # a norm that underflows to zero leaves every residual undefined: NaN
-        residuals = _factorization_residuals(theta, pm, quasiparity, charge,
-                                             frobenius(theta) or np.nan)
-    if not all(np.isfinite(part).all()
-               for part in (theta, quasiparity, charge, q, list(residuals.values()))):
+        residuals = _factorization_residuals(theta, pm, quasiparity, charge, theta_norm or np.nan)
+    if not (np.isfinite(theta).all() and np.isfinite(quasiparity).all()
+            and np.isfinite(charge).all() and np.isfinite(q).all()
+            and all(map(math.isfinite, residuals.values()))):
         raise ZeroKappa("metric operators leave float64: theta, Q, C or a residual is not finite")
     # a coefficient 1/<v|P|v>/|kappa|^2 is zero only by underflow: it has left float64 too
-    underflowed = np.flatnonzero(q == 0)
+    underflowed = (q == 0).nonzero()[0]
     if underflowed.size:
         raise ZeroKappa(f"quasiparity coefficient q_{underflowed[0]} underflows to zero")
     return MetricBundle(
@@ -288,4 +293,5 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         charge=charge,
         coeffs=CoefficientSet(q=q, c=np.conj(q)),
         residuals=residuals,
+        theta_norm=theta_norm,
     )

@@ -22,7 +22,8 @@ only renders it.
 
 The public checks validate their operands; ``diagnose`` validates H and
 P once, measures ||H||_F once and runs the same checks as private steps
-on those trusted arrays, with the bundle's kept spectrum of Theta.
+on those trusted arrays, with the bundle's kept norm and spectrum of
+Theta.
 """
 from __future__ import annotations
 
@@ -170,17 +171,19 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
     hm = as_complex_matrix(h, "hamiltonian")
     th = as_complex_matrix(theta, "theta")
     _same_shape(hm, th)
-    return _quasi_hermitian(hm, frobenius(hm), th, hermitian_eigenvalues(th), tol)
+    return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), hermitian_eigenvalues(th), tol)
 
 
-def _quasi_hermitian(hm, hnorm: float, th, theta_eigenvalues, tol: Tolerance) -> SymmetryVerdict:
-    # quasi_hermiticity_residual on trusted arrays, given ||H||_F and the
-    # ascending eigenvalues of Theta's Hermitian part
+def _quasi_hermitian(
+    hm, hnorm: float, th, thnorm: float, theta_eigenvalues, tol: Tolerance
+) -> SymmetryVerdict:
+    # quasi_hermiticity_residual on trusted arrays, given ||H||_F, ||Theta||_F
+    # and the ascending eigenvalues of Theta's Hermitian part
     if not _hermitian(th, tol):
         raise NotHermitian("metric candidate is not self-adjoint")
     if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
-    residual = _relative(th @ hm - hm.conj().T @ th, frobenius(th) * hnorm)
+    residual = _relative(th @ hm - hm.conj().T @ th, thnorm * hnorm)
     return _verdict("quasi_hermitian", residual, tol)
 
 
@@ -251,7 +254,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
 
     holds = False  # set only once the whole pipeline has run
     if system is not None:
-        gaps = np.diff(system.energies)
+        gaps = system.energies[1:] - system.energies[:-1]
         if system.dim > 1 and float(gaps.min()) < GAP_WARN_FACTOR * scale:
             warnings.append(f"degeneracy proximity: smallest gap {format_float(float(gaps.min()))}")
         try:
@@ -261,15 +264,14 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
         else:
             warnings += nonreal_warnings(bundle.coeffs.q)
             try:
-                verdicts.append(
-                    _quasi_hermitian(hm, scale, bundle.theta, bundle.theta_eigenvalues, tol)
-                )
+                verdicts.append(_quasi_hermitian(hm, scale, bundle.theta, bundle.theta_norm,
+                                                 bundle.theta_eigenvalues, tol))
             except (NotHermitian, NotPositiveDefinite) as exc:
                 warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
             else:
                 holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
 
-    max_imag = float(np.max(np.abs(values.imag)))
+    max_imag = float(np.abs(values.imag).max())
     return Diagnosis(
         eigenvalues=values,
         max_imag=max_imag,

@@ -273,6 +273,30 @@ class TestFileNotUtf8:
         assert not out_dir.exists()
 
 
+class TestFileWithBom:
+    """A UTF-8 file that opens with a byte-order mark is refused as invalid JSON, naming the BOM."""
+
+    @pytest.fixture
+    def bom(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + b"[[1, 0], [1, 0]]")
+        return path
+
+    def _assert_refused(self, result, path):
+        assert result == (1, "", f"error: {path}: invalid JSON (Unexpected UTF-8 BOM "
+                                 "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
+
+    @pytest.mark.parametrize("command", ["diagnose", "metric", "hermitize"])
+    def test_matrix_file(self, command, bom, files, capsys, tmp_path):
+        self._assert_refused(run(capsys, *_argv(command, bom, files, tmp_path)), bom)
+
+    def test_kappa_file(self, bom, files, capsys, tmp_path):
+        out_dir = tmp_path / "m"
+        self._assert_refused(run(capsys, "metric", files["h2.json"], files["p2.json"],
+                                 "--kappa", str(bom), "--out-dir", str(out_dir)), bom)
+        assert not out_dir.exists()
+
+
 class TestUnusableOutDir:
     """An --out-dir that cannot be a directory is one error line, exit 1, empty stdout."""
 
@@ -456,9 +480,9 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
     "command,h_name,p_name,expected",
     [
         ("diagnose", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 22, "acm": 3}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 21, "acm": 3}),
         ("diagnose", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 19, "acm": 3}),
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 18, "acm": 3}),
         ("metric", "h3.json", "p3.json",
          {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 6}),
         ("metric", "h2_b.json", "p2.json",
@@ -469,12 +493,12 @@ def test_each_operand_factored_once(command, h_name, p_name, expected, files, ca
                                     monkeypatch, tmp_path):
     # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
     # and one Hermitian eigensolve of Theta shared by the report and the positivity check;
-    # "norm" counts linalg.frobenius (the load check, ||H||_F once, the residuals, and the
-    # Hermiticity tests of P and Theta, which only diagnose reads, each measuring its
-    # matrix's norm at its own unit scale, apart from the residual's ||Theta||_F) and
-    # "acm" counts as_complex_matrix, both through every module's binding: each loaded
-    # operand is coerced where it enters the library, not again at each inner step,
-    # and not for the fingerprint, which hashes the loaded arrays as they are
+    # "norm" counts linalg.frobenius (the load check, ||H||_F once, ||Theta||_F once, which
+    # the bundle keeps for the quasi-Hermiticity check, the residuals, and the Hermiticity
+    # tests of P and Theta, which only diagnose reads, each measuring its matrix's norm at
+    # its own unit scale) and "acm" counts as_complex_matrix, both through every module's
+    # binding: each loaded operand is coerced where it enters the library, not again at
+    # each inner step, and not for the fingerprint, which hashes the loaded arrays as they are
     save_matrix(tmp_path / "h2_b.json", build_h2(1.0, 0.0, 0.3j))
     paths = dict(files, **{"h2_b.json": str(tmp_path / "h2_b.json")})
     calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "eigvalsh": 0}
