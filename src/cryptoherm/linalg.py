@@ -19,17 +19,17 @@ takes a matrix passes it through ``as_complex_matrix`` (square,
 non-empty, finite, one ``np.isfinite`` pass), and ``io.load_matrix``
 refuses a file whose entries or Frobenius norm leave float64.  Inside
 the package, a step that receives arrays its caller already validated
-takes them as trusted and does not check them again:
-``hermitian_eigenvalues``, and the private steps behind
-``solve_biorthogonal``, ``verify_factorizations`` and the symmetry
-checks, which ``diagnose`` and ``build_bundle`` call directly;
+takes them as trusted and does not check them again: the private
+steps behind ``solve_biorthogonal``, ``verify_factorizations`` and the
+symmetry checks, which ``diagnose`` and ``build_bundle`` call directly;
 ``diagnose`` measures ||H||_F once and hands it down, and ``build_bundle``
 keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
 package derives itself (Theta, Q, C, inverse(P)) are not re-validated
 as operands; the checks that catch one that overflows stay where they
 are: the solver's residual caps, P's invertibility rule, the float64
-gate of ``metric.build_bundle``, the Hermiticity test of Theta and the
-renderer's finiteness checks.
+gate of ``metric.build_bundle`` and the renderer's finiteness checks.
+Theta is exactly Hermitian where ``metric.build_metric`` makes it, so
+no step tests or symmetrizes it again.
 """
 from __future__ import annotations
 
@@ -138,13 +138,8 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     failure wrap this themselves.
     """
     a = as_complex_matrix(m)
-    return _hermitian(a, tol) and resolved_positive(hermitian_eigenvalues(a))
-
-
-def hermitian_eigenvalues(a: ComplexMatrix) -> NDArray[np.float64]:
-    """Ascending eigenvalues of the Hermitian part 0.5 * (a + adjoint(a)) of a trusted array."""
     # eigvalsh sees only one triangle, so symmetrize the tiny residual away
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return _hermitian(a, tol) and resolved_positive(np.linalg.eigvalsh(0.5 * (a + a.conj().T)))
 
 
 #: float64 machine epsilon, read once

@@ -15,10 +15,14 @@ Each sum is one matrix product, and reruns on the same input are
 byte-identical at a fixed BLAS thread count.  ``build_bundle`` is the one
 builder of Q, C and the coefficients; callers read them from its bundle.
 
-The factorization identities Theta = P Q = C P = adjoint(Q) adjoint(P)
-= adjoint(P) adjoint(C) hold exactly when P intertwines H with its
-adjoint; ``verify_factorizations`` measures all four residuals plus the
-hermiticity of Theta, normalized by ||Theta||_F.
+Theta is exactly Hermitian wherever it is made: ``build_metric``
+returns the Hermitian part of the sum, so nothing downstream tests or
+symmetrizes it again.  The factorization identities Theta = P Q = C P
+= adjoint(Q) adjoint(P) = adjoint(P) adjoint(C) hold exactly when P
+intertwines H with its adjoint; ``verify_factorizations`` measures all
+four residuals plus the hermiticity of Theta, normalized by
+||Theta||_F.  On a bundle's Theta the hermiticity residual is 0 and
+each adjoint residual equals its product's, bit for bit.
 
 Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
@@ -53,7 +57,6 @@ from .linalg import (
     _same_shape,
     as_complex_matrix,
     frobenius,
-    hermitian_eigenvalues,
 )
 from .models import PseudoMetric
 
@@ -85,6 +88,7 @@ class CoefficientSet:
 class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
+    ``theta`` is exactly Hermitian, as ``build_metric`` makes it.
     ``theta_norm`` is ||theta||_F, measured once for the residuals and
     read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
     computed on first use and then kept, so the report and the positivity
@@ -101,8 +105,8 @@ class MetricBundle:
 
     @cached_property
     def theta_eigenvalues(self) -> NDArray[np.float64]:
-        """Ascending eigenvalues of theta's Hermitian part."""
-        return hermitian_eigenvalues(self.theta)
+        """Ascending eigenvalues of theta."""
+        return np.linalg.eigvalsh(self.theta)
 
     @property
     def factorizations_hold(self) -> bool:
@@ -190,17 +194,22 @@ def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
     """Theta = sum_n left_n adjoint(left_n) over the current columns.
 
     Equals the reference-vector sum weighted by 1/|kappa_n|^2, so pure
-    kappa phases leave it untouched.  Hermitian positive definite by
-    construction whenever the system is complete.
+    kappa phases leave it untouched.  Returned as the Hermitian part
+    0.5 * (M + adjoint(M)) of the product M, which equals its adjoint bit
+    for bit (the product itself need not) and is M exactly wherever M
+    already is; positive definite whenever the system is complete.
     """
-    return system.left @ system.left.conj().T
+    m = system.left @ system.left.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     """Residuals of the four factorizations plus hermiticity of theta.
 
     Keys are fixed ("theta_hermitian", "pq", "cp", "qdag_pdag",
-    "pdag_cdag"); every value is normalized by ||theta||_F.
+    "pdag_cdag"); every value is normalized by ||theta||_F.  Theta may
+    be any matrix: the adjoint identities are read as
+    ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.
     """
     th = as_complex_matrix(theta, "theta")
     pm = _candidate_matrix(p)
@@ -217,17 +226,12 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
 def _factorization_residuals(
     th: ComplexMatrix, pm: ComplexMatrix, qm: ComplexMatrix, cm: ComplexMatrix, scale: float
 ) -> dict[str, float]:
-    # verify_factorizations on trusted arrays of one shape, given ||theta||_F
-    # one product at a time, read for itself and for its adjoint
-    pq, qdag_pdag = _product_residuals(pm @ qm, th, scale)
-    cp, pdag_cdag = _product_residuals(cm @ pm, th, scale)
-    return {"theta_hermitian": frobenius(th - th.conj().T) / scale,
-            "pq": pq, "cp": cp, "qdag_pdag": qdag_pdag, "pdag_cdag": pdag_cdag}
-
-
-def _product_residuals(ab: ComplexMatrix, th: ComplexMatrix, scale: float) -> tuple[float, float]:
-    # AB = theta and B^dagger A^dagger = (AB)^dagger = theta, the adjoint read off AB exactly
-    return frobenius(ab - th) / scale, frobenius(ab.conj().T - th) / scale
+    # verify_factorizations on trusted arrays of one shape, given ||theta||_F:
+    # each product against theta and against its adjoint
+    pq, cp, th_dag = pm @ qm, cm @ pm, th.conj().T
+    return {"theta_hermitian": frobenius(th - th_dag) / scale,
+            "pq": frobenius(pq - th) / scale, "cp": frobenius(cp - th) / scale,
+            "qdag_pdag": frobenius(pq - th_dag) / scale, "pdag_cdag": frobenius(cp - th_dag) / scale}
 
 
 def involutive_normalization(

@@ -16,14 +16,16 @@ Every check refuses operands of different shapes with DimensionMismatch.
 Diagnosis: the spectrum, the verdicts, the metric bundle and the
 warnings, and where the construction fails (complex eigenvalues, a
 degenerate or defective spectrum, a vanishing overlap, metric operators
-that leave float64, a metric that is not Hermitian positive definite).
+that leave float64, a metric that is not positive definite).
 It is the one place that policy lives; the CLI's ``diagnose`` report
 only renders it.
 
 The public checks validate their operands; ``diagnose`` validates H and
 P once, measures ||H||_F once and runs the same checks as private steps
 on those trusted arrays, with the bundle's kept norm and spectrum of
-Theta.
+Theta.  The quasi-Hermiticity step takes an exactly Hermitian Theta, as
+``metric.build_metric`` makes it, and does not test that again; the
+public check tests its candidate once and symmetrizes it.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ from .linalg import (
     _unit_factor,
     as_complex_matrix,
     frobenius,
-    hermitian_eigenvalues,
     resolved_positive,
 )
 from .metric import MetricBundle, build_bundle, nonreal_warnings
@@ -166,25 +167,28 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
     Theta must be Hermitian positive definite
     (``linalg.is_positive_definite``); the residual is the multiplicative
     form ||Theta H - adjoint(H) Theta||_F divided by ||Theta||_F ||H||_F,
-    which avoids amplification by cond(Theta).
+    which avoids amplification by cond(Theta).  A candidate that passes
+    the Hermiticity test is measured by its Hermitian part.
     """
     hm = as_complex_matrix(h, "hamiltonian")
     th = as_complex_matrix(theta, "theta")
     _same_shape(hm, th)
-    return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), hermitian_eigenvalues(th), tol)
+    if not _hermitian(th, tol):
+        raise NotHermitian("metric candidate is not self-adjoint")
+    th = 0.5 * (th + th.conj().T)
+    return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), np.linalg.eigvalsh(th), tol)
 
 
 def _quasi_hermitian(
     hm, hnorm: float, th, thnorm: float, theta_eigenvalues, tol: Tolerance
 ) -> SymmetryVerdict:
-    # quasi_hermiticity_residual on trusted arrays, given ||H||_F, ||Theta||_F
-    # and the ascending eigenvalues of Theta's Hermitian part
-    if not _hermitian(th, tol):
-        raise NotHermitian("metric candidate is not self-adjoint")
+    # quasi_hermiticity_residual on trusted arrays with Theta exactly Hermitian, given
+    # ||H||_F, ||Theta||_F and Theta's ascending eigenvalues: then adjoint(H) Theta is
+    # adjoint(Theta H), so the residual takes one product
     if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
-    residual = _relative(th @ hm - hm.conj().T @ th, thnorm * hnorm)
-    return _verdict("quasi_hermitian", residual, tol)
+    t = th @ hm
+    return _verdict("quasi_hermitian", _relative(t - t.conj().T, thnorm * hnorm), tol)
 
 
 def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -206,7 +210,7 @@ class Diagnosis:
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
     ``bundle`` is also None when an overlap <v|P|v> vanished or the
     operators left float64 (``metric.build_bundle`` refused it); a bundle
-    whose Theta is not Hermitian positive definite is kept.  ``holds``
+    whose Theta is not positive definite is kept.  ``holds``
     means no obstruction, no metric refusal, and every verdict and
     factorization holds.
     """
@@ -228,8 +232,8 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
     The verdicts come in a fixed order: pseudo_hermitian, weak_triplet
     (only for a non-self-adjoint P) and, once the bundle is built,
     quasi_hermitian.  A spectrum obstruction, a vanishing overlap, metric
-    operators that leave float64 and a metric that is not Hermitian
-    positive definite become warnings, not exceptions; a
+    operators that leave float64 and a metric that is not positive
+    definite become warnings, not exceptions; a
     SpectrumObstruction without eigenvalues (the eigensolver itself
     failed) is raised, as is a singular P.
     """
@@ -266,7 +270,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
             try:
                 verdicts.append(_quasi_hermitian(hm, scale, bundle.theta, bundle.theta_norm,
                                                  bundle.theta_eigenvalues, tol))
-            except (NotHermitian, NotPositiveDefinite) as exc:
+            except NotPositiveDefinite as exc:
                 warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
             else:
                 holds = bundle.factorizations_hold and all(v.holds for v in verdicts)

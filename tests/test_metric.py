@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cryptoherm.linalg
 from cryptoherm import (
@@ -244,6 +246,37 @@ class TestFactorizations:
     def test_zero_theta_keeps_its_value_error(self):
         with pytest.raises(ValueError, match="^theta is zero; factorization residuals"):
             verify_factorizations(np.zeros((2, 2)), parity2(), np.eye(2), np.eye(2))
+
+
+def _similar_bundles(seed: int, n: int):
+    """Bundles of a seeded H = S D S^-1: P = S^-dag diag(u) S^-1, Hermitian (u = 1) and not.
+
+    Each bundle comes twice, as built and after a random rescaling kappa.
+    """
+    rng = np.random.default_rng(seed)
+    s = np.eye(n) + 0.3 / np.sqrt(2 * n) * (rng.standard_normal((n, n))
+                                            + 1j * rng.standard_normal((n, n)))
+    s_inv = np.linalg.inv(s)
+    sys_ = solve_biorthogonal((s * np.arange(n)) @ s_inv)
+    kappa = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    for u in (np.ones(n), phases):
+        p = (s_inv.conj().T * u) @ s_inv
+        yield build_bundle(sys_, p)
+        yield build_bundle(renormalize(sys_, kappa), p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 16]))
+def test_bundle_theta_is_hermitian_bit_for_bit(seed, n):
+    # Theta is symmetrized where it is made, so the adjoint residuals are the
+    # products' own and the hermiticity residual is exactly zero
+    for bundle in _similar_bundles(seed, n):
+        assert np.array_equal(bundle.theta, bundle.theta.conj().T)
+        res = bundle.residuals
+        assert res["theta_hermitian"] == 0.0
+        assert res["qdag_pdag"] == res["pq"]
+        assert res["pdag_cdag"] == res["cp"]
 
 
 class TestGates:

@@ -106,6 +106,17 @@ class TestQuasiHermiticity:
         assert v.holds
         assert v.residual <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_one_product_residual_matches_the_two_product_form(self, n, rng):
+        # for a Hermitian Theta, adjoint(H) Theta = adjoint(Theta H): one product suffices
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        theta = a @ a.conj().T + np.eye(n)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = np.linalg.norm(theta @ h - h.conj().T @ theta) / (
+            np.linalg.norm(theta) * np.linalg.norm(h))
+        assert quasi_hermiticity_residual(h, theta).residual == pytest.approx(
+            expected, rel=0, abs=1e-15)
+
     def test_rejects_non_hermitian_candidate(self, h2_system):
         h, _ = h2_system
         with pytest.raises(NotHermitian):
