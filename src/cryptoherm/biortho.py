@@ -7,10 +7,13 @@ solver returns paired column families ``right`` / ``left`` such that
     adjoint(H) left_n = E_n left_n,
     adjoint(left_m) @ right_n = delta_mn,
 
-with energies strictly ascending.  In the reference normalization each
-right column has unit Euclidean norm and its largest-modulus entry is
-real positive; the left columns are adjoint(inverse(right)), fixed by
-the right ones.  All freedom left after that is the diagonal rescaling
+with energies strictly ascending.  In the reference normalization the
+right columns are ``linalg.eig``'s as they come, which ZGEEV leaves with
+unit Euclidean norm and the largest-modulus entry real positive; the
+left columns are adjoint(inverse(right)), fixed by the right ones.
+Theta, Q, C, the coefficients and every residual are invariant under a
+phase r_n -> e^{i phi} r_n, so no reported number depends on which entry
+carries the phase.  All freedom left after that is the diagonal rescaling
 
     right_n -> kappa_n right_n,   left_n -> left_n / conj(kappa_n),
 
@@ -54,9 +57,6 @@ _CLUSTER_FLOOR = 10.0 * float(np.sqrt(np.finfo(np.float64).eps))
 BIORTHO_RESIDUAL_CAP = 1e-10
 COMPLETENESS_RESIDUAL_CAP = 1e-9
 
-#: tie-break window when picking the phase-anchor entry of a column
-_ANCHOR_TIE = 1e-12
-
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
@@ -64,7 +64,9 @@ class BiorthogonalSystem:
 
     ``right[:, n]`` and ``left[:, n]`` belong to ``energies[n]``;
     ``kappa[n]`` is the cumulative rescaling applied on top of the
-    reference normalization (all ones straight out of the solver).
+    reference normalization, the eigensolver's unit-norm columns with
+    their largest-modulus entry real positive (all ones straight out of
+    the solver).
     ``eigenvalues`` are the complex values the eigensolver returned,
     whose real parts are ``energies`` (None for a system built by hand).
     """
@@ -80,25 +82,11 @@ class BiorthogonalSystem:
         return int(self.energies.shape[0])
 
 
-def _fix_column_phases(vectors: ComplexMatrix) -> ComplexMatrix:
-    """Rotate each column so its largest-modulus entry is real positive.
-
-    The anchor is the first index whose modulus is within a relative
-    tie-break window of the column maximum, which keeps the choice
-    stable across backends that order degenerate maxima differently.
-    Columns come from ``linalg.eig`` with unit norm, so every maximum
-    is at least 1/sqrt(n).
-    """
-    mags = np.abs(vectors)
-    top = mags.max(axis=0)
-    anchor = (mags >= top * (1.0 - _ANCHOR_TIE)).argmax(axis=0)
-    pivots = vectors[anchor, np.arange(vectors.shape[1])]
-    return vectors / (pivots / np.abs(pivots))
-
-
 def solve_biorthogonal(h, tol: Tolerance = DEFAULT_TOL) -> BiorthogonalSystem:
     """Build the reference-normalized biorthogonal system of ``h``.
 
+    The right columns are ``linalg.eig``'s, used as returned: unit norm,
+    largest-modulus entry real positive, as ZGEEV sets them.
     Degeneracy is screened before reality so that an exceptional point,
     whose numerically split eigenvalues may wander slightly off the real
     axis, is reported as DegenerateSpectrum rather than ComplexSpectrum.
@@ -138,7 +126,6 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
             eigenvalues=values,
         )
 
-    right = _fix_column_phases(right)
     try:
         left = np.linalg.inv(right).conj().T
     except np.linalg.LinAlgError as exc:
@@ -149,7 +136,7 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
 
     system = BiorthogonalSystem(
         energies=values.real.astype(np.float64),
-        right=np.ascontiguousarray(right),
+        right=right,
         left=np.ascontiguousarray(left),
         kappa=np.ones(n, dtype=np.complex128),
         eigenvalues=values,

@@ -12,7 +12,9 @@ here once:
   own accuracy instead, by the one rule in ``resolved_positive`` (see
   ``is_positive_definite`` for why),
 * eigenvalues are sorted ascending by real part, ties by imaginary
-  part, and eigenvector columns are returned with unit Euclidean norm.
+  part, and eigenvector columns are returned as LAPACK's ZGEEV
+  normalizes them: unit Euclidean norm, largest-modulus component real
+  positive.  No step normalizes or re-phases them again.
 
 Operands are validated at the boundary: every public function that
 takes a matrix passes it through ``as_complex_matrix`` (square,
@@ -155,8 +157,12 @@ def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
     """Full eigendecomposition with a deterministic ordering.
 
     Returns ``(values, vectors)`` where eigenvalues come ascending by
-    (real, imaginary) and ``vectors[:, k]`` is the unit-norm eigenvector
-    for ``values[k]``.
+    (real, imaginary) and ``vectors[:, k]`` is the eigenvector for
+    ``values[k]``, as ``np.linalg.eig`` returns it.  For complex128
+    input that is LAPACK's ZGEEV, which leaves each column with unit
+    Euclidean norm and its largest-modulus component real positive
+    (LAPACK Users' Guide, 3rd ed., xGEEV); the columns are only
+    reordered here, not normalized again.
     """
     a = as_complex_matrix(m)
     try:
@@ -164,9 +170,4 @@ def eig(m) -> tuple[NDArray[np.complex128], ComplexMatrix]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    # the column norms np.linalg.norm(axis=0) takes, with that wrapper's own
-    # float operations: the real part of conj(v) * v, summed down the column, one sqrt
-    norms = np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=0, keepdims=True))
-    return values, np.ascontiguousarray(vectors / norms)
+    return values[order], np.ascontiguousarray(vectors[:, order])

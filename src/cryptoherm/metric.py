@@ -136,7 +136,8 @@ def reference_quasiparity_coeffs(
     """Coefficients of the kappa = 1 system, before any rescaling.
 
     q1_n = 1 / <v_n|P|v_n> over the reference right vectors v_n (unit
-    norm, fixed phase).  An overlap below OVERLAP_FACTOR * ||P||_F
+    norm, as the eigensolver returns them; the overlap does not depend
+    on their phase).  An overlap below OVERLAP_FACTOR * ||P||_F
     * ||v_n||^2 raises VanishingOverlap naming the first such level.
     """
     pm = _candidate_matrix(p)

@@ -1,10 +1,12 @@
 """Shared samplers and fixtures for the test suite."""
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cryptoherm import build_h2, build_h3, solve_biorthogonal
 
@@ -42,6 +44,62 @@ def sample_h3_params(rng, gap_floor: float = 1e-4):
         )
         if np.diff(levels).min() > gap_floor:
             return a, b
+
+
+def sample_similar(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H = S D S^-1 with levels 0, 1, ..., n - 1, and S^-1.
+
+    S = I + 0.3 / sqrt(2n) G, with G complex Gaussian (the real parts
+    drawn first), stays well conditioned.  P = S^-dag diag(u) S^-1
+    intertwines H for any u.
+    """
+    s = np.eye(n) + 0.3 / math.sqrt(2 * n) * (rng.standard_normal((n, n))
+                                              + 1j * rng.standard_normal((n, n)))
+    s_inv = np.linalg.inv(s)
+    return (s * np.arange(n)) @ s_inv, s_inv
+
+
+@st.composite
+def eigen_operands(draw, walk: bool = False) -> np.ndarray:
+    """A matrix with a real, simple, resolvable spectrum, or a near-EP walk point.
+
+    The families: seeded S D S^-1 with n in {1, 2, 3, 4, 16}; the two-level
+    model; the cyclic three-level model, whose eigenvectors have entries of
+    equal modulus; diagonal matrices; and real-valued input (the two-level
+    model with b = |b|).  With ``walk``, also the two-level model at
+    discriminant +-10^-k, k = 6 ... 16, whose negative side has a complex
+    spectrum and whose points nearest the exceptional point do not solve.
+    """
+    kinds = ["similar", "h2", "h3", "diagonal", "real"] + (["walk"] if walk else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "walk":  # (a, d) = (1, -1) and b imaginary, so disc = 4 - 4|b|^2
+        disc = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.integers(6, 16))
+        return build_h2(1.0, -1.0, 1j * math.sqrt(1.0 - disc / 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "similar":
+        return sample_similar(rng, draw(st.sampled_from([1, 2, 3, 4, 16])))[0]
+    if kind == "h2":
+        return build_h2(*sample_h2_params(rng))
+    if kind == "h3":
+        return build_h3(*sample_h3_params(rng))
+    if kind == "diagonal":
+        n = draw(st.sampled_from([1, 2, 3, 4, 16]))
+        return np.diag(rng.permutation(n) + rng.uniform(-0.25, 0.25, n)).astype(np.complex128)
+    a, d, b = sample_h2_params(rng)
+    return build_h2(a, d, abs(b))
+
+
+def assert_eigensolver_normalized(vectors: np.ndarray) -> None:
+    """Every column as ZGEEV leaves it: unit norm, a largest-modulus entry real positive.
+
+    The entry is any one within 1e-12 of the column's largest modulus, so
+    a column with tied maxima passes whichever of them the backend chose.
+    """
+    for col in vectors.T:
+        mags = np.abs(col)
+        assert abs(np.linalg.norm(col) - 1.0) <= 1e-13
+        near = col[mags >= mags.max() - 1e-12]
+        assert ((near.imag == 0.0) & (near.real > 0.0)).any()
 
 
 def count_calls(monkeypatch, real, on_call) -> None:

@@ -26,7 +26,7 @@ from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
 from cryptoherm.cli import _PARSER, _REFUSALS, _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
-from conftest import count_calls
+from conftest import count_calls, sample_similar
 
 
 @pytest.fixture
@@ -648,11 +648,8 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered, files):
 
 def _similar_pair(n: int, u) -> tuple[np.ndarray, np.ndarray]:
     """H = S D S^-1 with levels 0, 1, ..., n - 1, and P = S^-dag diag(u) S^-1 intertwining it."""
-    rng = np.random.default_rng(n)
-    s = np.eye(n) + 0.3 / math.sqrt(2 * n) * (rng.standard_normal((n, n))
-                                              + 1j * rng.standard_normal((n, n)))
-    s_inv = np.linalg.inv(s)
-    return (s * np.arange(n)) @ s_inv, (s_inv.conj().T * u) @ s_inv
+    h, s_inv = sample_similar(np.random.default_rng(n), n)
+    return h, (s_inv.conj().T * u) @ s_inv
 
 
 #: one argv of each kind a process runs, with its exit code; {name} is a file

@@ -29,7 +29,7 @@ from cryptoherm import (
     verify_factorizations,
 )
 from cryptoherm.metric import INVOLUTIVITY_TOL, RESIDUAL_KEYS
-from conftest import count_calls, sample_h2_params
+from conftest import count_calls, sample_h2_params, sample_similar
 
 
 W3 = np.exp(2j * np.pi / 3)
@@ -254,10 +254,8 @@ def _similar_bundles(seed: int, n: int):
     Each bundle comes twice, as built and after a random rescaling kappa.
     """
     rng = np.random.default_rng(seed)
-    s = np.eye(n) + 0.3 / np.sqrt(2 * n) * (rng.standard_normal((n, n))
-                                            + 1j * rng.standard_normal((n, n)))
-    s_inv = np.linalg.inv(s)
-    sys_ = solve_biorthogonal((s * np.arange(n)) @ s_inv)
+    h, s_inv = sample_similar(rng, n)
+    sys_ = solve_biorthogonal(h)
     kappa = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
     for u in (np.ones(n), phases):
