@@ -11,7 +11,9 @@ floats.  ``models.discriminant_h2`` and ``models.classify_h2`` validate
 each argument once and call it for one point; ``sweep_h2`` validates a
 and d once, computes (a - d)^2 and |a| + |d| once, and calls it once for
 every point of a grid, with the same float operations and therefore the
-same bits as ``classify_h2``.
+same bits as ``classify_h2``.  Only ``discriminant_h2`` passes the kernel
+a band: 0.0, which skips the default band, since that can overflow where
+the discriminant does not.
 
 Validation (``_h2_params``) has a fast path for the common call: a and d
 of type ``float`` exactly, b of type ``complex`` exactly, all four parts

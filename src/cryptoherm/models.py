@@ -16,8 +16,8 @@ and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 ``discriminant_h2`` and ``classify_h2`` validate their arguments and
 call the two-level kernel of ``h2``, which ``sweep_h2`` calls once per
 grid point, so a point and its sweep row share every bit.
-``classify_h2`` builds its ``DomainClass`` through ``_domain_class``,
-which skips the frozen ``__init__``; the instance is the same.
+``classify_h2`` fills its ``DomainClass`` without the frozen
+``__init__``; the instance is the same.
 """
 from __future__ import annotations
 
@@ -44,19 +44,6 @@ class DomainClass:
     boundary_band: float
 
 
-def _domain_class(tag: DomainTag, discriminant: float, boundary_band: float) -> DomainClass:
-    """``DomainClass(tag, discriminant, boundary_band)`` without the frozen ``__init__``.
-
-    That ``__init__`` stores each field through ``object.__setattr__``;
-    this fills the instance ``__dict__`` directly, in field order, so
-    ``vars()``, repr, ``==`` and hash are those of the keyword-built one.
-    """
-    dc = object.__new__(DomainClass)
-    fields = dc.__dict__
-    fields["tag"], fields["discriminant"], fields["boundary_band"] = tag, discriminant, boundary_band
-    return dc
-
-
 def build_h2(a, d, b) -> ComplexMatrix:
     """Two-level model matrix [[a, b], [-conj(b), d]]."""
     ar, dr, bc = _h2_params(a, d, b)
@@ -75,21 +62,23 @@ def discriminant_h2(a, d, b) -> float:
     return _h2_point(diff2, sum_ad, abs(bc), band=0.0)[0]
 
 
-def classify_h2(a, d, b, boundary_band: float | None = None) -> DomainClass:
+def classify_h2(a, d, b) -> DomainClass:
     """Classify (a, d, b) against the exceptional boundary 2|b| = |a - d|.
 
-    The boundary band defaults to ``1e-9 * (|a| + |d| + |b|)^2`` so the
+    The boundary band is fixed at ``1e-9 * (|a| + |d| + |b|)^2``, so the
     verdict scales with the square of the parameters, just like the
     discriminant does.  Raises OverflowError where ``discriminant_h2``
-    does, or where that default band overflows.
+    does, or where that band overflows.
     """
     ar, dr, bc = _h2_params(a, d, b)
     diff2, sum_ad = _h2_invariants(ar, dr)
-    band = None if boundary_band is None else float(boundary_band)
-    disc, tag, band = _h2_point(diff2, sum_ad, abs(bc), band)
-    if not band >= 0:  # NaN too
-        raise ValueError("boundary_band must be non-negative")
-    return _domain_class(tag, disc, band)
+    disc, tag, band = _h2_point(diff2, sum_ad, abs(bc))
+    # the frozen __init__ stores each field through object.__setattr__; filling
+    # __dict__ in field order gives the keyword-built instance's vars, repr, == and hash
+    dc = object.__new__(DomainClass)
+    fields = dc.__dict__
+    fields["tag"], fields["discriminant"], fields["boundary_band"] = tag, disc, band
+    return dc
 
 
 def parity2() -> ComplexMatrix:
