@@ -127,17 +127,19 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
         )
 
     try:
-        left = np.linalg.inv(right).conj().T
+        inverse = np.linalg.inv(right)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
             f"eigenvector matrix is singular ({exc}); system is numerically defective",
             eigenvalues=values,
         ) from exc
 
+    # adjoint(inverse(R)) as one new C-ordered array: conjugated in place, copied transposed
+    np.conjugate(inverse, out=inverse)
     system = BiorthogonalSystem(
         energies=values.real.astype(np.float64),
         right=right,
-        left=np.ascontiguousarray(left),
+        left=inverse.T.copy(),
         kappa=np.ones(n, dtype=np.complex128),
         eigenvalues=values,
     )

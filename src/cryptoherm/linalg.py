@@ -122,10 +122,13 @@ def _unit_factor(scale: float) -> float:
 def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:
     # is_hermitian on a trusted array, measured at unit scale: the factor comes
     # from the largest real or imaginary part, so neither ||A||_F^2 nor
-    # ||A - A^dag||_F^2 overflows, and the verdict is the unscaled one in range
+    # ||A - A^dag||_F^2 overflows, and the verdict is the unscaled one in range;
+    # ||B||_F is taken first, then B - B^dag in B's own buffer
     factor = _unit_factor(np.abs(a.ravel(order="K").view(np.float64)).max())
     b = a * factor
-    return frobenius(b - b.conj().T) <= tol.abs * factor + tol.rel * frobenius(b)
+    bnorm = frobenius(b)
+    b -= b.conj().T
+    return frobenius(b) <= tol.abs * factor + tol.rel * bnorm
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -19,10 +19,13 @@ Theta is exactly Hermitian wherever it is made: ``build_metric``
 returns the Hermitian part of the sum, so nothing downstream tests or
 symmetrizes it again.  The factorization identities Theta = P Q = C P
 = adjoint(Q) adjoint(P) = adjoint(P) adjoint(C) hold exactly when P
-intertwines H with its adjoint; ``verify_factorizations`` measures all
-four residuals plus the hermiticity of Theta, normalized by
-||Theta||_F.  On a bundle's Theta the hermiticity residual is 0 and
-each adjoint residual equals its product's, bit for bit.
+intertwines H with its adjoint; every residual is normalized by
+||Theta||_F.  ``verify_factorizations`` measures all four plus the
+hermiticity of Theta, for any Theta.  ``build_bundle`` measures only
+P Q and C P against its Theta and fills the three identity keys: that
+Theta equals its adjoint bit for bit, so its hermiticity residual is 0
+and each adjoint residual is its product's.  Each product's difference
+is taken in the product's own buffer, one product at a time.
 
 Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
@@ -72,7 +75,7 @@ FACTORIZATION_TOL = 1e-9
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
 
-#: fixed key order of the residual map
+#: fixed key order of the residual map, of a bundle and of verify_factorizations
 RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
 
 
@@ -89,6 +92,10 @@ class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
     ``theta`` is exactly Hermitian, as ``build_metric`` makes it.
+    ``residuals`` has the keys of RESIDUAL_KEYS: "pq" and "cp" are
+    measured, "theta_hermitian" is 0 and "qdag_pdag" and "pdag_cdag"
+    repeat them (``verify_factorizations`` measures all five for any
+    Theta).
     ``theta_norm`` is ||theta||_F, measured once for the residuals and
     read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
     computed on first use and then kept, so the report and the positivity
@@ -146,7 +153,8 @@ def reference_quasiparity_coeffs(
             f"candidate dimension {pm.shape[0]} != system dimension {system.dim}"
         )
     v = system.right / system.kappa[None, :]  # undo the cumulative rescaling
-    overlaps = (v.conj() * (pm @ v)).sum(axis=0)
+    pv = pm @ v
+    overlaps = np.multiply(v.conj(), pv, out=pv).sum(axis=0)
     floors = OVERLAP_FACTOR * frobenius(pm) * (np.abs(v) ** 2).sum(axis=0)
     small = (np.abs(overlaps) < floors).nonzero()[0]
     if small.size:
@@ -196,12 +204,15 @@ def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
 
     Equals the reference-vector sum weighted by 1/|kappa_n|^2, so pure
     kappa phases leave it untouched.  Returned as the Hermitian part
-    0.5 * (M + adjoint(M)) of the product M, which equals its adjoint bit
-    for bit (the product itself need not) and is M exactly wherever M
-    already is; positive definite whenever the system is complete.
+    0.5 * (M + adjoint(M)) of the product M, formed in M's own buffer,
+    which equals its adjoint bit for bit (the product itself need not)
+    and is M exactly wherever M already is; positive definite whenever
+    the system is complete.
     """
     m = system.left @ system.left.conj().T
-    return 0.5 * (m + m.conj().T)
+    m += m.conj().T
+    m *= 0.5
+    return m
 
 
 def verify_factorizations(theta, p, q, c) -> dict[str, float]:
@@ -221,18 +232,18 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     scale = frobenius(th)
     if scale == 0.0:
         raise ValueError("theta is zero; factorization residuals are undefined")
-    return _factorization_residuals(th, pm, qm, cm, scale)
-
-
-def _factorization_residuals(
-    th: ComplexMatrix, pm: ComplexMatrix, qm: ComplexMatrix, cm: ComplexMatrix, scale: float
-) -> dict[str, float]:
-    # verify_factorizations on trusted arrays of one shape, given ||theta||_F:
     # each product against theta and against its adjoint
     pq, cp, th_dag = pm @ qm, cm @ pm, th.conj().T
-    return {"theta_hermitian": frobenius(th - th_dag) / scale,
-            "pq": frobenius(pq - th) / scale, "cp": frobenius(cp - th) / scale,
-            "qdag_pdag": frobenius(pq - th_dag) / scale, "pdag_cdag": frobenius(cp - th_dag) / scale}
+    return dict(zip(RESIDUAL_KEYS, (
+        frobenius(th - th_dag) / scale, frobenius(pq - th) / scale, frobenius(cp - th) / scale,
+        frobenius(pq - th_dag) / scale, frobenius(cp - th_dag) / scale)))
+
+
+def _product_residual(product: ComplexMatrix, theta: ComplexMatrix, scale: float) -> float:
+    # ||product - theta||_F / scale, the difference taken in the product's own
+    # buffer: every caller passes a fresh product
+    product -= theta
+    return frobenius(product) / scale
 
 
 def involutive_normalization(
@@ -266,7 +277,12 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     The only builder of Q = sum_n right_n q_n adjoint(left_n) (so
     Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
     (so adjoint(C) right_n = c_n right_n) and of the coefficient set
-    (q, c = conj(q)), all from one overlap pass.  The float64 gate: a
+    (q, c = conj(q)), all from one overlap pass.  The residual map takes
+    two products, P Q and C P, each measured against theta and then
+    dropped; theta equals its adjoint bit for bit, so the three identity
+    keys are filled, not measured: "theta_hermitian" is 0 over the scale
+    (NaN when ||theta||_F underflows), "qdag_pdag" is "pq" and
+    "pdag_cdag" is "cp".  The float64 gate: a
     bundle whose operators, coefficients or residuals are not finite
     raises ZeroKappa, as the rescaling that leads there would, and so does
     one with a coefficient that underflows to zero, naming the first such
@@ -283,7 +299,11 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         charge = _spectral_sum(system.left, q, system.right)
         theta_norm = frobenius(theta)
         # a norm that underflows to zero leaves every residual undefined: NaN
-        residuals = _factorization_residuals(theta, pm, quasiparity, charge, theta_norm or np.nan)
+        scale = theta_norm or np.nan
+        pq = _product_residual(pm @ quasiparity, theta, scale)
+        cp = _product_residual(charge @ pm, theta, scale)
+        # theta equals its adjoint bit for bit, so the adjoint residuals are the products' own
+        residuals = dict(zip(RESIDUAL_KEYS, (0.0 / scale, pq, cp, pq, cp)))
     if not (np.isfinite(theta).all() and np.isfinite(quasiparity).all()
             and np.isfinite(charge).all() and np.isfinite(q).all()
             and all(map(math.isfinite, residuals.values()))):

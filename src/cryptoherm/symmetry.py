@@ -101,17 +101,23 @@ def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
 def _relative(residual, scale: float) -> float:
     # ||residual||_F / scale, both first divided by the power of two that
     # brings scale near 1, so the squares inside the norm stay in float64
-    # wherever the ratio does.  A zero-scale problem has nothing to violate.
+    # wherever the ratio does.  The residual is scaled in place: every caller
+    # passes a temporary it has just formed.  A zero-scale problem has
+    # nothing to violate.
     if not scale > 0.0:
         return 0.0
     factor = _unit_factor(scale)
-    return frobenius(residual * factor) / (scale * factor)
+    residual *= factor
+    return frobenius(residual) / (scale * factor)
 
 
 def _p_equation(hm, x, x_inverse, hnorm: float) -> float:
     # ||X H inverse(X) - adjoint(H)||_F / ||H||_F: the P equation, and with
-    # X = adjoint(P) the triplet's adjoint equation
-    return _relative(x @ hm @ x_inverse - hm.conj().T, hnorm)
+    # X = adjoint(P) the triplet's adjoint equation; the difference is taken
+    # in the fresh product's buffer
+    r = x @ hm @ x_inverse
+    r -= hm.conj().T
+    return _relative(r, hnorm)
 
 
 def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -143,7 +149,9 @@ def _weak_triplet(
     pm, pinv = cand.matrix, cand.inverse
     r2 = _p_equation(hm, pm.conj().T, pinv.conj().T, hnorm)
     s = pinv @ pm.conj().T
-    r_comm = _relative(hm @ s - s @ hm, hnorm * frobenius(s))
+    comm = hm @ s  # a fresh product: [H, S] is taken in its buffer
+    comm -= s @ hm
+    r_comm = _relative(comm, hnorm * frobenius(s))
 
     bound = tol.bound(1.0)
     dependency_ok = not (r1 <= bound and r_comm <= bound and r2 > _DEPENDENT_SLACK * bound)
@@ -175,7 +183,8 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
     _same_shape(hm, th)
     if not _hermitian(th, tol):
         raise NotHermitian("metric candidate is not self-adjoint")
-    th = 0.5 * (th + th.conj().T)
+    th = th + th.conj().T  # a new array, so the caller's candidate is not touched
+    th *= 0.5
     return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), np.linalg.eigvalsh(th), tol)
 
 
@@ -188,7 +197,8 @@ def _quasi_hermitian(
     if not resolved_positive(theta_eigenvalues):
         raise NotPositiveDefinite("metric candidate is not positive definite")
     t = th @ hm
-    return _verdict("quasi_hermitian", _relative(t - t.conj().T, thnorm * hnorm), tol)
+    t -= t.conj().T  # the conjugate is a copy, so the fresh product takes the difference
+    return _verdict("quasi_hermitian", _relative(t, thnorm * hnorm), tol)
 
 
 def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -196,8 +206,9 @@ def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     hm = as_complex_matrix(h, "hamiltonian")
     sm = as_complex_matrix(s, "symmetry")
     _same_shape(hm, sm)
-    residual = _relative(hm @ sm - sm @ hm, frobenius(hm) * frobenius(sm))
-    return _verdict("pt_commutant", residual, tol)
+    comm = hm @ sm  # a fresh product: [H, S] is taken in its buffer
+    comm -= sm @ hm
+    return _verdict("pt_commutant", _relative(comm, frobenius(hm) * frobenius(sm)), tol)
 
 
 @dataclass(frozen=True)

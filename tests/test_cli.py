@@ -480,13 +480,13 @@ def test_diagnose_reports_near_exceptional_point(a, d, b, files, capsys, tmp_pat
     "command,h_name,p_name,expected",
     [
         ("diagnose", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 19, "acm": 3}),
-        ("diagnose", "h2_b.json", "p2.json",
          {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 16, "acm": 3}),
+        ("diagnose", "h2_b.json", "p2.json",
+         {"eig": 1, "p_svd": 1, "inv": 2, "eigvalsh": 1, "norm": 13, "acm": 3}),
         ("metric", "h3.json", "p3.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 6}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 9, "acm": 6}),
         ("metric", "h2_b.json", "p2.json",
-         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 12, "acm": 6}),
+         {"eig": 1, "p_svd": 1, "inv": 1, "eigvalsh": 1, "norm": 9, "acm": 6}),
     ],
 )
 def test_each_operand_factored_once(command, h_name, p_name, expected, files, capsys,
@@ -494,9 +494,10 @@ def test_each_operand_factored_once(command, h_name, p_name, expected, files, ca
     # one eig of H, one SVD of P (svd or cond), inverses of R and, for diagnose, P,
     # and one Hermitian eigensolve of Theta shared by the report and the positivity check;
     # "norm" counts linalg.frobenius (the load check, ||H||_F once, ||Theta||_F once, which
-    # the bundle keeps for the quasi-Hermiticity check, the residuals, and the Hermiticity
-    # test of P, which only diagnose reads, measuring P's norm at its own unit scale; Theta
-    # is Hermitian as built, so nothing tests it) and "acm" counts as_complex_matrix, both
+    # the bundle keeps for the quasi-Hermiticity check, the residuals of PQ and CP, which
+    # also give the map's three identity keys, and the Hermiticity test of P, which only
+    # diagnose reads, measuring P's norm at its own unit scale; Theta is Hermitian as
+    # built, so nothing tests it) and "acm" counts as_complex_matrix, both
     # through every module's binding: each loaded operand is coerced where it enters the
     # library, not again at each inner step, and not for the fingerprint, which hashes the
     # loaded arrays as they are

@@ -11,19 +11,53 @@ Every point checks three things: ``discriminant_h2`` equals
 4 eps ((a - d)^2 + 4|b|^2) of the exact one, the scale taken exactly; and
 wherever the exact value lies outside the boundary band the tag has its
 sign.
+
+Where the exact discriminant is positive, the spectral quantities of
+``build_h2(a, d, b)`` have closed forms, evaluated from the exact
+discriminant with ``decimal`` at 50 digits:
+
+    E+- = (a + d)/2 +- sqrt(disc)/2, right vectors r+- ~ (b, E+- - a),
+    ||r+-||^2 = |b|^2 + (E+- - a)^2,
+    c = 2|b|^2 / (||r+|| ||r-||) (the overlap of the unit right vectors),
+    kappa = 1 / sqrt(1 - c^2) for both levels,
+    eigenvalues of Theta 1/(1 + c) and 1/(1 - c),
+    q+- of parity2 = (|b|^2 + (E+- - a)^2) / (|b|^2 - (E+- - a)^2).
+
+The solver's right columns have unit norm, so its kappa_n, the Wilkinson
+condition number of E_n, is ||left[:, n]||.  Wherever
+``solve_biorthogonal`` returns, each E_n is within C_E kappa eps ||H||_F
+of its exact value, and q_n, each eigenvalue of Theta and ||left[:, n]||
+are within C kappa^2 eps ||H||_F / |a - d| of theirs, relative.  That is
+C kappa eps ||H||_F / (E+ - E-), the first-order bound of a quantity read
+off the eigenvectors, since kappa^2 = (a - d)^2 / disc; on the walk
+||H||_F is about |a - d|, and the bound is C kappa^2 eps.  Without the
+factor ||H||_F / |a - d| it fails where a and d nearly meet: at
+(a, d) = (5.863987946294171, 5.864267613846848) and
+b = 3.495933152069499e-05 + 1.1189787345841467e-05j, where kappa = 1.04,
+q_n was 2414 kappa^2 eps off.  Wherever the solver raises, the exception
+is a SpectrumObstruction; which one, and where, is left to the gates.
 """
 from __future__ import annotations
 
 import ast
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cryptoherm import classify_h2, discriminant_h2
+from cryptoherm import (
+    build_bundle,
+    build_h2,
+    classify_h2,
+    discriminant_h2,
+    parity2,
+    solve_biorthogonal,
+)
+from cryptoherm.errors import SpectrumObstruction
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -87,3 +121,120 @@ def test_uniform_sample(a, d, b):
 def test_near_boundary_sample(a, d, phase, side):
     # |b| = |a - d| / 2 (1 +- 1e-8): exact values of either sign close to the band
     _error_ratio(a, d, abs(a - d) / 2.0 * side * cmath.exp(1j * phase))
+
+
+#: digits of the decimal reference
+DIGITS = 50
+
+#: |E_n - exact| may reach C_E kappa eps ||H||_F; q_n, the eigenvalues of
+#: Theta and ||left[:, n]|| may be C_Q, C_THETA and C_KAPPA times
+#: kappa^2 eps ||H||_F / |a - d| off, relative.  The largest ratios over the
+#: walk and about 39,000 random points under the SkylakeX, Haswell and
+#: Prescott kernels were 4.67, 5.45, 10.89 and 5.45 (CHANGES.md): each factor
+#: leaves a margin of about three
+C_E = 16
+C_Q = 16
+C_THETA = 32
+C_KAPPA = 16
+
+_D_EPS = Decimal(2) ** -52
+
+
+def _decimal(x: Fraction) -> Decimal:
+    # rounded to the context's precision
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def h2_reference(a: float, d: float, b: complex) -> dict:
+    """The closed forms of the module docstring at DIGITS digits, for an exact disc > 0.
+
+    Levels come ascending, E- first, as the solver orders them.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        b2 = _decimal(Fraction(b.real) ** 2 + Fraction(b.imag) ** 2)
+        root = _decimal(h2_disc_exact(a, d, b)).sqrt()
+        mid = _decimal((Fraction(a) + Fraction(d)) / 2)
+        energies = (mid - root / 2, mid + root / 2)
+        offsets = [e - Decimal(a) for e in energies]
+        c = 2 * b2 / ((b2 + offsets[0] ** 2) * (b2 + offsets[1] ** 2)).sqrt()
+        return {
+            "energies": energies,
+            "kappa": 1 / (1 - c * c).sqrt(),
+            "q": tuple((b2 + x * x) / (b2 - x * x) for x in offsets),
+            "theta": (1 / (1 + c), 1 / (1 - c)),
+            "h_norm": (Decimal(a) ** 2 + Decimal(d) ** 2 + 2 * b2).sqrt(),
+            "split": abs(Decimal(a) - Decimal(d)),
+        }
+
+
+def _column_norm(column) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return _decimal(sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+                            for z in column.tolist())).sqrt()
+
+
+def _relative_error(value, exact: Decimal) -> Decimal:
+    # |value - exact| / |exact| for a Decimal, float or complex value and a real exact one
+    z = complex(value) if not isinstance(value, Decimal) else None
+    re, im = (value, 0) if z is None else (Decimal(z.real), Decimal(z.imag))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return ((re - exact) ** 2 + im ** 2).sqrt() / abs(exact)
+
+
+def spectral_ratios(a: float, d: float, b: complex) -> dict[str, Decimal] | None:
+    """Each quantity's error over its bound without the factor, after checking the point.
+
+    None where ``solve_biorthogonal`` refuses the point, which it may do
+    only with a SpectrumObstruction.
+    """
+    try:
+        system = solve_biorthogonal(build_h2(a, d, b))
+    except SpectrumObstruction:
+        return None
+    ref = h2_reference(a, d, b)
+    bundle = build_bundle(system, parity2())
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        kappa = ref["kappa"]
+        e_unit = kappa * _D_EPS * ref["h_norm"]
+        k2_unit = kappa * kappa * _D_EPS * ref["h_norm"] / ref["split"]
+        ratios = {
+            "E": max(abs(Decimal(float(e)) - x) / e_unit
+                     for e, x in zip(system.energies, ref["energies"])),
+            "q": max(_relative_error(q, x) for q, x in zip(bundle.coeffs.q, ref["q"])) / k2_unit,
+            "theta": max(_relative_error(w, x)
+                         for w, x in zip(bundle.theta_eigenvalues, ref["theta"])) / k2_unit,
+            "kappa": max(_relative_error(_column_norm(system.left[:, n]), kappa)
+                         for n in range(2)) / k2_unit,
+        }
+    for name, factor in (("E", C_E), ("q", C_Q), ("theta", C_THETA), ("kappa", C_KAPPA)):
+        assert ratios[name] <= factor, (name, ratios[name], a, d, b)
+    return ratios
+
+
+def _walk_point(k: int, phase: float) -> tuple[float, float, complex]:
+    # the corpus's walk (a, d) = (1, -1) at disc = +10^-k, b at the given phase
+    return 1.0, -1.0, math.sqrt(1.0 - 10.0 ** -k / 4.0) * cmath.exp(1j * phase)
+
+
+def test_spectral_walk():
+    solved = {(k, phase): spectral_ratios(*_walk_point(k, phase)) is not None
+              for k in range(2, 16) for phase in (0.0, 0.5 * math.pi, 1.0)}
+    # through k = 10 every point is solved: kappa <= 2e5, the gap is at least 30 times
+    # the cluster threshold, and both pairing residuals stayed below 0.31 of their caps
+    # under the SkylakeX, Haswell and Prescott kernels
+    assert all(ok for (k, _), ok in solved.items() if k <= 10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_PART, d=_PART, ratio=st.floats(1e-3, 1.0 - 1e-12), phase=st.floats(0.0, 2.0 * math.pi))
+def test_spectral_sample(a, d, ratio, phase):
+    # |b| = ratio |a - d| / 2 puts the exact disc near (1 - ratio^2) (a - d)^2 > 0,
+    # so kappa^2 = 1 / (1 - ratio^2) spans 1 to the solver's refusals
+    b = ratio * abs(a - d) / 2.0 * cmath.exp(1j * phase)
+    # b = 0 leaves a right vector (b, E - a) zero: the diagonal H is exact anyway
+    assume(b != 0 and h2_disc_exact(a, d, b) > 0)
+    spectral_ratios(a, d, b)
