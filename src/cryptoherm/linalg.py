@@ -26,8 +26,8 @@ steps behind ``solve_biorthogonal``, ``verify_factorizations`` and the
 symmetry checks, which ``diagnose`` and ``build_bundle`` call directly;
 ``diagnose`` measures ||H||_F once and hands it down, and ``build_bundle``
 keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
-package derives itself (Theta, Q, C, inverse(P)) are not re-validated
-as operands; the checks that catch one that overflows stay where they
+package derives itself (Theta, Q, C) are not re-validated as
+operands; the checks that catch one that overflows stay where they
 are: the solver's residual caps, P's invertibility rule, the float64
 gate of ``metric.build_bundle`` and the renderer's finiteness checks.
 Theta is exactly Hermitian where ``metric.build_metric`` makes it, so

@@ -133,8 +133,8 @@ class MetricBundle:
         return max(self.involution_residuals) <= INVOLUTIVITY_TOL
 
 
-def _candidate_matrix(p) -> ComplexMatrix:
-    return p.matrix if isinstance(p, PseudoMetric) else as_complex_matrix(p, "pseudometric")
+def _candidate(p) -> PseudoMetric:
+    return p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p)
 
 
 def reference_quasiparity_coeffs(
@@ -145,9 +145,11 @@ def reference_quasiparity_coeffs(
     q1_n = 1 / <v_n|P|v_n> over the reference right vectors v_n (unit
     norm, as the eigensolver returns them; the overlap does not depend
     on their phase).  An overlap below OVERLAP_FACTOR * ||P||_F
-    * ||v_n||^2 raises VanishingOverlap naming the first such level.
+    * ||v_n||^2 raises VanishingOverlap naming the first such level;
+    ||P||_F is the candidate's kept ``PseudoMetric.norm``.
     """
-    pm = _candidate_matrix(p)
+    cand = _candidate(p)
+    pm = cand.matrix
     if pm.shape[0] != system.dim:
         raise DimensionMismatch(
             f"candidate dimension {pm.shape[0]} != system dimension {system.dim}"
@@ -155,7 +157,7 @@ def reference_quasiparity_coeffs(
     v = system.right / system.kappa[None, :]  # undo the cumulative rescaling
     pv = pm @ v
     overlaps = np.multiply(v.conj(), pv, out=pv).sum(axis=0)
-    floors = OVERLAP_FACTOR * frobenius(pm) * (np.abs(v) ** 2).sum(axis=0)
+    floors = OVERLAP_FACTOR * cand.norm * (np.abs(v) ** 2).sum(axis=0)
     small = (np.abs(overlaps) < floors).nonzero()[0]
     if small.size:
         n = int(small[0])
@@ -224,7 +226,7 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.
     """
     th = as_complex_matrix(theta, "theta")
-    pm = _candidate_matrix(p)
+    pm = _candidate(p).matrix
     qm = as_complex_matrix(q, "quasiparity")
     cm = as_complex_matrix(c, "charge")
     for other in (pm, qm, cm):
@@ -288,8 +290,7 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     one with a coefficient that underflows to zero, naming the first such
     level.
     """
-    if not isinstance(p, PseudoMetric):  # coerced once: the coefficients take the candidate
-        p = PseudoMetric.from_matrix(p)
+    p = _candidate(p)  # coerced once: the coefficients take the candidate
     pm = p.matrix
     # an operator that leaves float64 is refused below, without numpy's warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):

@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import SingularMatrix
 from .h2 import DomainTag, _complex_scalar, _h2_invariants, _h2_params, _h2_point, _real_scalar
-from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix
+from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix, frobenius
 
-#: refuse to invert a candidate whose 2-norm condition number exceeds this
+#: refuse a candidate whose 2-norm condition number exceeds this
 CONDITION_CAP = 1e12
 
 
@@ -123,19 +123,19 @@ class PseudoMetric:
     verdicts use; ``from_matrix`` only validates and stores them.  Each
     verdict is computed the first time it is read and then kept, so a
     caller pays only for what it reads, and at most once per candidate.
-    ``self_adjoint`` is ``linalg.is_hermitian`` under ``tol``.  One SVD
-    gives ``smallest_singular_value``, ``condition`` (sv_max / sv_min,
-    bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is within
-    ``tol.abs``, so the matrix is zero up to rounding whatever its
+    ``self_adjoint`` is ``linalg.is_hermitian`` under ``tol``, and
+    ``norm`` is ||P||_F, read by the P equation and the overlap floor.
+    One SVD gives ``smallest_singular_value``, ``condition`` (sv_max /
+    sv_min, bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is
+    within ``tol.abs``, so the matrix is zero up to rounding whatever its
     condition).  ``hermitian_sum`` can legitimately produce a singular
     matrix, so ``invertible`` is a reported fact rather than an
     invariant: it is the one invertibility rule, ``condition`` is finite
     and at most CONDITION_CAP, the candidate is not ``negligible``, and
-    1 / sv_min is finite, so the inverse stays inside float64.
-    ``inverse`` is kept the same way, so every symmetry check on one
-    candidate shares a single inversion.  P is the only matrix the
-    package inverts under a condition cap: a candidate that is not
-    ``invertible`` makes ``inverse`` raise SingularMatrix.
+    1 / sv_min is finite, so an inverse would stay inside float64.
+    Nothing inverts P: the symmetry checks measure the P equation in
+    multiplicative form, which a singular P (P = 0, for one) satisfies
+    trivially, so every P-side check calls ``check_condition`` first.
     """
 
     matrix: ComplexMatrix
@@ -145,6 +145,11 @@ class PseudoMetric:
     def self_adjoint(self) -> bool:
         """P equals its adjoint within ``tol``."""
         return _hermitian(self.matrix, self.tol)
+
+    @cached_property
+    def norm(self) -> float:
+        """||P||_F."""
+        return frobenius(self.matrix)
 
     @cached_property
     def _singular_values(self):
@@ -188,22 +193,12 @@ class PseudoMetric:
     def check_condition(self) -> None:
         """Raise SingularMatrix when the candidate is not ``invertible``.
 
-        The one invertibility test: ``inverse`` runs it, and a caller
-        that must refuse such a candidate without inverting it calls it
-        directly.
+        The one invertibility test: every P-side symmetry check, ``diagnose``
+        and the CLI's ``metric`` call it before they read the candidate.
         """
         refusal = self._refusal()
         if refusal is not None:
             raise SingularMatrix(refusal, condition=self.condition)
-
-    @cached_property
-    def inverse(self) -> ComplexMatrix:
-        """inverse(P), refused with SingularMatrix unless ``invertible``."""
-        self.check_condition()
-        try:
-            return np.linalg.inv(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond cap hits first
-            raise SingularMatrix(f"inversion failed: {exc}") from exc
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":

@@ -17,6 +17,7 @@ from cryptoherm import (
     build_h3,
     classify_h2,
     cyclic_p,
+    diagnose,
     discriminant_h2,
     hermitian_rotation,
     hermitian_sum,
@@ -122,12 +123,13 @@ def test_c04_weak_triplet_residuals():
     for _ in range(200):
         a, b = sample_h3_params(rng)
         verdict = weak_triplet_check(build_h3(a, b), p)
-        parts = (
+        # one measured residual, the P equation's; the other two keys are filled with it
+        parts = {
             verdict.detail["pseudo"],
             verdict.detail["pseudo_adjoint"],
             verdict.detail["commutant"],
-        )
-        assert max(parts) <= 1e-11
+        }
+        assert parts == {verdict.residual} and verdict.residual <= 1e-11
         assert verdict.detail["dependency_ok"]
 
 
@@ -293,3 +295,35 @@ def test_c12_cli_determinism_and_exit_codes(tmp_path, capsys):
 
     # sanity on the report body of the successful case
     assert json.loads(out_a)["metric"]["factorizations_hold"] is True
+
+
+def _spread_intertwiner():
+    # H = S D S^-1 and P = S^-dag diag(w) S^-1 at N = 4, with S = (I + L)(I + U)
+    # unit bidiagonal in {-1, 1}, so S^-1 and H are exact integer matrices, and
+    # w positive over 5.25 decades, so P (formed in floating point) intertwines
+    # H with cond(P) ~ 9e6.  The inverse form ||P H P^-1 - H^dag||_F / ||H||_F
+    # reads 2.5e-10 on this pair under the SkylakeX, Haswell and Prescott
+    # kernels, above the default tolerance, while every other gate passes
+    lower, upper = np.eye(4), np.eye(4)
+    lower[[1, 2, 3], [0, 1, 2]] = (1, 1, 1)
+    upper[[0, 1, 2], [1, 2, 3]] = (-1, -1, 1)
+    s = lower @ upper
+    s_inv = np.linalg.inv(s).round()
+    h = (s * np.array([-2.0, -1.0, 1.0, 3.0])) @ s_inv
+    p = (s_inv.T * 10.0 ** (-1.75 * np.arange(4))) @ s_inv
+    return h.astype(complex), p.astype(complex)
+
+
+def test_c13_ill_conditioned_intertwiner_holds(tmp_path, capsys):
+    # the P equation's backward error does not grow with cond(P), so a correct
+    # P holds however ill-conditioned it is below CONDITION_CAP
+    h, p = _spread_intertwiner()
+    assert 5e6 < np.linalg.cond(p) < 2e7
+    found = diagnose(h, p)
+    assert [v.name for v in found.verdicts] == ["pseudo_hermitian", "quasi_hermitian"]
+    assert found.verdicts[0].residual <= 1e-15
+    assert found.holds and found.warnings == ()
+    for name, matrix in (("h.json", h), ("p.json", p)):
+        save_matrix(tmp_path / name, matrix)
+    assert main(["diagnose", str(tmp_path / "h.json"), str(tmp_path / "p.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"]["factorizations_hold"] is True

@@ -167,8 +167,9 @@ class TestEig:
 
 
 class TestInverse:
-    # inversion lives on PseudoMetric.inverse, behind the CONDITION_CAP refusal
+    # nothing inverts P; its invertibility rule, the CONDITION_CAP refusal among
+    # them, is PseudoMetric.check_condition
     def test_refuses_singular(self):
         with pytest.raises(SingularMatrix) as info:
-            PseudoMetric.from_matrix(np.diag([1.0 + 0j, 0.0])).inverse
+            PseudoMetric.from_matrix(np.diag([1.0 + 0j, 0.0])).check_condition()
         assert info.value.condition > CONDITION_CAP

@@ -281,8 +281,8 @@ class TestPseudoMetricFlags:
         # each verdict is computed once, on first read
         assert pm.self_adjoint is pm.self_adjoint is True
         assert len(hermitian_tests) == 1
-        # the SVD-based verdicts and the inverse share one SVD, in any reading order
-        names = ("condition", "invertible", "smallest_singular_value", "negligible", "inverse")
+        # the SVD-based verdicts share one SVD, in any reading order
+        names = ("condition", "invertible", "smallest_singular_value", "negligible")
         for order in itertools.permutations(names):
             svds.clear()
             pm = PseudoMetric.from_matrix(cyclic_p(3))
@@ -290,32 +290,40 @@ class TestPseudoMetricFlags:
                 getattr(pm, name)
             assert len(svds) == 1, order
 
-    def test_inverse_is_computed_once_and_matches_linalg(self):
+    def test_check_condition_accepts_and_matches_linalg(self):
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
         pm = PseudoMetric.from_matrix(p)
-        assert np.array_equal(pm.inverse, np.linalg.inv(p))
-        assert pm.inverse is pm.inverse
+        pm.check_condition()
+        assert pm.invertible and pm.condition == np.linalg.cond(p)
 
-    def test_cyclic_inverse_is_adjoint(self):
-        p = cyclic_p(5)
-        assert np.allclose(PseudoMetric.from_matrix(p).inverse, p.conj().T, atol=1e-14)
+    def test_check_condition_accepts_cyclic(self):
+        # unitary: every singular value is 1
+        pm = PseudoMetric.from_matrix(cyclic_p(5))
+        pm.check_condition()
+        assert pm.condition == pytest.approx(1.0, abs=1e-14)
 
-    def test_inverse_roundtrip(self, rng):
+    def test_check_condition_accepts_shifted_random(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
-        assert np.allclose(m @ PseudoMetric.from_matrix(m).inverse, np.eye(4), atol=1e-12)
+        pm = PseudoMetric.from_matrix(m)
+        pm.check_condition()
+        assert pm.invertible and pm.condition == pytest.approx(np.linalg.cond(m), rel=1e-14)
 
     def test_inverse_refused_like_linalg(self):
         partner = hermitian_sum(cyclic_p(4))
         cond = np.linalg.cond(partner.matrix)
         with pytest.raises(SingularMatrix) as info:
-            partner.inverse
+            partner.check_condition()
         assert str(info.value) == f"condition estimate {cond:.3e} exceeds cap 1e+12"
         assert info.value.condition == cond and cond > CONDITION_CAP
-        # the same test, without an inversion
-        with pytest.raises(SingularMatrix) as direct:
-            partner.check_condition()
-        assert str(direct.value) == str(info.value)
         PseudoMetric.from_matrix(cyclic_p(4)).check_condition()
+
+    def test_norm_is_frobenius_once(self, monkeypatch):
+        norms = []
+        count_calls(monkeypatch, frobenius, norms.append)
+        p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
+        pm = PseudoMetric.from_matrix(p)
+        assert pm.norm is pm.norm and pm.norm == np.linalg.norm(p)
+        assert len(norms) == 1
 
 
     def test_negligible_matrix_is_not_invertible(self):
@@ -324,7 +332,7 @@ class TestPseudoMetricFlags:
         assert pm.condition == pytest.approx(1.0) and pm.negligible
         assert not pm.invertible
         with pytest.raises(SingularMatrix, match="zero up to rounding"):
-            pm.inverse
+            pm.check_condition()
         # the absolute tolerance sets what counts as zero
         pm = PseudoMetric.from_matrix(1e-13 * parity2(), Tolerance(abs=1e-14))
         assert pm.invertible and not pm.negligible
@@ -335,7 +343,7 @@ class TestPseudoMetricFlags:
         assert pm.condition == 1.0 and not pm.negligible
         assert not pm.invertible
         with pytest.raises(SingularMatrix) as info:
-            pm.inverse
+            pm.check_condition()
         assert str(info.value) == "smallest singular value 1.000e-320: the inverse leaves float64"
         # 1 / 1e-308 still fits, and the rotation family reads the same rule
         assert PseudoMetric.from_matrix(1e-308 * parity2(), Tolerance(abs=0.0)).invertible

@@ -6,6 +6,7 @@ from cryptoherm import (
     DegenerateSpectrum,
     NotHermitian,
     NotPositiveDefinite,
+    PseudoMetric,
     SingularMatrix,
     Tolerance,
     build_h2,
@@ -23,7 +24,7 @@ from cryptoherm import (
 )
 from cryptoherm import linalg, symmetry
 from cryptoherm.errors import DimensionMismatch
-from conftest import count_calls, sample_h2_params_any, sample_h3_params
+from conftest import count_calls, sample_h2_params_any, sample_h3_params, sample_similar
 
 
 class TestPseudoHermiticity:
@@ -40,11 +41,26 @@ class TestPseudoHermiticity:
         assert v.holds and v.residual <= 1e-13
 
     def test_nilpotent_counterexample(self):
-        # PHP^-1 = -H, so the defect is [[0,-1],[-1,0]] over ||H|| = 1
+        # PH - adjoint(H) P = [[0,1],[-1,0]], of norm sqrt(2), over ||P|| ||H|| = sqrt(2)
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         v = pseudo_hermiticity_residual(h, parity2())
         assert not v.holds
-        assert v.residual == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        assert v.residual == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("skew", [0.0, 3e-11, 0.5])
+    def test_multiplicative_form_for_every_candidate(self, skew):
+        # P = S^-dag diag(u) S^-1 intertwines H = S D S^-1 for any u; Im u_3 = skew
+        # leaves P exactly Hermitian, Hermitian within tol, or not self-adjoint.  A
+        # one-product form would read ||adjoint(H)(P - adjoint(P))|| on the middle
+        # one, so only a P equal to its adjoint bit for bit may take it
+        h, s_inv = sample_similar(np.random.default_rng(5), 4)
+        p = (s_inv.conj().T * np.array([1.0, 2.0, 3.0, 4.0 + 1j * skew])) @ s_inv
+        if skew == 0.0:
+            p = 0.5 * (p + p.conj().T)
+        v = pseudo_hermiticity_residual(h, p)
+        direct = np.linalg.norm(p @ h - h.conj().T @ p) / (np.linalg.norm(p) * np.linalg.norm(h))
+        assert v.holds and v.residual <= 1e-15 and abs(v.residual - direct) <= 1e-15
+        assert PseudoMetric.from_matrix(p).self_adjoint == (skew < 1e-3)
 
     def test_singular_candidate_refused(self, h2_system):
         h, _ = h2_system
@@ -64,8 +80,10 @@ class TestWeakTriplet:
         for _ in range(50):
             a, b = sample_h3_params(rng)
             v = weak_triplet_check(build_h3(a, b), p)
-            assert v.holds
-            assert max(v.detail["pseudo"], v.detail["pseudo_adjoint"], v.detail["commutant"]) <= 1e-12
+            assert v.holds and v.residual <= 1e-12
+            # the two dependent keys are filled with the P equation's residual, not measured
+            assert v.detail["pseudo"] == v.detail["pseudo_adjoint"] == v.detail["commutant"] \
+                == v.residual == pseudo_hermiticity_residual(build_h3(a, b), p).residual
             assert v.detail["dependency_ok"] == 1.0
             assert v.detail["degenerate"] == 0.0
 
@@ -216,17 +234,17 @@ def test_shape_mismatch_is_dimension_mismatch(check, operand):
     ids=["h3-cyclic3", "h2-parity2"],
 )
 def test_diagnose_solves_the_p_equation_once(h, p, monkeypatch):
-    # the triplet's adjoint equation runs the same helper with adjoint(P) in place of P
+    # the triplet takes its residual from the P equation and measures nothing more
     operands = []
     direct = symmetry._p_equation
 
-    def counted(hm, x, *args):
-        operands.append(x)
-        return direct(hm, x, *args)
+    def counted(hm, hnorm, cand):
+        operands.append(cand.matrix)
+        return direct(hm, hnorm, cand)
 
     monkeypatch.setattr(symmetry, "_p_equation", counted)
     found = diagnose(h, p)
-    assert [np.array_equal(x, p) for x in operands].count(True) == 1
+    assert [np.array_equal(x, p) for x in operands] == [True]
     assert found.verdicts[0] == pseudo_hermiticity_residual(h, p)
 
 
