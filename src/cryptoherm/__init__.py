@@ -70,6 +70,7 @@ _EXPORTS = {
         "classify_h2",
         "cyclic_p",
         "discriminant_h2",
+        "hermitian_partners",
         "hermitian_rotation",
         "hermitian_sum",
         "parity2",

@@ -10,7 +10,8 @@ Four subcommands over JSON matrix files:
 * sweep      - CSV scan of the two-level model's reality domain, one
                row per point of ``h2.sweep_h2``; each axis value
                is formatted once
-* hermitize  - singularity scan of the Hermitian partner family of P
+* hermitize  - singularity scan of the Hermitian partner family of P, as
+               ``models.hermitian_partners`` reports it
 
 Exit codes: 0 ok, 1 usage or I/O problem, 2 a symmetry or factorization
 verdict failed, 3 spectrum obstruction (complex, degenerate or
@@ -397,37 +398,23 @@ def cmd_hermitize(args) -> int:
     tol = _tol(args)
     p = cryptoherm.io.load_matrix(args.pseudometric)
     thetas = _parse_theta(args.theta)
-    warnings: list[str] = []
-
-    summed = cryptoherm.models.hermitian_sum(p, tol)
-    if not summed.invertible:
-        warnings.append("singular Hermitian partner: P + adjoint(P)")
-
-    rotations = []
-    for theta in thetas:
-        rotated = cryptoherm.models._rotation(p, theta, tol)
-        if not rotated.invertible:
-            warnings.append(
-                f"singular Hermitian partner at theta = {cryptoherm.io.format_float(theta)}"
-            )
-        rotations.append(
-            {
-                "theta": float(theta),
-                "smallest_singular_value": rotated.smallest_singular_value,
-                "invertible": rotated.invertible,
-            }
-        )
+    (sum_sv, sum_invertible), *rotated = cryptoherm.models.hermitian_partners(p, thetas, tol)
 
     report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_digest(p))
     report["sum"] = {
-        "smallest_singular_value": summed.smallest_singular_value,
-        "invertible": summed.invertible,
+        "smallest_singular_value": sum_sv,
+        "invertible": sum_invertible,
         # entry (i, j) of P + adjoint(P) is a_ij + conj(a_ji), the conjugate of
         # entry (j, i): the sum equals its adjoint bit for bit, so it is not measured
         "self_adjoint": True,
     }
-    report["rotation"] = rotations
-    report["warnings"] = warnings
+    report["rotation"] = [{"theta": theta, "smallest_singular_value": sv, "invertible": invertible}
+                          for theta, (sv, invertible) in zip(thetas, rotated)]
+    report["warnings"] = [] if sum_invertible else ["singular Hermitian partner: P + adjoint(P)"]
+    report["warnings"] += [
+        f"singular Hermitian partner at theta = {cryptoherm.io.format_float(theta)}"
+        for theta, (_, invertible) in zip(thetas, rotated) if not invertible
+    ]
     _emit_report(report, None)
     return EXIT_OK
 

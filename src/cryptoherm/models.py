@@ -13,6 +13,17 @@ together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 
+``invertibility_refusal`` is the one invertibility rule, read off a
+matrix's descending singular values: ``PseudoMetric`` applies it to its
+one SVD, and ``hermitian_partners`` to each Hermitian partner of a scan.
+The scan validates P once and takes the singular values of its rotations
+from stacked ``np.linalg.svd(..., compute_uv=False)`` calls, each stack
+built and dropped before the next under PARTNER_STACK_ENTRIES, so a long
+scan of a large P holds one stack at a time.  ``hermitian_rotation``
+builds its matrix with the same broadcast expression, and the stacked
+SVD returns the bits of one SVD per matrix, so the scan reports what
+``hermitian_sum`` and ``hermitian_rotation`` report, bit for bit.
+
 ``discriminant_h2`` and ``classify_h2`` validate their arguments and
 call the two-level kernel of ``h2``, which ``sweep_h2`` calls once per
 grid point, so a point and its sweep row share every bit.
@@ -24,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +45,10 @@ from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_comple
 
 #: refuse a candidate whose 2-norm condition number exceeds this
 CONDITION_CAP = 1e12
+
+#: complex entries in one stack of Hermitian partners (2**14, 256 KiB); a P
+#: with more entries than this is scanned one partner per SVD call
+PARTNER_STACK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,30 @@ def build_h3(a, b) -> ComplexMatrix:
     )
 
 
+def _condition(sv) -> float:
+    # sv_max / sv_min of descending singular values, inf for a singular matrix,
+    # as np.linalg.cond gives it
+    return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
+
+
+def invertibility_refusal(sv, tol: Tolerance) -> str | None:
+    """Why a matrix with descending singular values ``sv`` is not invertible, or None.
+
+    The one invertibility rule: sv_max / sv_min is finite and at most
+    CONDITION_CAP, sv_max exceeds ``tol.abs`` (at or below it the matrix is
+    zero up to rounding, whatever its condition), and 1 / sv_min is finite,
+    so an inverse would stay inside float64.  The checks run in that order,
+    and the first that fails names the refusal.
+    """
+    if not _condition(sv) <= CONDITION_CAP:  # inf for a singular matrix
+        return f"condition estimate {_condition(sv):.3e} exceeds cap {CONDITION_CAP:.0e}"
+    if sv[0] <= tol.abs:
+        return "largest singular value within the absolute tolerance: zero up to rounding"
+    if not math.isfinite(1.0 / float(sv[-1])):
+        return f"smallest singular value {float(sv[-1]):.3e}: the inverse leaves float64"
+    return None
+
+
 @dataclass(frozen=True)
 class PseudoMetric:
     """A candidate intertwiner, with its structural verdicts computed on first read.
@@ -130,9 +170,9 @@ class PseudoMetric:
     within ``tol.abs``, so the matrix is zero up to rounding whatever its
     condition).  ``hermitian_sum`` can legitimately produce a singular
     matrix, so ``invertible`` is a reported fact rather than an
-    invariant: it is the one invertibility rule, ``condition`` is finite
-    and at most CONDITION_CAP, the candidate is not ``negligible``, and
-    1 / sv_min is finite, so an inverse would stay inside float64.
+    invariant: it is ``invertibility_refusal`` of that SVD, the one
+    invertibility rule (``condition`` is finite and at most CONDITION_CAP,
+    the candidate is not ``negligible``, and 1 / sv_min is finite).
     Nothing inverts P: the symmetry checks measure the P equation in
     multiplicative form, which a singular P (P = 0, for one) satisfies
     trivially, so every P-side check calls ``check_condition`` first.
@@ -163,8 +203,7 @@ class PseudoMetric:
     @cached_property
     def condition(self) -> float:
         """sv_max / sv_min, inf for a singular matrix, as ``np.linalg.cond`` gives it."""
-        sv = self._singular_values
-        return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
+        return _condition(self._singular_values)
 
     @cached_property
     def negligible(self) -> bool:
@@ -173,22 +212,8 @@ class PseudoMetric:
 
     @property
     def invertible(self) -> bool:
-        """True when P passes the one invertibility rule.
-
-        ``condition`` is finite and at most CONDITION_CAP, P is not
-        negligible, and 1 / sv_min is finite.
-        """
-        return self._refusal() is None
-
-    def _refusal(self) -> str | None:
-        if not self.condition <= CONDITION_CAP:  # inf for a singular matrix
-            return f"condition estimate {self.condition:.3e} exceeds cap {CONDITION_CAP:.0e}"
-        if self.negligible:
-            return "largest singular value within the absolute tolerance: zero up to rounding"
-        if not math.isfinite(1.0 / self.smallest_singular_value):
-            return (f"smallest singular value {self.smallest_singular_value:.3e}: "
-                    "the inverse leaves float64")
-        return None
+        """True when P passes the one invertibility rule, ``invertibility_refusal``."""
+        return invertibility_refusal(self._singular_values, self.tol) is None
 
     def check_condition(self) -> None:
         """Raise SingularMatrix when the candidate is not ``invertible``.
@@ -196,7 +221,7 @@ class PseudoMetric:
         The one invertibility test: every P-side symmetry check, ``diagnose``
         and the CLI's ``metric`` call it before they read the candidate.
         """
-        refusal = self._refusal()
+        refusal = invertibility_refusal(self._singular_values, self.tol)
         if refusal is not None:
             raise SingularMatrix(refusal, condition=self.condition)
 
@@ -230,10 +255,33 @@ def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
     a = as_complex_matrix(p, "pseudometric")
-    return _rotation(a, _real_scalar(theta, "theta"), tol)
+    return PseudoMetric.from_matrix(_rotations(a, [theta])[0], tol)
 
 
-def _rotation(a: ComplexMatrix, theta: float, tol: Tolerance) -> PseudoMetric:
-    # hermitian_rotation of a trusted array at a validated real angle
-    phase = np.exp(1j * theta)
-    return PseudoMetric.from_matrix(1j * (a * phase - a.conj().T * np.conj(phase)), tol)
+def hermitian_partners(p, thetas, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, bool]]:
+    """(smallest singular value, invertible) of P + P*, then of each rotation in ``thetas``.
+
+    The singularity scan of P's Hermitian partners: entry 0 is
+    ``hermitian_sum(p, tol)``'s pair and entry k + 1 is
+    ``hermitian_rotation(p, thetas[k], tol)``'s, bit for bit, with
+    ``invertible`` decided by ``invertibility_refusal``.  P is validated
+    once, and every angle of the sequence ``thetas`` must be a finite
+    real.  The rotations' singular values come in stacks of as many
+    rotations as fit in PARTNER_STACK_ENTRIES entries (at least one), each
+    built and dropped before the next; no ``PseudoMetric`` is built.
+    """
+    a = as_complex_matrix(p, "pseudometric")
+    step = max(1, PARTNER_STACK_ENTRIES // a.size)
+    # a generator: each stack is built when its SVD asks for it, and dropped after
+    stacks = chain([(a + a.conj().T)[None]],
+                   (_rotations(a, thetas[i:i + step]) for i in range(0, len(thetas), step)))
+    return [(float(sv[-1]), invertibility_refusal(sv, tol) is None)
+            for stack in stacks for sv in np.linalg.svd(stack, compute_uv=False)]
+
+
+def _rotations(a: ComplexMatrix, thetas):
+    # i (A e^{i t} - A* e^{-i t}) of a trusted array at each angle, which must be a
+    # finite real, as one (K, N, N) stack; each matrix has the bits the expression
+    # gives at a scalar phase
+    phase = np.exp(1j * np.array([_real_scalar(t, "theta") for t in thetas]))[:, None, None]
+    return 1j * (a * phase - a.conj().T * phase.conj())

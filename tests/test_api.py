@@ -93,6 +93,7 @@ def _boundary_cases():
         "PseudoMetric.from_matrix": cryptoherm.PseudoMetric.from_matrix,
         "hermitian_sum": cryptoherm.hermitian_sum,
         "hermitian_rotation": lambda m: cryptoherm.hermitian_rotation(m, 0.3),
+        "hermitian_partners": lambda m: cryptoherm.hermitian_partners(m, [0.3]),
         "build_bundle[p]": lambda m: cryptoherm.build_bundle(system, m),
     }
     for i, slot in enumerate(("theta", "p", "q", "c")):

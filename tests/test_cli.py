@@ -1138,13 +1138,13 @@ class TestHermitize:
 
     @pytest.mark.parametrize("points", [4, 64])
     def test_p_validated_once_per_run(self, points, files, capsys, monkeypatch):
-        # hermitian_sum coerces P, the fingerprint hashes it as loaded, and each
-        # angle checks only its rotated matrix
+        # hermitian_partners coerces P once for the whole scan, the fingerprint
+        # hashes it as loaded, and no partner is coerced again
         coerced = []
         count_calls(monkeypatch, cryptoherm.linalg.as_complex_matrix, coerced.append)
         code, _, _ = run(capsys, "hermitize", files["p3.json"], "--theta", f"scan:{points}")
         assert code == 0
-        assert len(coerced) == points + 2
+        assert len(coerced) == 1
 
     def test_sum_reported_self_adjoint(self, files, capsys):
         _, out, _ = run(capsys, "hermitize", files["p3.json"], "--theta", "scan:4")

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cryptoherm import (
     cyclic_p,
     discriminant_h2,
     frobenius,
+    hermitian_partners,
     hermitian_rotation,
     hermitian_sum,
     involutive_normalization,
@@ -31,7 +34,7 @@ from cryptoherm import (
     sweep_h2,
 )
 from cryptoherm.h2 import _h2_params
-from cryptoherm.models import CONDITION_CAP
+from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
 from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
 
@@ -410,6 +413,99 @@ class TestHermitianRotation:
     def test_theta_must_be_real(self):
         with pytest.raises(ValueError):
             hermitian_rotation(parity2(), 1j)
+        with pytest.raises(ValueError, match="theta must be real"):
+            hermitian_partners(parity2(), [0.0, 1j])
+
+
+#: pi to 50 digits and float64's eps, for the closed forms below
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+_EPS = Decimal(np.finfo(np.float64).eps)
+
+
+def _sin(x: Decimal) -> Decimal:
+    """sin(x) at 50 digits, from its Taylor series (|x| < 20 here)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        term, total, k = x, x, 1
+        while abs(term) > Decimal(10) ** -55:
+            term *= -x * x / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+    return total
+
+
+def _scan(count: int) -> list[float]:
+    # the CLI's scan:count angles
+    return [2.0 * math.pi * k / count for k in range(count)]
+
+
+#: |sv - closed form| / eps stayed within 2.88 (SkylakeX), 3.63 (Haswell) and
+#: 2.41 (Prescott) over every n and angle of the test below, where ||partner||_2 = 2
+_PARTNER_EPS_FACTOR = 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+def test_hermitian_partners_of_the_cyclic_shift_meet_their_closed_forms(n):
+    # cyclic_p(n) is unitary with eigenvalues e^{2 pi i k / n}, so P + P* and
+    # i (P e^{i t} - P* e^{-i t}) are normal, with singular values |2 cos(2 pi k / n)|
+    # and |2 sin(t + 2 pi k / n)|
+    nominal = [Fraction(2 * j, 8) for j in range(8)] + [Fraction(2 * j, 64) for j in range(64)]
+    thetas = _scan(8) + _scan(64) + [0.5, 1.0, -2.0]
+    (sum_sv, sum_invertible), *rotated = hermitian_partners(cyclic_p(n), thetas)
+    steps = [2 * _PI * k / n for k in range(n)]
+    exact_sum = min(abs(2 * _sin(step + _PI / 2)) for step in steps)
+    assert abs(Decimal(sum_sv) - exact_sum) <= _PARTNER_EPS_FACTOR * _EPS
+    # 2 cos(2 pi k / n) = 0 exactly when 4k / n is an odd integer
+    assert sum_invertible is not any(Fraction(4 * k, n) % 2 == 1 for k in range(n))
+    for j, (theta, (sv, invertible)) in enumerate(zip(thetas, rotated)):
+        exact = min(abs(2 * _sin(Decimal(theta) + step)) for step in steps)
+        assert abs(Decimal(sv) - exact) <= _PARTNER_EPS_FACTOR * _EPS, theta
+        # at a scan angle t = pi f, 2 sin(t + 2 pi k / n) = 0 exactly when f + 2k / n is
+        # an integer; the listed angles are no rational multiple of pi
+        zero = j < len(nominal) and any((nominal[j] + Fraction(2 * k, n)) % 1 == 0
+                                        for k in range(n))
+        assert invertible is not zero, theta
+
+
+def _partners_one_at_a_time(p, thetas, tol):
+    # the scan as it was built before the stacks: one partner at a time, each at a
+    # scalar phase, and one PseudoMetric per partner
+    a = np.asarray(p, dtype=np.complex128)
+    matrices = [a + a.conj().T]
+    for theta in thetas:
+        phase = np.exp(1j * theta)
+        matrices.append(1j * (a * phase - a.conj().T * np.conj(phase)))
+    return [(float.hex(pm.smallest_singular_value), pm.invertible)
+            for pm in (PseudoMetric.from_matrix(m, tol) for m in matrices)]
+
+
+def _assert_scan_is_the_loop(p, thetas, tol):
+    scan = hermitian_partners(p, thetas, tol)
+    assert [(float.hex(sv), invertible) for sv, invertible in scan] == \
+        _partners_one_at_a_time(p, thetas, tol)
+    assert all(type(sv) is float and type(invertible) is bool for sv, invertible in scan)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=_candidates(),
+       thetas=st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, math.pi, -math.pi / 2]),
+                       max_size=12),
+       tol=st.sampled_from([Tolerance(), Tolerance(abs=0.0)]))
+@example(p=cyclic_p(4), thetas=_scan(64), tol=Tolerance())
+@example(p=parity2(), thetas=[math.pi], tol=Tolerance())  # -2 sin(pi) P: zero up to rounding
+@example(p=1e-320 * swap2(), thetas=[1.0], tol=Tolerance(abs=0.0))  # 1 / sv_min leaves float64
+@example(p=np.diag([1.0 + 0j, 1e-13]), thetas=[0.0, 1.0], tol=Tolerance())  # cond 1e13 > cap
+@example(p=np.zeros((3, 3), complex), thetas=_scan(4), tol=Tolerance())
+def test_hermitian_partners_are_the_one_at_a_time_scan(p, thetas, tol):
+    _assert_scan_is_the_loop(p, thetas, tol)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_hermitian_partners_over_several_stacks_are_the_one_at_a_time_scan(n):
+    assert 75 * n * n > PARTNER_STACK_ENTRIES  # the scan spans more than one stack
+    rng = np.random.default_rng(n)
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    _assert_scan_is_the_loop(p, _scan(75), Tolerance())
 
 
 @pytest.mark.parametrize(

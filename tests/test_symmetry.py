@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import (
     ComplexSpectrum,
@@ -311,3 +313,30 @@ def test_diagnose_reports_operators_beyond_float64():
                               "theta, Q, C or a residual is not finite",)
     assert found.bundle is None and found.system is not None and not found.holds
     assert [v.name for v in found.verdicts] == ["pseudo_hermitian"]
+
+
+def _relation_parts(found):
+    """A Diagnosis's complex arrays and, apart, its real parts."""
+    bundle = found.bundle
+    arrays = [found.eigenvalues] + ([] if bundle is None else [bundle.theta, bundle.coeffs.q])
+    real = ([(v.name, v.residual, v.holds, v.tolerance, v.detail) for v in found.verdicts],
+            None if bundle is None else dict(bundle.residuals), found.warnings, found.holds)
+    return arrays, real
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 16, 64]),
+       u=st.sampled_from([[1.0], [1.0, -1.0], [1.0, -1.0, 1j, -1j]]))
+def test_diagnose_commutes_with_complex_conjugation(seed, n, u):
+    # conj P intertwines conj H = conj(S) D conj(S)^-1, and float arithmetic on
+    # conjugated operands gives the conjugated result: the eigenvalues, Theta and q
+    # come back conjugated, equal as floats (a zero's sign aside), and every verdict,
+    # residual, warning and holds as they were
+    rng = np.random.default_rng(seed)
+    h, s_inv = sample_similar(rng, n)
+    p = s_inv.conj().T * rng.choice(u, n) @ s_inv  # S^-dag diag(u) S^-1
+    arrays, real = _relation_parts(diagnose(h, p))
+    conj_arrays, conj_real = _relation_parts(diagnose(h.conj(), p.conj()))
+    assert len(conj_arrays) == len(arrays)
+    assert all(np.array_equal(c, a.conj()) for c, a in zip(conj_arrays, arrays))
+    assert conj_real == real
