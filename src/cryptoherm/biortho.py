@@ -58,7 +58,7 @@ BIORTHO_RESIDUAL_CAP = 1e-10
 COMPLETENESS_RESIDUAL_CAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class BiorthogonalSystem:
     """Paired eigenbases of H and adjoint(H) with their rescaling state.
 

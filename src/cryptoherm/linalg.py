@@ -5,7 +5,9 @@ factory) funnels through this module, so the conventions are pinned
 here once:
 
 * matrices are square ``complex128`` arrays with finite entries,
-* residuals are Frobenius norms,
+* residuals are Frobenius norms, and a relative residual is the one
+  quotient ``_relative``, ||R||_F / scale taken at unit scale, which
+  the factorization and symmetry residuals all go through,
 * residual predicates compare a residual against
   ``tol.abs + tol.rel * scale`` so verdicts do not depend on the overall
   scale of the operator; positivity is judged against the eigensolver's
@@ -29,7 +31,8 @@ keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
 package derives itself (Theta, Q, C) are not re-validated as
 operands; the checks that catch one that overflows stay where they
 are: the solver's residual caps, P's invertibility rule, the float64
-gate of ``metric.build_bundle`` and the renderer's finiteness checks.
+gate of ``metric.build_bundle`` (which reads ||Theta||_F) and the
+renderer's finiteness checks.
 Theta is exactly Hermitian where ``metric.build_metric`` makes it, so
 no step tests or symmetrizes it again.
 """
@@ -117,6 +120,25 @@ def _unit_factor(scale: float) -> float:
     larger than ``scale`` keeps its squares in float64 after it.
     """
     return math.ldexp(1.0, -max(math.frexp(scale)[1], -1023))
+
+
+def _relative(residual, scale: float) -> float:
+    """||residual||_F / scale, the one residual quotient.
+
+    Both are first multiplied by the power of two that brings ``scale``
+    near 1, so the squares inside the norm stay in float64 wherever the
+    quotient's square does (a quotient up to about 1e154), and the
+    quotient has the unscaled bits wherever the unscaled squares stayed
+    in float64 too; where they did not, it is the accurate value the
+    unscaled form loses.  The residual is scaled in place: every caller
+    passes a temporary it has just formed.  A zero-scale problem has
+    nothing to violate.
+    """
+    if not scale > 0.0:
+        return 0.0
+    factor = _unit_factor(scale)
+    residual *= factor
+    return frobenius(residual) / (scale * factor)
 
 
 def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:

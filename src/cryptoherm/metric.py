@@ -20,7 +20,8 @@ returns the Hermitian part of the sum, so nothing downstream tests or
 symmetrizes it again.  The factorization identities Theta = P Q = C P
 = adjoint(Q) adjoint(P) = adjoint(P) adjoint(C) hold exactly when P
 intertwines H with its adjoint; every residual is normalized by
-||Theta||_F.  ``verify_factorizations`` measures all four plus the
+||Theta||_F through ``linalg._relative``, the one residual quotient.
+``verify_factorizations`` measures all four plus the
 hermiticity of Theta, for any Theta.  ``build_bundle`` measures only
 P Q and C P against its Theta and fills the three identity keys: that
 Theta equals its adjoint bit for bit, so its hermiticity residual is 0
@@ -29,11 +30,13 @@ is taken in the product's own buffer, one product at a time.
 
 Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
-warnings and refuses, with ZeroKappa, a bundle whose Theta, Q, C,
-coefficients or residuals are not finite (a Theta whose norm underflows
-to zero leaves its residuals undefined, so it is refused the same way),
-and one with a coefficient that underflows to zero, which has left
-float64 as well; that refusal names the first such level.
+warnings and refuses, with ZeroKappa, a bundle unless
+0 < ||Theta||_F < inf (a norm that overflows or underflows to zero
+leaves every residual undefined) and Q, C, the coefficients and the
+residuals are finite, and one with a coefficient that underflows to
+zero, which has left float64 as well; that refusal names the first
+such level.  P enters through ``PseudoMetric.from_matrix``, which
+returns a ``PseudoMetric`` unchanged.
 The involution gate: ``MetricBundle.involution_residuals`` measures
 ||Q^2 - 1||_F and ||C^2 - 1||_F on first read, and ``involutions_hold``
 compares them with INVOLUTIVITY_TOL.
@@ -57,6 +60,7 @@ from .errors import (
 )
 from .linalg import (
     ComplexMatrix,
+    _relative,
     _same_shape,
     as_complex_matrix,
     frobenius,
@@ -79,7 +83,7 @@ INVOLUTIVITY_TOL = 1e-10
 RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class CoefficientSet:
     """Quasiparity and charge coefficients of one system/candidate pair."""
 
@@ -87,7 +91,7 @@ class CoefficientSet:
     c: NDArray[np.complex128]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
@@ -96,7 +100,8 @@ class MetricBundle:
     measured, "theta_hermitian" is 0 and "qdag_pdag" and "pdag_cdag"
     repeat them (``verify_factorizations`` measures all five for any
     Theta).
-    ``theta_norm`` is ||theta||_F, measured once for the residuals and
+    ``theta_norm`` is ||theta||_F, finite and nonzero (the float64 gate
+    of ``build_bundle`` reads it), measured once for the residuals and
     read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
     computed on first use and then kept, so the report and the positivity
     check share one Hermitian eigensolve; ``involution_residuals`` is
@@ -133,10 +138,6 @@ class MetricBundle:
         return max(self.involution_residuals) <= INVOLUTIVITY_TOL
 
 
-def _candidate(p) -> PseudoMetric:
-    return p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p)
-
-
 def reference_quasiparity_coeffs(
     system: BiorthogonalSystem, p
 ) -> NDArray[np.complex128]:
@@ -148,7 +149,7 @@ def reference_quasiparity_coeffs(
     * ||v_n||^2 raises VanishingOverlap naming the first such level;
     ||P||_F is the candidate's kept ``PseudoMetric.norm``.
     """
-    cand = _candidate(p)
+    cand = PseudoMetric.from_matrix(p)
     pm = cand.matrix
     if pm.shape[0] != system.dim:
         raise DimensionMismatch(
@@ -226,7 +227,7 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.
     """
     th = as_complex_matrix(theta, "theta")
-    pm = _candidate(p).matrix
+    pm = PseudoMetric.from_matrix(p).matrix
     qm = as_complex_matrix(q, "quasiparity")
     cm = as_complex_matrix(c, "charge")
     for other in (pm, qm, cm):
@@ -237,15 +238,8 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     # each product against theta and against its adjoint
     pq, cp, th_dag = pm @ qm, cm @ pm, th.conj().T
     return dict(zip(RESIDUAL_KEYS, (
-        frobenius(th - th_dag) / scale, frobenius(pq - th) / scale, frobenius(cp - th) / scale,
-        frobenius(pq - th_dag) / scale, frobenius(cp - th_dag) / scale)))
-
-
-def _product_residual(product: ComplexMatrix, theta: ComplexMatrix, scale: float) -> float:
-    # ||product - theta||_F / scale, the difference taken in the product's own
-    # buffer: every caller passes a fresh product
-    product -= theta
-    return frobenius(product) / scale
+        _relative(th - th_dag, scale), _relative(pq - th, scale), _relative(cp - th, scale),
+        _relative(pq - th_dag, scale), _relative(cp - th_dag, scale))))
 
 
 def involutive_normalization(
@@ -282,16 +276,15 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     (q, c = conj(q)), all from one overlap pass.  The residual map takes
     two products, P Q and C P, each measured against theta and then
     dropped; theta equals its adjoint bit for bit, so the three identity
-    keys are filled, not measured: "theta_hermitian" is 0 over the scale
-    (NaN when ||theta||_F underflows), "qdag_pdag" is "pq" and
-    "pdag_cdag" is "cp".  The float64 gate: a
-    bundle whose operators, coefficients or residuals are not finite
-    raises ZeroKappa, as the rescaling that leads there would, and so does
-    one with a coefficient that underflows to zero, naming the first such
-    level.
+    keys are filled, not measured: "theta_hermitian" is 0, "qdag_pdag"
+    is "pq" and "pdag_cdag" is "cp".  The float64 gate: a bundle stands
+    only if 0 < ||theta||_F < inf and Q, C, the coefficients and the
+    residuals are finite; otherwise it raises ZeroKappa, as the rescaling
+    that leads there would, and so does one with a coefficient that
+    underflows to zero, naming the first such level.  ``p`` is a matrix
+    or a ``PseudoMetric``.
     """
-    p = _candidate(p)  # coerced once: the coefficients take the candidate
-    pm = p.matrix
+    p = PseudoMetric.from_matrix(p)  # coerced once: the coefficients take the candidate
     # an operator that leaves float64 is refused below, without numpy's warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         q = quasiparity_coeffs(system, p)
@@ -299,15 +292,17 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         quasiparity = _spectral_sum(system.right, q, system.left)
         charge = _spectral_sum(system.left, q, system.right)
         theta_norm = frobenius(theta)
-        # a norm that underflows to zero leaves every residual undefined: NaN
-        scale = theta_norm or np.nan
-        pq = _product_residual(pm @ quasiparity, theta, scale)
-        cp = _product_residual(charge @ pm, theta, scale)
-        # theta equals its adjoint bit for bit, so the adjoint residuals are the products' own
-        residuals = dict(zip(RESIDUAL_KEYS, (0.0 / scale, pq, cp, pq, cp)))
-    if not (np.isfinite(theta).all() and np.isfinite(quasiparity).all()
+        # each difference is taken in its fresh product's buffer
+        pq = p.matrix @ quasiparity
+        pq -= theta
+        cp = charge @ p.matrix
+        cp -= theta
+        pq, cp = _relative(pq, theta_norm), _relative(cp, theta_norm)
+    # a finite nonzero ||theta||_F is the gate on theta itself: it is finite only when
+    # every entry is, and every residual is undefined without it
+    if not (0.0 < theta_norm < math.inf and np.isfinite(quasiparity).all()
             and np.isfinite(charge).all() and np.isfinite(q).all()
-            and all(map(math.isfinite, residuals.values()))):
+            and math.isfinite(pq) and math.isfinite(cp)):
         raise ZeroKappa("metric operators leave float64: theta, Q, C or a residual is not finite")
     # a coefficient 1/<v|P|v>/|kappa|^2 is zero only by underflow: it has left float64 too
     underflowed = (q == 0).nonzero()[0]
@@ -318,6 +313,7 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         quasiparity=quasiparity,
         charge=charge,
         coeffs=CoefficientSet(q=q, c=np.conj(q)),
-        residuals=residuals,
+        # theta equals its adjoint bit for bit, so the adjoint residuals are the products' own
+        residuals=dict(zip(RESIDUAL_KEYS, (0.0, pq, cp, pq, cp))),
         theta_norm=theta_norm,
     )

@@ -155,12 +155,13 @@ def invertibility_refusal(sv, tol: Tolerance) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class PseudoMetric:
     """A candidate intertwiner, with its structural verdicts computed on first read.
 
     ``matrix`` is the candidate itself and ``tol`` the tolerance its
-    verdicts use; ``from_matrix`` only validates and stores them.  Each
+    verdicts use; ``from_matrix`` only validates and stores them, and
+    returns a ``PseudoMetric`` it is given unchanged.  Each
     verdict is computed the first time it is read and then kept, so a
     caller pays only for what it reads, and at most once per candidate.
     ``self_adjoint`` is ``linalg.is_hermitian`` under ``tol``, and
@@ -227,12 +228,17 @@ class PseudoMetric:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
-        """The candidate ``m`` under ``tol``.
+        """The candidate ``m`` under ``tol``; a ``PseudoMetric`` is returned unchanged.
 
-        ``m`` must be a finite square matrix (``linalg.as_complex_matrix``);
-        nothing else is computed here: the SVD, the condition number and
-        the Hermiticity test wait until a verdict is read.
+        The one door by which P enters the library: a ``PseudoMetric``
+        keeps its own ``tol`` and every verdict it has already computed,
+        so ``tol`` is ignored for it.  Any other ``m`` must be a finite
+        square matrix (``linalg.as_complex_matrix``); nothing else is
+        computed here: the SVD, the condition number and the Hermiticity
+        test wait until a verdict is read.
         """
+        if isinstance(m, PseudoMetric):
+            return m
         return cls(matrix=as_complex_matrix(m, "pseudometric"), tol=tol)
 
 

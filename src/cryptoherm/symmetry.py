@@ -51,6 +51,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _hermitian,
+    _relative,
     _same_shape,
     _unit_factor,
     as_complex_matrix,
@@ -91,22 +92,9 @@ def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
     # H validated, and P as a PseudoMetric, which keeps its SVD and its norm,
     # so checks sharing one measure P once
     hm = as_complex_matrix(h, "hamiltonian")
-    pm = p if isinstance(p, PseudoMetric) else PseudoMetric.from_matrix(p, tol)
+    pm = PseudoMetric.from_matrix(p, tol)
     _same_shape(hm, pm.matrix)
     return hm, pm
-
-
-def _relative(residual, scale: float) -> float:
-    # ||residual||_F / scale, both first divided by the power of two that
-    # brings scale near 1, so the squares inside the norm stay in float64
-    # wherever the ratio does.  The residual is scaled in place: every caller
-    # passes a temporary it has just formed.  A zero-scale problem has
-    # nothing to violate.
-    if not scale > 0.0:
-        return 0.0
-    factor = _unit_factor(scale)
-    residual *= factor
-    return frobenius(residual) / (scale * factor)
 
 
 def _p_equation(hm, hnorm: float, cand: PseudoMetric) -> float:
@@ -206,7 +194,7 @@ def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     return _verdict("pt_commutant", _relative(comm, frobenius(hm) * frobenius(sm)), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class Diagnosis:
     """What ``diagnose`` found for one (H, P) pair.
 

@@ -1,9 +1,10 @@
 """The package surface stays in step with the code.
 
 ``__all__``, the README's library table and the README's python examples,
-the operand checks every public matrix entry point makes, and the lazy
-package namespace; which commands start without numpy is checked in
-``test_numpy_free.py``, whose child probe the last tests here share.
+the operand checks every public matrix entry point makes, the records
+that hold arrays comparing by identity, and the lazy package namespace;
+which commands start without numpy is checked in ``test_numpy_free.py``,
+whose child probe the last tests here share.
 """
 import ast
 import importlib
@@ -77,6 +78,31 @@ def test_readme_has_python_examples():
 )
 def test_readme_python_block_runs(block):
     exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def _records():
+    """One of each record that holds arrays, from one diagnose run."""
+    found = cryptoherm.diagnose(cryptoherm.build_h2(1.0, 0.0, 0.4j), cryptoherm.parity2())
+    return {"Diagnosis": found, "BiorthogonalSystem": found.system, "MetricBundle": found.bundle,
+            "CoefficientSet": found.bundle.coeffs,
+            "PseudoMetric": cryptoherm.PseudoMetric.from_matrix(cryptoherm.parity2())}
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_holding_arrays_compare_by_identity(name):
+    # value equality would compare arrays, whose truth value is ambiguous: == is identity,
+    # and hash works
+    record, twin = _records()[name], _records()[name]
+    assert type(record).__name__ == name
+    assert record == record and record != twin
+    assert hash(record) == object.__hash__(record)
+    assert len({record, twin, record}) == 2
+
+
+def test_candidates_around_one_array_are_distinct():
+    # two candidates around the same array object are two candidates
+    p = cryptoherm.parity2()
+    assert cryptoherm.PseudoMetric.from_matrix(p) != cryptoherm.PseudoMetric.from_matrix(p)
 
 
 def _boundary_cases():

@@ -930,8 +930,10 @@ class TestMetricCommand:
             ("1e200", "|kappa_0| = 1.000e+200: |kappa_0|^2 or its inverse leaves float64"),
             # |kappa|^2 and its inverse fit, but C overflows: the bundle itself is refused
             ("1e-150", "metric operators leave float64: theta, Q, C or a residual is not finite"),
+            # every operator is finite, but ||Theta||_F overflows: its residuals are undefined
+            ("1e-80", "metric operators leave float64: theta, Q, C or a residual is not finite"),
         ],
-        ids=["1e-200", "1e-160", "1e200", "1e-150"],
+        ids=["1e-200", "1e-160", "1e200", "1e-150", "1e-80"],
     )
     def test_kappa_out_of_float64_range_is_one_error_line(self, kappa, error, files, capsys,
                                                           tmp_path):
@@ -943,6 +945,22 @@ class TestMetricCommand:
         assert run(capsys, "metric", str(h), files["p2.json"], "--kappa", str(kfile),
                    "--out-dir", str(out_dir)) == (1, "", f"error: {error}\n")
         assert not out_dir.exists()
+
+    def test_kappa_below_the_float64_gate_reports_its_residuals(self, files, capsys, tmp_path):
+        # at kappa_0 = 1e-75, ||Theta||_F = 1.6e150 is finite: the run stands, with round-off
+        # residuals rather than zeros
+        kfile = tmp_path / "k.json"
+        kfile.write_text("[[1e-75, 0], [1, 0]]")
+        h = tmp_path / "h.json"
+        save_matrix(h, build_h2(1.0, 0.0, 0.3j))
+        code, out, err = run(capsys, "metric", str(h), files["p2.json"], "--kappa", str(kfile),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        residuals = json.loads(out)["metric"]["residuals"]
+        for key in ("pq", "cp"):
+            assert 1e-17 < residuals[key] < 1e-15
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["c.json", "q.json",
+                                                                       "theta.json"]
 
     def test_theta_norm_underflow_is_one_error_line(self, files, capsys, tmp_path):
         # the involutive kappa makes ||Theta||_F underflow to 0: no residual is defined

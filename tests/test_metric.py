@@ -301,6 +301,31 @@ class TestGates:
             build_bundle(renormalize(sys_, np.array([1e-150, 1.0])), parity2())
         assert str(info.value) == self._FLOAT64
 
+    @staticmethod
+    def _edge_system(kappa0):
+        # build_h2(1, 0, 0.3i) with kappa_0 = kappa0: Theta's largest entry is about kappa0^-2
+        return renormalize(solve_biorthogonal(build_h2(1.0, 0.0, 0.3j)), np.array([kappa0, 1.0]))
+
+    def test_theta_norm_overflow_is_refused(self):
+        # at kappa_0 = 1e-80 every entry of Theta is finite (the largest is 1.4e160), but
+        # ||Theta||_F overflows, and residuals divided by it would read 0
+        sys_ = self._edge_system(1e-80)
+        theta = build_metric(sys_)
+        assert np.isfinite(theta).all() and np.abs(theta).max() > 1e160
+        with np.errstate(over="ignore"):
+            assert frobenius(theta) == np.inf
+        with pytest.raises(ZeroKappa) as info:
+            build_bundle(sys_, parity2())
+        assert str(info.value) == self._FLOAT64
+
+    def test_theta_norm_near_overflow_keeps_its_residuals(self):
+        # at kappa_0 = 1e-75, ||Theta||_F = 1.6e150: the residuals are round-off, not zeros
+        bundle = build_bundle(self._edge_system(1e-75), parity2())
+        assert np.isfinite(bundle.theta_norm)
+        for key in ("pq", "cp"):
+            assert 1e-17 < bundle.residuals[key] < 1e-15
+        assert bundle.factorizations_hold
+
     def test_theta_norm_underflow_is_refused(self):
         # the involutive kappa for P = 1e-308 diag(1, -1) is about 1e154, so
         # ||Theta||_F underflows to 0 and the residuals are undefined

@@ -153,6 +153,14 @@ def test_classify_h2_returns_the_frozen_dataclass(point):
             setattr(dc, field.name, "exterior")
 
 
+def test_from_matrix_returns_a_candidate_unchanged():
+    # the one door for P: a PseudoMetric keeps its tolerance and its computed verdicts
+    pm = PseudoMetric.from_matrix(parity2())
+    assert pm.self_adjoint
+    assert PseudoMetric.from_matrix(pm) is pm
+    assert PseudoMetric.from_matrix(pm, Tolerance(abs=0.0)) is pm
+
+
 def test_parity2_and_swap2_displays():
     assert np.array_equal(parity2(), np.diag([1.0 + 0j, -1.0 + 0j]))
     assert np.array_equal(swap2(), np.array([[0, 1], [1, 0]], dtype=complex))

@@ -100,15 +100,20 @@ def _matrix_text(m) -> str:
     return json.dumps({"dim": a.shape[0], "data": pairs})
 
 
-def _sds(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _sds(n: int, seed: int | None = None) -> tuple[np.ndarray, dict[str, np.ndarray],
+                                                   np.ndarray, np.ndarray]:
     """H = S D S^-1 and, per kind, P = S^-dag diag(u) S^-1, in exact integer arithmetic.
 
     S = (I + L)(I + U) with L (U) unit-lower (upper) bidiagonal in {-1, 0, 1},
     so S^-1 is an integer matrix; D holds n distinct integer levels.  u is
     all ones (P positive definite), +-1 (indefinite) or +-1, +-i (P not
-    self-adjoint); P H P^-1 = H^dag holds exactly for each.
+    self-adjoint); P H P^-1 = H^dag holds exactly for each.  Returns H, the
+    P of each kind, and the integer S and levels (the diagonal of D, in S's
+    column order), from which every spectral quantity has a closed form.
+    ``seed`` None draws the corpus's matrices; an integer draws another
+    derandomized sample of the same size.
     """
-    rng = random.Random(f"sds-{n}")
+    rng = random.Random(f"sds-{n}" if seed is None else f"sds-{n}-{seed}")
     lower = np.eye(n, dtype=np.int64)
     upper = np.eye(n, dtype=np.int64)
     for i in range(1, n):
@@ -123,7 +128,8 @@ def _sds(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
     s_inv = inverse_unit_lower(upper.T).T @ inverse_unit_lower(lower)
     levels = np.array(rng.sample(range(-n, n), n), dtype=np.int64)
-    h = ((lower @ upper * levels) @ s_inv).astype(np.complex128)
+    s = lower @ upper
+    h = ((s * levels) @ s_inv).astype(np.complex128)
     s_inv = s_inv.astype(np.complex128)
     pseudometrics = {}
     for kind, units in (("definite", (1,)), ("indefinite", (1, -1)),
@@ -131,7 +137,7 @@ def _sds(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         u = np.array([units[i % len(units)] for i in range(n)], dtype=np.complex128)
         rng.shuffle(u)
         pseudometrics[kind] = (s_inv.T * u) @ s_inv  # integer parts: exact
-    return h, pseudometrics
+    return h, pseudometrics, s, levels
 
 
 def _h2(a: float, d: float, b: complex) -> list[list[complex]]:
@@ -186,7 +192,7 @@ def inputs() -> dict[str, str]:
             h = _h2(1.0, -1.0, _walk_b(sign * 10.0 ** -k))
             files[f"walk_{label}{k}.json"] = _matrix_text(h)
     for n in (4, 16, 64):
-        h, pseudometrics = _sds(n)
+        h, pseudometrics, _, _ = _sds(n)
         files[f"sds{n}_h.json"] = _matrix_text(h)
         for kind, p in pseudometrics.items():
             files[f"sds{n}_{kind}.json"] = _matrix_text(p)
