@@ -23,18 +23,26 @@ subclass the renderer recognises by its type, and takes one pass per
 matrix: one finiteness check and one ``%`` over the block of row
 templates.  Any other list of pairs takes the generic path, which
 prints the same bytes.  Each other list's element types are collected
-once, and that one set decides whether it stays on one line.  A scalar
-goes through one ``isinstance`` chain, ``_scalar``, which tests a
-report's floats, strs and bools first, bool before int; ``_render``
-sends an exact float, str or bool there before any container test.
-Keys and strings go through ``json.encoder.encode_basestring_ascii``,
-the C encoder ``json.dumps`` itself calls for a ``str``.
+once, and that one set decides whether it stays on one line.  An exact
+``float``, ``str`` or ``bool``, which a report is nearly all made of,
+is printed before any container test through one table keyed by its
+type (``_EXACT``), with ``_scalar``'s text and its refusal of a
+non-finite float.  Every other scalar goes through ``_scalar``'s one
+``isinstance`` chain, which tests floats, strs and bools first, bool
+before int.  Keys and strings go through
+``json.encoder.encode_basestring_ascii``, the C encoder ``json.dumps``
+itself calls for a ``str``.
 
 Parsing reads the integer token ``-0``, which the renderer writes for
 -0.0, as -0.0 and every other integer as an int, so a rendered matrix
-loads back bit for bit.  One module-level decoder reads every file, and
-a file that opens with a UTF-8 byte-order mark is refused in
-``json.loads``' own words.  Parsing also takes one pass per matrix.  A pair
+loads back bit for bit.  Each file is read as bytes and decoded from
+UTF-8 once, with no text-mode wrapper; a text holding a carriage
+return gets text mode's newline translation (CR LF and a lone CR
+become LF), so every parsed object and every error text, line, column
+and byte position included, is the one text mode gives.  One
+module-level decoder reads every file, and a file that opens with a
+UTF-8 byte-order mark is refused in ``json.loads``' own words.  Parsing
+also takes one pass per matrix.  A pair
 list read from a file is checked for shape and type, converted by one
 ``np.array`` and checked for finiteness once; only a list that fails
 that is walked entry by entry, to name the first offending entry.
@@ -67,8 +75,9 @@ def format_float(x) -> str:
 #: list elements that make a list render inline, on one line
 _NUMERIC = (bool, int, float, np.integer, np.floating)
 
-#: the scalar types a report is nearly all made of, which _render knows by their exact type
-_EXACT = frozenset({float, str, bool})
+#: the text of the scalar types a report is nearly all made of, keyed by exact type;
+#: each gives _scalar's text, and a non-finite float its ValueError
+_EXACT = {float: format_float, str: encode_basestring_ascii, bool: ("false", "true").__getitem__}
 
 
 def _check_finite(floats) -> None:
@@ -91,8 +100,9 @@ def _block(opening: str, rows, closing: str, indent: int) -> str:
 
 def _render(value, indent: int) -> str:
     """JSON text of ``value``, whose closing bracket sits at ``indent`` levels."""
-    if type(value) in _EXACT:  # a scalar, known before any container test
-        return _scalar(value)
+    text = _EXACT.get(type(value))
+    if text is not None:  # a scalar, known before any container test
+        return text(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -228,8 +238,10 @@ _DECODER = json.JSONDecoder(parse_int=_parse_int)
 def _read_json(path, where: str):
     """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
-        with open(os.fspath(path), encoding="utf-8") as f:
-            text = f.read()
+        with open(os.fspath(path), "rb") as f:
+            text = f.read().decode("utf-8")
+        if "\r" in text:  # text mode's universal newlines, so error positions match
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):  # json.loads' own refusal, word for word
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         return _DECODER.decode(text)

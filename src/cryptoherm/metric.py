@@ -224,7 +224,9 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     Keys are fixed ("theta_hermitian", "pq", "cp", "qdag_pdag",
     "pdag_cdag"); every value is normalized by ||theta||_F.  Theta may
     be any matrix: the adjoint identities are read as
-    ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.
+    ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.  A theta
+    whose ||theta||_F is zero or overflows float64 raises ValueError, as
+    it leaves every residual undefined.
     """
     th = as_complex_matrix(theta, "theta")
     pm = PseudoMetric.from_matrix(p).matrix
@@ -232,9 +234,13 @@ def verify_factorizations(theta, p, q, c) -> dict[str, float]:
     cm = as_complex_matrix(c, "charge")
     for other in (pm, qm, cm):
         _same_shape(th, other)
-    scale = frobenius(th)
+    with np.errstate(over="ignore"):  # a norm that overflows is refused below, not warned about
+        scale = frobenius(th)
     if scale == 0.0:
         raise ValueError("theta is zero; factorization residuals are undefined")
+    if scale == math.inf:  # every residual would read 0 or NaN against it
+        raise ValueError("theta's Frobenius norm overflows float64; "
+                         "factorization residuals are undefined")
     # each product against theta and against its adjoint
     pq, cp, th_dag = pm @ qm, cm @ pm, th.conj().T
     return dict(zip(RESIDUAL_KEYS, (

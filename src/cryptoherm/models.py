@@ -164,8 +164,12 @@ class PseudoMetric:
     returns a ``PseudoMetric`` it is given unchanged.  Each
     verdict is computed the first time it is read and then kept, so a
     caller pays only for what it reads, and at most once per candidate.
-    ``self_adjoint`` is ``linalg.is_hermitian`` under ``tol``, and
-    ``norm`` is ||P||_F, read by the P equation and the overlap floor.
+    One exact test says whether P equals its adjoint bit for bit: the P
+    equation reads it to take one product instead of two, and
+    ``self_adjoint`` returns True on it, since such a P passes every
+    tolerance; otherwise ``self_adjoint`` is ``linalg.is_hermitian``
+    under ``tol``.  ``norm`` is ||P||_F, read by the P equation and the
+    overlap floor.
     One SVD gives ``smallest_singular_value``, ``condition`` (sv_max /
     sv_min, bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is
     within ``tol.abs``, so the matrix is zero up to rounding whatever its
@@ -183,9 +187,16 @@ class PseudoMetric:
     tol: Tolerance
 
     @cached_property
+    def _exactly_self_adjoint(self) -> bool:
+        # P equals its adjoint bit for bit: the P equation then takes one product,
+        # and self_adjoint holds under every tolerance
+        m = self.matrix
+        return bool((m == m.conj().T).all())
+
+    @cached_property
     def self_adjoint(self) -> bool:
         """P equals its adjoint within ``tol``."""
-        return _hermitian(self.matrix, self.tol)
+        return self._exactly_self_adjoint or _hermitian(self.matrix, self.tol)
 
     @cached_property
     def norm(self) -> float:
@@ -274,15 +285,19 @@ def hermitian_partners(p, thetas, tol: Tolerance = DEFAULT_TOL) -> list[tuple[fl
     once, and every angle of the sequence ``thetas`` must be a finite
     real.  The rotations' singular values come in stacks of as many
     rotations as fit in PARTNER_STACK_ENTRIES entries (at least one), each
-    built and dropped before the next; no ``PseudoMetric`` is built.
+    built and dropped before the next; no ``PseudoMetric`` is built.  A
+    stack holding a partner that leaves float64 raises the ValueError
+    that ``hermitian_sum`` or ``hermitian_rotation`` raises for it.
     """
     a = as_complex_matrix(p, "pseudometric")
     step = max(1, PARTNER_STACK_ENTRIES // a.size)
-    # a generator: each stack is built when its SVD asks for it, and dropped after
-    stacks = chain([(a + a.conj().T)[None]],
-                   (_rotations(a, thetas[i:i + step]) for i in range(0, len(thetas), step)))
-    return [(float(sv[-1]), invertibility_refusal(sv, tol) is None)
-            for stack in stacks for sv in np.linalg.svd(stack, compute_uv=False)]
+    # a partner that leaves float64 is refused by _finite, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a generator: each stack is built when its SVD asks for it, and dropped after
+        stacks = chain([(a + a.conj().T)[None]],
+                       (_rotations(a, thetas[i:i + step]) for i in range(0, len(thetas), step)))
+        return [(float(sv[-1]), invertibility_refusal(sv, tol) is None)
+                for stack in stacks for sv in np.linalg.svd(_finite(stack), compute_uv=False)]
 
 
 def _rotations(a: ComplexMatrix, thetas):
@@ -291,3 +306,11 @@ def _rotations(a: ComplexMatrix, thetas):
     # gives at a scalar phase
     phase = np.exp(1j * np.array([_real_scalar(t, "theta") for t in thetas]))[:, None, None]
     return 1j * (a * phase - a.conj().T * phase.conj())
+
+
+def _finite(stack):
+    # a stack of Hermitian partners, refused in the words PseudoMetric.from_matrix
+    # refuses one partner that leaves float64
+    if not np.isfinite(stack).all():
+        raise ValueError("pseudometric contains non-finite entries")
+    return stack

@@ -102,12 +102,14 @@ def _p_equation(hm, hnorm: float, cand: PseudoMetric) -> float:
     # of the intertwining equation, for a P that passes the invertibility rule.
     # H and P are first scaled by powers of two to near unit norm, so the
     # products stay in float64 wherever the ratio does; the scaling is exact.
-    # adjoint(H) P is adjoint(P H) only when P equals its adjoint bit for bit
+    # adjoint(H) P is adjoint(P H) only when P equals its adjoint bit for bit:
+    # the candidate's exact verdict, computed once per candidate and shared with
+    # self_adjoint; it tests P itself, and the scaling keeps an exactly Hermitian P so
     cand.check_condition()
     fh, fp = _unit_factor(hnorm), _unit_factor(cand.norm)
     h, p = hm * fh, cand.matrix * fp
     r = p @ h
-    r -= r.conj().T if (p == p.conj().T).all() else h.conj().T @ p
+    r -= r.conj().T if cand._exactly_self_adjoint else h.conj().T @ p
     return _relative(r, (hnorm * fh) * (cand.norm * fp))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cryptoherm import MatrixFileError, build_h3
+from cryptoherm import MatrixFileError, build_h3, io
 from cryptoherm.io import (
     canonical_json,
     complex_pairs,
@@ -57,6 +57,60 @@ class TestCanonicalJson:
     def test_parses_as_json(self):
         payload = {"m": matrix_to_payload(np.eye(2)), "k": [[1.0, 0.0]], "n": 3}
         assert json.loads(canonical_json(payload)) is not None
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3,
+    "", "plain", 'q"uote\\back/slash', "\x00\x1f\x7f\t\n\r", "\u2028\xe9\u2603\U0001d11e\ud800",
+    True, False,
+])
+def test_exact_type_table_prints_what_scalar_prints(value):
+    # the renderer's table for an exact float, str or bool, against _scalar's chain
+    assert io._EXACT[type(value)](value) == io._scalar(value) == canonical_json(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_type_table_refuses_what_scalar_refuses(value):
+    got = _outcome(io._EXACT[float], value)
+    assert got[0] is ValueError
+    assert got == _outcome(io._scalar, value) == _outcome(canonical_json, {"k": value})
+
+
+def _read_in_text_mode(path):
+    # the JSON of ``path`` as a text-mode read gives it, universal newlines included;
+    # json.loads refuses a leading BOM in the words _read_json uses
+    with open(path, encoding="utf-8") as f:
+        return json.loads(f.read(), parse_int=io._parse_int)
+
+
+#: file bytes whose parse, or refusal, must be the one a text-mode read gives
+_NEWLINE_FILES = {
+    "crlf": b'{"dim": 1,\r\n "data": [[1, -0]]}\r\n',
+    "lone-cr": b"[[1, 0],\r[2.5, -0]]\r",
+    "mixed": b"[[1, 0],\r\n[2, 0],\r[3, 0]\n,\n\r[4, 0]]",
+    "cr-before-lf-at-8-kib": b" " * 8191 + b"\r\n[[1, 0]]",
+    "invalid-crlf": b'{"dim": 1,\r\n "data": [[1, 0]\r\n x}',
+    "invalid-lone-cr": b"[[1, 0],\r\r[2, 0]\r oops]",
+    "invalid-mixed": b"[[1, 0],\r\n\r[2, 0]\n\r\n,]",
+    "cr-in-string": b'{"dim": 1, "da\rta": []}',
+    "truncated-after-crlf": b"\r\n\r\n[[1, 0]",
+    "bom-then-crlf": b"\xef\xbb\xbf\r\n[[1, 0]]",
+    "not-utf8-past-8-kib": b"[" + b" " * 9000 + b"\xff]",
+    "not-utf8-after-crlf": b"\r\n" * 5000 + b"[\xc3\x28]",
+}
+
+
+@pytest.mark.parametrize("raw", _NEWLINE_FILES.values(), ids=_NEWLINE_FILES)
+def test_one_decode_reads_what_text_mode_reads(raw, tmp_path):
+    # same object (reprs, so -0.0 and int against float count), or the same error
+    # text: line, column, char and byte position included
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    try:
+        want = "ok", repr(_read_in_text_mode(path))
+    except ValueError as exc:
+        want = MatrixFileError, f"{path}: invalid JSON ({exc})"
+    assert _outcome(lambda: repr(io._read_json(path, str(path)))) == want
 
 
 def test_fingerprint_sensitivity():

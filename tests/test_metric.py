@@ -247,6 +247,13 @@ class TestFactorizations:
         with pytest.raises(ValueError, match="^theta is zero; factorization residuals"):
             verify_factorizations(np.zeros((2, 2)), parity2(), np.eye(2), np.eye(2))
 
+    def test_theta_whose_norm_overflows_is_refused(self):
+        # every entry fits, but ||theta||_F overflows: measured against it, "pq" read 0.0
+        # (about 4.5e-11 in truth) and "cp" NaN; refused without numpy's warnings
+        theta = np.diag([1e160, 2e160])
+        with pytest.raises(ValueError, match="^theta's Frobenius norm overflows float64; "):
+            verify_factorizations(theta, np.eye(2), theta + np.diag([1e150, 0.0]), theta + 1e155)
+
 
 def _similar_bundles(seed: int, n: int):
     """Bundles of a seeded H = S D S^-1: P = S^-dag diag(u) S^-1, Hermitian (u = 1) and not.

@@ -34,6 +34,7 @@ from cryptoherm import (
     sweep_h2,
 )
 from cryptoherm.h2 import _h2_params
+from cryptoherm.linalg import _hermitian
 from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
 from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
@@ -289,7 +290,12 @@ class TestPseudoMetricFlags:
         _, system = involutive_normalization(solve_biorthogonal(build_h2(1.0, 0.0, 0.4j)), pm)
         build_bundle(system, pm)
         assert (len(svds), len(hermitian_tests)) == (0, 0)
-        # each verdict is computed once, on first read
+        # each verdict is computed once, on first read; parity2 equals its adjoint
+        # bit for bit, so it takes no tolerance test at all
+        assert pm.self_adjoint is pm.self_adjoint is True
+        assert len(hermitian_tests) == 0
+        # a P that is Hermitian only within tolerance takes exactly one
+        pm = PseudoMetric.from_matrix(parity2() + np.array([[0.0, 1e-14j], [0.0, 0.0]]))
         assert pm.self_adjoint is pm.self_adjoint is True
         assert len(hermitian_tests) == 1
         # the SVD-based verdicts share one SVD, in any reading order
@@ -300,6 +306,20 @@ class TestPseudoMetricFlags:
             for name in order + order:
                 getattr(pm, name)
             assert len(svds) == 1, order
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=_candidates().map(lambda m: m + m.conj().T),
+           scale=st.sampled_from([1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300]),
+           tol=st.sampled_from([Tolerance(0.0, 0.0), Tolerance(rel=1e-16, abs=0.0),
+                                Tolerance(rel=0.0, abs=1e-300), Tolerance()]))
+    @example(m=np.array([[5e-324, 1e-320 - 3e-321j], [1e-320 + 3e-321j, 1.0]]), scale=1.0,
+             tol=Tolerance(0.0, 0.0))  # subnormals, which the test's unit scaling rounds
+    def test_self_adjoint_is_the_tolerance_test_for_an_exactly_hermitian_p(self, m, scale, tol):
+        # the exact verdict gives self_adjoint without the tolerance test: an exactly
+        # Hermitian P passes that test under every tolerance, whatever its scale
+        p = m * scale
+        assert (p == p.conj().T).all()
+        assert PseudoMetric.from_matrix(p, tol).self_adjoint is _hermitian(p, tol) is True
 
     def test_check_condition_accepts_and_matches_linalg(self):
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
@@ -473,6 +493,30 @@ def test_hermitian_partners_of_the_cyclic_shift_meet_their_closed_forms(n):
         zero = j < len(nominal) and any((nominal[j] + Fraction(2 * k, n)) % 1 == 0
                                         for k in range(n))
         assert invertible is not zero, theta
+
+
+@pytest.mark.parametrize("thetas", [[], [0.5, math.pi / 2]])
+def test_hermitian_partners_refuse_a_partner_that_leaves_float64(thetas):
+    # 1e308 I: P + P* and the rotation at pi/2 (-2 P) overflow, and hermitian_sum and
+    # hermitian_rotation refuse them; the scan refuses its stack in the same words
+    p = 1e308 * np.eye(2)
+    message = "^pseudometric contains non-finite entries$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            hermitian_sum(p)
+        with pytest.raises(ValueError, match=message):
+            hermitian_rotation(p, math.pi / 2)
+    with pytest.raises(ValueError, match=message):
+        hermitian_partners(p, thetas)
+    # for this P, P + P* = 0 fits, and so does the rotation 2 i cos(t) P at t = pi/2,
+    # but not at t = 0
+    p = 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            hermitian_rotation(p, 0.0)
+    assert hermitian_partners(p, [math.pi / 2])[0] == (0.0, False)
+    with pytest.raises(ValueError, match=message):
+        hermitian_partners(p, [math.pi / 2, 0.0])
 
 
 def _partners_one_at_a_time(p, thetas, tol):

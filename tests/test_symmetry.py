@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,31 @@ def test_diagnose_solves_the_p_equation_once(h, p, monkeypatch):
     found = diagnose(h, p)
     assert [np.array_equal(x, p) for x in operands] == [True]
     assert found.verdicts[0] == pseudo_hermiticity_residual(h, p)
+
+
+@pytest.mark.parametrize(
+    "h, p, tolerance_tests",
+    [(build_h3(0.0, 0.3 + 0.4j), cyclic_p(3), 1), (build_h2(1.0, 0.0, 0.4j), parity2(), 0)],
+    ids=["h3-cyclic3", "h2-parity2"],
+)
+def test_diagnose_tests_p_for_hermiticity_once(h, p, tolerance_tests, monkeypatch):
+    # the P equation and self_adjoint share one exact test of P = adjoint(P); only a
+    # P that fails it takes the tolerance test as well
+    exact, tolerant = [], []
+    direct = PseudoMetric.__dict__["_exactly_self_adjoint"].func
+
+    def counted(cand):
+        exact.append(cand.matrix)
+        return direct(cand)
+
+    verdict = functools.cached_property(counted)
+    verdict.__set_name__(PseudoMetric, "_exactly_self_adjoint")
+    monkeypatch.setattr(PseudoMetric, "_exactly_self_adjoint", verdict)
+    count_calls(monkeypatch, linalg._hermitian, tolerant.append)
+    found = diagnose(h, p)
+    assert found.holds
+    assert [np.array_equal(x, p) for x in exact] == [True]
+    assert len(tolerant) == tolerance_tests
 
 
 @pytest.mark.parametrize(
