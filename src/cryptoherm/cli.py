@@ -198,7 +198,6 @@ def _metric_payload(system, bundle) -> dict:
     return {
         "kappa": cryptoherm.io.complex_pairs(system.kappa),
         "quasiparity_coeffs": cryptoherm.io.complex_pairs(bundle.coeffs.q),
-        "charge_coeffs": cryptoherm.io.complex_pairs(bundle.coeffs.c),
         "theta_min_eigenvalue": float(bundle.theta_eigenvalues[0]),
         "residuals": {k: float(v) for k, v in bundle.residuals.items()},
         "factorizations_hold": bundle.factorizations_hold,
@@ -208,7 +207,7 @@ def _metric_payload(system, bundle) -> dict:
 def _report_head(command: str, tol: Tolerance, **operands) -> dict:
     """The fields every JSON report opens with; ``operands`` are fingerprinted in order."""
     return {
-        "schema": 2,
+        "schema": 3,
         "command": command,
         "model_fingerprint": cryptoherm.io.fingerprint(operands),
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
@@ -239,8 +238,8 @@ def _verdict_rows(verdicts) -> list[dict]:
     """Each verdict as a dict of its fields in order, as ``dataclasses.asdict`` gives it.
 
     A frozen dataclass without slots keeps its fields in ``__dict__`` in
-    field order.  Shallow: asdict would deep-copy each detail mapping only
-    for it to be rendered.
+    field order; every field is a scalar, so asdict's recursive copy
+    would add nothing.
     """
     return [vars(v) for v in verdicts]
 
@@ -300,8 +299,7 @@ def cmd_metric(args) -> int:
     report["involutive"] = {"applied": involutive}
     if involutive:
         q2, c2 = bundle.involution_residuals
-        report["involutive"].update(kappa=cryptoherm.io.complex_pairs(system.kappa),
-                                    q_squared_residual=q2, c_squared_residual=c2,
+        report["involutive"].update(q_squared_residual=q2, c_squared_residual=c2,
                                     holds=bundle.involutions_hold)
 
     report["warnings"] = cryptoherm.metric.nonreal_warnings(bundle.coeffs.q)
@@ -401,13 +399,7 @@ def cmd_hermitize(args) -> int:
     (sum_sv, sum_invertible), *rotated = cryptoherm.models.hermitian_partners(p, thetas, tol)
 
     report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_digest(p))
-    report["sum"] = {
-        "smallest_singular_value": sum_sv,
-        "invertible": sum_invertible,
-        # entry (i, j) of P + adjoint(P) is a_ij + conj(a_ji), the conjugate of
-        # entry (j, i): the sum equals its adjoint bit for bit, so it is not measured
-        "self_adjoint": True,
-    }
+    report["sum"] = {"smallest_singular_value": sum_sv, "invertible": sum_invertible}
     report["rotation"] = [{"theta": theta, "smallest_singular_value": sv, "invertible": invertible}
                           for theta, (sv, invertible) in zip(thetas, rotated)]
     report["warnings"] = [] if sum_invertible else ["singular Hermitian partner: P + adjoint(P)"]

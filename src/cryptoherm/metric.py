@@ -10,7 +10,8 @@ r_n = kappa_n r1_n, l_n = l1_n / conj(kappa_n), the three operators are
 
 so the whole kappa dependence is carried by the stored columns plus the
 |kappa|^-2 weight in the coefficients.  The charge coefficients are
-c_n = conj(q_n) by definition, since <v|adjoint(P)|v> = conj(<v|P|v>).
+c_n = conj(q_n) by definition, since <v|adjoint(P)|v> = conj(<v|P|v>),
+so reports print q_n only.
 Each sum is one matrix product, and reruns on the same input are
 byte-identical at a fixed BLAS thread count.  ``build_bundle`` is the one
 builder of Q, C and the coefficients; callers read them from its bundle.
@@ -23,10 +24,10 @@ intertwines H with its adjoint; every residual is normalized by
 ||Theta||_F through ``linalg._relative``, the one residual quotient.
 ``verify_factorizations`` measures all four plus the
 hermiticity of Theta, for any Theta.  ``build_bundle`` measures only
-P Q and C P against its Theta and fills the three identity keys: that
-Theta equals its adjoint bit for bit, so its hermiticity residual is 0
-and each adjoint residual is its product's.  Each product's difference
-is taken in the product's own buffer, one product at a time.
+P Q and C P against its Theta: that Theta equals its adjoint bit for
+bit, so its hermiticity residual is 0 and each adjoint residual is its
+product's, and none of them is kept.  Each product's difference is
+taken in the product's own buffer, one product at a time.
 
 Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
@@ -79,7 +80,7 @@ FACTORIZATION_TOL = 1e-9
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
 
-#: fixed key order of the residual map, of a bundle and of verify_factorizations
+#: fixed key order of verify_factorizations' map; a bundle's map holds "pq" and "cp" only
 RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
 
 
@@ -96,10 +97,10 @@ class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
     ``theta`` is exactly Hermitian, as ``build_metric`` makes it.
-    ``residuals`` has the keys of RESIDUAL_KEYS: "pq" and "cp" are
-    measured, "theta_hermitian" is 0 and "qdag_pdag" and "pdag_cdag"
-    repeat them (``verify_factorizations`` measures all five for any
-    Theta).
+    ``residuals`` holds "pq" and "cp", the two identities that theta
+    leaves to measure (``verify_factorizations`` measures all five keys
+    of RESIDUAL_KEYS for any Theta; for this theta the other three are
+    0, "pq" and "cp").
     ``theta_norm`` is ||theta||_F, finite and nonzero (the float64 gate
     of ``build_bundle`` reads it), measured once for the residuals and
     read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
@@ -279,16 +280,15 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
     The only builder of Q = sum_n right_n q_n adjoint(left_n) (so
     Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
     (so adjoint(C) right_n = c_n right_n) and of the coefficient set
-    (q, c = conj(q)), all from one overlap pass.  The residual map takes
-    two products, P Q and C P, each measured against theta and then
-    dropped; theta equals its adjoint bit for bit, so the three identity
-    keys are filled, not measured: "theta_hermitian" is 0, "qdag_pdag"
-    is "pq" and "pdag_cdag" is "cp".  The float64 gate: a bundle stands
-    only if 0 < ||theta||_F < inf and Q, C, the coefficients and the
-    residuals are finite; otherwise it raises ZeroKappa, as the rescaling
-    that leads there would, and so does one with a coefficient that
-    underflows to zero, naming the first such level.  ``p`` is a matrix
-    or a ``PseudoMetric``.
+    (q, c = conj(q)), all from one overlap pass.  The residual map holds
+    "pq" and "cp": two products, P Q and C P, each measured against
+    theta and then dropped; theta equals its adjoint bit for bit, so the
+    other three identities leave nothing to measure.  The float64 gate:
+    a bundle stands only if 0 < ||theta||_F < inf and Q, C, the
+    coefficients and the residuals are finite; otherwise it raises
+    ZeroKappa, as the rescaling that leads there would, and so does one
+    with a coefficient that underflows to zero, naming the first such
+    level.  ``p`` is a matrix or a ``PseudoMetric``.
     """
     p = PseudoMetric.from_matrix(p)  # coerced once: the coefficients take the candidate
     # an operator that leaves float64 is refused below, without numpy's warnings on the way
@@ -319,7 +319,6 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         quasiparity=quasiparity,
         charge=charge,
         coeffs=CoefficientSet(q=q, c=np.conj(q)),
-        # theta equals its adjoint bit for bit, so the adjoint residuals are the products' own
-        residuals=dict(zip(RESIDUAL_KEYS, (0.0, pq, cp, pq, cp))),
+        residuals={"pq": pq, "cp": cp},
         theta_norm=theta_norm,
     )

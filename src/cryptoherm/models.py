@@ -260,7 +260,9 @@ def hermitian_sum(p, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     on the imaginary axis (the 4-cycle shift is the canonical example).
     """
     a = as_complex_matrix(p, "pseudometric")
-    return PseudoMetric.from_matrix(a + a.conj().T, tol)
+    # a sum that leaves float64 is refused by from_matrix, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PseudoMetric.from_matrix(a + a.conj().T, tol)
 
 
 def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
@@ -272,7 +274,9 @@ def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
     a = as_complex_matrix(p, "pseudometric")
-    return PseudoMetric.from_matrix(_rotations(a, [theta])[0], tol)
+    # a rotation that leaves float64 is refused by from_matrix, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PseudoMetric.from_matrix(_rotations(a, [theta])[0], tol)
 
 
 def hermitian_partners(p, thetas, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, bool]]:

@@ -1,17 +1,19 @@
 """Residual diagnostics for the intertwining symmetry classes.
 
-Four predicates, each returning a SymmetryVerdict whose residual is
+Three predicates, each returning a SymmetryVerdict whose residual is
 normalized by the operator norms involved, so every verdict is
 invariant under H -> s H for real s > 0:
 
 * pseudo_hermitian:   P H = adjoint(H) P for an invertible P
                       (multiplicative form, no inversion)
-* weak_triplet:       the same, for a non-self-adjoint P; its other two
-                      equations follow from it, so its residual is the
-                      P equation's
 * quasi_hermitian:    Theta H = adjoint(H) Theta for Hermitian positive
                       definite Theta (multiplicative form, no inversion)
 * pt_commutant:       H S = S H
+
+A non-self-adjoint P's weak triplet adds no equation of its own: the
+adjoint equation is the P equation's adjoint, and the commutant of
+inverse(P) adjoint(P) follows from the two.  ``weak_triplet_check`` is
+the P equation's verdict under the name "weak_triplet".
 
 Every check refuses operands of different shapes with DimensionMismatch.
 ``diagnose`` runs the whole pipeline on one (H, P) pair and returns a
@@ -32,7 +34,6 @@ public check tests its candidate once and symmetrizes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,25 +68,18 @@ GAP_WARN_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
-    """Outcome of one symmetry check.
-
-    ``holds`` is exactly ``residual <= tolerance``; ``detail`` carries
-    per-equation residuals (and 0/1 flags) where a check is composite.
-    """
+    """Outcome of one symmetry check: ``holds`` is exactly ``residual <= tolerance``."""
 
     name: str
     residual: float
     holds: bool
     tolerance: float
-    detail: Mapping[str, float] | None = None
 
 
-def _verdict(name: str, residual: float, tol: Tolerance, detail=None) -> SymmetryVerdict:
+def _verdict(name: str, residual: float, tol: Tolerance) -> SymmetryVerdict:
     # every residual is already relative, so the bound is taken at scale 1
     bound = tol.bound(1.0)
-    return SymmetryVerdict(
-        name=name, residual=residual, holds=residual <= bound, tolerance=bound, detail=detail
-    )
+    return SymmetryVerdict(name=name, residual=residual, holds=residual <= bound, tolerance=bound)
 
 
 def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
@@ -103,8 +97,8 @@ def _p_equation(hm, hnorm: float, cand: PseudoMetric) -> float:
     # H and P are first scaled by powers of two to near unit norm, so the
     # products stay in float64 wherever the ratio does; the scaling is exact.
     # adjoint(H) P is adjoint(P H) only when P equals its adjoint bit for bit:
-    # the candidate's exact verdict, computed once per candidate and shared with
-    # self_adjoint; it tests P itself, and the scaling keeps an exactly Hermitian P so
+    # the candidate's exact verdict, computed once per candidate (self_adjoint reads
+    # it too); it tests P itself, and the scaling keeps an exactly Hermitian P so
     cand.check_condition()
     fh, fp = _unit_factor(hnorm), _unit_factor(cand.norm)
     h, p = hm * fh, cand.matrix * fp
@@ -124,34 +118,16 @@ def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryV
 
 
 def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
-    """Check the full triplet for a non-self-adjoint candidate.
+    """The P equation's verdict, named "weak_triplet".
 
     The triplet's adjoint equation, adjoint(P) H = adjoint(H) adjoint(P),
     is the adjoint of the P equation, with the same norm, and
-    [H, inverse(P) adjoint(P)] = 0 follows from the two.  So the residual
-    is the P equation's: detail key "pseudo" is that residual, and
-    "pseudo_adjoint" and "commutant" are filled with it, not measured.
-    "degenerate" is 1.0 when P is self-adjoint and the triplet collapses,
-    as ``PseudoMetric.self_adjoint`` says; "dependency_ok" is always 1.0.
+    [H, inverse(P) adjoint(P)] = 0 follows from the two, so nothing is
+    left to measure.  It stays public only because the benchmark's
+    dense-library workload calls it, and goes with the change to the
+    benchmark that ROADMAP items 1a and 2 describe.
     """
-    hm, pm = _operands(h, p, tol)
-    return _weak_triplet(pm, _p_equation(hm, frobenius(hm), pm), tol)
-
-
-def _weak_triplet(cand: PseudoMetric, r1: float, tol: Tolerance) -> SymmetryVerdict:
-    # weak_triplet_check given the P equation's residual r1, which fills every key
-    return _verdict(
-        "weak_triplet",
-        r1,
-        tol,
-        {
-            "pseudo": r1,
-            "pseudo_adjoint": r1,
-            "commutant": r1,
-            "degenerate": 1.0 if cand.self_adjoint else 0.0,
-            "dependency_ok": 1.0,
-        },
-    )
+    return _verdict("weak_triplet", pseudo_hermiticity_residual(h, p, tol).residual, tol)
 
 
 def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
@@ -203,6 +179,8 @@ class Diagnosis:
     ``eigenvalues`` are the eigensolver's values, kept also when the
     spectrum is obstructed; ``max_imag`` is their max |Im E| and
     ``all_real`` is max_imag <= tol.bound(||H||_F).
+    ``verdicts`` is pseudo_hermitian, then quasi_hermitian when the bundle
+    stands and its Theta is positive definite.
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
     ``bundle`` is also None when an overlap <v|P|v> vanished or the
     operators left float64 (``metric.build_bundle`` refused it); a bundle
@@ -225,11 +203,10 @@ class Diagnosis:
 def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
     """Run every applicable check on (H, P) and say where the construction fails.
 
-    The verdicts come in a fixed order: pseudo_hermitian, weak_triplet
-    (only for a non-self-adjoint P) and, once the bundle is built,
-    quasi_hermitian.  A spectrum obstruction, a vanishing overlap, metric
-    operators that leave float64 and a metric that is not positive
-    definite become warnings, not exceptions; a
+    The verdicts come in a fixed order: pseudo_hermitian and, once the
+    bundle is built, quasi_hermitian.  A spectrum obstruction, a
+    vanishing overlap, metric operators that leave float64 and a metric
+    that is not positive definite become warnings, not exceptions; a
     SpectrumObstruction without eigenvalues (the eigensolver itself
     failed) is raised, as is a singular P.
     """
@@ -246,11 +223,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
         obstruction, values = exc, exc.eigenvalues
         warnings.append(f"spectrum obstruction: {type(exc).__name__}: {exc}")
 
-    pseudo = _p_equation(hm, scale, pm)
-    verdicts = [_verdict("pseudo_hermitian", pseudo, tol)]
-    if not pm.self_adjoint:
-        # the triplet's residual is the P equation's: it is solved once, above
-        verdicts.append(_weak_triplet(pm, pseudo, tol))
+    verdicts = [_verdict("pseudo_hermitian", _p_equation(hm, scale, pm), tol)]
 
     holds = False  # set only once the whole pipeline has run
     if system is not None:

@@ -27,6 +27,7 @@ from cryptoherm import (
     quasi_hermiticity_residual,
     renormalize,
     solve_biorthogonal,
+    verify_factorizations,
     weak_triplet_check,
 )
 from cryptoherm.cli import main
@@ -118,34 +119,34 @@ def test_c03_boundary_flip_location(capsys):
 
 
 def test_c04_weak_triplet_residuals():
+    # the triplet's adjoint equation and commutant follow from the P equation, so its
+    # verdict is the P equation's, bit for bit, for a non-self-adjoint P and for a
+    # self-adjoint one
     rng = np.random.default_rng(4)
-    p = cyclic_p(3)
-    for _ in range(200):
+    for _ in range(100):
         a, b = sample_h3_params(rng)
-        verdict = weak_triplet_check(build_h3(a, b), p)
-        # one measured residual, the P equation's; the other two keys are filled with it
-        parts = {
-            verdict.detail["pseudo"],
-            verdict.detail["pseudo_adjoint"],
-            verdict.detail["commutant"],
-        }
-        assert parts == {verdict.residual} and verdict.residual <= 1e-11
-        assert verdict.detail["dependency_ok"]
+        a2, d2, b2 = sample_h2_params(rng)
+        for h, p in ((build_h3(a, b), cyclic_p(3)), (build_h2(a2, d2, b2), parity2())):
+            verdict = weak_triplet_check(h, p)
+            pseudo = pseudo_hermiticity_residual(h, p)
+            assert verdict.name == "weak_triplet"
+            assert (verdict.residual, verdict.holds, verdict.tolerance) == \
+                (pseudo.residual, pseudo.holds, pseudo.tolerance)
+            assert verdict.holds and verdict.residual <= 1e-11
 
 
 def test_c05_metric_validity(interior_family, cyclic_family):
     for h, p, system, bundle in interior_family + cyclic_family:
-        assert bundle.residuals["theta_hermitian"] <= 1e-12
+        assert np.array_equal(bundle.theta, bundle.theta.conj().T)
         sym = 0.5 * (bundle.theta + bundle.theta.conj().T)
         assert np.linalg.eigvalsh(sym).min() > 0.0
         assert quasi_hermiticity_residual(h, bundle.theta).residual <= 1e-9
 
 
 def test_c06_factorization_identity(interior_family, cyclic_family):
-    for _, _, _, bundle in interior_family + cyclic_family:
-        worst = max(
-            bundle.residuals[key] for key in ("pq", "cp", "qdag_pdag", "pdag_cdag")
-        )
+    for _, p, _, bundle in interior_family + cyclic_family:
+        res = verify_factorizations(bundle.theta, p, bundle.quasiparity, bundle.charge)
+        worst = max(res[key] for key in ("pq", "cp", "qdag_pdag", "pdag_cdag"))
         assert worst <= 1e-9
 
 

@@ -100,3 +100,17 @@ def test_case(name, results):
             assert data == want, f"{COMPARISON}: {stream} differs\n{_diff(want, data)}"
         else:
             _assert_close(stream, want, data)
+
+
+def test_moved_cases_names_what_differs_from_the_committed_corpus():
+    # the committed corpus read back as run results has moved nowhere; a changed exit
+    # code, a changed stream and a dropped case are each named, dropped ones last
+    committed = {name: dict(case, streams={stream: data for (owner, stream), data
+                                           in OUTPUTS.items() if owner == name})
+                 for name, case in MANIFEST["cases"].items()}
+    assert golden.moved_cases(committed) == []
+    first, second, third = list(committed)[:3]
+    committed[first]["exit"] += 1
+    committed[second]["streams"]["stdout"] += b" "
+    del committed[third]
+    assert golden.moved_cases(committed) == [first, second, third]

@@ -256,9 +256,9 @@ class TestFactorizations:
 
 
 def _similar_bundles(seed: int, n: int):
-    """Bundles of a seeded H = S D S^-1: P = S^-dag diag(u) S^-1, Hermitian (u = 1) and not.
+    """(P, bundle) of a seeded H = S D S^-1 and P = S^-dag diag(u) S^-1, Hermitian (u = 1) and not.
 
-    Each bundle comes twice, as built and after a random rescaling kappa.
+    Each P comes twice, with its bundle as built and after a random rescaling kappa.
     """
     rng = np.random.default_rng(seed)
     h, s_inv = sample_similar(rng, n)
@@ -267,21 +267,23 @@ def _similar_bundles(seed: int, n: int):
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
     for u in (np.ones(n), phases):
         p = (s_inv.conj().T * u) @ s_inv
-        yield build_bundle(sys_, p)
-        yield build_bundle(renormalize(sys_, kappa), p)
+        yield p, build_bundle(sys_, p)
+        yield p, build_bundle(renormalize(sys_, kappa), p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 16]))
 def test_bundle_theta_is_hermitian_bit_for_bit(seed, n):
-    # Theta is symmetrized where it is made, so the adjoint residuals are the
-    # products' own and the hermiticity residual is exactly zero
-    for bundle in _similar_bundles(seed, n):
+    # Theta is symmetrized where it is made, so of the five identities that
+    # verify_factorizations measures the bundle keeps only the two products: the
+    # hermiticity residual is exactly zero and the adjoint residuals are the products'
+    for p, bundle in _similar_bundles(seed, n):
         assert np.array_equal(bundle.theta, bundle.theta.conj().T)
-        res = bundle.residuals
+        res = verify_factorizations(bundle.theta, p, bundle.quasiparity, bundle.charge)
+        assert bundle.residuals == {"pq": res["pq"], "cp": res["cp"]}
+        assert tuple(bundle.residuals) == ("pq", "cp")
         assert res["theta_hermitian"] == 0.0
-        assert res["qdag_pdag"] == res["pq"]
-        assert res["pdag_cdag"] == res["cp"]
+        assert (res["qdag_pdag"], res["pdag_cdag"]) == (res["pq"], res["cp"])
 
 
 class TestGates:

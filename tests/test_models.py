@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -501,22 +502,34 @@ def test_hermitian_partners_refuse_a_partner_that_leaves_float64(thetas):
     # hermitian_rotation refuse them; the scan refuses its stack in the same words
     p = 1e308 * np.eye(2)
     message = "^pseudometric contains non-finite entries$"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=message):
-            hermitian_sum(p)
-        with pytest.raises(ValueError, match=message):
-            hermitian_rotation(p, math.pi / 2)
+    with pytest.raises(ValueError, match=message):
+        hermitian_sum(p)
+    with pytest.raises(ValueError, match=message):
+        hermitian_rotation(p, math.pi / 2)
     with pytest.raises(ValueError, match=message):
         hermitian_partners(p, thetas)
     # for this P, P + P* = 0 fits, and so does the rotation 2 i cos(t) P at t = pi/2,
     # but not at t = 0
     p = 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=message):
-            hermitian_rotation(p, 0.0)
+    with pytest.raises(ValueError, match=message):
+        hermitian_rotation(p, 0.0)
     assert hermitian_partners(p, [math.pi / 2])[0] == (0.0, False)
     with pytest.raises(ValueError, match=message):
         hermitian_partners(p, [math.pi / 2, 0.0])
+
+
+@pytest.mark.parametrize(
+    "partner",
+    [hermitian_sum, lambda p: hermitian_rotation(p, math.pi / 2)],
+    ids=["sum", "rotation"],
+)
+def test_partner_beyond_float64_is_refused_without_a_warning(partner):
+    # the partner overflows while it is formed; that is the ValueError's to report, so
+    # numpy's RuntimeWarning, which raises under -W error, is not emitted on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^pseudometric contains non-finite entries$"):
+            partner(1e308 * np.eye(2))
 
 
 def _partners_one_at_a_time(p, thetas, tol):

@@ -17,7 +17,10 @@ runs every case and rewrites the two committed files under
   (``tests/test_golden.py``).
 
 ``--write`` prints the header it recorded next to the case count, so a
-regeneration on a host with another kernel shows before its diff does.
+regeneration on a host with another kernel shows before its diff does,
+and then, one per line, the name of each case whose exit code, warnings,
+stdout, stderr or files differ from the committed corpus (none when
+nothing moved), so a deliberate output change can list what it moved.
 
 Every case runs ``cryptoherm.cli.main`` in-process, with a fresh empty
 working directory, so the files it writes (``--out-dir`` or not) are all
@@ -406,8 +409,27 @@ def parse_outputs(blob: bytes) -> dict[tuple[str, str], bytes]:
     return sections
 
 
+def moved_cases(results: dict[str, dict]) -> list[str]:
+    """Cases of ``results`` that differ from the committed corpus, then the ones it dropped.
+
+    A case differs in its argv, exit code or warnings (``manifest.json``),
+    or in any stream, its name or its order (``outputs.txt``).  With no
+    committed corpus, every case has moved.
+    """
+    committed, streams = {}, {}
+    if MANIFEST.exists() and OUTPUTS.exists():
+        committed = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"]
+        for (name, stream), data in parse_outputs(OUTPUTS.read_bytes()).items():
+            streams.setdefault(name, []).append((stream, data))
+    cases = manifest(results)["cases"]
+    return ([name for name, r in results.items() if cases[name] != committed.get(name)
+             or list(r["streams"].items()) != streams.get(name)]
+            + [name for name in committed if name not in results])
+
+
 def write(work: Path) -> None:
     results = run_all(work)
+    moved = moved_cases(results)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     recorded = manifest(results)
     MANIFEST.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
@@ -415,6 +437,8 @@ def write(work: Path) -> None:
     codes = sorted({r["exit"] for r in results.values()})
     print(f"{len(results)} cases, exit codes {codes}, header {recorded['header']}: "
           f"wrote {MANIFEST.relative_to(ROOT)} and {OUTPUTS.relative_to(ROOT)}")
+    for name in moved:
+        print(name)
 
 
 def _main() -> int:
