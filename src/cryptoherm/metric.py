@@ -52,7 +52,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .biortho import BiorthogonalSystem, renormalize
+from .biortho import BiorthogonalSystem, _minus_identity_norm, renormalize
 from .errors import (
     DimensionMismatch,
     NonRealQuasiparity,
@@ -103,10 +103,11 @@ class MetricBundle:
     0, "pq" and "cp").
     ``theta_norm`` is ||theta||_F, finite and nonzero (the float64 gate
     of ``build_bundle`` reads it), measured once for the residuals and
-    read again by the quasi-Hermiticity check.  ``theta_eigenvalues`` is
-    computed on first use and then kept, so the report and the positivity
-    check share one Hermitian eigensolve; ``involution_residuals`` is
-    kept the same way.
+    read again by the quasi-Hermiticity check.  ``right`` is the system's
+    current right columns R, held by reference: theta = L adjoint(L) with
+    L = adjoint(inverse(R)) for any kappa (the columns carry kappa), so
+    ``theta_eigenvalues`` is read off the singular values of R, on first
+    use and then kept; ``involution_residuals`` is kept the same way.
     """
 
     theta: ComplexMatrix
@@ -115,11 +116,19 @@ class MetricBundle:
     coeffs: CoefficientSet
     residuals: Mapping[str, float]
     theta_norm: float
+    right: ComplexMatrix
 
     @cached_property
     def theta_eigenvalues(self) -> NDArray[np.float64]:
-        """Ascending eigenvalues of theta."""
-        return np.linalg.eigvalsh(self.theta)
+        """Ascending eigenvalues of theta, 1/sigma_n(R)^2 from one values-only SVD of R.
+
+        Each singular value carries full relative accuracy, so the smallest
+        eigenvalue 1/sigma_max(R)^2 does too, where an eigensolve of the
+        formed theta is accurate only to about eps * lambda_max (Demmel &
+        Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204); the reciprocal
+        is squared, not the singular value, so sigma^2 cannot overflow.
+        """
+        return np.reciprocal(np.linalg.svd(self.right, compute_uv=False)) ** 2
 
     @property
     def factorizations_hold(self) -> bool:
@@ -129,9 +138,8 @@ class MetricBundle:
     @cached_property
     def involution_residuals(self) -> tuple[float, float]:
         """||Q^2 - 1||_F and ||C^2 - 1||_F: how far Q and C are from involutions."""
-        eye = np.eye(self.theta.shape[0])
-        return (frobenius(self.quasiparity @ self.quasiparity - eye),
-                frobenius(self.charge @ self.charge - eye))
+        return (_minus_identity_norm(self.quasiparity @ self.quasiparity),
+                _minus_identity_norm(self.charge @ self.charge))
 
     @property
     def involutions_hold(self) -> bool:
@@ -210,8 +218,9 @@ def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
     kappa phases leave it untouched.  Returned as the Hermitian part
     0.5 * (M + adjoint(M)) of the product M, formed in M's own buffer,
     which equals its adjoint bit for bit (the product itself need not)
-    and is M exactly wherever M already is; positive definite whenever
-    the system is complete.
+    and is M exactly wherever M already is.  Positive definite by
+    construction: left = adjoint(inverse(right)), so its eigenvalues are
+    1/sigma_n(right)^2, which ``MetricBundle.theta_eigenvalues`` reads off.
     """
     m = system.left @ system.left.conj().T
     m += m.conj().T
@@ -321,4 +330,5 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         coeffs=CoefficientSet(q=q, c=np.conj(q)),
         residuals={"pq": pq, "cp": cp},
         theta_norm=theta_norm,
+        right=system.right,
     )

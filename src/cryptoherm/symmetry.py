@@ -20,16 +20,19 @@ Every check refuses operands of different shapes with DimensionMismatch.
 Diagnosis: the spectrum, the verdicts, the metric bundle and the
 warnings, and where the construction fails (complex eigenvalues, a
 degenerate or defective spectrum, a vanishing overlap, metric operators
-that leave float64, a metric that is not positive definite).
+that leave float64).  Its Theta needs no positivity test: Theta =
+L adjoint(L) with L = adjoint(inverse(R)), positive definite by
+construction, its spectrum 1/sigma_n(R)^2 (``MetricBundle.theta_eigenvalues``).
 It is the one place that policy lives; the CLI's ``diagnose`` report
 only renders it.
 
 The public checks validate their operands; ``diagnose`` validates H and
 P once, measures ||H||_F once and runs the same checks as private steps
-on those trusted arrays, with the bundle's kept norm and spectrum of
-Theta.  The quasi-Hermiticity step takes an exactly Hermitian Theta, as
-``metric.build_metric`` makes it, and does not test that again; the
-public check tests its candidate once and symmetrizes it.
+on those trusted arrays, with the bundle's kept norm of Theta.  The
+quasi-Hermiticity step takes an exactly Hermitian Theta, as
+``metric.build_metric`` makes it, and tests neither that nor its
+positivity; the public check takes any candidate, so it tests its
+Hermiticity and positivity once and symmetrizes it.
 """
 from __future__ import annotations
 
@@ -146,17 +149,15 @@ def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> Symmet
         raise NotHermitian("metric candidate is not self-adjoint")
     th = th + th.conj().T  # a new array, so the caller's candidate is not touched
     th *= 0.5
-    return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), np.linalg.eigvalsh(th), tol)
-
-
-def _quasi_hermitian(
-    hm, hnorm: float, th, thnorm: float, theta_eigenvalues, tol: Tolerance
-) -> SymmetryVerdict:
-    # quasi_hermiticity_residual on trusted arrays with Theta exactly Hermitian, given
-    # ||H||_F, ||Theta||_F and Theta's ascending eigenvalues: then adjoint(H) Theta is
-    # adjoint(Theta H), so the residual takes one product
-    if not resolved_positive(theta_eigenvalues):
+    if not resolved_positive(np.linalg.eigvalsh(th)):
         raise NotPositiveDefinite("metric candidate is not positive definite")
+    return _quasi_hermitian(hm, frobenius(hm), th, frobenius(th), tol)
+
+
+def _quasi_hermitian(hm, hnorm: float, th, thnorm: float, tol: Tolerance) -> SymmetryVerdict:
+    # quasi_hermiticity_residual on trusted arrays with Theta exactly Hermitian and
+    # positive definite, given ||H||_F and ||Theta||_F: then adjoint(H) Theta is
+    # adjoint(Theta H), so the residual takes one product
     t = th @ hm
     t -= t.conj().T  # the conjugate is a copy, so the fresh product takes the difference
     return _verdict("quasi_hermitian", _relative(t, thnorm * hnorm), tol)
@@ -180,11 +181,10 @@ class Diagnosis:
     spectrum is obstructed; ``max_imag`` is their max |Im E| and
     ``all_real`` is max_imag <= tol.bound(||H||_F).
     ``verdicts`` is pseudo_hermitian, then quasi_hermitian when the bundle
-    stands and its Theta is positive definite.
+    stands.
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
     ``bundle`` is also None when an overlap <v|P|v> vanished or the
-    operators left float64 (``metric.build_bundle`` refused it); a bundle
-    whose Theta is not positive definite is kept.  ``holds``
+    operators left float64 (``metric.build_bundle`` refused it).  ``holds``
     means no obstruction, no metric refusal, and every verdict and
     factorization holds.
     """
@@ -205,10 +205,9 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
 
     The verdicts come in a fixed order: pseudo_hermitian and, once the
     bundle is built, quasi_hermitian.  A spectrum obstruction, a
-    vanishing overlap, metric operators that leave float64 and a metric
-    that is not positive definite become warnings, not exceptions; a
-    SpectrumObstruction without eigenvalues (the eigensolver itself
-    failed) is raised, as is a singular P.
+    vanishing overlap and metric operators that leave float64 become
+    warnings, not exceptions; a SpectrumObstruction without eigenvalues
+    (the eigensolver itself failed) is raised, as is a singular P.
     """
     hm, pm = _operands(h, p, tol)
     scale = frobenius(hm)
@@ -236,13 +235,8 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
             warnings.append(f"metric construction failed: {exc}")
         else:
             warnings += nonreal_warnings(bundle.coeffs.q)
-            try:
-                verdicts.append(_quasi_hermitian(hm, scale, bundle.theta, bundle.theta_norm,
-                                                 bundle.theta_eigenvalues, tol))
-            except NotPositiveDefinite as exc:
-                warnings.append(f"metric check failed: {type(exc).__name__}: {exc}")
-            else:
-                holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
+            verdicts.append(_quasi_hermitian(hm, scale, bundle.theta, bundle.theta_norm, tol))
+            holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
 
     max_imag = float(np.abs(values.imag).max())
     return Diagnosis(

@@ -303,6 +303,40 @@ class TestGates:
         assert min(plain.involution_residuals) > INVOLUTIVITY_TOL
         assert not plain.involutions_hold
 
+    def test_theta_eigenvalues_are_read_once_off_the_right_columns(self, h2_system,
+                                                                    monkeypatch):
+        # the bundle holds R itself, and build_bundle takes no SVD: the spectrum's one
+        # values-only SVD of R runs on first read
+        _, sys_ = h2_system
+        svds = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real(*a, **k))
+        bundle = build_bundle(sys_, parity2())
+        assert bundle.right is sys_.right and svds == []
+        w = bundle.theta_eigenvalues
+        assert bundle.theta_eigenvalues is w and len(svds) == 1
+        assert w == pytest.approx(np.linalg.eigvalsh(bundle.theta), rel=1e-14)
+
+    def test_every_bundle_past_the_gate_has_a_positive_ascending_spectrum(self):
+        # the corpus's `metric --kappa` construction on build_h2(1, 0, 0.3i) with
+        # kappa_0 and kappa_1 from 1e-80 to 1e80: wherever the float64 gate lets the
+        # bundle stand (every pair from 1e-75 to 1e75 does), 1/sigma(R)^2 is finite,
+        # positive, ascending and sums to tr(Theta)
+        sys_ = solve_biorthogonal(build_h2(1.0, 0.0, 0.3j))
+        grid = 10.0 ** np.arange(-80, 81, 5)
+        stood = 0
+        for k0 in grid:
+            for k1 in grid:
+                try:
+                    bundle = build_bundle(renormalize(sys_, np.array([k0, k1])), parity2())
+                except ZeroKappa:
+                    continue
+                w = bundle.theta_eigenvalues
+                assert np.isfinite(w).all() and (w > 0).all() and w[0] <= w[1], (k0, k1, w)
+                assert w.sum() == pytest.approx(np.trace(bundle.theta).real, rel=1e-13)
+                stood += 1
+        assert 31 ** 2 <= stood < grid.size ** 2
+
     def test_operator_beyond_float64_is_refused_without_warnings(self, h2_system):
         # |kappa_0|^2 and its inverse fit, but C overflows
         _, sys_ = h2_system

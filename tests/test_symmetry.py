@@ -171,7 +171,8 @@ class TestQuasiHermiticity:
         ids=["h2", "h3"],
     )
     def test_bundle_gives_the_matrix_verdict(self, h, p):
-        # diagnose judges positivity on the bundle's kept spectrum of Theta
+        # diagnose measures the bundle's Theta, positive definite by construction, as the
+        # public check measures any candidate it accepts
         found = diagnose(h, p)
         assert found.verdicts[-1] == quasi_hermiticity_residual(h, found.bundle.theta)
 
