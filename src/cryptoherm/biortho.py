@@ -119,10 +119,10 @@ def _solve(a: ComplexMatrix, scale: float, tol: Tolerance) -> BiorthogonalSystem
             )
 
     imag_worst = float(np.abs(values.imag).max())
-    if imag_worst > tol.bound(scale):
+    if imag_worst > tol.rel * scale:
         raise ComplexSpectrum(
             f"spectrum is not real: max |Im E| = {imag_worst:.3e} "
-            f"exceeds {tol.bound(scale):.3e}",
+            f"exceeds {tol.rel * scale:.3e}",
             eigenvalues=values,
         )
 

@@ -125,13 +125,6 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rel", type=float, default=1e-10, metavar="X",
-                   help="relative tolerance for verdicts (default 1e-10)")
-    p.add_argument("--tol-abs", type=float, default=1e-12, metavar="X",
-                   help="absolute tolerance for verdicts (default 1e-12)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cryptoherm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -141,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("pseudometric", help="matrix file for the candidate P")
     d.add_argument("--out-dir", default=None, metavar="DIR",
                    help="also write report.json into DIR")
-    _add_common_flags(d)
     d.set_defaults(func=cmd_diagnose)
 
     m = sub.add_parser("metric", help="build Theta, Q, C and write them as files")
@@ -151,8 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kappa file to apply, or 'involutive' to solve for it")
     m.add_argument("--out-dir", default=".", metavar="DIR",
                    help="directory for theta.json/q.json/c.json (default .)")
-    _add_common_flags(m)
     m.set_defaults(func=cmd_metric)
+    for command in (d, m):
+        command.add_argument("--tol-rel", type=float, default=1e-10, metavar="X",
+                             help="relative tolerance for verdicts (default 1e-10)")
 
     s = sub.add_parser("sweep", help="CSV scan of the two-level reality domain")
     s.add_argument("--model", required=True, choices=["h2"],
@@ -170,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--theta", default="scan", metavar="LIST|scan[:N]",
                    help="comma-separated angles, or a uniform scan over "
                         "[0, 2pi) with N points (default scan:64)")
-    _add_common_flags(h)
     h.set_defaults(func=cmd_hermitize)
 
     return parser
@@ -178,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tol(args) -> Tolerance:
     try:
-        return cryptoherm.linalg.Tolerance(rel=args.tol_rel, abs=args.tol_abs)
+        return cryptoherm.linalg.Tolerance(rel=args.tol_rel)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -204,14 +197,14 @@ def _metric_payload(system, bundle) -> dict:
     }
 
 
-def _report_head(command: str, tol: Tolerance, **operands) -> dict:
-    """The fields every JSON report opens with; ``operands`` are fingerprinted in order."""
-    return {
-        "schema": 3,
-        "command": command,
-        "model_fingerprint": cryptoherm.io.fingerprint(operands),
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
-    }
+def _report_head(command: str, tol: Tolerance | None, **operands) -> dict:
+    """The fields every JSON report opens with; ``operands`` are fingerprinted in order.
+
+    A command that reads no tolerance (``tol`` None) prints no ``tolerance``.
+    """
+    head = {"schema": 4, "command": command,
+            "model_fingerprint": cryptoherm.io.fingerprint(operands)}
+    return head if tol is None else {**head, "tolerance": {"rel": tol.rel}}
 
 
 @contextmanager
@@ -393,12 +386,11 @@ def _parse_theta(expr: str) -> list[float]:
 
 
 def cmd_hermitize(args) -> int:
-    tol = _tol(args)
     p = cryptoherm.io.load_matrix(args.pseudometric)
     thetas = _parse_theta(args.theta)
-    (sum_sv, sum_invertible), *rotated = cryptoherm.models.hermitian_partners(p, thetas, tol)
+    (sum_sv, sum_invertible), *rotated = cryptoherm.models.hermitian_partners(p, thetas)
 
-    report = _report_head("hermitize", tol, pseudometric=cryptoherm.io.matrix_digest(p))
+    report = _report_head("hermitize", None, pseudometric=cryptoherm.io.matrix_digest(p))
     report["sum"] = {"smallest_singular_value": sum_sv, "invertible": sum_invertible}
     report["rotation"] = [{"theta": theta, "smallest_singular_value": sv, "invertible": invertible}
                           for theta, (sv, invertible) in zip(thetas, rotated)]

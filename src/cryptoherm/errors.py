@@ -31,8 +31,9 @@ class NotPositiveDefinite(CryptoHermError):
 
 
 class SingularMatrix(CryptoHermError):
-    """Inversion refused: the condition number is above the trust cap, or the
-    candidate is ``negligible`` (zero up to rounding, whatever its condition)."""
+    """Inversion refused by ``models.invertibility_refusal``: the condition number
+    is above the trust cap, the candidate is ``negligible`` (a Hermitian partner
+    zero up to rounding, whatever its condition), or its inverse leaves float64."""
 
     condition = float("inf")
 

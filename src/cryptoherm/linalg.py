@@ -8,11 +8,11 @@ here once:
 * residuals are Frobenius norms, and a relative residual is the one
   quotient ``_relative``, ||R||_F / scale taken at unit scale, which
   the factorization and symmetry residuals all go through,
-* residual predicates compare a residual against
-  ``tol.abs + tol.rel * scale`` so verdicts do not depend on the overall
-  scale of the operator; positivity is judged against the eigensolver's
-  own accuracy instead, by the one rule in ``resolved_positive`` (see
-  ``is_positive_definite`` for why),
+* there is one tolerance, ``tol.rel``: a relative residual is held to
+  it, and an absolute quantity to ``tol.rel`` times its own scale, so
+  no verdict depends on the overall scale of the operator; positivity
+  is judged against the eigensolver's own accuracy instead, by the one
+  rule in ``resolved_positive`` (see ``is_positive_definite`` for why),
 * eigenvalues are sorted ascending by real part, ties by imaginary
   part, and eigenvector columns are returned as LAPACK's ZGEEV
   normalizes them: unit Euclidean norm, largest-modulus component real
@@ -51,20 +51,17 @@ ComplexMatrix = NDArray[np.complex128]
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair used by every verdict."""
+    """The relative tolerance every verdict reads.
+
+    A relative residual holds when it is at most ``rel``; an absolute
+    quantity, when it is at most ``rel`` times its own scale.
+    """
 
     rel: float = 1e-10
-    abs: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel) and math.isfinite(self.abs)):
-            raise ValueError("tolerances must be finite")
-        if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerances must be non-negative")
-
-    def bound(self, scale: float) -> float:
-        """Largest residual still accepted at the given problem scale."""
-        return self.abs + self.rel * float(scale)
+        if not 0.0 <= self.rel < math.inf:  # NaN fails too
+            raise ValueError("tolerance must be finite and non-negative")
 
 
 DEFAULT_TOL = Tolerance()
@@ -142,15 +139,14 @@ def _relative(residual, scale: float) -> float:
 
 
 def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:
-    # is_hermitian on a trusted array, measured at unit scale: the factor comes
-    # from the largest real or imaginary part, so neither ||A||_F^2 nor
-    # ||A - A^dag||_F^2 overflows, and the verdict is the unscaled one in range;
-    # ||B||_F is taken first, then B - B^dag in B's own buffer
-    factor = _unit_factor(np.abs(a.ravel(order="K").view(np.float64)).max())
-    b = a * factor
+    # is_hermitian on a trusted array, ||A - A^dag||_F <= rel ||A||_F measured at
+    # unit scale: the factor comes from the largest real or imaginary part, so
+    # neither ||A||_F^2 nor ||A - A^dag||_F^2 overflows, and the verdict is the
+    # unscaled one in range; ||B||_F is taken first, then B - B^dag in B's own buffer
+    b = a * _unit_factor(np.abs(a.ravel(order="K").view(np.float64)).max())
     bnorm = frobenius(b)
     b -= b.conj().T
-    return frobenius(b) <= tol.abs * factor + tol.rel * bnorm
+    return frobenius(b) <= tol.rel * bnorm
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:

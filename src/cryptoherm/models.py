@@ -16,6 +16,11 @@ and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 ``invertibility_refusal`` is the one invertibility rule, read off a
 matrix's descending singular values: ``PseudoMetric`` applies it to its
 one SVD, and ``hermitian_partners`` to each Hermitian partner of a scan.
+A partner is zero up to rounding when its largest singular value is at
+most its zero floor, ``ZERO_FLOOR_EPS`` eps ||P||_F of the candidate P it
+was formed from; a candidate given directly has floor 0, since nothing
+was rounded in forming it.  The floor scales with P, so no verdict
+depends on the scale of P.
 The scan validates P once and takes the singular values of its rotations
 from stacked ``np.linalg.svd(..., compute_uv=False)`` calls, each stack
 built and dropped before the next under PARTNER_STACK_ENTRIES, so a long
@@ -41,10 +46,25 @@ import numpy as np
 
 from .errors import SingularMatrix
 from .h2 import DomainTag, _complex_scalar, _h2_invariants, _h2_params, _h2_point, _real_scalar
-from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance, _hermitian, as_complex_matrix, frobenius
+from .linalg import (
+    _EPS,
+    DEFAULT_TOL,
+    ComplexMatrix,
+    Tolerance,
+    _hermitian,
+    _relative,
+    as_complex_matrix,
+    frobenius,
+)
 
 #: refuse a candidate whose 2-norm condition number exceeds this
 CONDITION_CAP = 1e12
+
+#: a Hermitian partner of P whose largest singular value is at most this many eps
+#: times ||P||_F is zero up to rounding: the closed-form test of the partners of the
+#: cyclic shift in tests/test_models.py holds every partner's singular values to
+#: this many eps of the exact ones, and ||P||_F is at least ||P||_2
+ZERO_FLOOR_EPS = 8
 
 #: complex entries in one stack of Hermitian partners (2**14, 256 KiB); a P
 #: with more entries than this is scanned one partner per SVD call
@@ -137,19 +157,22 @@ def _condition(sv) -> float:
     return float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else float("inf")
 
 
-def invertibility_refusal(sv, tol: Tolerance) -> str | None:
+def invertibility_refusal(sv, floor: float = 0.0) -> str | None:
     """Why a matrix with descending singular values ``sv`` is not invertible, or None.
 
     The one invertibility rule: sv_max / sv_min is finite and at most
-    CONDITION_CAP, sv_max exceeds ``tol.abs`` (at or below it the matrix is
-    zero up to rounding, whatever its condition), and 1 / sv_min is finite,
-    so an inverse would stay inside float64.  The checks run in that order,
-    and the first that fails names the refusal.
+    CONDITION_CAP, sv_max exceeds the zero ``floor`` (at or below it the
+    matrix is zero up to rounding, whatever its condition: a Hermitian
+    partner's floor is ZERO_FLOOR_EPS eps ||P||_F of the P it was formed
+    from, and a candidate given directly has floor 0), and 1 / sv_min is
+    finite, so an inverse would stay inside float64.  The checks run in
+    that order, and the first that fails names the refusal.
     """
     if not _condition(sv) <= CONDITION_CAP:  # inf for a singular matrix
         return f"condition estimate {_condition(sv):.3e} exceeds cap {CONDITION_CAP:.0e}"
-    if sv[0] <= tol.abs:
-        return "largest singular value within the absolute tolerance: zero up to rounding"
+    if sv[0] <= floor:
+        return (f"largest singular value {float(sv[0]):.3e} at or below the floor "
+                f"{floor:.3e}: zero up to rounding")
     if not math.isfinite(1.0 / float(sv[-1])):
         return f"smallest singular value {float(sv[-1]):.3e}: the inverse leaves float64"
     return None
@@ -172,12 +195,15 @@ class PseudoMetric:
     overlap floor.
     One SVD gives ``smallest_singular_value``, ``condition`` (sv_max /
     sv_min, bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is
-    within ``tol.abs``, so the matrix is zero up to rounding whatever its
-    condition).  ``hermitian_sum`` can legitimately produce a singular
-    matrix, so ``invertible`` is a reported fact rather than an
-    invariant: it is ``invertibility_refusal`` of that SVD, the one
-    invertibility rule (``condition`` is finite and at most CONDITION_CAP,
-    the candidate is not ``negligible``, and 1 / sv_min is finite).
+    at most ``floor``, so the matrix is zero up to rounding whatever its
+    condition).  ``floor`` is 0 for a candidate given directly, and
+    ZERO_FLOOR_EPS eps ||P||_F for a Hermitian partner of P that
+    ``hermitian_sum`` or ``hermitian_rotation`` formed.  A partner can
+    legitimately be singular, so ``invertible`` is a reported fact rather
+    than an invariant: it is ``invertibility_refusal`` of that SVD and
+    ``floor``, the one invertibility rule (``condition`` is finite and at
+    most CONDITION_CAP, the candidate is not ``negligible``, and 1 / sv_min
+    is finite).
     Nothing inverts P: the symmetry checks measure the P equation in
     multiplicative form, which a singular P (P = 0, for one) satisfies
     trivially, so every P-side check calls ``check_condition`` first.
@@ -185,6 +211,7 @@ class PseudoMetric:
 
     matrix: ComplexMatrix
     tol: Tolerance
+    floor: float = 0.0
 
     @cached_property
     def _exactly_self_adjoint(self) -> bool:
@@ -219,13 +246,13 @@ class PseudoMetric:
 
     @cached_property
     def negligible(self) -> bool:
-        """sv_max is within ``tol.abs``: the matrix is zero up to rounding."""
-        return bool(self._singular_values[0] <= self.tol.abs)
+        """sv_max is at most ``floor``: the matrix is zero up to rounding."""
+        return bool(self._singular_values[0] <= self.floor)
 
     @property
     def invertible(self) -> bool:
         """True when P passes the one invertibility rule, ``invertibility_refusal``."""
-        return invertibility_refusal(self._singular_values, self.tol) is None
+        return invertibility_refusal(self._singular_values, self.floor) is None
 
     def check_condition(self) -> None:
         """Raise SingularMatrix when the candidate is not ``invertible``.
@@ -233,7 +260,7 @@ class PseudoMetric:
         The one invertibility test: every P-side symmetry check, ``diagnose``
         and the CLI's ``metric`` call it before they read the candidate.
         """
-        refusal = invertibility_refusal(self._singular_values, self.tol)
+        refusal = invertibility_refusal(self._singular_values, self.floor)
         if refusal is not None:
             raise SingularMatrix(refusal, condition=self.condition)
 
@@ -253,20 +280,32 @@ class PseudoMetric:
         return cls(matrix=as_complex_matrix(m, "pseudometric"), tol=tol)
 
 
-def hermitian_sum(p, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
-    """Self-adjoint combination P + adjoint(P).
+def _zero_floor(a: ComplexMatrix) -> float:
+    # ZERO_FLOOR_EPS eps ||P||_F of a trusted candidate: a Hermitian partner of it whose
+    # largest singular value is at most this is zero up to rounding.  ||P||_F is taken
+    # as its largest entry's modulus times the quotient of the two at unit scale, so
+    # the floor is finite wherever the norm is, and 2^k P has 2^k times the floor of P
+    # away from subnormals
+    largest = float(np.abs(a).max())
+    return ZERO_FLOOR_EPS * _EPS * largest * _relative(a.copy(), largest)
+
+
+def hermitian_sum(p) -> PseudoMetric:
+    """Self-adjoint combination P + adjoint(P), under the zero floor of P.
 
     Always Hermitian; singular whenever the candidate has an eigenvalue
     on the imaginary axis (the 4-cycle shift is the canonical example).
     """
     a = as_complex_matrix(p, "pseudometric")
-    # a sum that leaves float64 is refused by from_matrix, not warned about on the way
+    # a sum that leaves float64 is refused as from_matrix refuses it, not warned about
+    # on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        return PseudoMetric.from_matrix(a + a.conj().T, tol)
+        return PseudoMetric(as_complex_matrix(a + a.conj().T, "pseudometric"), DEFAULT_TOL,
+                            _zero_floor(a))
 
 
-def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
-    """Self-adjoint one-parameter family i*(P e^{i theta} - P* e^{-i theta}).
+def hermitian_rotation(p, theta) -> PseudoMetric:
+    """Self-adjoint family i*(P e^{i theta} - P* e^{-i theta}), under the zero floor of P.
 
     For a self-adjoint candidate this degenerates to -2 sin(theta) P at
     every angle; for the n-cycle shift the eigenvalues are
@@ -274,42 +313,53 @@ def hermitian_rotation(p, theta, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     theta hits a multiple of pi shifted by 2 pi k / n.
     """
     a = as_complex_matrix(p, "pseudometric")
-    # a rotation that leaves float64 is refused by from_matrix, not warned about on the way
+    # a rotation that leaves float64 is refused as from_matrix refuses it, not warned
+    # about on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        return PseudoMetric.from_matrix(_rotations(a, [theta])[0], tol)
+        return PseudoMetric(as_complex_matrix(_rotations(a, [theta])[0], "pseudometric"),
+                            DEFAULT_TOL, _zero_floor(a))
 
 
-def hermitian_partners(p, thetas, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, bool]]:
+def hermitian_partners(p, thetas) -> list[tuple[float, bool]]:
     """(smallest singular value, invertible) of P + P*, then of each rotation in ``thetas``.
 
     The singularity scan of P's Hermitian partners: entry 0 is
-    ``hermitian_sum(p, tol)``'s pair and entry k + 1 is
-    ``hermitian_rotation(p, thetas[k], tol)``'s, bit for bit, with
-    ``invertible`` decided by ``invertibility_refusal``.  P is validated
-    once, and every angle of the sequence ``thetas`` must be a finite
-    real.  The rotations' singular values come in stacks of as many
-    rotations as fit in PARTNER_STACK_ENTRIES entries (at least one), each
-    built and dropped before the next; no ``PseudoMetric`` is built.  A
+    ``hermitian_sum(p)``'s pair and entry k + 1 is
+    ``hermitian_rotation(p, thetas[k])``'s, bit for bit, with
+    ``invertible`` decided by ``invertibility_refusal`` under the zero
+    floor of P, taken once.  P is validated once, and every angle of the
+    sequence ``thetas`` must be a finite real.  The rotations' singular
+    values come in stacks of as many rotations as fit in
+    PARTNER_STACK_ENTRIES entries (at least one), each built and dropped
+    before the next; no ``PseudoMetric`` is built.  A
     stack holding a partner that leaves float64 raises the ValueError
     that ``hermitian_sum`` or ``hermitian_rotation`` raises for it.
     """
     a = as_complex_matrix(p, "pseudometric")
+    floor = _zero_floor(a)
     step = max(1, PARTNER_STACK_ENTRIES // a.size)
     # a partner that leaves float64 is refused by _finite, not warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
         # a generator: each stack is built when its SVD asks for it, and dropped after
         stacks = chain([(a + a.conj().T)[None]],
                        (_rotations(a, thetas[i:i + step]) for i in range(0, len(thetas), step)))
-        return [(float(sv[-1]), invertibility_refusal(sv, tol) is None)
+        return [(float(sv[-1]), invertibility_refusal(sv, floor) is None)
                 for stack in stacks for sv in np.linalg.svd(_finite(stack), compute_uv=False)]
 
 
 def _rotations(a: ComplexMatrix, thetas):
     # i (A e^{i t} - A* e^{-i t}) of a trusted array at each angle, which must be a
-    # finite real, as one (K, N, N) stack; each matrix has the bits the expression
-    # gives at a scalar phase
+    # finite real, as one (K, N, N) stack.  With M = A e^{i t} = U + iV it is
+    # i ((U - U^T) + i (V + V^T)), with U and V formed in real arithmetic: numpy's
+    # complex product takes a fused multiply-add on some loops and not on others,
+    # so its last bit would depend on how many angles share the stack.  Each entry
+    # is one sequence of rounded real operations whatever the stack holds (the
+    # product by i is exact), and the result is Hermitian bit for bit
     phase = np.exp(1j * np.array([_real_scalar(t, "theta") for t in thetas]))[:, None, None]
-    return 1j * (a * phase - a.conj().T * phase.conj())
+    x, y = a.real, a.imag
+    u, v = x * phase.real - y * phase.imag, x * phase.imag + y * phase.real
+    w = np.stack((u - u.transpose(0, 2, 1), v + v.transpose(0, 2, 1)), axis=-1)
+    return 1j * w.view(np.complex128)[..., 0]
 
 
 def _finite(stack):

@@ -80,9 +80,9 @@ class SymmetryVerdict:
 
 
 def _verdict(name: str, residual: float, tol: Tolerance) -> SymmetryVerdict:
-    # every residual is already relative, so the bound is taken at scale 1
-    bound = tol.bound(1.0)
-    return SymmetryVerdict(name=name, residual=residual, holds=residual <= bound, tolerance=bound)
+    # every residual is already relative, so it is held to tol.rel itself
+    return SymmetryVerdict(name=name, residual=residual, holds=residual <= tol.rel,
+                           tolerance=tol.rel)
 
 
 def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
@@ -179,7 +179,8 @@ class Diagnosis:
 
     ``eigenvalues`` are the eigensolver's values, kept also when the
     spectrum is obstructed; ``max_imag`` is their max |Im E| and
-    ``all_real`` is max_imag <= tol.bound(||H||_F).
+    ``all_real`` is max_imag <= tol.rel ||H||_F, as ``biortho``'s reality
+    test has it.
     ``verdicts`` is pseudo_hermitian, then quasi_hermitian when the bundle
     stands.
     ``system`` and ``bundle`` are None when ``obstruction`` is set, and
@@ -242,7 +243,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
     return Diagnosis(
         eigenvalues=values,
         max_imag=max_imag,
-        all_real=max_imag <= tol.bound(scale),
+        all_real=max_imag <= tol.rel * scale,
         verdicts=tuple(verdicts),
         warnings=tuple(warnings),
         system=system,

@@ -61,7 +61,7 @@ class TestExitMatrix:
     def test_ok(self, files, capsys):
         code, out, _ = run(capsys, "diagnose", files["h3.json"], files["p3.json"])
         assert code == 0
-        assert json.loads(out)["schema"] == 3
+        assert json.loads(out)["schema"] == 4
 
     def test_usage_missing_file(self, files, capsys):
         code, _, err = run(capsys, "diagnose", files["dir"] + "/nope.json", files["p3.json"])
@@ -86,6 +86,16 @@ class TestExitMatrix:
         report = json.loads(out)
         assert report["spectrum"]["all_real"] is False
         assert report["metric"] is None
+        assert any("ComplexSpectrum" in w for w in report["warnings"])
+
+    def test_small_complex_spectrum(self, files, capsys, tmp_path):
+        # max |Im E| = 6.2e-14 against rel ||H||_F = 1.3e-23: 1e-13 H is a complex pair,
+        # as H is
+        h = tmp_path / "h_small.json"
+        save_matrix(h, 1e-13 * build_h2(1.0, 0.0, 0.8j))
+        code, out, _ = run(capsys, "diagnose", str(h), files["p2.json"])
+        report = json.loads(out)
+        assert code == 3 and report["spectrum"]["all_real"] is False
         assert any("ComplexSpectrum" in w for w in report["warnings"])
 
     def test_degenerate_spectrum(self, files, capsys):
@@ -149,7 +159,7 @@ class TestInvertibilityRule:
         for argv in (["diagnose", files["h2.json"], p],
                      ["metric", files["h2.json"], p, "--out-dir", str(tmp_path / "m")]):
             code, out, err = run(capsys, *argv)
-            assert code != 1 and err == "" and json.loads(out)["schema"] == 3
+            assert code != 1 and err == "" and json.loads(out)["schema"] == 4
 
     def test_cond_1e13_refused_everywhere(self, files, diag_p, capsys, tmp_path):
         p = diag_p(-1e-13)
@@ -166,27 +176,33 @@ class TestInvertibilityRule:
                                       "singular Hermitian partner at theta = 1"]
 
     def test_zero_up_to_rounding_refused_everywhere(self, files, diag_p, capsys, tmp_path):
-        # cond 1, but every singular value sits under --tol-abs 1e-12
-        p = str(tmp_path / "p_tiny.json")
-        save_matrix(p, 1e-13 * parity2())
-        refusal = ("error: pseudometric not invertible: largest singular value"
-                   " within the absolute tolerance: zero up to rounding\n")
-        assert run(capsys, "diagnose", files["h2.json"], p) == (1, "", refusal)
-        assert run(capsys, "metric", files["h2.json"], p,
-                   "--out-dir", str(tmp_path / "m")) == (1, "", refusal)
-        # a smaller --tol-abs makes the same file a valid pseudo-metric
-        code, out, err = run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "1e-14")
-        assert code != 1 and err == "" and json.loads(out)["schema"] == 3
+        # only a Hermitian partner is zero up to rounding, under the floor 8 eps ||P||_F of
+        # its P: -2 sin(pi) P is, at every scale of P, and a P given directly never is
+        for scale in (1.0, 1e-13, 1e-300):
+            p = str(tmp_path / f"p_{scale}.json")
+            save_matrix(p, scale * parity2())
+            code, out, err = run(capsys, "hermitize", p, "--theta", "1.0,3.141592653589793")
+            assert (code, err) == (0, "")
+            assert [row["invertible"] for row in json.loads(out)["rotation"]] == [True, False]
+        # 1e-13 P (cond 1) gives the verdicts and exit codes that P gives
+        small = str(tmp_path / "p_1e-13.json")
+        for command, extra in (("diagnose", []), ("metric", ["--out-dir", str(tmp_path / "m")])):
+            plain = run(capsys, command, files["h2.json"], files["p2.json"], *extra)
+            scaled = run(capsys, command, files["h2.json"], small, *extra)
+            assert scaled[0] == plain[0] == 0 and scaled[2] == plain[2] == ""
+        verdicts = [json.loads(run(capsys, "diagnose", files["h2.json"], p)[1])["verdicts"]
+                    for p in (files["p2.json"], small)]
+        assert [v["holds"] for v in verdicts[0]] == [v["holds"] for v in verdicts[1]] == [True] * 2
 
     def test_inverse_beyond_float64_refused_everywhere(self, files, capsys, tmp_path):
-        # cond 1 and not negligible under --tol-abs 0, but 1 / 1e-320 overflows
+        # cond 1 and not negligible, but 1 / 1e-320 overflows
         p = str(tmp_path / "p_subnormal.json")
         save_matrix(p, 1e-320 * parity2())
         refusal = ("error: pseudometric not invertible: smallest singular value 1.000e-320:"
                    " the inverse leaves float64\n")
-        assert run(capsys, "diagnose", files["h2.json"], p, "--tol-abs", "0") == (1, "", refusal)
+        assert run(capsys, "diagnose", files["h2.json"], p) == (1, "", refusal)
         out_dir = tmp_path / "m"
-        assert run(capsys, "metric", files["h2.json"], p, "--tol-abs", "0",
+        assert run(capsys, "metric", files["h2.json"], p,
                    "--out-dir", str(out_dir)) == (1, "", refusal)
         assert not out_dir.exists()
 
@@ -351,7 +367,7 @@ class TestNormBeyondFloat64:
     pytest.param(["hermitize", "P", "--theta", "0"], {"P": [[0, 1e154], [0, 0]]},
                  id="hermitize"),
     # the squares in the P equation's residual overflow unless it is scaled first
-    pytest.param(["diagnose", "H", "P", "--tol-abs", "0"],
+    pytest.param(["diagnose", "H", "P"],
                  {"H": [[1e-170 + 1e154j]], "P": [[1 + 2j]]}, id="diagnose"),
     # ||P - P^dag||_F^2 overflows in the test of whether P is self-adjoint
     pytest.param(["diagnose", "H", "P"], {"H": [[0]], "P": [[1e154j]]},
@@ -391,7 +407,7 @@ def _extreme_pairs(count):
 
 @st.composite
 def _extreme_runs(draw):
-    """An argv over the four commands and the tolerance flags, and the files it reads."""
+    """An argv over the four commands and the tolerance flag, and the files it reads."""
     command = draw(st.sampled_from(["diagnose", "metric", "sweep", "hermitize"]))
     if command == "sweep":
         return ["sweep", "--model", "h2",
@@ -408,9 +424,8 @@ def _extreme_runs(draw):
         if kappa == "K":
             files["K"] = draw(_extreme_pairs(n))
         argv += ["--out-dir", "out"] + ([] if kappa == "none" else ["--kappa", kappa])
-    for flag in ("--tol-rel", "--tol-abs"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(st.sampled_from(_MAGNITUDES))!r}")
+    if command != "hermitize" and draw(st.booleans()):
+        argv.append(f"--tol-rel={draw(st.sampled_from(_MAGNITUDES))!r}")
     return argv, files
 
 
@@ -594,9 +609,15 @@ def _swept(flag, value):
         _swept("--b-re", "1:2"),
         ["hermitize", "P", "--theta", "scan:x"],
         ["hermitize", "P", "--theta", "scan:0"],
+        # one tolerance, relative, and hermitize reads none
+        ["diagnose", "H", "P", "--tol-abs", "0"],
+        ["metric", "H", "P", "--tol-abs", "0"],
+        ["hermitize", "P", "--tol-abs", "0"],
+        ["hermitize", "P", "--tol-rel", "1e-8"],
     ],
     ids=["no-command", "unknown-command", "sweep-no-flags", "model", "a", "unknown-flag",
-         "tol-rel", "b-re-value", "b-re-form", "theta-scan-count", "theta-scan-zero"],
+         "tol-rel", "b-re-value", "b-re-form", "theta-scan-count", "theta-scan-zero",
+         "diagnose-tol-abs", "metric-tol-abs", "hermitize-tol-abs", "hermitize-tol-rel"],
 )
 def test_refused_argument_is_one_error_line(argv, files, capsys):
     argv = [{"H": files["h2.json"], "P": files["p2.json"]}.get(token, token) for token in argv]
@@ -963,7 +984,7 @@ class TestMetricCommand:
         out_dir = tmp_path / "out"
         refusal = "metric operators leave float64: theta, Q, C or a residual is not finite"
         assert run(capsys, "metric", files["h2.json"], p, "--kappa", "involutive",
-                   "--tol-abs", "0", "--out-dir", str(out_dir)) == (1, "", f"error: {refusal}\n")
+                   "--out-dir", str(out_dir)) == (1, "", f"error: {refusal}\n")
         assert not out_dir.exists()
 
     def test_obstructed_spectrum_exits_three(self, files, capsys, tmp_path):
@@ -1159,9 +1180,13 @@ class TestHermitize:
         assert len(coerced) == 1
 
     def test_sum_reports_only_measured_fields(self, files, capsys):
-        # P + adjoint(P) equals its adjoint bit for bit, so that is not printed as a finding
+        # P + adjoint(P) equals its adjoint bit for bit, so that is not printed as a finding,
+        # and no tolerance is echoed, since the scan reads none
         _, out, _ = run(capsys, "hermitize", files["p3.json"], "--theta", "scan:4")
-        assert list(json.loads(out)["sum"]) == ["smallest_singular_value", "invertible"]
+        report = json.loads(out)
+        assert list(report["sum"]) == ["smallest_singular_value", "invertible"]
+        assert list(report) == ["schema", "command", "model_fingerprint", "sum", "rotation",
+                                "warnings"]
 
     def test_bad_theta_expression(self, files, capsys):
         code, _, err = run(capsys, "hermitize", files["p3.json"], "--theta", "abc")

@@ -8,7 +8,6 @@ from cryptoherm import (
     DimensionMismatch,
     NonRealQuasiparity,
     PseudoMetric,
-    Tolerance,
     VanishingOverlap,
     ZeroKappa,
     adjoint,
@@ -372,7 +371,7 @@ class TestGates:
     def test_theta_norm_underflow_is_refused(self):
         # the involutive kappa for P = 1e-308 diag(1, -1) is about 1e154, so
         # ||Theta||_F underflows to 0 and the residuals are undefined
-        pm = PseudoMetric.from_matrix(1e-308 * parity2(), Tolerance(abs=0.0))
+        pm = PseudoMetric.from_matrix(1e-308 * parity2())
         _, out = involutive_normalization(solve_biorthogonal(build_h2(1.0, 0.0, 0.4j)), pm)
         assert frobenius(build_metric(out)) == 0.0
         with pytest.raises(ZeroKappa) as info:

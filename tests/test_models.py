@@ -160,7 +160,7 @@ def test_from_matrix_returns_a_candidate_unchanged():
     pm = PseudoMetric.from_matrix(parity2())
     assert pm.self_adjoint
     assert PseudoMetric.from_matrix(pm) is pm
-    assert PseudoMetric.from_matrix(pm, Tolerance(abs=0.0)) is pm
+    assert PseudoMetric.from_matrix(pm, Tolerance(rel=0.0)) is pm
 
 
 def test_parity2_and_swap2_displays():
@@ -210,7 +210,7 @@ def test_h3_weak_intertwining_sampled(rng):
 
 @st.composite
 def _candidates(draw):
-    """A 1x1 to 4x4 complex matrix: general, zero, singular, within tol.abs or Hermitian."""
+    """A 1x1 to 4x4 complex matrix: general, zero, singular, tiny or Hermitian."""
     n = draw(st.integers(1, 4))
     parts = draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n * n, max_size=2 * n * n))
     m = np.array(parts).view(np.complex128).reshape(n, n)
@@ -220,7 +220,7 @@ def _candidates(draw):
     if kind == "singular":
         m[-1] = 0.5 * m[0] if n > 1 else 0.0
     if kind == "tiny":
-        return 1e-14 * m  # every singular value under 1e-12
+        return 1e-14 * m  # every singular value under 1e-12: small, not zero
     if kind == "hermitian":
         return m + m.conj().T
     return m
@@ -232,7 +232,7 @@ def _assert_eager_verdicts(m, tol):
     pm = PseudoMetric.from_matrix(m, tol)
     sv = np.linalg.svd(m, compute_uv=False)
     cond = float(np.linalg.cond(m))
-    negligible = bool(sv[0] <= tol.abs)
+    negligible = bool(sv[0] <= 0.0)  # a candidate given directly has floor 0
     assert pm.self_adjoint == is_hermitian(m, tol)
     assert float.hex(pm.condition) == float.hex(cond)
     assert float.hex(pm.smallest_singular_value) == float.hex(float(sv[-1]))
@@ -258,6 +258,8 @@ class TestPseudoMetricFlags:
         [parity2(), cyclic_p(3), np.diag([1.0 + 0j, 0.0]), np.zeros((2, 2), complex),
          np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]]), 1e-13 * cyclic_p(3),
          np.array([[2.0, 1.0 - 1j], [1.0 + 1j, -3.0]])],
+        # "within-tol-abs" names 1e-13 cyclic_p(3) by the absolute tolerance of 1e-12 that
+        # once called it zero; a candidate given directly now has no floor, so it is invertible
         ids=["parity2", "cyclic3", "singular", "zero", "general", "within-tol-abs", "hermitian"],
     )
     def test_condition_is_numpy_cond(self, m):
@@ -266,12 +268,12 @@ class TestPseudoMetricFlags:
 
     @settings(max_examples=200, deadline=None)
     @given(m=_candidates(), tol=st.sampled_from(
-        [Tolerance(), Tolerance(abs=1e-14), Tolerance(rel=1e-3, abs=0.0)]))
+        [Tolerance(), Tolerance(rel=0.0), Tolerance(rel=1e-3)]))
     @example(m=np.zeros((3, 3), complex), tol=Tolerance())
     @example(m=np.array([[1.0, 2.0j], [0.5, 1.0j]]), tol=Tolerance())  # singular: row 2 = row 1 / 2
-    @example(m=1e-13 * cyclic_p(3), tol=Tolerance())  # within tol.abs
+    @example(m=1e-13 * cyclic_p(3), tol=Tolerance())  # tiny, and invertible
     @example(m=np.array([[2.0, 1.0 - 1j], [1.0 + 1j, -3.0]]), tol=Tolerance())  # Hermitian
-    @example(m=np.array([[2.22507386e-313j]]), tol=Tolerance(rel=1e-3, abs=0.0))  # 1 / sv_min overflows
+    @example(m=np.array([[2.22507386e-313j]]), tol=Tolerance(rel=1e-3))  # 1 / sv_min overflows
     def test_verdicts_read_lazily_are_the_eager_formulas(self, m, tol):
         _assert_eager_verdicts(m, tol)
 
@@ -311,10 +313,9 @@ class TestPseudoMetricFlags:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=_candidates().map(lambda m: m + m.conj().T),
            scale=st.sampled_from([1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300]),
-           tol=st.sampled_from([Tolerance(0.0, 0.0), Tolerance(rel=1e-16, abs=0.0),
-                                Tolerance(rel=0.0, abs=1e-300), Tolerance()]))
+           tol=st.sampled_from([Tolerance(0.0), Tolerance(rel=1e-16), Tolerance()]))
     @example(m=np.array([[5e-324, 1e-320 - 3e-321j], [1e-320 + 3e-321j, 1.0]]), scale=1.0,
-             tol=Tolerance(0.0, 0.0))  # subnormals, which the test's unit scaling rounds
+             tol=Tolerance(0.0))  # subnormals, which the test's unit scaling rounds
     def test_self_adjoint_is_the_tolerance_test_for_an_exactly_hermitian_p(self, m, scale, tol):
         # the exact verdict gives self_adjoint without the tolerance test: an exactly
         # Hermitian P passes that test under every tolerance, whatever its scale
@@ -359,27 +360,33 @@ class TestPseudoMetricFlags:
 
 
     def test_negligible_matrix_is_not_invertible(self):
-        # well conditioned, but zero up to rounding: -2 sin(pi) P for self-adjoint P
+        # well conditioned, but zero up to rounding: -2 sin(pi) P for self-adjoint P,
+        # whose largest singular value 2.4e-16 is under the floor 8 eps ||P||_F = 2.5e-15
         pm = hermitian_rotation(parity2(), np.pi)
         assert pm.condition == pytest.approx(1.0) and pm.negligible
+        assert pm.floor == 8 * np.finfo(float).eps * math.sqrt(2.0)
         assert not pm.invertible
-        with pytest.raises(SingularMatrix, match="zero up to rounding"):
+        with pytest.raises(SingularMatrix, match="^largest singular value 2.449e-16 at or below"
+                                                 " the floor 2.512e-15: zero up to rounding$"):
             pm.check_condition()
-        # the absolute tolerance sets what counts as zero
-        pm = PseudoMetric.from_matrix(1e-13 * parity2(), Tolerance(abs=1e-14))
-        assert pm.invertible and not pm.negligible
+        # the floor scales with P, so the partner of 2^-40 P is zero at the same angle
+        assert hermitian_rotation(2.0 ** -40 * parity2(), np.pi).negligible
+        # a candidate given directly was not rounded in forming it: it has no floor,
+        # however small it is
+        pm = PseudoMetric.from_matrix(1e-13 * parity2())
+        assert pm.floor == 0.0 and pm.invertible and not pm.negligible
 
     def test_inverse_beyond_float64_is_not_invertible(self):
-        # cond 1 and, under tol.abs = 0, not negligible; but 1 / 1e-320 overflows
-        pm = PseudoMetric.from_matrix(1e-320 * parity2(), Tolerance(abs=0.0))
+        # cond 1 and not negligible; but 1 / 1e-320 overflows
+        pm = PseudoMetric.from_matrix(1e-320 * parity2())
         assert pm.condition == 1.0 and not pm.negligible
         assert not pm.invertible
         with pytest.raises(SingularMatrix) as info:
             pm.check_condition()
         assert str(info.value) == "smallest singular value 1.000e-320: the inverse leaves float64"
         # 1 / 1e-308 still fits, and the rotation family reads the same rule
-        assert PseudoMetric.from_matrix(1e-308 * parity2(), Tolerance(abs=0.0)).invertible
-        assert not hermitian_rotation(1e-320 * swap2(), 1.0, Tolerance(abs=0.0)).invertible
+        assert PseudoMetric.from_matrix(1e-308 * parity2()).invertible
+        assert not hermitian_rotation(1e-320 * swap2(), 1.0).invertible
 
     @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
     def test_invertible_is_the_condition_cap(self, small, invertible):
@@ -532,37 +539,34 @@ def test_partner_beyond_float64_is_refused_without_a_warning(partner):
             partner(1e308 * np.eye(2))
 
 
-def _partners_one_at_a_time(p, thetas, tol):
-    # the scan as it was built before the stacks: one partner at a time, each at a
-    # scalar phase, and one PseudoMetric per partner
-    a = np.asarray(p, dtype=np.complex128)
-    matrices = [a + a.conj().T]
-    for theta in thetas:
-        phase = np.exp(1j * theta)
-        matrices.append(1j * (a * phase - a.conj().T * np.conj(phase)))
-    return [(float.hex(pm.smallest_singular_value), pm.invertible)
-            for pm in (PseudoMetric.from_matrix(m, tol) for m in matrices)]
+def _partners_one_at_a_time(p, thetas):
+    # the scan as it was built before the stacks: one partner at a time, each a
+    # PseudoMetric that hermitian_sum or hermitian_rotation forms, with its own SVD
+    partners = [hermitian_sum(p)] + [hermitian_rotation(p, theta) for theta in thetas]
+    return [(float.hex(pm.smallest_singular_value), pm.invertible) for pm in partners]
 
 
-def _assert_scan_is_the_loop(p, thetas, tol):
-    scan = hermitian_partners(p, thetas, tol)
+def _assert_scan_is_the_loop(p, thetas):
+    scan = hermitian_partners(p, thetas)
     assert [(float.hex(sv), invertible) for sv, invertible in scan] == \
-        _partners_one_at_a_time(p, thetas, tol)
+        _partners_one_at_a_time(p, thetas)
     assert all(type(sv) is float and type(invertible) is bool for sv, invertible in scan)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(p=_candidates(),
        thetas=st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, math.pi, -math.pi / 2]),
-                       max_size=12),
-       tol=st.sampled_from([Tolerance(), Tolerance(abs=0.0)]))
-@example(p=cyclic_p(4), thetas=_scan(64), tol=Tolerance())
-@example(p=parity2(), thetas=[math.pi], tol=Tolerance())  # -2 sin(pi) P: zero up to rounding
-@example(p=1e-320 * swap2(), thetas=[1.0], tol=Tolerance(abs=0.0))  # 1 / sv_min leaves float64
-@example(p=np.diag([1.0 + 0j, 1e-13]), thetas=[0.0, 1.0], tol=Tolerance())  # cond 1e13 > cap
-@example(p=np.zeros((3, 3), complex), thetas=_scan(4), tol=Tolerance())
-def test_hermitian_partners_are_the_one_at_a_time_scan(p, thetas, tol):
-    _assert_scan_is_the_loop(p, thetas, tol)
+                       max_size=12))
+@example(p=cyclic_p(4), thetas=_scan(64))
+@example(p=parity2(), thetas=[math.pi])  # -2 sin(pi) P: zero up to rounding
+@example(p=1e-320 * swap2(), thetas=[1.0])  # 1 / sv_min leaves float64
+@example(p=np.diag([1.0 + 0j, 1e-13]), thetas=[0.0, 1.0])  # cond 1e13 > cap
+@example(p=np.zeros((3, 3), complex), thetas=_scan(4))
+# 1x1: one angle or two in a stack once took numpy's complex product down loops that
+# round differently (a fused multiply-add or not)
+@example(p=np.array([[3.0 + 1.0j]]), thetas=[0.0, 1.0])
+def test_hermitian_partners_are_the_one_at_a_time_scan(p, thetas):
+    _assert_scan_is_the_loop(p, thetas)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -570,7 +574,7 @@ def test_hermitian_partners_over_several_stacks_are_the_one_at_a_time_scan(n):
     assert 75 * n * n > PARTNER_STACK_ENTRIES  # the scan spans more than one stack
     rng = np.random.default_rng(n)
     p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    _assert_scan_is_the_loop(p, _scan(75), Tolerance())
+    _assert_scan_is_the_loop(p, _scan(75))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -19,6 +20,7 @@ from cryptoherm import (
     build_metric,
     cyclic_p,
     diagnose,
+    hermitian_partners,
     parity2,
     pseudo_hermiticity_residual,
     pt_commutant_check,
@@ -336,7 +338,7 @@ def test_diagnose_outcomes(h, p, obstruction, holds, verdicts, warning):
     assert len(found.warnings) == 1 and found.warnings[0].startswith(warning)
     # the reported max |Im E| is the one the reality test reads
     assert found.max_imag == max(abs(e.imag) for e in found.eigenvalues)
-    assert found.all_real is (found.max_imag <= Tolerance().bound(np.linalg.norm(h)))
+    assert found.all_real is (found.max_imag <= Tolerance().rel * float(np.linalg.norm(h)))
     if obstruction is None:
         assert found.obstruction is None and found.all_real
         assert np.array_equal(found.eigenvalues, found.system.eigenvalues)
@@ -351,7 +353,7 @@ def test_diagnose_outcomes(h, p, obstruction, holds, verdicts, warning):
 
 def test_diagnose_reports_operators_beyond_float64():
     # q_n = +-1.7e308 fits, but Q and C overflow: the bundle is refused
-    found = diagnose(build_h2(1.0, 0.0, 0.4j), 1e-308 * parity2(), Tolerance(abs=0.0))
+    found = diagnose(build_h2(1.0, 0.0, 0.4j), 1e-308 * parity2())
     assert found.warnings == ("metric construction failed: metric operators leave float64: "
                               "theta, Q, C or a residual is not finite",)
     assert found.bundle is None and found.system is not None and not found.holds
@@ -383,3 +385,72 @@ def test_diagnose_commutes_with_complex_conjugation(seed, n, u):
     assert len(conj_arrays) == len(arrays)
     assert all(np.array_equal(c, a.conj()) for c, a in zip(conj_arrays, arrays))
     assert conj_real == real
+
+
+def test_small_complex_pair_is_not_real():
+    # max |Im E| = 6.2e-14 is far above rel ||H||_F = 1.3e-23: a complex pair at any scale
+    found = diagnose(1e-13 * build_h2(1.0, 0.0, 0.8j), parity2())
+    assert isinstance(found.obstruction, ComplexSpectrum) and not found.all_real
+    assert found.max_imag == pytest.approx(6.245e-14, rel=1e-3)
+
+
+def test_small_pseudometric_has_the_verdicts_of_its_unit_multiple():
+    h = build_h2(1.0, 0.0, 0.4j)
+    unit, small = diagnose(h, parity2()), diagnose(h, 1e-13 * parity2())
+    assert [(v.name, v.residual, v.holds) for v in small.verdicts] == \
+        [(v.name, v.residual, v.holds) for v in unit.verdicts]
+    assert small.holds is unit.holds is True
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel=1e-3), Tolerance(rel=0.0)],
+                         ids=["default", "loose", "zero"])
+def test_every_verdict_is_held_to_tol_rel(tol):
+    h, p = build_h3(0.0, 0.3 + 0.4j), cyclic_p(3)
+    theta = build_metric(solve_biorthogonal(h))
+    verdicts = [*diagnose(h, p, tol).verdicts, pseudo_hermiticity_residual(h, p, tol),
+                weak_triplet_check(h, p, tol), quasi_hermiticity_residual(h, theta, tol),
+                pt_commutant_check(h, p, tol)]
+    # under rel = 0 the reality test fails, and diagnose gives the P equation's row only
+    assert len(verdicts) == (5 if tol.rel == 0.0 else 6)
+    assert [v.tolerance for v in verdicts] == [tol.rel] * len(verdicts)
+    assert all(v.holds is (v.residual <= tol.rel) for v in verdicts)
+
+
+#: the angles at which the scaling property reads the Hermitian partners' flags
+_SCAN = [0.0, 1.0, math.pi / 2, math.pi, -2.0]
+
+
+@st.composite
+def _sampled_pairs(draw):
+    """(H, P) from the conftest samplers: the two-level model over its whole box, real
+    or complex, with parity2; the cyclic three-level model with cyclic_p(3); and
+    S D S^-1 with P = S^-dag diag(u) S^-1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["h2", "h3", "similar"]))
+    if kind == "h2":
+        return build_h2(*sample_h2_params_any(rng)), parity2()
+    if kind == "h3":
+        return build_h3(*sample_h3_params(rng)), cyclic_p(3)
+    h, s_inv = sample_similar(rng, draw(st.sampled_from([2, 3, 4, 16])))
+    u = rng.choice(draw(st.sampled_from([[1.0], [1.0, -1.0], [1.0, -1.0, 1j, -1j]])), len(h))
+    return h, s_inv.conj().T * u @ s_inv
+
+
+def _scale_free_outcome(h, p):
+    found = diagnose(h, p)
+    return (found.all_real, type(found.obstruction), [(v.name, v.holds) for v in found.verdicts],
+            PseudoMetric.from_matrix(p).invertible,
+            [invertible for _, invertible in hermitian_partners(p, _SCAN)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair=_sampled_pairs(), k=st.integers(-40, 40), side=st.sampled_from(["H", "P"]))
+@example(pair=(build_h2(1.0, 0.0, 0.8j), parity2()), k=-43, side="H")  # 1.1e-13 H: complex
+@example(pair=(build_h2(1.0, 0.0, 0.4j), parity2()), k=-43, side="P")  # 1.1e-13 P: invertible
+def test_verdicts_do_not_depend_on_a_power_of_two_scale(pair, k, side):
+    # the P and Theta equations hold or fail alike for s H and s P; a power of two
+    # scales every entry exactly, so the reality verdict, the obstruction, each
+    # verdict, P's invertibility and its partners' flags stay as they are
+    h, p = pair
+    scaled = (2.0 ** k * h, p) if side == "H" else (h, 2.0 ** k * p)
+    assert _scale_free_outcome(*scaled) == _scale_free_outcome(h, p)

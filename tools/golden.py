@@ -226,6 +226,9 @@ def cases() -> dict[str, list[str]]:
     c["usage-missing-operand"] = ["diagnose", *_in("h2.json")]
     c["usage-lone-dash-sweep"] = [*_SWEEP, "--a=--", "--d", "0", "--b-re", "0", "--b-im", "0"]
     c["usage-lone-dash-out-dir"] = ["diagnose", *_in("h2.json", "p2.json"), "--out-dir=--"]
+    # one tolerance, relative, which hermitize does not read
+    c["usage-tol-abs"] = ["diagnose", *_in("h2.json", "p2.json"), "--tol-abs", "0"]
+    c["usage-hermitize-tol-rel"] = ["hermitize", *_in("p2.json"), "--tol-rel", "1e-8"]
     # the CLI's own refusals, one per row of cli._REFUSALS that an input reaches
     c["refuse-tolerance"] = ["diagnose", *_in("h2.json", "p2.json"), "--tol-rel", "-1"]
     c["refuse-missing-file"] = ["diagnose", *_in("nope.json", "p2.json")]
@@ -240,7 +243,7 @@ def cases() -> dict[str, list[str]]:
     c["refuse-metric-range"] = ["metric", *_in("h2.json", "p2.json"), "--kappa",
                                 *_in("kappa_small.json"), "--out-dir", "out"]
     c["refuse-theta-underflow"] = ["metric", *_in("h2.json", "p_tiny.json"), "--kappa",
-                                   "involutive", "--tol-abs", "0", "--out-dir", "out"]
+                                   "involutive", "--out-dir", "out"]
     c["refuse-coefficient-underflow"] = ["metric", *_in("h2_real.json", "p_large.json"),
                                          "--kappa", *_in("kappa_underflow.json"),
                                          "--out-dir", "out"]
@@ -249,8 +252,7 @@ def cases() -> dict[str, list[str]]:
     c["refuse-singular"] = ["diagnose", *_in("h2.json", "p_singular.json")]
     c["refuse-singular-metric"] = ["metric", *_in("h2.json", "p_singular.json"),
                                    "--out-dir", "out"]
-    c["refuse-inverse-range"] = ["diagnose", *_in("h2.json", "p_subnormal.json"),
-                                 "--tol-abs", "0"]
+    c["refuse-inverse-range"] = ["diagnose", *_in("h2.json", "p_subnormal.json")]
     c["refuse-nonreal-quasiparity"] = ["metric", *_in("h3.json", "p3.json"), "--kappa",
                                        "involutive", "--out-dir", "out"]
     c["refuse-spectrum-metric"] = ["metric", *_in("h2_exterior.json", "p2.json"),
@@ -272,17 +274,15 @@ def cases() -> dict[str, list[str]]:
     # diagnose: every exit code a report comes with
     c["diagnose-h2"] = ["diagnose", *_in("h2.json", "p2.json")]
     c["diagnose-h3-out-dir"] = ["diagnose", *_in("h3.json", "p3.json"), "--out-dir", "out"]
-    c["diagnose-tolerances"] = ["diagnose", *_in("h3.json", "p3.json"), "--tol-rel", "1e-8",
-                                "--tol-abs", "1e-14"]
+    c["diagnose-tolerances"] = ["diagnose", *_in("h3.json", "p3.json"), "--tol-rel", "1e-8"]
     c["diagnose-verdict-fails"] = ["diagnose", *_in("h2_lopsided.json", "p2.json")]
     c["diagnose-complex"] = ["diagnose", *_in("h2_exterior.json", "p2.json")]
     c["diagnose-degenerate"] = ["diagnose", *_in("h2_boundary.json", "p2.json")]
     c["diagnose-zero-h"] = ["diagnose", *_in("h2_zero.json", "p2.json")]
     c["diagnose-proximity"] = ["diagnose", *_in("h2_near_ep.json", "p2.json")]
     c["diagnose-vanishing-overlap"] = ["diagnose", *_in("h2.json", "swap2.json")]
-    c["diagnose-metric-range"] = ["diagnose", *_in("h2.json", "p_tiny.json"), "--tol-abs", "0"]
-    c["diagnose-residual-range"] = ["diagnose", *_in("h1_large_imag.json", "p1_complex.json"),
-                                    "--tol-abs", "0"]
+    c["diagnose-metric-range"] = ["diagnose", *_in("h2.json", "p_tiny.json")]
+    c["diagnose-residual-range"] = ["diagnose", *_in("h1_large_imag.json", "p1_complex.json")]
     for k in range(6, 17):
         for label in ("p", "m"):
             c[f"walk-{label}{k}"] = ["diagnose", *_in(f"walk_{label}{k}.json", "p2.json")]
