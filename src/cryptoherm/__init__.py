@@ -54,7 +54,6 @@ _EXPORTS = {
         "is_positive_definite",
     ),
     "metric": (
-        "CoefficientSet",
         "MetricBundle",
         "build_bundle",
         "build_metric",

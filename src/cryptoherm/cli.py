@@ -190,7 +190,7 @@ def _load_pair(args):
 def _metric_payload(system, bundle) -> dict:
     return {
         "kappa": cryptoherm.io.complex_pairs(system.kappa),
-        "quasiparity_coeffs": cryptoherm.io.complex_pairs(bundle.coeffs.q),
+        "quasiparity_coeffs": cryptoherm.io.complex_pairs(bundle.q),
         "theta_min_eigenvalue": float(bundle.theta_eigenvalues[0]),
         "residuals": {k: float(v) for k, v in bundle.residuals.items()},
         "factorizations_hold": bundle.factorizations_hold,
@@ -262,7 +262,7 @@ def cmd_diagnose(args) -> int:
 def cmd_metric(args) -> int:
     tol = _tol(args)
     h, p = _load_pair(args)
-    pm = cryptoherm.models.PseudoMetric.from_matrix(p, tol)
+    pm = cryptoherm.models.PseudoMetric.from_matrix(p)
     # refused before anything is written, as diagnose refuses it
     pm.check_condition()
 
@@ -295,7 +295,7 @@ def cmd_metric(args) -> int:
         report["involutive"].update(q_squared_residual=q2, c_squared_residual=c2,
                                     holds=bundle.involutions_hold)
 
-    report["warnings"] = cryptoherm.metric.nonreal_warnings(bundle.coeffs.q)
+    report["warnings"] = cryptoherm.metric.nonreal_warnings(bundle.q)
     _emit_report(report, None)
 
     holds = bundle.factorizations_hold and (not involutive or bundle.involutions_hold)

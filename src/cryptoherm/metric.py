@@ -11,10 +11,10 @@ r_n = kappa_n r1_n, l_n = l1_n / conj(kappa_n), the three operators are
 so the whole kappa dependence is carried by the stored columns plus the
 |kappa|^-2 weight in the coefficients.  The charge coefficients are
 c_n = conj(q_n) by definition, since <v|adjoint(P)|v> = conj(<v|P|v>),
-so reports print q_n only.
+so only q_n is stored and reports print q_n only.
 Each sum is one matrix product, and reruns on the same input are
 byte-identical at a fixed BLAS thread count.  ``build_bundle`` is the one
-builder of Q, C and the coefficients; callers read them from its bundle.
+builder of Q, C and q; callers read them from its bundle.
 
 Theta is exactly Hermitian wherever it is made: ``build_metric``
 returns the Hermitian part of the sum, so nothing downstream tests or
@@ -85,18 +85,12 @@ RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
-class CoefficientSet:
-    """Quasiparity and charge coefficients of one system/candidate pair."""
-
-    q: NDArray[np.complex128]
-    c: NDArray[np.complex128]
-
-
-@dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class MetricBundle:
     """All operators built from one system plus their identity residuals.
 
-    ``theta`` is exactly Hermitian, as ``build_metric`` makes it.
+    ``theta`` is exactly Hermitian, as ``build_metric`` makes it.  ``q``
+    holds the quasiparity coefficients q_n; the charge coefficients
+    c_n = conj(q_n) are not stored.
     ``residuals`` holds "pq" and "cp", the two identities that theta
     leaves to measure (``verify_factorizations`` measures all five keys
     of RESIDUAL_KEYS for any Theta; for this theta the other three are
@@ -113,7 +107,7 @@ class MetricBundle:
     theta: ComplexMatrix
     quasiparity: ComplexMatrix
     charge: ComplexMatrix
-    coeffs: CoefficientSet
+    q: NDArray[np.complex128]
     residuals: Mapping[str, float]
     theta_norm: float
     right: ComplexMatrix
@@ -284,12 +278,13 @@ def involutive_normalization(
 
 
 def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
-    """Assemble theta, Q, C, the coefficients and the residual map at once.
+    """Assemble theta, Q, C, the coefficients q and the residual map at once.
 
     The only builder of Q = sum_n right_n q_n adjoint(left_n) (so
-    Q right_n = q_n right_n), of C = sum_n left_n q_n adjoint(right_n)
-    (so adjoint(C) right_n = c_n right_n) and of the coefficient set
-    (q, c = conj(q)), all from one overlap pass.  The residual map holds
+    Q right_n = q_n right_n) and of C = sum_n left_n q_n adjoint(right_n)
+    (so adjoint(C) right_n = conj(q_n) right_n), both from the one
+    overlap pass that gives q; the bundle keeps q, and conj(q) is not
+    stored.  The residual map holds
     "pq" and "cp": two products, P Q and C P, each measured against
     theta and then dropped; theta equals its adjoint bit for bit, so the
     other three identities leave nothing to measure.  The float64 gate:
@@ -327,7 +322,7 @@ def build_bundle(system: BiorthogonalSystem, p) -> MetricBundle:
         theta=theta,
         quasiparity=quasiparity,
         charge=charge,
-        coeffs=CoefficientSet(q=q, c=np.conj(q)),
+        q=q,
         residuals={"pq": pq, "cp": cp},
         theta_norm=theta_norm,
         right=system.right,

@@ -13,6 +13,8 @@ together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 
+``PseudoMetric`` is a candidate P and its zero floor, and nothing else:
+it holds no tolerance, and its verdicts are computed on first read.
 ``invertibility_refusal`` is the one invertibility rule, read off a
 matrix's descending singular values: ``PseudoMetric`` applies it to its
 one SVD, and ``hermitian_partners`` to each Hermitian partner of a scan.
@@ -50,7 +52,6 @@ from .linalg import (
     _EPS,
     DEFAULT_TOL,
     ComplexMatrix,
-    Tolerance,
     _hermitian,
     _relative,
     as_complex_matrix,
@@ -182,17 +183,13 @@ def invertibility_refusal(sv, floor: float = 0.0) -> str | None:
 class PseudoMetric:
     """A candidate intertwiner, with its structural verdicts computed on first read.
 
-    ``matrix`` is the candidate itself and ``tol`` the tolerance its
-    verdicts use; ``from_matrix`` only validates and stores them, and
-    returns a ``PseudoMetric`` it is given unchanged.  Each
+    ``matrix`` is the candidate itself; ``from_matrix`` only validates and
+    stores it, and returns a ``PseudoMetric`` it is given unchanged.  Each
     verdict is computed the first time it is read and then kept, so a
     caller pays only for what it reads, and at most once per candidate.
-    One exact test says whether P equals its adjoint bit for bit: the P
-    equation reads it to take one product instead of two, and
-    ``self_adjoint`` returns True on it, since such a P passes every
-    tolerance; otherwise ``self_adjoint`` is ``linalg.is_hermitian``
-    under ``tol``.  ``norm`` is ||P||_F, read by the P equation and the
-    overlap floor.
+    ``self_adjoint`` is ``linalg.is_hermitian`` at the default tolerance;
+    no library step reads it, so a diagnosis makes no Hermiticity test of
+    P.  ``norm`` is ||P||_F, read by the P equation and the overlap floor.
     One SVD gives ``smallest_singular_value``, ``condition`` (sv_max /
     sv_min, bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is
     at most ``floor``, so the matrix is zero up to rounding whatever its
@@ -210,20 +207,12 @@ class PseudoMetric:
     """
 
     matrix: ComplexMatrix
-    tol: Tolerance
     floor: float = 0.0
 
     @cached_property
-    def _exactly_self_adjoint(self) -> bool:
-        # P equals its adjoint bit for bit: the P equation then takes one product,
-        # and self_adjoint holds under every tolerance
-        m = self.matrix
-        return bool((m == m.conj().T).all())
-
-    @cached_property
     def self_adjoint(self) -> bool:
-        """P equals its adjoint within ``tol``."""
-        return self._exactly_self_adjoint or _hermitian(self.matrix, self.tol)
+        """P equals its adjoint within the default tolerance."""
+        return _hermitian(self.matrix, DEFAULT_TOL)
 
     @cached_property
     def norm(self) -> float:
@@ -265,19 +254,18 @@ class PseudoMetric:
             raise SingularMatrix(refusal, condition=self.condition)
 
     @classmethod
-    def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "PseudoMetric":
-        """The candidate ``m`` under ``tol``; a ``PseudoMetric`` is returned unchanged.
+    def from_matrix(cls, m) -> "PseudoMetric":
+        """The candidate ``m``; a ``PseudoMetric`` is returned unchanged.
 
         The one door by which P enters the library: a ``PseudoMetric``
-        keeps its own ``tol`` and every verdict it has already computed,
-        so ``tol`` is ignored for it.  Any other ``m`` must be a finite
-        square matrix (``linalg.as_complex_matrix``); nothing else is
-        computed here: the SVD, the condition number and the Hermiticity
-        test wait until a verdict is read.
+        keeps every verdict it has already computed.  Any other ``m`` must
+        be a finite square matrix (``linalg.as_complex_matrix``); nothing
+        else is computed here: the SVD, the norm and the Hermiticity test
+        wait until a verdict is read.
         """
         if isinstance(m, PseudoMetric):
             return m
-        return cls(matrix=as_complex_matrix(m, "pseudometric"), tol=tol)
+        return cls(as_complex_matrix(m, "pseudometric"))
 
 
 def _zero_floor(a: ComplexMatrix) -> float:
@@ -300,8 +288,7 @@ def hermitian_sum(p) -> PseudoMetric:
     # a sum that leaves float64 is refused as from_matrix refuses it, not warned about
     # on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        return PseudoMetric(as_complex_matrix(a + a.conj().T, "pseudometric"), DEFAULT_TOL,
-                            _zero_floor(a))
+        return PseudoMetric(as_complex_matrix(a + a.conj().T, "pseudometric"), _zero_floor(a))
 
 
 def hermitian_rotation(p, theta) -> PseudoMetric:
@@ -317,7 +304,7 @@ def hermitian_rotation(p, theta) -> PseudoMetric:
     # about on the way
     with np.errstate(over="ignore", invalid="ignore"):
         return PseudoMetric(as_complex_matrix(_rotations(a, [theta])[0], "pseudometric"),
-                            DEFAULT_TOL, _zero_floor(a))
+                            _zero_floor(a))
 
 
 def hermitian_partners(p, thetas) -> list[tuple[float, bool]]:

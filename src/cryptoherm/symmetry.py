@@ -85,11 +85,11 @@ def _verdict(name: str, residual: float, tol: Tolerance) -> SymmetryVerdict:
                            tolerance=tol.rel)
 
 
-def _operands(h, p, tol: Tolerance) -> tuple[ComplexMatrix, PseudoMetric]:
+def _operands(h, p) -> tuple[ComplexMatrix, PseudoMetric]:
     # H validated, and P as a PseudoMetric, which keeps its SVD and its norm,
     # so checks sharing one measure P once
     hm = as_complex_matrix(h, "hamiltonian")
-    pm = PseudoMetric.from_matrix(p, tol)
+    pm = PseudoMetric.from_matrix(p)
     _same_shape(hm, pm.matrix)
     return hm, pm
 
@@ -99,14 +99,14 @@ def _p_equation(hm, hnorm: float, cand: PseudoMetric) -> float:
     # of the intertwining equation, for a P that passes the invertibility rule.
     # H and P are first scaled by powers of two to near unit norm, so the
     # products stay in float64 wherever the ratio does; the scaling is exact.
-    # adjoint(H) P is adjoint(P H) only when P equals its adjoint bit for bit:
-    # the candidate's exact verdict, computed once per candidate (self_adjoint reads
-    # it too); it tests P itself, and the scaling keeps an exactly Hermitian P so
+    # adjoint(H) P is its own product for every P: it is adjoint(P H) only for a P
+    # equal to its adjoint bit for bit, and testing that costs more than the
+    # product it saves on the paper's 2x2 and 3x3 models
     cand.check_condition()
     fh, fp = _unit_factor(hnorm), _unit_factor(cand.norm)
     h, p = hm * fh, cand.matrix * fp
     r = p @ h
-    r -= r.conj().T if cand._exactly_self_adjoint else h.conj().T @ p
+    r -= h.conj().T @ p
     return _relative(r, (hnorm * fh) * (cand.norm * fp))
 
 
@@ -116,7 +116,7 @@ def pseudo_hermiticity_residual(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryV
     A P that fails the invertibility rule (``PseudoMetric.check_condition``)
     raises SingularMatrix: P = 0 satisfies the equation trivially.
     """
-    hm, pm = _operands(h, p, tol)
+    hm, pm = _operands(h, p)
     return _verdict("pseudo_hermitian", _p_equation(hm, frobenius(hm), pm), tol)
 
 
@@ -210,7 +210,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
     warnings, not exceptions; a SpectrumObstruction without eigenvalues
     (the eigensolver itself failed) is raised, as is a singular P.
     """
-    hm, pm = _operands(h, p, tol)
+    hm, pm = _operands(h, p)
     scale = frobenius(hm)
     warnings: list[str] = []
     system = bundle = obstruction = None
@@ -235,7 +235,7 @@ def diagnose(h, p, tol: Tolerance = DEFAULT_TOL) -> Diagnosis:
         except (VanishingOverlap, ZeroKappa) as exc:
             warnings.append(f"metric construction failed: {exc}")
         else:
-            warnings += nonreal_warnings(bundle.coeffs.q)
+            warnings += nonreal_warnings(bundle.q)
             verdicts.append(_quasi_hermitian(hm, scale, bundle.theta, bundle.theta_norm, tol))
             holds = bundle.factorizations_hold and all(v.holds for v in verdicts)
 

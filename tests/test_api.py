@@ -84,7 +84,6 @@ def _records():
     """One of each record that holds arrays, from one diagnose run."""
     found = cryptoherm.diagnose(cryptoherm.build_h2(1.0, 0.0, 0.4j), cryptoherm.parity2())
     return {"Diagnosis": found, "BiorthogonalSystem": found.system, "MetricBundle": found.bundle,
-            "CoefficientSet": found.bundle.coeffs,
             "PseudoMetric": cryptoherm.PseudoMetric.from_matrix(cryptoherm.parity2())}
 
 

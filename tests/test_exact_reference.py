@@ -247,7 +247,7 @@ def spectral_ratios(a: float, d: float, b: complex) -> dict[str, Decimal] | None
         ratios = {
             "E": max(abs(Decimal(float(e)) - x) / e_unit
                      for e, x in zip(system.energies, ref["energies"])),
-            "q": max(_relative_error(q, x) for q, x in zip(bundle.coeffs.q, ref["q"])) / k2_unit,
+            "q": max(_relative_error(q, x) for q, x in zip(bundle.q, ref["q"])) / k2_unit,
             "theta_min": _relative_error(bundle.theta_eigenvalues[0], ref["theta"][0])
             / (_D_EPS * ref["h_norm"] / ref["split"]),
             "theta_max": _relative_error(bundle.theta_eigenvalues[1], ref["theta"][1]) / k2_unit,
@@ -328,7 +328,7 @@ def sds_ratios(n: int, seed: int | None = None) -> dict[str, float] | None:
         u = np.diag(s.T @ p @ s)  # integer parts: exact
         assert set(u.tolist()) <= {1, -1, 1j, -1j}
         q_exact = col2 / u
-        q_error = np.abs(build_bundle(system, p).coeffs.q - q_exact) / np.abs(q_exact)
+        q_error = np.abs(build_bundle(system, p).q - q_exact) / np.abs(q_exact)
         ratios[f"q_{kind}"] = float(q_error.max()) / unit
     for name, factor in (("E", C_E), ("kappa", C_KAPPA), ("theta_frobenius", C_THETA),
                          ("theta_entrywise", C_THETA), ("q_definite", C_Q),

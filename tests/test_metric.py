@@ -85,25 +85,19 @@ class TestChargeCoeffs:
         _, sys_ = h3_system
         p = cyclic_p(3)
         q = quasiparity_coeffs(sys_, p)
-        c = build_bundle(sys_, p).coeffs.c
+        c = np.conj(build_bundle(sys_, p).q)
         assert c == pytest.approx(np.conj(q), abs=1e-12)
 
     def test_hermitian_identity_candidate(self, rng):
         sys_ = _hermitian_system(rng)
-        assert build_bundle(sys_, np.eye(4)).coeffs.c == pytest.approx(np.ones(4), abs=1e-12)
+        assert np.conj(build_bundle(sys_, np.eye(4)).q) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_real_for_self_adjoint_candidate(self, h2_system):
         _, sys_ = h2_system
-        c = build_bundle(sys_, parity2()).coeffs.c
+        c = np.conj(build_bundle(sys_, parity2()).q)
         q = quasiparity_coeffs(sys_, parity2())
         assert np.max(np.abs(c.imag)) <= 1e-12
         assert c == pytest.approx(q, abs=1e-12)
-
-    def test_coefficient_set_bundles_both(self, h2_system):
-        _, sys_ = h2_system
-        cs = build_bundle(sys_, parity2()).coeffs
-        assert cs.q == pytest.approx([-5.0 / 3.0, 5.0 / 3.0], abs=1e-12)
-        assert cs.c == pytest.approx(np.conj(cs.q), abs=1e-12)
 
 
 class TestBuilders:
@@ -148,7 +142,7 @@ class TestBuilders:
         _, sys_ = h3_system
         p = cyclic_p(3)
         bundle = build_bundle(sys_, p)
-        c, cop = bundle.coeffs.c, bundle.charge
+        c, cop = np.conj(bundle.q), bundle.charge
         for n in range(3):
             v = sys_.right[:, n]
             assert np.linalg.norm(adjoint(cop) @ v - c[n] * v) <= 1e-10

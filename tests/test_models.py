@@ -35,7 +35,7 @@ from cryptoherm import (
     sweep_h2,
 )
 from cryptoherm.h2 import _h2_params
-from cryptoherm.linalg import _hermitian
+from cryptoherm.linalg import DEFAULT_TOL, _hermitian
 from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
 from conftest import count_calls, sample_h2_params_any, sample_h3_params
 
@@ -156,11 +156,10 @@ def test_classify_h2_returns_the_frozen_dataclass(point):
 
 
 def test_from_matrix_returns_a_candidate_unchanged():
-    # the one door for P: a PseudoMetric keeps its tolerance and its computed verdicts
+    # the one door for P: a PseudoMetric keeps its computed verdicts
     pm = PseudoMetric.from_matrix(parity2())
     assert pm.self_adjoint
     assert PseudoMetric.from_matrix(pm) is pm
-    assert PseudoMetric.from_matrix(pm, Tolerance(rel=0.0)) is pm
 
 
 def test_parity2_and_swap2_displays():
@@ -228,12 +227,18 @@ def _candidates(draw):
 
 def _assert_eager_verdicts(m, tol):
     # every verdict of a lazily built candidate against the formula from_matrix
-    # used to evaluate eagerly, floats compared bit for bit
-    pm = PseudoMetric.from_matrix(m, tol)
+    # used to evaluate eagerly, floats compared bit for bit.  The candidate holds no
+    # tolerance: self_adjoint is the test at the default, and the test under tol
+    # passes whatever it passes when tol is looser, and nothing more when tighter
+    pm = PseudoMetric.from_matrix(m)
     sv = np.linalg.svd(m, compute_uv=False)
     cond = float(np.linalg.cond(m))
     negligible = bool(sv[0] <= 0.0)  # a candidate given directly has floor 0
-    assert pm.self_adjoint == is_hermitian(m, tol)
+    assert pm.self_adjoint == is_hermitian(m)
+    if tol.rel >= DEFAULT_TOL.rel:
+        assert is_hermitian(m, tol) or not pm.self_adjoint
+    if tol.rel <= DEFAULT_TOL.rel:
+        assert pm.self_adjoint or not is_hermitian(m, tol)
     assert float.hex(pm.condition) == float.hex(cond)
     assert float.hex(pm.smallest_singular_value) == float.hex(float(sv[-1]))
     assert pm.negligible is negligible
@@ -293,14 +298,13 @@ class TestPseudoMetricFlags:
         _, system = involutive_normalization(solve_biorthogonal(build_h2(1.0, 0.0, 0.4j)), pm)
         build_bundle(system, pm)
         assert (len(svds), len(hermitian_tests)) == (0, 0)
-        # each verdict is computed once, on first read; parity2 equals its adjoint
-        # bit for bit, so it takes no tolerance test at all
-        assert pm.self_adjoint is pm.self_adjoint is True
-        assert len(hermitian_tests) == 0
-        # a P that is Hermitian only within tolerance takes exactly one
-        pm = PseudoMetric.from_matrix(parity2() + np.array([[0.0, 1e-14j], [0.0, 0.0]]))
+        # each verdict is computed once, on first read: one tolerance test for parity2
         assert pm.self_adjoint is pm.self_adjoint is True
         assert len(hermitian_tests) == 1
+        # and one for a P that is Hermitian only within tolerance
+        pm = PseudoMetric.from_matrix(parity2() + np.array([[0.0, 1e-14j], [0.0, 0.0]]))
+        assert pm.self_adjoint is pm.self_adjoint is True
+        assert len(hermitian_tests) == 2
         # the SVD-based verdicts share one SVD, in any reading order
         names = ("condition", "invertible", "smallest_singular_value", "negligible")
         for order in itertools.permutations(names):
@@ -317,11 +321,11 @@ class TestPseudoMetricFlags:
     @example(m=np.array([[5e-324, 1e-320 - 3e-321j], [1e-320 + 3e-321j, 1.0]]), scale=1.0,
              tol=Tolerance(0.0))  # subnormals, which the test's unit scaling rounds
     def test_self_adjoint_is_the_tolerance_test_for_an_exactly_hermitian_p(self, m, scale, tol):
-        # the exact verdict gives self_adjoint without the tolerance test: an exactly
-        # Hermitian P passes that test under every tolerance, whatever its scale
+        # an exactly Hermitian P passes the tolerance test under every tolerance,
+        # whatever its scale, so self_adjoint, the test at the default, holds for it
         p = m * scale
         assert (p == p.conj().T).all()
-        assert PseudoMetric.from_matrix(p, tol).self_adjoint is _hermitian(p, tol) is True
+        assert PseudoMetric.from_matrix(p).self_adjoint is _hermitian(p, tol) is True
 
     def test_check_condition_accepts_and_matches_linalg(self):
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
