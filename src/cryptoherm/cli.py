@@ -8,8 +8,9 @@ Four subcommands over JSON matrix files:
 * metric     - build Theta/Q/C (optionally kappa-rescaled or involutive)
                and write them as matrix files
 * sweep      - CSV scan of the two-level model's reality domain, one
-               row per point of ``h2.sweep_h2``; each axis value
-               is formatted once
+               row per point of ``h2.sweep_h2``; each axis value, and
+               each distinct |b|'s discriminant, class and min_gap, is
+               formatted once
 * hermitize  - singularity scan of the Hermitian partner family of P, as
                ``models.hermitian_partners`` reports it
 
@@ -32,7 +33,7 @@ so that ``sweep`` runs without numpy: the sweep axes (``_linspace``,
 bit for bit ``np.linspace``), each point's gap sqrt(|disc|) and the
 ``--theta`` scan angles.  At module scope it imports the standard
 library, the ``cryptoherm`` package itself (which loads nothing until a
-library name is read from it), ``errors`` and ``h2.sweep_h2``, none of
+library name is read from it), ``errors`` and ``h2``'s grid walk, none of
 which loads numpy, ``dataclasses`` or ``models``, so ``sweep``,
 ``--help`` and a usage error run without them.  ``diagnose``, ``metric``
 and ``hermitize`` and the report helpers they share reach the library
@@ -53,7 +54,11 @@ keep each run's leftovers for the life of the caller.
 ``sweep`` builds its axes and prints its CSV in pure Python: a
 ``MIN:MAX:STEPS`` axis repeats ``np.linspace``'s float operations point
 for point, and every value is formatted with ``%.17g``, which is
-``io.format_float`` of a finite float.
+``io.format_float`` of a finite float.  A row's discriminant, class and
+min_gap depend on b only through |b|, and the grid walk it shares with
+``sweep_h2`` (``h2._sweep_indices``) gives each point the index of its
+|b|'s row: each distinct row is formatted once, in one pass, and every
+point's line is its b_re, its b_im and that row's text.
 """
 from __future__ import annotations
 
@@ -63,7 +68,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -79,7 +84,7 @@ from .errors import (
     VanishingOverlap,
     ZeroKappa,
 )
-from .h2 import sweep_h2
+from .h2 import _sweep_indices
 
 if TYPE_CHECKING:
     from .linalg import Tolerance
@@ -350,20 +355,28 @@ def cmd_sweep(args) -> int:
     (a,), (d,) = _finite("--a", [args.a]), _finite("--d", [args.d])
     re_axis = _parse_axis(args.b_re, "--b-re")
     im_axis = _parse_axis(args.b_im, "--b-im")
-    # every axis value is finite, so '%.17g' % x is io.format_float(x)
-    grid = list(product(["%.17g" % x for x in re_axis], ["%.17g" % x for x in im_axis]))
-    # every row is computed before any is written, so a refused point prints nothing
-    values: list = []
+    # every row is computed before any is written, so a refused point prints nothing;
+    # extend keeps the indices yielded before it, which locate the refused point
+    rows: list[tuple[float, str]] = []
+    index: list[int] = []
     try:
-        for (re, im), (disc, tag) in zip(grid, sweep_h2(a, d, re_axis, im_axis)):
-            # |E_+ - E_-| = sqrt(|disc|) whether the pair is real or conjugate
-            values += re, im, disc, tag, math.sqrt(abs(disc))
+        index.extend(_sweep_indices(a, d, re_axis, im_axis, rows))
     except OverflowError as exc:
-        re, im = grid[len(values) // 5]
-        raise _UsageError(f"h2 classification overflows at b_re = {re}, b_im = {im}") from exc
-    # one pass for the whole table; '%.17g' % x is format(x, ".17g")
-    sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n"
-                     + "%s,%s,%.17g,%s,%.17g\n" * len(grid) % tuple(values))
+        i, j = divmod(len(index), len(im_axis))
+        raise _UsageError(f"h2 classification overflows at b_re = {re_axis[i]:.17g}, "
+                          f"b_im = {im_axis[j]:.17g}") from exc
+    # each distinct row's text in one pass; |E_+ - E_-| = sqrt(|disc|) whether the
+    # pair is real or conjugate.  Every value is finite, so '%.17g' % x is
+    # format(x, ".17g") and io.format_float(x)
+    suffixes = ("%.17g,%s,%.17g\n" * len(rows) % tuple(
+        [x for disc, tag in rows for x in (disc, tag, math.sqrt(abs(disc)))])
+    ).splitlines(keepends=True)
+    res = ["%.17g," % x for x in re_axis]
+    ims = ["%.17g," % x for x in im_axis]
+    # line k is res[k // len(ims)] + ims[k % len(ims)] + suffixes[index[k]], joined in one pass
+    sys.stdout.write("b_re,b_im,discriminant,class,min_gap\n" + "".join(chain.from_iterable(zip(
+        chain.from_iterable(repeat(re, len(ims)) for re in res), ims * len(res),
+        map(suffixes.__getitem__, index)))))
     return EXIT_OK
 
 

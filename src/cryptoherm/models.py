@@ -31,9 +31,10 @@ builds its matrix with the same broadcast expression, and the stacked
 SVD returns the bits of one SVD per matrix, so the scan reports what
 ``hermitian_sum`` and ``hermitian_rotation`` report, bit for bit.
 
-``discriminant_h2`` and ``classify_h2`` validate their arguments and
-call the two-level kernel of ``h2``, which ``sweep_h2`` calls once per
-grid point, so a point and its sweep row share every bit.
+``build_h2``, ``discriminant_h2`` and ``classify_h2`` prepare their
+point with ``h2``'s one validation step, and the last two call its
+two-level kernel, which ``sweep_h2`` calls once per distinct |b| of a
+grid, so a point and its sweep row share every bit.
 ``classify_h2`` fills its ``DomainClass`` without the frozen
 ``__init__``; the instance is the same.
 """
@@ -47,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularMatrix
-from .h2 import DomainTag, _complex_scalar, _h2_invariants, _h2_params, _h2_point, _real_scalar
+from .h2 import DomainTag, _complex_scalar, _h2_point, _h2_prepare, _real_scalar
 from .linalg import (
     _EPS,
     DEFAULT_TOL,
@@ -83,7 +84,7 @@ class DomainClass:
 
 def build_h2(a, d, b) -> ComplexMatrix:
     """Two-level model matrix [[a, b], [-conj(b), d]]."""
-    ar, dr, bc = _h2_params(a, d, b)
+    ar, dr, bc, _, _ = _h2_prepare(a, d, b)
     return np.array([[ar, bc], [-np.conj(bc), dr]], dtype=np.complex128)
 
 
@@ -93,8 +94,7 @@ def discriminant_h2(a, d, b) -> float:
     Raises OverflowError when the value leaves float64, whether Python
     raises it on the way or the difference a - d already overflowed.
     """
-    ar, dr, bc = _h2_params(a, d, b)
-    diff2, sum_ad = _h2_invariants(ar, dr)
+    _, _, bc, diff2, sum_ad = _h2_prepare(a, d, b)
     # a given band skips the default one, which can overflow where the discriminant does not
     return _h2_point(diff2, sum_ad, abs(bc), band=0.0)[0]
 
@@ -107,8 +107,7 @@ def classify_h2(a, d, b) -> DomainClass:
     discriminant does.  Raises OverflowError where ``discriminant_h2``
     does, or where that band overflows.
     """
-    ar, dr, bc = _h2_params(a, d, b)
-    diff2, sum_ad = _h2_invariants(ar, dr)
+    _, _, bc, diff2, sum_ad = _h2_prepare(a, d, b)
     disc, tag, band = _h2_point(diff2, sum_ad, abs(bc))
     # the frozen __init__ stores each field through object.__setattr__; filling
     # __dict__ in field order gives the keyword-built instance's vars, repr, == and hash

@@ -21,8 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cryptoherm.errors
+import cryptoherm.h2
 import cryptoherm.linalg
-from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2
+from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2, sweep_h2
 from cryptoherm.cli import _PARSER, _REFUSALS, _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
@@ -1068,24 +1069,49 @@ class TestSweep:
 
 
 def _axis_value():
-    """0, or a float whose magnitude runs from 1e-300 to 1e160, either sign."""
+    """0 of either sign, or a float whose magnitude runs from 1e-300 to 1e160, either sign."""
     magnitude = st.floats(min_value=-300.0, max_value=160.0).map(lambda e: 10.0**e)
     signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda t: t[0] * t[1])
-    return st.one_of(st.just(0.0), signed)
+    return st.one_of(st.sampled_from([0.0, -0.0]), signed)
+
+
+def _range(lo: float, hi: float, steps: int) -> tuple[str, np.ndarray]:
+    return f"{lo!r}:{hi!r}:{steps}", np.linspace(lo, hi, steps)
 
 
 _AXIS = st.one_of(
     _axis_value().map(lambda v: (repr(v), np.array([v]))),
-    st.tuples(_axis_value(), _axis_value(), st.integers(min_value=2, max_value=5)).map(
-        lambda t: (f"{t[0]!r}:{t[1]!r}:{t[2]}", np.linspace(t[0], t[1], t[2]))),
+    st.builds(_range, _axis_value(), _axis_value(), st.integers(min_value=2, max_value=5)),
+)
+#: -x:x:n, whose points come in pairs +-v, equal in |v| up to rounding (the ends
+#: exactly), and which starts at -0.0 when x is 0
+_SYMMETRIC = st.tuples(_axis_value(), st.integers(min_value=2, max_value=7)).map(
+    lambda t: _range(-t[0], t[0], t[1]))
+#: a b_re axis that starts at 0 and overflows 4|b|^2 from its second point, against a
+#: symmetric b_im axis: the rows of the first b_re repeat before the overflow
+_OVERFLOW_AFTER_REPEATS = st.tuples(
+    st.builds(_range, st.just(0.0), st.floats(min_value=1e156, max_value=1e300),
+              st.integers(min_value=2, max_value=4)),
+    st.builds(_range, st.just(-1.0), st.just(1.0), st.integers(min_value=2, max_value=7)))
+#: (b_re, b_im): independent axes, one axis given to both flags, two symmetric
+#: ranges, or an overflow after repeated rows
+_AXES = st.one_of(
+    st.tuples(_AXIS, _AXIS),
+    st.one_of(_AXIS, _SYMMETRIC).map(lambda axis: (axis, axis)),
+    st.tuples(_SYMMETRIC, _SYMMETRIC),
+    _OVERFLOW_AFTER_REPEATS,
 )
 _DIAGONAL = st.one_of(_axis_value(), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=_DIAGONAL, d=_DIAGONAL, re_axis=_AXIS, im_axis=_AXIS)
-def test_sweep_rows_match_classify_h2(a, d, re_axis, im_axis):
-    (re_expr, re_values), (im_expr, im_values) = re_axis, im_axis
+@given(a=_DIAGONAL, d=_DIAGONAL, axes=_AXES)
+@example(a=0.7, d=-0.3, axes=(_range(-1.0, 1.0, 5),) * 2)  # the README's sweep
+@example(a=1.0, d=0.0, axes=(_range(0.0, 1e200, 3), _range(-1.0, 1.0, 5)))
+def test_sweep_rows_match_classify_h2(a, d, axes):
+    # a sweep formats each distinct |b| once: every row, and the first refused
+    # point, must still be what classify_h2 gives point by point
+    (re_expr, re_values), (im_expr, im_values) = axes
     expected = ["b_re,b_im,discriminant,class,min_gap"]
     refused = None
     for re, im in itertools.product(re_values, im_values):
@@ -1107,6 +1133,28 @@ def test_sweep_rows_match_classify_h2(a, d, re_axis, im_axis):
         assert got == (1, "", refused)
     else:
         assert got == (0, "\n".join(expected) + "\n", "")
+
+
+@pytest.mark.parametrize("via", ["sweep_h2", "cli"])
+@pytest.mark.parametrize(
+    "a,d,re_expr,im_expr",
+    [(0.26416978289279486, -0.8007315433720227, "-1:1:16", "-1:1:16"),  # 47 distinct |b|
+     (0.7, -0.3, "-1:1:5", "-1:1:5"),  # 6 distinct |b|
+     (0.7, -0.3, "0.1:0.9:10", "0.05:0.95:10"),  # no |b| repeats
+     (1.0, 0.0, "-0.0", "0:0:3")],  # -0.0 and 0.0 are one |b|
+)
+def test_sweep_runs_the_kernel_once_per_distinct_modulus(a, d, re_expr, im_expr, via,
+                                                         monkeypatch, capsys):
+    re_axis, im_axis = _parse_axis(re_expr, "--b-re"), _parse_axis(im_expr, "--b-im")
+    moduli = []
+    count_calls(monkeypatch, cryptoherm.h2._h2_point, lambda args: moduli.append(args[2]))
+    if via == "sweep_h2":
+        assert len(list(sweep_h2(a, d, re_axis, im_axis))) == len(re_axis) * len(im_axis)
+    else:
+        assert main(["sweep", "--model", "h2", f"--a={a!r}", f"--d={d!r}",
+                     f"--b-re={re_expr}", f"--b-im={im_expr}"]) == 0
+    # each modulus once, in the order the grid first reaches it
+    assert moduli == list(dict.fromkeys(abs(complex(re, im)) for re in re_axis for im in im_axis))
 
 
 #: any float64, NaN and the infinities included, from a random 64-bit pattern

@@ -34,7 +34,7 @@ from cryptoherm import (
     swap2,
     sweep_h2,
 )
-from cryptoherm.h2 import _h2_params
+from cryptoherm.h2 import _h2_prepare
 from cryptoherm.linalg import DEFAULT_TOL, _hermitian
 from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
 from conftest import count_calls, sample_h2_params_any, sample_h3_params
@@ -112,7 +112,7 @@ def _as_numpy(a, d, b):
        d=st.floats(allow_nan=False, allow_infinity=False),
        b=st.complex_numbers(allow_nan=False, allow_infinity=False))
 def test_h2_fast_path_is_the_general_path_bit_for_bit(a, d, b):
-    assert all(x is y for x, y in zip(_h2_params(a, d, b), (a, d, b)))  # the fast path
+    assert all(x is y for x, y in zip(_h2_prepare(a, d, b), (a, d, b)))  # the fast path
     for f in (classify_h2, discriminant_h2):
         assert _h2_outcome(f, a, d, b) == _h2_outcome(f, *_as_numpy(a, d, b))
 

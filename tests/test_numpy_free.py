@@ -104,7 +104,10 @@ def _refused(option: str) -> bytes:
 #: digests were recorded before the sweep moved to models.sweep_h2: the README
 #: form (also as ``--d=-0.3``, which prints the same bytes), a 100x100 grid as in
 #: the cli_batch workload and a 16x16 grid as in paper_small, so a change to the
-#: h2 arithmetic that moves one byte fails here.
+#: h2 arithmetic that moves one byte fails here.  Those recorded before the sweep
+#: ran its kernel once per distinct |b|: the README's model on paper_small's 16x16
+#: grid, whose 256 points hold 47 distinct |b|, a 100x100 grid on disjoint axes,
+#: whose 10000 points hold 9855, and an overflow after the repeated rows of b_re = 0.
 #: argparse's wording differs between versions, so --help and the usage error
 #: pin only their first words; a lone "--" as a value is one exact line on every
 #: Python, refused before diagnose would load numpy or read its files.
@@ -122,6 +125,16 @@ CHILDREN = {
         AS_MAIN, ["sweep", "--model", "h2", "--a=0.26416978289279486", "--d=-0.8007315433720227",
                   "--b-re=-1:1:16", "--b-im=-1:1:16"],
         0, "caa94018d12df6791f6cd9368e5ead4229cdb13666f6eeadb18e4e149c16b178", b"", ENTRY_GC),
+    "sweep-16x16-readme-model": (
+        AS_MAIN, [*SWEEP[:5], "--d=-0.3", "--b-re=-1:1:16", "--b-im=-1:1:16"],
+        0, "6d56e9716732b52d4b439c30b0429608331b46fba8c22e3c5e14d525dceda47f", b"", ENTRY_GC),
+    "sweep-disjoint-100x100": (
+        AS_MAIN, [*SWEEP[:5], "--d=-0.3", "--b-re=0.1:0.9:100", "--b-im=0.05:0.95:100"],
+        0, "2447a288e53074a2f09bc09206d60583136642c193c02864f681b48bffbe7718", b"", ENTRY_GC),
+    "sweep-overflow-after-repeats": (
+        AS_MAIN, ["sweep", "--model", "h2", "--a=1", "--d=0", "--b-re=0:1e200:3", "--b-im=-1:1:5"],
+        1, b"", re.escape(b"error: h2 classification overflows at "
+                          b"b_re = 4.9999999999999998e+199, b_im = -1\n"), ENTRY_GC),
     "help": (AS_MAIN, ["--help"], 0, rb"usage: cryptoherm .*\n", b"", ENTRY_GC),
     "usage-error": (AS_MAIN, ["sweep", "--model", "h3"], 1, b"",
                     rb"error: argument --model: invalid choice: [^\n]*\n", ENTRY_GC),
