@@ -51,7 +51,6 @@ _EXPORTS = {
         "eig",
         "frobenius",
         "is_hermitian",
-        "is_positive_definite",
     ),
     "metric": (
         "MetricBundle",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "build_metric",
         "involutive_normalization",
         "quasiparity_coeffs",
-        "verify_factorizations",
     ),
     "models": (
         "DomainClass",
@@ -73,14 +71,12 @@ _EXPORTS = {
         "hermitian_rotation",
         "hermitian_sum",
         "parity2",
-        "swap2",
     ),
     "symmetry": (
         "Diagnosis",
         "SymmetryVerdict",
         "diagnose",
         "pseudo_hermiticity_residual",
-        "pt_commutant_check",
         "quasi_hermiticity_residual",
         "weak_triplet_check",
     ),

@@ -12,7 +12,7 @@ here once:
   it, and an absolute quantity to ``tol.rel`` times its own scale, so
   no verdict depends on the overall scale of the operator; positivity
   is judged against the eigensolver's own accuracy instead, by the one
-  rule in ``resolved_positive`` (see ``is_positive_definite`` for why),
+  rule in ``resolved_positive`` (see there for why),
 * eigenvalues are sorted ascending by real part, ties by imaginary
   part, and eigenvector columns are returned as LAPACK's ZGEEV
   normalizes them: unit Euclidean norm, largest-modulus component real
@@ -24,8 +24,8 @@ non-empty, finite, one ``np.isfinite`` pass), and ``io.load_matrix``
 refuses a file whose entries or Frobenius norm leave float64.  Inside
 the package, a step that receives arrays its caller already validated
 takes them as trusted and does not check them again: the private
-steps behind ``solve_biorthogonal``, ``verify_factorizations`` and the
-symmetry checks, which ``diagnose`` and ``build_bundle`` call directly;
+steps behind ``solve_biorthogonal`` and the symmetry checks, which
+``diagnose`` and ``build_bundle`` call directly;
 ``diagnose`` measures ||H||_F once and hands it down, and ``build_bundle``
 keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
 package derives itself (Theta, Q, C) are not re-validated as
@@ -149,28 +149,18 @@ def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:
     return frobenius(b) <= tol.rel * bnorm
 
 
-def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ``m`` is Hermitian and its smallest eigenvalue is resolved positive.
-
-    ``tol`` governs only the Hermiticity pre-check.  The smallest
-    eigenvalue must exceed ``n * eps * lambda_max``, the backward-error
-    limit of the Hermitian eigensolver: anything above it is a positive
-    eigenvalue, however ill-conditioned the matrix (a metric close to
-    an exceptional point has lambda_min ~ disc * ||m||).  Non-Hermitian
-    input reports False rather than raising; callers that need a hard
-    failure wrap this themselves.
-    """
-    a = as_complex_matrix(m)
-    # eigvalsh sees only one triangle, so symmetrize the tiny residual away
-    return _hermitian(a, tol) and resolved_positive(np.linalg.eigvalsh(0.5 * (a + a.conj().T)))
-
-
 #: float64 machine epsilon, read once
 _EPS = float(np.finfo(np.float64).eps)
 
 
 def resolved_positive(w: NDArray[np.float64]) -> bool:
-    """The positivity rule on ascending eigenvalues ``w``: w[0] > n * eps * w[-1]."""
+    """The positivity rule on ascending eigenvalues ``w``: w[0] > n * eps * w[-1].
+
+    ``n * eps * lambda_max`` is the backward-error limit of the Hermitian
+    eigensolver: anything above it is a positive eigenvalue, however
+    ill-conditioned the matrix (a metric Theta close to an exceptional
+    point has lambda_min ~ disc * ||Theta||).
+    """
     return bool(w[0] > w.size * _EPS * w[-1])
 
 

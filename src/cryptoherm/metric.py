@@ -22,12 +22,11 @@ symmetrizes it again.  The factorization identities Theta = P Q = C P
 = adjoint(Q) adjoint(P) = adjoint(P) adjoint(C) hold exactly when P
 intertwines H with its adjoint; every residual is normalized by
 ||Theta||_F through ``linalg._relative``, the one residual quotient.
-``verify_factorizations`` measures all four plus the
-hermiticity of Theta, for any Theta.  ``build_bundle`` measures only
-P Q and C P against its Theta: that Theta equals its adjoint bit for
-bit, so its hermiticity residual is 0 and each adjoint residual is its
-product's, and none of them is kept.  Each product's difference is
-taken in the product's own buffer, one product at a time.
+``build_bundle`` measures only P Q and C P against its Theta: that
+Theta equals its adjoint bit for bit, so its hermiticity residual is 0
+and each adjoint residual is its product's, and none of them is kept.
+Each product's difference is taken in the product's own buffer, one
+product at a time.
 
 Two gates decide whether a bundle stands, and both live here.  The
 float64 gate: ``build_bundle`` runs its sums without numpy's overflow
@@ -59,13 +58,7 @@ from .errors import (
     VanishingOverlap,
     ZeroKappa,
 )
-from .linalg import (
-    ComplexMatrix,
-    _relative,
-    _same_shape,
-    as_complex_matrix,
-    frobenius,
-)
+from .linalg import ComplexMatrix, _relative, frobenius
 from .models import PseudoMetric
 
 #: overlaps smaller than this times ||P||_F * ||v||^2 are refused
@@ -80,9 +73,6 @@ FACTORIZATION_TOL = 1e-9
 #: involution residuals above this fail the involutive-mode verdict
 INVOLUTIVITY_TOL = 1e-10
 
-#: fixed key order of verify_factorizations' map; a bundle's map holds "pq" and "cp" only
-RESIDUAL_KEYS = ("theta_hermitian", "pq", "cp", "qdag_pdag", "pdag_cdag")
-
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class MetricBundle:
@@ -92,9 +82,8 @@ class MetricBundle:
     holds the quasiparity coefficients q_n; the charge coefficients
     c_n = conj(q_n) are not stored.
     ``residuals`` holds "pq" and "cp", the two identities that theta
-    leaves to measure (``verify_factorizations`` measures all five keys
-    of RESIDUAL_KEYS for any Theta; for this theta the other three are
-    0, "pq" and "cp").
+    leaves to measure (its hermiticity residual is 0, and the adjoint
+    residuals are "pq" and "cp").
     ``theta_norm`` is ||theta||_F, finite and nonzero (the float64 gate
     of ``build_bundle`` reads it), measured once for the residuals and
     read again by the quasi-Hermiticity check.  ``right`` is the system's
@@ -220,36 +209,6 @@ def build_metric(system: BiorthogonalSystem) -> ComplexMatrix:
     m += m.conj().T
     m *= 0.5
     return m
-
-
-def verify_factorizations(theta, p, q, c) -> dict[str, float]:
-    """Residuals of the four factorizations plus hermiticity of theta.
-
-    Keys are fixed ("theta_hermitian", "pq", "cp", "qdag_pdag",
-    "pdag_cdag"); every value is normalized by ||theta||_F.  Theta may
-    be any matrix: the adjoint identities are read as
-    ||B^dag A^dag - theta||_F = ||A B - adjoint(theta)||_F.  A theta
-    whose ||theta||_F is zero or overflows float64 raises ValueError, as
-    it leaves every residual undefined.
-    """
-    th = as_complex_matrix(theta, "theta")
-    pm = PseudoMetric.from_matrix(p).matrix
-    qm = as_complex_matrix(q, "quasiparity")
-    cm = as_complex_matrix(c, "charge")
-    for other in (pm, qm, cm):
-        _same_shape(th, other)
-    with np.errstate(over="ignore"):  # a norm that overflows is refused below, not warned about
-        scale = frobenius(th)
-    if scale == 0.0:
-        raise ValueError("theta is zero; factorization residuals are undefined")
-    if scale == math.inf:  # every residual would read 0 or NaN against it
-        raise ValueError("theta's Frobenius norm overflows float64; "
-                         "factorization residuals are undefined")
-    # each product against theta and against its adjoint
-    pq, cp, th_dag = pm @ qm, cm @ pm, th.conj().T
-    return dict(zip(RESIDUAL_KEYS, (
-        _relative(th - th_dag, scale), _relative(pq - th, scale), _relative(cp - th, scale),
-        _relative(pq - th_dag, scale), _relative(cp - th_dag, scale))))
 
 
 def involutive_normalization(

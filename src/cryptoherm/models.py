@@ -122,11 +122,6 @@ def parity2() -> ComplexMatrix:
     return np.diag([1.0 + 0j, -1.0 + 0j])
 
 
-def swap2() -> ComplexMatrix:
-    """[[0, 1], [1, 0]], the off-diagonal two-level candidate."""
-    return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
 def cyclic_p(n: int) -> ComplexMatrix:
     """Cyclic shift candidate: ones at (0, n-1) and (i, i-1) for i >= 1.
 

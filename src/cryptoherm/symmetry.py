@@ -1,6 +1,6 @@
 """Residual diagnostics for the intertwining symmetry classes.
 
-Three predicates, each returning a SymmetryVerdict whose residual is
+Two predicates, each returning a SymmetryVerdict whose residual is
 normalized by the operator norms involved, so every verdict is
 invariant under H -> s H for real s > 0:
 
@@ -8,7 +8,6 @@ invariant under H -> s H for real s > 0:
                       (multiplicative form, no inversion)
 * quasi_hermitian:    Theta H = adjoint(H) Theta for Hermitian positive
                       definite Theta (multiplicative form, no inversion)
-* pt_commutant:       H S = S H
 
 A non-self-adjoint P's weak triplet adds no equation of its own: the
 adjoint equation is the P equation's adjoint, and the commutant of
@@ -136,8 +135,8 @@ def weak_triplet_check(h, p, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
 def quasi_hermiticity_residual(h, theta, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
     """Check Theta H = adjoint(H) Theta for a metric candidate Theta.
 
-    Theta must be Hermitian positive definite
-    (``linalg.is_positive_definite``); the residual is the multiplicative
+    Theta must be Hermitian positive definite (``linalg.resolved_positive``
+    reads its eigenvalues); the residual is the multiplicative
     form ||Theta H - adjoint(H) Theta||_F divided by ||Theta||_F ||H||_F,
     which avoids amplification by cond(Theta).  A candidate that passes
     the Hermiticity test is measured by its Hermitian part.
@@ -161,16 +160,6 @@ def _quasi_hermitian(hm, hnorm: float, th, thnorm: float, tol: Tolerance) -> Sym
     t = th @ hm
     t -= t.conj().T  # the conjugate is a copy, so the fresh product takes the difference
     return _verdict("quasi_hermitian", _relative(t, thnorm * hnorm), tol)
-
-
-def pt_commutant_check(h, s, tol: Tolerance = DEFAULT_TOL) -> SymmetryVerdict:
-    """Check H S = S H, residual relative to ||H||_F ||S||_F."""
-    hm = as_complex_matrix(h, "hamiltonian")
-    sm = as_complex_matrix(s, "symmetry")
-    _same_shape(hm, sm)
-    comm = hm @ sm  # a fresh product: [H, S] is taken in its buffer
-    comm -= sm @ hm
-    return _verdict("pt_commutant", _relative(comm, frobenius(hm) * frobenius(sm)), tol)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity

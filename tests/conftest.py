@@ -8,7 +8,28 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cryptoherm import build_h2, build_h3, solve_biorthogonal
+from cryptoherm import build_h2, build_h3, frobenius, solve_biorthogonal
+from cryptoherm.linalg import _relative
+
+#: [[0, 1], [1, 0]], the off-diagonal two-level candidate: <v_0|P|v_0> is exactly
+#: zero for build_h2(1, 0, 0.4j), so its overlap vanishes
+SWAP2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def factorization_residuals(theta, p, q, c) -> dict[str, float]:
+    """The factorization oracle: P Q, C P and both adjoint forms against Theta, over ||Theta||_F.
+
+    Theta = P Q = C P = adjoint(Q) adjoint(P) = adjoint(P) adjoint(C) holds
+    exactly when P intertwines H with its adjoint.  Theta may be any
+    matrix: the adjoint identities are read as
+    ||B^dag A^dag - Theta||_F = ||A B - adjoint(Theta)||_F.  Each goes
+    through the package's one residual quotient, so "pq" and "cp" are
+    measured as ``build_bundle`` measures them.
+    """
+    scale, th_dag = frobenius(theta), theta.conj().T
+    pq, cp = p @ q, c @ p
+    return {"pq": _relative(pq - theta, scale), "cp": _relative(cp - theta, scale),
+            "qdag_pdag": _relative(pq - th_dag, scale), "pdag_cdag": _relative(cp - th_dag, scale)}
 
 
 def sample_h2_params(rng, margin: float = 1e-3):

@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 import cryptoherm.errors
 import cryptoherm.h2
 import cryptoherm.linalg
-from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, swap2, sweep_h2
+from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, sweep_h2
 from cryptoherm.cli import _PARSER, _REFUSALS, _parse_axis, _UsageError, _verdict_rows, main
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
-from conftest import count_calls, sample_similar
+from conftest import SWAP2, count_calls, sample_similar
 
 
 @pytest.fixture
@@ -769,8 +769,8 @@ def test_no_refusal_row_is_shadowed():
 
 
 def test_metric_vanishing_overlap_exits_two_and_writes_nothing(files, capsys, tmp_path):
-    # <v_0|swap2|v_0> is exactly zero for build_h2(1, 0, 0.4j)
-    save_matrix(tmp_path / "swap2.json", swap2())
+    # <v_0|SWAP2|v_0> is exactly zero for build_h2(1, 0, 0.4j)
+    save_matrix(tmp_path / "swap2.json", SWAP2)
     out_dir = tmp_path / "m"
     code, out, err = run(capsys, "metric", files["h2.json"], str(tmp_path / "swap2.json"),
                          "--out-dir", str(out_dir))

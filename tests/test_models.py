@@ -31,13 +31,12 @@ from cryptoherm import (
     is_hermitian,
     parity2,
     solve_biorthogonal,
-    swap2,
     sweep_h2,
 )
 from cryptoherm.h2 import _h2_prepare
 from cryptoherm.linalg import DEFAULT_TOL, _hermitian
 from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
-from conftest import count_calls, sample_h2_params_any, sample_h3_params
+from conftest import SWAP2, count_calls, sample_h2_params_any, sample_h3_params
 
 
 def test_build_h2_layout():
@@ -162,9 +161,8 @@ def test_from_matrix_returns_a_candidate_unchanged():
     assert PseudoMetric.from_matrix(pm) is pm
 
 
-def test_parity2_and_swap2_displays():
+def test_parity2_display():
     assert np.array_equal(parity2(), np.diag([1.0 + 0j, -1.0 + 0j]))
-    assert np.array_equal(swap2(), np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 class TestCyclicP:
@@ -390,7 +388,7 @@ class TestPseudoMetricFlags:
         assert str(info.value) == "smallest singular value 1.000e-320: the inverse leaves float64"
         # 1 / 1e-308 still fits, and the rotation family reads the same rule
         assert PseudoMetric.from_matrix(1e-308 * parity2()).invertible
-        assert not hermitian_rotation(1e-320 * swap2(), 1.0).invertible
+        assert not hermitian_rotation(1e-320 * SWAP2, 1.0).invertible
 
     @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
     def test_invertible_is_the_condition_cap(self, small, invertible):
@@ -563,7 +561,7 @@ def _assert_scan_is_the_loop(p, thetas):
                        max_size=12))
 @example(p=cyclic_p(4), thetas=_scan(64))
 @example(p=parity2(), thetas=[math.pi])  # -2 sin(pi) P: zero up to rounding
-@example(p=1e-320 * swap2(), thetas=[1.0])  # 1 / sv_min leaves float64
+@example(p=1e-320 * SWAP2, thetas=[1.0])  # 1 / sv_min leaves float64
 @example(p=np.diag([1.0 + 0j, 1e-13]), thetas=[0.0, 1.0])  # cond 1e13 > cap
 @example(p=np.zeros((3, 3), complex), thetas=_scan(4))
 # 1x1: one angle or two in a stack once took numpy's complex product down loops that

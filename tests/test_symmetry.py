@@ -22,15 +22,13 @@ from cryptoherm import (
     hermitian_partners,
     parity2,
     pseudo_hermiticity_residual,
-    pt_commutant_check,
     quasi_hermiticity_residual,
     solve_biorthogonal,
-    swap2,
     weak_triplet_check,
 )
 from cryptoherm import linalg, symmetry
 from cryptoherm.errors import DimensionMismatch
-from conftest import count_calls, sample_h2_params_any, sample_h3_params, sample_similar
+from conftest import SWAP2, count_calls, sample_h2_params_any, sample_h3_params, sample_similar
 
 
 class TestPseudoHermiticity:
@@ -188,35 +186,6 @@ class TestQuasiHermiticity:
         assert min(floors) > 1e-3
 
 
-class TestPtCommutant:
-    def test_identity_commutes_with_everything(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert pt_commutant_check(m, np.eye(4)).holds
-
-    def test_cyclic_model_commutes_with_shift(self, h3_system):
-        h, _ = h3_system
-        v = pt_commutant_check(h, cyclic_p(3))
-        assert v.holds and v.residual <= 1e-15
-
-    def test_two_level_fails_against_swap(self, h2_system):
-        h, _ = h2_system
-        assert not pt_commutant_check(h, swap2()).holds
-
-    def test_dimension_mismatch(self, h2_system):
-        h, _ = h2_system
-        with pytest.raises(DimensionMismatch):
-            pt_commutant_check(h, np.eye(3))
-
-    def test_each_operand_validated_once(self, h2_system, monkeypatch):
-        h, _ = h2_system
-        s = swap2()
-        expected = linalg.frobenius(h @ s - s @ h) / (linalg.frobenius(h) * linalg.frobenius(s))
-        coerced = []
-        count_calls(monkeypatch, linalg.as_complex_matrix, coerced.append)
-        assert pt_commutant_check(h, s).residual == expected
-        assert len(coerced) == 2
-
-
 def test_all_residuals_scale_invariant(h3_system):
     h, _ = h3_system
     p = cyclic_p(3)
@@ -233,9 +202,6 @@ def test_all_residuals_scale_invariant(h3_system):
         assert abs(
             quasi_hermiticity_residual(hs, theta).residual
             - quasi_hermiticity_residual(h, theta).residual
-        ) <= 1e-12
-        assert abs(
-            pt_commutant_check(hs, p).residual - pt_commutant_check(h, p).residual
         ) <= 1e-12
 
 
@@ -308,7 +274,7 @@ def _h2_at_discriminant(disc):
     [
         (build_h3(0.0, 0.3 + 0.4j), cyclic_p(3), None, True,
          ("pseudo_hermitian", "quasi_hermitian"), "non-real quasiparity at levels "),
-        (build_h2(1.0, 0.0, 0.3j), swap2(), None, False, ("pseudo_hermitian",),
+        (build_h2(1.0, 0.0, 0.3j), SWAP2, None, False, ("pseudo_hermitian",),
          "metric construction failed: <v_0|P|v_0> = "),
         (build_h2(1.0, 0.0, 0.7), parity2(), ComplexSpectrum, False, ("pseudo_hermitian",),
          "spectrum obstruction: ComplexSpectrum: "),
@@ -376,6 +342,50 @@ def test_diagnose_commutes_with_complex_conjugation(seed, n, u):
     assert conj_real == real
 
 
+#: under an exact unitary similarity, |Delta E| may reach C_SIMILAR_E kappa eps ||H||_F and
+#: ||U Theta U^dag - Theta'||_F / ||Theta||_F C_SIMILAR_THETA kappa^2 eps ||H||_F / gap, with
+#: kappa the largest ||left[:, n]|| and gap the smallest level spacing.  The largest ratios
+#: over seeds 0-1499 at N = 2 ... 64 (0-5 at N = 256), both kinds of P, under the SkylakeX,
+#: Haswell and Prescott kernels were 19.4 (E) and 5.2 (Theta) (CHANGES.md): each factor
+#: leaves a margin of about three
+C_SIMILAR_E = 64
+C_SIMILAR_THETA = 16
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 16, 64]))
+@example(seed=0, n=256)
+def test_diagnose_commutes_with_an_exact_unitary_similarity(seed, n):
+    # U = a permutation times a diagonal of quarter phases: U H U^dag and U P U^dag
+    # permute the entries and multiply each by a quarter phase, so they are exact,
+    # and U P U^dag intertwines U H U^dag.  The energies and the verdicts are the
+    # pair's own; the right columns go to U r_n and the left to U l_n, so Theta goes
+    # to U Theta U^dag, to rounding that grows with the eigenvector conditioning
+    rng = np.random.default_rng(seed)
+    h, s_inv = sample_similar(rng, n)
+    perm, phase = rng.permutation(n), np.array([1, 1j, -1, -1j])[rng.integers(0, 4, n)]
+    unitary = phase[:, None] * phase.conj()[None, :]
+
+    def similar(m):
+        return m[np.ix_(perm, perm)] * unitary
+
+    eps = np.finfo(np.float64).eps
+    for u in ([1.0], [1.0, -1.0]):  # a definite P, then an indefinite one
+        p = s_inv.conj().T * rng.choice(u, n) @ s_inv
+        found, moved = diagnose(h, p), diagnose(similar(h), similar(p))
+        assert [(v.name, v.holds) for v in moved.verdicts] == \
+            [(v.name, v.holds) for v in found.verdicts]
+        assert moved.holds is found.holds is True
+        assert type(moved.obstruction) is type(found.obstruction)
+        kappa = float(np.linalg.norm(found.system.left, axis=0).max())
+        e_unit = kappa * eps * np.linalg.norm(h)
+        theta_unit = kappa * e_unit / float(np.diff(found.system.energies).min())
+        assert np.abs(moved.eigenvalues - found.eigenvalues).max() <= C_SIMILAR_E * e_unit
+        theta = found.bundle.theta
+        assert np.linalg.norm(similar(theta) - moved.bundle.theta) / np.linalg.norm(theta) <= \
+            C_SIMILAR_THETA * theta_unit
+
+
 def test_small_complex_pair_is_not_real():
     # max |Im E| = 6.2e-14 is far above rel ||H||_F = 1.3e-23: a complex pair at any scale
     found = diagnose(1e-13 * build_h2(1.0, 0.0, 0.8j), parity2())
@@ -397,10 +407,9 @@ def test_every_verdict_is_held_to_tol_rel(tol):
     h, p = build_h3(0.0, 0.3 + 0.4j), cyclic_p(3)
     theta = build_metric(solve_biorthogonal(h))
     verdicts = [*diagnose(h, p, tol).verdicts, pseudo_hermiticity_residual(h, p, tol),
-                weak_triplet_check(h, p, tol), quasi_hermiticity_residual(h, theta, tol),
-                pt_commutant_check(h, p, tol)]
+                weak_triplet_check(h, p, tol), quasi_hermiticity_residual(h, theta, tol)]
     # under rel = 0 the reality test fails, and diagnose gives the P equation's row only
-    assert len(verdicts) == (5 if tol.rel == 0.0 else 6)
+    assert len(verdicts) == (4 if tol.rel == 0.0 else 5)
     assert [v.tolerance for v in verdicts] == [tol.rel] * len(verdicts)
     assert all(v.holds is (v.residual <= tol.rel) for v in verdicts)
 
