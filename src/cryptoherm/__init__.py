@@ -47,7 +47,6 @@ _EXPORTS = {
     "h2": ("sweep_h2",),
     "linalg": (
         "Tolerance",
-        "adjoint",
         "eig",
         "frobenius",
         "is_hermitian",
@@ -68,8 +67,6 @@ _EXPORTS = {
         "cyclic_p",
         "discriminant_h2",
         "hermitian_partners",
-        "hermitian_rotation",
-        "hermitian_sum",
         "parity2",
     ),
     "symmetry": (

@@ -31,9 +31,9 @@ class NotPositiveDefinite(CryptoHermError):
 
 
 class SingularMatrix(CryptoHermError):
-    """Inversion refused by ``models.invertibility_refusal``: the condition number
-    is above the trust cap, the candidate is ``negligible`` (a Hermitian partner
-    zero up to rounding, whatever its condition), or its inverse leaves float64."""
+    """Inversion refused by ``models.invertibility_refusal`` with floor 0, as
+    ``PseudoMetric.check_condition`` applies it: the condition number is above
+    the trust cap, or the candidate's inverse leaves float64."""
 
     condition = float("inf")
 

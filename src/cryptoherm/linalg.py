@@ -93,11 +93,6 @@ def frobenius(m: ComplexMatrix) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def adjoint(m) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return as_complex_matrix(m).conj().T
-
-
 def _same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")

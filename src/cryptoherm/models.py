@@ -13,23 +13,23 @@ together with the cyclic-shift candidates ``cyclic_p(n)`` and the two
 Hermitian combinations built from a candidate: the plain sum ``P + P*``
 and the one-parameter rotation ``i (P e^{i t} - P* e^{-i t})``.
 
-``PseudoMetric`` is a candidate P and its zero floor, and nothing else:
-it holds no tolerance, and its verdicts are computed on first read.
+``PseudoMetric`` is a candidate P and nothing else: it holds no
+tolerance, and its verdicts are computed on first read.
 ``invertibility_refusal`` is the one invertibility rule, read off a
 matrix's descending singular values: ``PseudoMetric`` applies it to its
-one SVD, and ``hermitian_partners`` to each Hermitian partner of a scan.
-A partner is zero up to rounding when its largest singular value is at
-most its zero floor, ``ZERO_FLOOR_EPS`` eps ||P||_F of the candidate P it
-was formed from; a candidate given directly has floor 0, since nothing
-was rounded in forming it.  The floor scales with P, so no verdict
-depends on the scale of P.
-The scan validates P once and takes the singular values of its rotations
+one SVD, and ``hermitian_partners``, the one code that forms a Hermitian
+partner, to each partner of a scan.  A partner is zero up to rounding
+when its largest singular value is at most its zero floor,
+``ZERO_FLOOR_EPS`` eps ||P||_F of the candidate P it was formed from; a
+candidate given directly has floor 0, since nothing was rounded in
+forming it.  The floor scales with P, so no verdict depends on the
+scale of P.
+The scan validates P once and takes the singular values of its partners
 from stacked ``np.linalg.svd(..., compute_uv=False)`` calls, each stack
 built and dropped before the next under PARTNER_STACK_ENTRIES, so a long
-scan of a large P holds one stack at a time.  ``hermitian_rotation``
-builds its matrix with the same broadcast expression, and the stacked
-SVD returns the bits of one SVD per matrix, so the scan reports what
-``hermitian_sum`` and ``hermitian_rotation`` report, bit for bit.
+scan of a large P holds one stack at a time.  The stacked SVD returns
+the bits of one SVD per matrix, and each rotation's entries have the
+same bits whichever angles share its stack.
 
 ``build_h2``, ``discriminant_h2`` and ``classify_h2`` prepare their
 point with ``h2``'s one validation step, and the last two call its
@@ -184,24 +184,16 @@ class PseudoMetric:
     ``self_adjoint`` is ``linalg.is_hermitian`` at the default tolerance;
     no library step reads it, so a diagnosis makes no Hermiticity test of
     P.  ``norm`` is ||P||_F, read by the P equation and the overlap floor.
-    One SVD gives ``smallest_singular_value``, ``condition`` (sv_max /
-    sv_min, bit for bit ``np.linalg.cond``) and ``negligible`` (sv_max is
-    at most ``floor``, so the matrix is zero up to rounding whatever its
-    condition).  ``floor`` is 0 for a candidate given directly, and
-    ZERO_FLOOR_EPS eps ||P||_F for a Hermitian partner of P that
-    ``hermitian_sum`` or ``hermitian_rotation`` formed.  A partner can
-    legitimately be singular, so ``invertible`` is a reported fact rather
-    than an invariant: it is ``invertibility_refusal`` of that SVD and
-    ``floor``, the one invertibility rule (``condition`` is finite and at
-    most CONDITION_CAP, the candidate is not ``negligible``, and 1 / sv_min
-    is finite).
+    One SVD gives ``condition`` (sv_max / sv_min, bit for bit
+    ``np.linalg.cond``) and the verdict of ``check_condition``: the one
+    invertibility rule, ``invertibility_refusal``, with floor 0, since a
+    candidate given directly was not rounded in forming it.
     Nothing inverts P: the symmetry checks measure the P equation in
     multiplicative form, which a singular P (P = 0, for one) satisfies
     trivially, so every P-side check calls ``check_condition`` first.
     """
 
     matrix: ComplexMatrix
-    floor: float = 0.0
 
     @cached_property
     def self_adjoint(self) -> bool:
@@ -215,35 +207,21 @@ class PseudoMetric:
 
     @cached_property
     def _singular_values(self):
-        # descending; the one SVD behind condition, negligible and smallest_singular_value
+        # descending; the one SVD behind condition and check_condition
         return np.linalg.svd(self.matrix, compute_uv=False)
-
-    @cached_property
-    def smallest_singular_value(self) -> float:
-        return float(self._singular_values[-1])
 
     @cached_property
     def condition(self) -> float:
         """sv_max / sv_min, inf for a singular matrix, as ``np.linalg.cond`` gives it."""
         return _condition(self._singular_values)
 
-    @cached_property
-    def negligible(self) -> bool:
-        """sv_max is at most ``floor``: the matrix is zero up to rounding."""
-        return bool(self._singular_values[0] <= self.floor)
-
-    @property
-    def invertible(self) -> bool:
-        """True when P passes the one invertibility rule, ``invertibility_refusal``."""
-        return invertibility_refusal(self._singular_values, self.floor) is None
-
     def check_condition(self) -> None:
-        """Raise SingularMatrix when the candidate is not ``invertible``.
+        """Raise SingularMatrix when the candidate fails ``invertibility_refusal``.
 
         The one invertibility test: every P-side symmetry check, ``diagnose``
         and the CLI's ``metric`` call it before they read the candidate.
         """
-        refusal = invertibility_refusal(self._singular_values, self.floor)
+        refusal = invertibility_refusal(self._singular_values)
         if refusal is not None:
             raise SingularMatrix(refusal, condition=self.condition)
 
@@ -272,49 +250,24 @@ def _zero_floor(a: ComplexMatrix) -> float:
     return ZERO_FLOOR_EPS * _EPS * largest * _relative(a.copy(), largest)
 
 
-def hermitian_sum(p) -> PseudoMetric:
-    """Self-adjoint combination P + adjoint(P), under the zero floor of P.
-
-    Always Hermitian; singular whenever the candidate has an eigenvalue
-    on the imaginary axis (the 4-cycle shift is the canonical example).
-    """
-    a = as_complex_matrix(p, "pseudometric")
-    # a sum that leaves float64 is refused as from_matrix refuses it, not warned about
-    # on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PseudoMetric(as_complex_matrix(a + a.conj().T, "pseudometric"), _zero_floor(a))
-
-
-def hermitian_rotation(p, theta) -> PseudoMetric:
-    """Self-adjoint family i*(P e^{i theta} - P* e^{-i theta}), under the zero floor of P.
-
-    For a self-adjoint candidate this degenerates to -2 sin(theta) P at
-    every angle; for the n-cycle shift the eigenvalues are
-    -2 sin(theta - 2 pi k / n), so the family is singular exactly when
-    theta hits a multiple of pi shifted by 2 pi k / n.
-    """
-    a = as_complex_matrix(p, "pseudometric")
-    # a rotation that leaves float64 is refused as from_matrix refuses it, not warned
-    # about on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PseudoMetric(as_complex_matrix(_rotations(a, [theta])[0], "pseudometric"),
-                            _zero_floor(a))
-
-
 def hermitian_partners(p, thetas) -> list[tuple[float, bool]]:
     """(smallest singular value, invertible) of P + P*, then of each rotation in ``thetas``.
 
-    The singularity scan of P's Hermitian partners: entry 0 is
-    ``hermitian_sum(p)``'s pair and entry k + 1 is
-    ``hermitian_rotation(p, thetas[k])``'s, bit for bit, with
-    ``invertible`` decided by ``invertibility_refusal`` under the zero
-    floor of P, taken once.  P is validated once, and every angle of the
-    sequence ``thetas`` must be a finite real.  The rotations' singular
-    values come in stacks of as many rotations as fit in
-    PARTNER_STACK_ENTRIES entries (at least one), each built and dropped
-    before the next; no ``PseudoMetric`` is built.  A
-    stack holding a partner that leaves float64 raises the ValueError
-    that ``hermitian_sum`` or ``hermitian_rotation`` raises for it.
+    The singularity scan of P's Hermitian partners, and the one code that
+    forms them: entry 0 is the sum P + P*, singular whenever P has an
+    eigenvalue on the imaginary axis (the 4-cycle shift is the canonical
+    example), and entry k + 1 the rotation
+    i (P e^{i t} - P* e^{-i t}) at t = ``thetas[k]``, which is
+    -2 sin(t) P for a self-adjoint P and, for the n-cycle shift, has the
+    eigenvalues -2 sin(t - 2 pi k / n).  ``invertible`` is decided by
+    ``invertibility_refusal`` under the zero floor of P, taken once.  P is
+    validated once, and every angle of the sequence ``thetas`` must be a
+    finite real.  The rotations' singular values come in stacks of as
+    many rotations as fit in PARTNER_STACK_ENTRIES entries (at least
+    one), each built and dropped before the next, with the bits one SVD
+    per partner gives.  A stack holding a partner that leaves float64
+    raises the ValueError ``PseudoMetric.from_matrix`` raises for a
+    non-finite matrix.
     """
     a = as_complex_matrix(p, "pseudometric")
     floor = _zero_floor(a)
@@ -345,7 +298,7 @@ def _rotations(a: ComplexMatrix, thetas):
 
 def _finite(stack):
     # a stack of Hermitian partners, refused in the words PseudoMetric.from_matrix
-    # refuses one partner that leaves float64
+    # refuses a matrix that leaves float64
     if not np.isfinite(stack).all():
         raise ValueError("pseudometric contains non-finite entries")
     return stack

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cryptoherm import build_h2, build_h3, frobenius, solve_biorthogonal
+from cryptoherm import (
+    PseudoMetric,
+    SingularMatrix,
+    build_h2,
+    build_h3,
+    frobenius,
+    solve_biorthogonal,
+)
 from cryptoherm.linalg import _relative
 
 #: [[0, 1], [1, 0]], the off-diagonal two-level candidate: <v_0|P|v_0> is exactly
@@ -30,6 +37,15 @@ def factorization_residuals(theta, p, q, c) -> dict[str, float]:
     pq, cp = p @ q, c @ p
     return {"pq": _relative(pq - theta, scale), "cp": _relative(cp - theta, scale),
             "qdag_pdag": _relative(pq - th_dag, scale), "pdag_cdag": _relative(cp - th_dag, scale)}
+
+
+def passes_check_condition(p) -> bool:
+    """Whether ``PseudoMetric.from_matrix(p).check_condition()`` accepts the candidate."""
+    try:
+        PseudoMetric.from_matrix(p).check_condition()
+    except SingularMatrix:
+        return False
+    return True
 
 
 def sample_h2_params(rng, margin: float = 1e-3):

@@ -19,8 +19,7 @@ from cryptoherm import (
     cyclic_p,
     diagnose,
     discriminant_h2,
-    hermitian_rotation,
-    hermitian_sum,
+    hermitian_partners,
     involutive_normalization,
     parity2,
     pseudo_hermiticity_residual,
@@ -202,14 +201,12 @@ def test_c09_involutive_equivalence(interior_family, cyclic_family):
 
 def test_c10_hermitian_partner_singularities():
     p4 = cyclic_p(4)
-    assert hermitian_sum(p4).smallest_singular_value <= 1e-12
     angles = 2.0 * np.pi * np.arange(64) / 64.0
-    singular = [
-        k for k, theta in enumerate(angles)
-        if not hermitian_rotation(p4, float(theta)).invertible
-    ]
+    (sum_sv, _), *rotated = hermitian_partners(p4, angles.tolist())
+    assert sum_sv <= 1e-12
+    singular = [k for k, (_, invertible) in enumerate(rotated) if not invertible]
     assert singular == [0, 16, 32, 48]  # theta in piZ/2 and nowhere else
-    assert hermitian_rotation(p4, np.pi / 4.0).smallest_singular_value >= 0.1
+    assert hermitian_partners(p4, [np.pi / 4.0])[1][0] >= 0.1
 
 
 def _naive_operators(system, p_matrix):

@@ -111,12 +111,9 @@ def _boundary_cases():
     system = cryptoherm.solve_biorthogonal(h)
     cases = {
         "eig": cryptoherm.eig,
-        "adjoint": cryptoherm.adjoint,
         "is_hermitian": cryptoherm.is_hermitian,
         "solve_biorthogonal": cryptoherm.solve_biorthogonal,
         "PseudoMetric.from_matrix": cryptoherm.PseudoMetric.from_matrix,
-        "hermitian_sum": cryptoherm.hermitian_sum,
-        "hermitian_rotation": lambda m: cryptoherm.hermitian_rotation(m, 0.3),
         "hermitian_partners": lambda m: cryptoherm.hermitian_partners(m, [0.3]),
         "build_bundle[p]": lambda m: cryptoherm.build_bundle(system, m),
     }

@@ -196,7 +196,7 @@ class TestInvertibilityRule:
         assert [v["holds"] for v in verdicts[0]] == [v["holds"] for v in verdicts[1]] == [True] * 2
 
     def test_inverse_beyond_float64_refused_everywhere(self, files, capsys, tmp_path):
-        # cond 1 and not negligible, but 1 / 1e-320 overflows
+        # cond 1 and above the floor 0, but 1 / 1e-320 overflows
         p = str(tmp_path / "p_subnormal.json")
         save_matrix(p, 1e-320 * parity2())
         refusal = ("error: pseudometric not invertible: smallest singular value 1.000e-320:"
@@ -906,6 +906,24 @@ class TestMetricCommand:
         assert block["q_squared_residual"] <= 1e-10
         assert block["c_squared_residual"] <= 1e-10
         assert block["holds"] is True
+
+    def test_tolerance_reaches_only_the_reality_test(self, files, capsys, tmp_path):
+        # metric prints no verdict, and X decides only whether the spectrum is real, which
+        # {0.2, 0.8} of h2(1, 0, 0.4i) is at every X here: the files, the exit code and
+        # the report apart from its tolerance block stay as they are
+        outcomes = []
+        for x in ("1e-10", "1e-3", "0.9"):
+            out_dir = tmp_path / x
+            code, out, err = run(capsys, "metric", files["h2.json"], files["p2.json"],
+                                 "--kappa", "involutive", "--tol-rel", x,
+                                 "--out-dir", str(out_dir))
+            report = json.loads(out)
+            assert report.pop("tolerance") == {"rel": float(x)}
+            written = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+            outcomes.append((code, err, list(report.items()), written))
+        assert outcomes[0][:2] == (0, "") and sorted(outcomes[0][3]) == ["c.json", "q.json",
+                                                                         "theta.json"]
+        assert outcomes[1:] == outcomes[:1] * 2
 
     def test_kappa_of_ones_matches_default_byte_for_byte(self, files, capsys, tmp_path):
         kfile = tmp_path / "ones.json"

@@ -10,7 +10,6 @@ from cryptoherm import (
     PseudoMetric,
     SingularMatrix,
     Tolerance,
-    adjoint,
     eig,
     frobenius,
     is_hermitian,
@@ -53,13 +52,6 @@ class TestCoercion:
             as_complex_matrix([[np.nan, 0], [0, 1]])
         with pytest.raises(ValueError):
             as_complex_matrix([[1, 1j * np.inf], [0, 1]])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-def test_adjoint_is_an_involution(n, seed):
-    m = _random_complex(np.random.default_rng(seed), n)
-    assert np.array_equal(adjoint(adjoint(m)), m)
 
 
 class TestHermitian:

@@ -16,7 +16,6 @@ from cryptoherm import (
     PseudoMetric,
     SingularMatrix,
     Tolerance,
-    adjoint,
     build_bundle,
     build_h2,
     build_h3,
@@ -25,8 +24,6 @@ from cryptoherm import (
     discriminant_h2,
     frobenius,
     hermitian_partners,
-    hermitian_rotation,
-    hermitian_sum,
     involutive_normalization,
     is_hermitian,
     parity2,
@@ -35,8 +32,20 @@ from cryptoherm import (
 )
 from cryptoherm.h2 import _h2_prepare
 from cryptoherm.linalg import DEFAULT_TOL, _hermitian
-from cryptoherm.models import CONDITION_CAP, PARTNER_STACK_ENTRIES
-from conftest import SWAP2, count_calls, sample_h2_params_any, sample_h3_params
+from cryptoherm.models import (
+    CONDITION_CAP,
+    PARTNER_STACK_ENTRIES,
+    _rotations,
+    _zero_floor,
+    invertibility_refusal,
+)
+from conftest import (
+    SWAP2,
+    count_calls,
+    passes_check_condition,
+    sample_h2_params_any,
+    sample_h3_params,
+)
 
 
 def test_build_h2_layout():
@@ -59,7 +68,7 @@ def test_h2_intertwining_constraint_sampled(rng):
     for _ in range(200):
         a, d, b = sample_h2_params_any(rng)
         h = build_h2(a, d, b)
-        residual = frobenius(p @ h @ p - adjoint(h))  # parity2 is its own inverse
+        residual = frobenius(p @ h @ p - h.conj().T)  # parity2 is its own inverse
         assert residual <= 1e-13 * frobenius(h)
 
 
@@ -179,7 +188,7 @@ class TestCyclicP:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_order_and_unitarity(self, n):
         p = cyclic_p(n)
-        assert np.array_equal(adjoint(p) @ p, np.eye(n))
+        assert np.array_equal(p.conj().T @ p, np.eye(n))
         assert np.array_equal(np.linalg.matrix_power(p, n), np.eye(n))
 
     @pytest.mark.parametrize("n", [0, 1, -3, 2.5])
@@ -198,11 +207,11 @@ def test_build_h3_layout():
 
 def test_h3_weak_intertwining_sampled(rng):
     p = cyclic_p(3)
-    pinv = adjoint(p)  # unitary shift
+    pinv = p.conj().T  # unitary shift
     for _ in range(100):
         a, b = sample_h3_params(rng)
         h = build_h3(a, b)
-        assert frobenius(p @ h @ pinv - adjoint(h)) <= 1e-13 * frobenius(h)
+        assert frobenius(p @ h @ pinv - h.conj().T) <= 1e-13 * frobenius(h)
 
 
 @st.composite
@@ -231,29 +240,28 @@ def _assert_eager_verdicts(m, tol):
     pm = PseudoMetric.from_matrix(m)
     sv = np.linalg.svd(m, compute_uv=False)
     cond = float(np.linalg.cond(m))
-    negligible = bool(sv[0] <= 0.0)  # a candidate given directly has floor 0
     assert pm.self_adjoint == is_hermitian(m)
     if tol.rel >= DEFAULT_TOL.rel:
         assert is_hermitian(m, tol) or not pm.self_adjoint
     if tol.rel <= DEFAULT_TOL.rel:
         assert pm.self_adjoint or not is_hermitian(m, tol)
     assert float.hex(pm.condition) == float.hex(cond)
-    assert float.hex(pm.smallest_singular_value) == float.hex(float(sv[-1]))
-    assert pm.negligible is negligible
-    assert pm.invertible is (math.isfinite(cond) and cond <= CONDITION_CAP and not negligible
-                             and math.isfinite(1.0 / float(sv[-1])))
-    assert type(pm.condition) is type(pm.smallest_singular_value) is float
+    # a candidate given directly has floor 0, which only the zero matrix reaches, and
+    # its condition is inf
+    assert passes_check_condition(pm) is (math.isfinite(cond) and cond <= CONDITION_CAP
+                                          and math.isfinite(1.0 / float(sv[-1])))
+    assert type(pm.condition) is float
 
 
 class TestPseudoMetricFlags:
     def test_parity2_flags(self):
         pm = PseudoMetric.from_matrix(parity2())
-        assert pm.self_adjoint and pm.invertible
-        assert pm.smallest_singular_value == pytest.approx(1.0)
+        pm.check_condition()
+        assert pm.self_adjoint and pm.condition == 1.0
 
     def test_cyclic_flags(self):
         pm = PseudoMetric.from_matrix(cyclic_p(3))
-        assert pm.invertible
+        pm.check_condition()
         assert not pm.self_adjoint
 
     @pytest.mark.parametrize(
@@ -303,13 +311,14 @@ class TestPseudoMetricFlags:
         pm = PseudoMetric.from_matrix(parity2() + np.array([[0.0, 1e-14j], [0.0, 0.0]]))
         assert pm.self_adjoint is pm.self_adjoint is True
         assert len(hermitian_tests) == 2
-        # the SVD-based verdicts share one SVD, in any reading order
-        names = ("condition", "invertible", "smallest_singular_value", "negligible")
-        for order in itertools.permutations(names):
+        # condition and check_condition share one SVD, in either reading order
+        reads = {"condition": lambda pm: pm.condition,
+                 "check_condition": lambda pm: pm.check_condition()}
+        for order in itertools.permutations(reads):
             svds.clear()
             pm = PseudoMetric.from_matrix(cyclic_p(3))
             for name in order + order:
-                getattr(pm, name)
+                reads[name](pm)
             assert len(svds) == 1, order
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -329,7 +338,7 @@ class TestPseudoMetricFlags:
         p = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j]])
         pm = PseudoMetric.from_matrix(p)
         pm.check_condition()
-        assert pm.invertible and pm.condition == np.linalg.cond(p)
+        assert pm.condition == np.linalg.cond(p)
 
     def test_check_condition_accepts_cyclic(self):
         # unitary: every singular value is 1
@@ -341,10 +350,11 @@ class TestPseudoMetricFlags:
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
         pm = PseudoMetric.from_matrix(m)
         pm.check_condition()
-        assert pm.invertible and pm.condition == pytest.approx(np.linalg.cond(m), rel=1e-14)
+        assert pm.condition == pytest.approx(np.linalg.cond(m), rel=1e-14)
 
     def test_inverse_refused_like_linalg(self):
-        partner = hermitian_sum(cyclic_p(4))
+        # P + P* of the 4-cycle shift, given directly
+        partner = PseudoMetric.from_matrix(cyclic_p(4) + cyclic_p(4).conj().T)
         cond = np.linalg.cond(partner.matrix)
         with pytest.raises(SingularMatrix) as info:
             partner.check_condition()
@@ -364,93 +374,96 @@ class TestPseudoMetricFlags:
     def test_negligible_matrix_is_not_invertible(self):
         # well conditioned, but zero up to rounding: -2 sin(pi) P for self-adjoint P,
         # whose largest singular value 2.4e-16 is under the floor 8 eps ||P||_F = 2.5e-15
-        pm = hermitian_rotation(parity2(), np.pi)
-        assert pm.condition == pytest.approx(1.0) and pm.negligible
-        assert pm.floor == 8 * np.finfo(float).eps * math.sqrt(2.0)
-        assert not pm.invertible
-        with pytest.raises(SingularMatrix, match="^largest singular value 2.449e-16 at or below"
-                                                 " the floor 2.512e-15: zero up to rounding$"):
-            pm.check_condition()
+        floor = _zero_floor(parity2())
+        assert floor == 8 * np.finfo(float).eps * math.sqrt(2.0)
+        sv = np.linalg.svd(_rotations(parity2(), [np.pi])[0], compute_uv=False)
+        assert sv[0] / sv[-1] == pytest.approx(1.0)
+        assert invertibility_refusal(sv, floor) == ("largest singular value 2.449e-16 at or"
+                                                    " below the floor 2.512e-15: zero up to"
+                                                    " rounding")
+        assert hermitian_partners(parity2(), [np.pi])[1] == (float(sv[-1]), False)
         # the floor scales with P, so the partner of 2^-40 P is zero at the same angle
-        assert hermitian_rotation(2.0 ** -40 * parity2(), np.pi).negligible
+        p = 2.0 ** -40 * parity2()
+        sv = np.linalg.svd(_rotations(p, [np.pi])[0], compute_uv=False)
+        assert invertibility_refusal(sv, _zero_floor(p)).endswith(": zero up to rounding")
+        assert hermitian_partners(p, [np.pi])[1][1] is False
         # a candidate given directly was not rounded in forming it: it has no floor,
         # however small it is
-        pm = PseudoMetric.from_matrix(1e-13 * parity2())
-        assert pm.floor == 0.0 and pm.invertible and not pm.negligible
+        PseudoMetric.from_matrix(1e-13 * parity2()).check_condition()
 
     def test_inverse_beyond_float64_is_not_invertible(self):
-        # cond 1 and not negligible; but 1 / 1e-320 overflows
+        # cond 1 and above the floor 0; but 1 / 1e-320 overflows
         pm = PseudoMetric.from_matrix(1e-320 * parity2())
-        assert pm.condition == 1.0 and not pm.negligible
-        assert not pm.invertible
+        assert pm.condition == 1.0
         with pytest.raises(SingularMatrix) as info:
             pm.check_condition()
         assert str(info.value) == "smallest singular value 1.000e-320: the inverse leaves float64"
-        # 1 / 1e-308 still fits, and the rotation family reads the same rule
-        assert PseudoMetric.from_matrix(1e-308 * parity2()).invertible
-        assert not hermitian_rotation(1e-320 * SWAP2, 1.0).invertible
+        # 1 / 1e-308 still fits, and the partner scan reads the same rule
+        PseudoMetric.from_matrix(1e-308 * parity2()).check_condition()
+        assert hermitian_partners(1e-320 * SWAP2, [1.0])[1][1] is False
 
     @pytest.mark.parametrize("small, invertible", [(-1e-11, True), (-1e-13, False)])
     def test_invertible_is_the_condition_cap(self, small, invertible):
         # cond 1e11 sits under CONDITION_CAP = 1e12, cond 1e13 above it
         p = np.diag([1.0 + 0j, small])
-        for pm in (PseudoMetric.from_matrix(p), hermitian_sum(p)):
-            assert pm.invertible is invertible
-            assert pm.invertible == (pm.condition <= CONDITION_CAP)
-            if invertible:
-                pm.check_condition()
-            else:
-                with pytest.raises(SingularMatrix):
-                    pm.check_condition()
+        pm = PseudoMetric.from_matrix(p)
+        assert (pm.condition <= CONDITION_CAP) is passes_check_condition(pm) is invertible
+        # P + P* = 2 P has the condition of P, and the scan reads the same cap
+        assert hermitian_partners(p, [])[0][1] is invertible
 
 
 class TestHermitianSum:
     def test_always_hermitian(self, rng):
+        # a singular value of a Hermitian matrix is the modulus of an eigenvalue: the
+        # scan's sum is P + P*, not P + P^T
         for _ in range(20):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert is_hermitian(hermitian_sum(m).matrix)
+            (sv, _), = hermitian_partners(m, [])
+            w = np.linalg.eigvalsh(m + m.conj().T)
+            assert sv == pytest.approx(np.abs(w).min(), rel=1e-12, abs=1e-13)
 
     def test_cyclic4_singular(self):
         # shift eigenvalues i^k; the sum has eigenvalues 2cos(pi k/2) = {2,0,0,-2}
-        pm = hermitian_sum(cyclic_p(4))
-        assert not pm.invertible
-        assert pm.smallest_singular_value <= 1e-12
-        w = np.sort(np.linalg.eigvalsh(pm.matrix))
+        p = cyclic_p(4)
+        (sv, invertible), = hermitian_partners(p, [])
+        assert not invertible
+        assert sv <= 1e-12
+        w = np.sort(np.linalg.eigvalsh(p + p.conj().T))
         assert w == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-12)
 
     def test_cyclic3_invertible(self):
-        pm = hermitian_sum(cyclic_p(3))
-        assert pm.invertible
-        assert pm.smallest_singular_value == pytest.approx(1.0, abs=1e-12)
+        (sv, invertible), = hermitian_partners(cyclic_p(3), [])
+        assert invertible
+        assert sv == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHermitianRotation:
     def test_always_hermitian(self, rng):
+        # each rotation equals its adjoint bit for bit, however many angles share the stack
         for _ in range(20):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            theta = rng.uniform(0, 2 * np.pi)
-            assert is_hermitian(hermitian_rotation(m, theta).matrix)
+            stack = _rotations(m, rng.uniform(0, 2 * np.pi, 3).tolist())
+            assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
 
     def test_cyclic4_quarter_turn_spectrum(self):
-        pm = hermitian_rotation(cyclic_p(4), np.pi / 4)
-        assert pm.invertible
-        w = np.sort(np.linalg.eigvalsh(pm.matrix))
+        assert hermitian_partners(cyclic_p(4), [np.pi / 4])[1][1] is True
+        w = np.sort(np.linalg.eigvalsh(_rotations(cyclic_p(4), [np.pi / 4])[0]))
         rt2 = np.sqrt(2.0)
         assert w == pytest.approx([-rt2, -rt2, rt2, rt2], abs=1e-12)
 
     def test_cyclic4_zero_angle_singular(self):
-        pm = hermitian_rotation(cyclic_p(4), 0.0)
-        assert not pm.invertible
-        assert pm.smallest_singular_value <= 1e-12
+        sv, invertible = hermitian_partners(cyclic_p(4), [0.0])[1]
+        assert not invertible
+        assert sv <= 1e-12
 
     def test_self_adjoint_candidate_reduces_to_minus_2p(self):
         p = parity2()
-        out = hermitian_rotation(p, np.pi / 2).matrix
+        out = _rotations(p, [np.pi / 2])[0]
         assert np.allclose(out, -2.0 * p, atol=1e-14)
 
     def test_theta_must_be_real(self):
-        with pytest.raises(ValueError):
-            hermitian_rotation(parity2(), 1j)
+        with pytest.raises(ValueError, match="theta must be real"):
+            hermitian_partners(parity2(), [1j])
         with pytest.raises(ValueError, match="theta must be real"):
             hermitian_partners(parity2(), [0.0, 1j])
 
@@ -507,45 +520,43 @@ def test_hermitian_partners_of_the_cyclic_shift_meet_their_closed_forms(n):
 
 @pytest.mark.parametrize("thetas", [[], [0.5, math.pi / 2]])
 def test_hermitian_partners_refuse_a_partner_that_leaves_float64(thetas):
-    # 1e308 I: P + P* and the rotation at pi/2 (-2 P) overflow, and hermitian_sum and
-    # hermitian_rotation refuse them; the scan refuses its stack in the same words
-    p = 1e308 * np.eye(2)
+    # 1e308 I: P + P* and the rotation at pi/2 (-2 P) overflow, and the scan refuses
+    # them in the words from_matrix refuses a matrix that leaves float64
     message = "^pseudometric contains non-finite entries$"
     with pytest.raises(ValueError, match=message):
-        hermitian_sum(p)
-    with pytest.raises(ValueError, match=message):
-        hermitian_rotation(p, math.pi / 2)
-    with pytest.raises(ValueError, match=message):
-        hermitian_partners(p, thetas)
+        hermitian_partners(1e308 * np.eye(2), thetas)
     # for this P, P + P* = 0 fits, and so does the rotation 2 i cos(t) P at t = pi/2,
     # but not at t = 0
     p = 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
-    with pytest.raises(ValueError, match=message):
-        hermitian_rotation(p, 0.0)
     assert hermitian_partners(p, [math.pi / 2])[0] == (0.0, False)
     with pytest.raises(ValueError, match=message):
         hermitian_partners(p, [math.pi / 2, 0.0])
 
 
 @pytest.mark.parametrize(
-    "partner",
-    [hermitian_sum, lambda p: hermitian_rotation(p, math.pi / 2)],
+    "p, thetas",
+    [(1e308 * np.eye(2), []),
+     # P + P* = 0 fits; the rotation at 0 does not
+     (1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], complex), [0.0])],
     ids=["sum", "rotation"],
 )
-def test_partner_beyond_float64_is_refused_without_a_warning(partner):
+def test_partner_beyond_float64_is_refused_without_a_warning(p, thetas):
     # the partner overflows while it is formed; that is the ValueError's to report, so
     # numpy's RuntimeWarning, which raises under -W error, is not emitted on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^pseudometric contains non-finite entries$"):
-            partner(1e308 * np.eye(2))
+            hermitian_partners(p, thetas)
 
 
 def _partners_one_at_a_time(p, thetas):
-    # the scan as it was built before the stacks: one partner at a time, each a
-    # PseudoMetric that hermitian_sum or hermitian_rotation forms, with its own SVD
-    partners = [hermitian_sum(p)] + [hermitian_rotation(p, theta) for theta in thetas]
-    return [(float.hex(pm.smallest_singular_value), pm.invertible) for pm in partners]
+    # the scan's reference: each Hermitian partner formed on its own, P + P* or the
+    # rotation at one angle, with one SVD each, under the zero floor of P
+    a = np.asarray(p, dtype=np.complex128)
+    floor = _zero_floor(a)
+    partners = [a + a.conj().T] + [_rotations(a, [theta])[0] for theta in thetas]
+    return [(float.hex(float(sv[-1])), invertibility_refusal(sv, floor) is None)
+            for sv in (np.linalg.svd(m, compute_uv=False) for m in partners)]
 
 
 def _assert_scan_is_the_loop(p, thetas):

@@ -28,7 +28,14 @@ from cryptoherm import (
 )
 from cryptoherm import linalg, symmetry
 from cryptoherm.errors import DimensionMismatch
-from conftest import SWAP2, count_calls, sample_h2_params_any, sample_h3_params, sample_similar
+from conftest import (
+    SWAP2,
+    count_calls,
+    passes_check_condition,
+    sample_h2_params_any,
+    sample_h3_params,
+    sample_similar,
+)
 
 
 class TestPseudoHermiticity:
@@ -437,7 +444,7 @@ def _sampled_pairs(draw):
 def _scale_free_outcome(h, p):
     found = diagnose(h, p)
     return (found.all_real, type(found.obstruction), [(v.name, v.holds) for v in found.verdicts],
-            PseudoMetric.from_matrix(p).invertible,
+            passes_check_condition(p),
             [invertible for _, invertible in hermitian_partners(p, _SCAN)])
 
 
