@@ -49,7 +49,6 @@ _EXPORTS = {
         "Tolerance",
         "eig",
         "frobenius",
-        "is_hermitian",
     ),
     "metric": (
         "MetricBundle",

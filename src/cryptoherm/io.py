@@ -238,7 +238,7 @@ _DECODER = json.JSONDecoder(parse_int=_parse_int)
 def _read_json(path, where: str):
     """Parsed JSON content of ``path``; unreadable or invalid files raise MatrixFileError."""
     try:
-        with open(os.fspath(path), "rb") as f:
+        with open(os.fspath(path), "rb", buffering=0) as f:  # one readall, no BufferedReader
             text = f.read().decode("utf-8")
         if "\r" in text:  # text mode's universal newlines, so error positions match
             text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -98,11 +98,6 @@ def _same_shape(a: ComplexMatrix, b: ComplexMatrix) -> None:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ``m`` equals its adjoint up to tolerance."""
-    return _hermitian(as_complex_matrix(m), tol)
-
-
 def _unit_factor(scale: float) -> float:
     """2**-e for a positive ``scale`` = m 2**e with 0.5 <= m < 1, capped at 2**1023.
 
@@ -134,10 +129,10 @@ def _relative(residual, scale: float) -> float:
 
 
 def _hermitian(a: ComplexMatrix, tol: Tolerance) -> bool:
-    # is_hermitian on a trusted array, ||A - A^dag||_F <= rel ||A||_F measured at
-    # unit scale: the factor comes from the largest real or imaginary part, so
-    # neither ||A||_F^2 nor ||A - A^dag||_F^2 overflows, and the verdict is the
-    # unscaled one in range; ||B||_F is taken first, then B - B^dag in B's own buffer
+    # the one Hermiticity test, on a trusted array: ||A - A^dag||_F <= rel ||A||_F
+    # measured at unit scale: the factor comes from the largest real or imaginary
+    # part, so neither ||A||_F^2 nor ||A - A^dag||_F^2 overflows, and the verdict is
+    # the unscaled one in range; ||B||_F is taken first, then B - B^dag in B's own buffer
     b = a * _unit_factor(np.abs(a.ravel(order="K").view(np.float64)).max())
     bnorm = frobenius(b)
     b -= b.conj().T

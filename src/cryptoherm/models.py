@@ -181,7 +181,7 @@ class PseudoMetric:
     stores it, and returns a ``PseudoMetric`` it is given unchanged.  Each
     verdict is computed the first time it is read and then kept, so a
     caller pays only for what it reads, and at most once per candidate.
-    ``self_adjoint`` is ``linalg.is_hermitian`` at the default tolerance;
+    ``self_adjoint`` is ``linalg._hermitian`` at the default tolerance;
     no library step reads it, so a diagnosis makes no Hermiticity test of
     P.  ``norm`` is ||P||_F, read by the P equation and the overlap floor.
     One SVD gives ``condition`` (sv_max / sv_min, bit for bit

@@ -169,6 +169,7 @@ def test_c07_kappa_dependence(interior_family, cyclic_family):
         assert np.max(np.abs(phased.theta - bundle.theta)) <= 1e-12
 
 
+@pytest.mark.kernel
 def test_c08_coefficient_conjugacy(interior_family, cyclic_family):
     # the charge coefficients are conj(q): adjoint(C) r_n = conj(q_n) r_n at every level.
     # The interior family's H is not Hermitian, so C differs from Q there and this
@@ -321,6 +322,7 @@ def _spread_intertwiner():
     return h.astype(complex), p.astype(complex)
 
 
+@pytest.mark.kernel
 def test_c13_ill_conditioned_intertwiner_holds(tmp_path, capsys):
     # the P equation's backward error does not grow with cond(P), so a correct
     # P holds however ill-conditioned it is below CONDITION_CAP

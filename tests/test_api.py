@@ -111,7 +111,6 @@ def _boundary_cases():
     system = cryptoherm.solve_biorthogonal(h)
     cases = {
         "eig": cryptoherm.eig,
-        "is_hermitian": cryptoherm.is_hermitian,
         "solve_biorthogonal": cryptoherm.solve_biorthogonal,
         "PseudoMetric.from_matrix": cryptoherm.PseudoMetric.from_matrix,
         "hermitian_partners": lambda m: cryptoherm.hermitian_partners(m, [0.3]),

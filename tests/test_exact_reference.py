@@ -95,6 +95,8 @@ from cryptoherm import (
 )
 from cryptoherm.errors import SpectrumObstruction
 
+pytestmark = pytest.mark.kernel
+
 _WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 #: |disc - exact| may reach this many eps times (a - d)^2 + 4|b|^2

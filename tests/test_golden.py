@@ -35,6 +35,8 @@ _spec = importlib.util.spec_from_file_location("golden", _TOOL)
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
+pytestmark = pytest.mark.kernel
+
 #: numbers off the exact path agree to this, relative to max(|expected|, stream scale)
 REL_TOL = 1e-6
 

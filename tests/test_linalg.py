@@ -12,10 +12,9 @@ from cryptoherm import (
     Tolerance,
     eig,
     frobenius,
-    is_hermitian,
 )
 from cryptoherm.errors import DimensionMismatch
-from cryptoherm.linalg import as_complex_matrix, resolved_positive
+from cryptoherm.linalg import DEFAULT_TOL, _hermitian, as_complex_matrix, resolved_positive
 from cryptoherm.models import CONDITION_CAP
 from conftest import assert_eigensolver_normalized, eigen_operands
 
@@ -57,29 +56,29 @@ class TestCoercion:
 class TestHermitian:
     def test_accepts_hermitian(self, rng):
         m = _random_complex(rng, 5)
-        assert is_hermitian(m + m.conj().T)
+        assert _hermitian(m + m.conj().T, DEFAULT_TOL)
 
     def test_rejects_non_hermitian(self):
-        assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert not _hermitian(np.array([[0, 1], [0, 0]], dtype=complex), DEFAULT_TOL)
 
     def test_scale_aware(self):
         # perturbation far below rel * norm still counts as Hermitian
         m = 1e8 * np.eye(3, dtype=complex)
         m[0, 1] = 1e-4
         m[1, 0] = 0.0
-        assert is_hermitian(m)
+        assert _hermitian(m, DEFAULT_TOL)
 
     def test_measured_without_overflow_near_the_float64_limit(self):
         # ||M||_F is finite but ||M - M^dag||_F^2 is not: measured at unit scale,
         # with no overflow warning
-        assert not is_hermitian(np.array([[0, 1e154], [0, 0]], dtype=complex))
+        assert not _hermitian(np.array([[0, 1e154], [0, 0]], dtype=complex), DEFAULT_TOL)
 
     def test_measured_without_overflow_where_the_norm_leaves_float64(self):
         # ||M||_F itself overflows: the unit scale comes from the largest entry,
         # so there is no overflow warning and the verdicts are the in-range ones
         near = 1e300 * np.array([[1, 1], [1 + 1e-12, 1]], dtype=complex)
-        assert is_hermitian(near)
-        assert not is_hermitian(1e300 * np.array([[1, 1], [1.5, 1]], dtype=complex))
+        assert _hermitian(near, DEFAULT_TOL)
+        assert not _hermitian(1e300 * np.array([[1, 1], [1.5, 1]], dtype=complex), DEFAULT_TOL)
 
 
 class TestPositiveDefinite:

@@ -17,13 +17,12 @@ from cryptoherm import (
     cyclic_p,
     frobenius,
     involutive_normalization,
-    is_hermitian,
     parity2,
     quasiparity_coeffs,
     renormalize,
     solve_biorthogonal,
 )
-from cryptoherm.linalg import resolved_positive
+from cryptoherm.linalg import DEFAULT_TOL, _hermitian, resolved_positive
 from cryptoherm.metric import INVOLUTIVITY_TOL
 from conftest import SWAP2, count_calls, factorization_residuals, sample_h2_params, sample_similar
 
@@ -123,7 +122,7 @@ class TestBuilders:
     def test_metric_is_hermitian_positive(self, h2_system, h3_system):
         for _, sys_ in (h2_system, h3_system):
             theta = build_metric(sys_)
-            assert is_hermitian(theta)
+            assert _hermitian(theta, DEFAULT_TOL)
             assert resolved_positive(np.linalg.eigvalsh(theta))
 
     def test_quasiparity_eigen_relation(self, h3_system):
@@ -237,6 +236,7 @@ def test_bundle_theta_is_hermitian_bit_for_bit(seed, n):
 C_DUAL = 16
 
 
+@pytest.mark.kernel
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 16, 64]))
 @example(seed=0, n=256)
@@ -255,6 +255,7 @@ def test_the_metric_of_the_adjoint_is_the_inverse_metric(seed, n):
     assert np.linalg.norm(product - np.eye(n)) / np.sqrt(n) <= C_DUAL * unit
 
 
+@pytest.mark.kernel
 class TestGates:
     _FLOAT64 = "metric operators leave float64: theta, Q, C or a residual is not finite"
 

@@ -25,7 +25,6 @@ from cryptoherm import (
     frobenius,
     hermitian_partners,
     involutive_normalization,
-    is_hermitian,
     parity2,
     solve_biorthogonal,
     sweep_h2,
@@ -240,11 +239,11 @@ def _assert_eager_verdicts(m, tol):
     pm = PseudoMetric.from_matrix(m)
     sv = np.linalg.svd(m, compute_uv=False)
     cond = float(np.linalg.cond(m))
-    assert pm.self_adjoint == is_hermitian(m)
+    assert pm.self_adjoint == _hermitian(m, DEFAULT_TOL)
     if tol.rel >= DEFAULT_TOL.rel:
-        assert is_hermitian(m, tol) or not pm.self_adjoint
+        assert _hermitian(m, tol) or not pm.self_adjoint
     if tol.rel <= DEFAULT_TOL.rel:
-        assert pm.self_adjoint or not is_hermitian(m, tol)
+        assert pm.self_adjoint or not _hermitian(m, tol)
     assert float.hex(pm.condition) == float.hex(cond)
     # a candidate given directly has floor 0, which only the zero matrix reaches, and
     # its condition is inf
@@ -566,6 +565,7 @@ def _assert_scan_is_the_loop(p, thetas):
     assert all(type(sv) is float and type(invertible) is bool for sv, invertible in scan)
 
 
+@pytest.mark.kernel
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(p=_candidates(),
        thetas=st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, math.pi, -math.pi / 2]),
@@ -582,6 +582,7 @@ def test_hermitian_partners_are_the_one_at_a_time_scan(p, thetas):
     _assert_scan_is_the_loop(p, thetas)
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_hermitian_partners_over_several_stacks_are_the_one_at_a_time_scan(n):
     assert 75 * n * n > PARTNER_STACK_ENTRIES  # the scan spans more than one stack

@@ -331,6 +331,7 @@ def _relation_parts(found):
     return arrays, real
 
 
+@pytest.mark.kernel
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 16, 64]),
        u=st.sampled_from([[1.0], [1.0, -1.0], [1.0, -1.0, 1j, -1j]]))
@@ -359,6 +360,7 @@ C_SIMILAR_E = 64
 C_SIMILAR_THETA = 16
 
 
+@pytest.mark.kernel
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 16, 64]))
 @example(seed=0, n=256)
@@ -448,6 +450,7 @@ def _scale_free_outcome(h, p):
             [invertible for _, invertible in hermitian_partners(p, _SCAN)])
 
 
+@pytest.mark.kernel
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pair=_sampled_pairs(), k=st.integers(-40, 40), side=st.sampled_from(["H", "P"]))
 @example(pair=(build_h2(1.0, 0.0, 0.8j), parity2()), k=-43, side="H")  # 1.1e-13 H: complex
