@@ -14,22 +14,21 @@ little-endian complex128 bytes (``matrix_digest``): '%.17g' is
 injective on finite float64, -0 included, so this identifies exactly
 the parsed inputs the rendered matrices did, without rendering them.
 
-The renderer returns the text of each value.  A list of numbers stays on
-one line.  Every other non-empty container (a dict, a list of
-[float, float] pairs, any other list) has one block layout: the opening
-bracket, one row per line one level in, and the closing bracket at the
-parent's indent.  The pair list ``complex_pairs`` returns is a list
-subclass the renderer recognises by its type, and takes one pass per
-matrix: one finiteness check and one ``%`` over the block of row
+The renderer returns the text of each value.  A scalar is printed
+through one table keyed by its exact type (``_EXACT``): float (through
+``format_float``, which refuses a non-finite one), str, bool, int and
+None.  Any other scalar, a subclass or a numpy scalar among them, is
+refused with a TypeError that names its type.  A list whose element
+types are all bool, int or float stays on one line.  Every other
+non-empty container (a dict, a list of [float, float] pairs, any other
+list) has one block layout: the opening bracket, one row per line one
+level in, and the closing bracket at the parent's indent.  The pair
+list ``complex_pairs`` returns is a list subclass the renderer
+recognises by its type; it is finite by construction, since
+``complex_pairs`` refuses a non-finite part with ``format_float``'s
+ValueError, and it is printed by one ``%`` over the block of row
 templates.  Any other list of pairs takes the generic path, which
-prints the same bytes.  Each other list's element types are collected
-once, and that one set decides whether it stays on one line.  An exact
-``float``, ``str`` or ``bool``, which a report is nearly all made of,
-is printed before any container test through one table keyed by its
-type (``_EXACT``), with ``_scalar``'s text and its refusal of a
-non-finite float.  Every other scalar goes through ``_scalar``'s one
-``isinstance`` chain, which tests floats, strs and bools first, bool
-before int.  Keys and strings go through
+prints the same bytes.  Keys and strings go through
 ``json.encoder.encode_basestring_ascii``, the C encoder ``json.dumps``
 itself calls for a ``str``.
 
@@ -42,10 +41,11 @@ become LF), so every parsed object and every error text, line, column
 and byte position included, is the one text mode gives.  One
 module-level decoder reads every file, and a file that opens with a
 UTF-8 byte-order mark is refused in ``json.loads``' own words.  Parsing
-also takes one pass per matrix.  A pair
-list read from a file is checked for shape and type, converted by one
-``np.array`` and checked for finiteness once; only a list that fails
-that is walked entry by entry, to name the first offending entry.
+also takes one pass per matrix.  A pair list read from a file is
+checked for shape and type, converted by one ``np.array`` and checked
+for finiteness once; a list that fails that is refused, and a walk
+over its entries names the first one that is not a pair of finite
+ints and floats within float64.
 """
 from __future__ import annotations
 
@@ -65,29 +65,24 @@ from .linalg import ComplexMatrix, as_complex_matrix, frobenius
 
 
 def format_float(x) -> str:
-    """17-significant-digit decimal form; the only way floats are printed."""
+    """17-significant-digit decimal form of a finite float; a non-finite one raises ValueError."""
     v = float(x)
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return format(v, ".17g")
 
 
-#: list elements that make a list render inline, on one line
-_NUMERIC = (bool, int, float, np.integer, np.floating)
+#: the text of each scalar type, keyed by exact type; a non-finite float raises
+#: format_float's ValueError
+_EXACT = {float: format_float, str: encode_basestring_ascii, bool: ("false", "true").__getitem__,
+          int: str, type(None): lambda _: "null"}
 
-#: the text of the scalar types a report is nearly all made of, keyed by exact type;
-#: each gives _scalar's text, and a non-finite float its ValueError
-_EXACT = {float: format_float, str: encode_basestring_ascii, bool: ("false", "true").__getitem__}
-
-
-def _check_finite(floats) -> None:
-    """Raise format_float's ValueError for the first non-finite float, if any."""
-    if not all(map(math.isfinite, floats)):
-        format_float(next(x for x in floats if not math.isfinite(x)))
+#: the element types of a list that renders inline, on one line
+_INLINE = {bool, int, float}
 
 
 class _Pairs(list):
-    """The [re, im] rows ``complex_pairs`` returns: two Python floats each, by construction."""
+    """The [re, im] rows ``complex_pairs`` returns: two finite Python floats each, by construction."""
 
     __slots__ = ()
 
@@ -111,31 +106,14 @@ def _render(value, indent: int) -> str:
         return _block("{", rows, "}", indent)
     if type(value) is _Pairs and value:
         # one pass for the whole list; '%.17g' % x is format(x, ".17g")
-        flat = tuple(chain.from_iterable(value))
-        _check_finite(flat)
-        return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % flat
+        return _block("[", ["[%.17g, %.17g]"] * len(value), "]", indent) % tuple(
+            chain.from_iterable(value))
     if not isinstance(value, (list, tuple)):
-        return _scalar(value)
-    types = set(map(type, value))
+        raise TypeError(f"cannot serialize {type(value).__name__}")
     # an empty list renders here too, as []
-    if all(issubclass(t, _NUMERIC) for t in types):
-        return "[" + ", ".join(map(_scalar, value)) + "]"
+    if set(map(type, value)) <= _INLINE:
+        return "[" + ", ".join([_EXACT[type(x)](x) for x in value]) + "]"
     return _block("[", [_render(sub, indent + 1) for sub in value], "]", indent)
-
-
-def _scalar(value) -> str:
-    """JSON text of one scalar; a report's floats, strs and bools first, bool before int."""
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_json(value) -> str:
@@ -159,34 +137,24 @@ def matrix_digest(m: ComplexMatrix) -> dict:
 
 
 def complex_pairs(values) -> list[list[float]]:
-    """Flatten a complex sequence into [re, im] pairs, a list the renderer knows."""
-    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-    return _Pairs(flat.view(np.float64).reshape(-1, 2).tolist())
+    """Flatten a complex sequence into [re, im] pairs, a list the renderer knows.
 
-
-def _pair_to_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
-    ):
-        raise MatrixFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    try:
-        re, im = float(entry[0]), float(entry[1])
-    except OverflowError:
-        raise MatrixFileError(f"{where}: entry out of float64 range {entry!r}") from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise MatrixFileError(f"{where}: non-finite entry {entry!r}")
-    return complex(re, im)
+    The first non-finite part, if any, raises ``format_float``'s ValueError.
+    """
+    parts = np.ascontiguousarray(values, dtype=np.complex128).ravel().view(np.float64)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        format_float(parts[~finite][0].item())  # a Python float, so its repr reads inf or nan
+    return _Pairs(parts.reshape(-1, 2).tolist())
 
 
 def _pairs_to_complex(entries: list, where: str) -> NDArray[np.complex128]:
     """Validate a list of [re, im] pairs; entry i is named ``f"{where}[{i}]"`` in errors.
 
     A list of 2-element lists of int/float (not bool) is converted in
-    one pass.  Anything else, and any value that overflows or is not
-    finite, goes through the per-entry check, which names the first
-    offending entry.
+    one pass.  Any other list, and one with a value that overflows or is
+    not finite, is refused: the walk below converts nothing, and names
+    the first entry the conversion refused.
     """
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
         flat = list(chain.from_iterable(entries))
@@ -198,8 +166,16 @@ def _pairs_to_complex(entries: list, where: str) -> NDArray[np.complex128]:
             else:
                 if np.isfinite(parts).all():
                     return parts.view(np.complex128)
-    values = [_pair_to_complex(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
-    return np.array(values, dtype=np.complex128)
+    for i, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != 2 or not set(map(type, entry)) <= {int, float}:
+            raise MatrixFileError(f"{where}[{i}]: expected an [re, im] pair, got {entry!r}")
+        try:
+            # both parts are tested, so an entry with an overflowing part is named as that
+            finite = all([math.isfinite(x) for x in entry])
+        except OverflowError:
+            raise MatrixFileError(f"{where}[{i}]: entry out of float64 range {entry!r}") from None
+        if not finite:
+            raise MatrixFileError(f"{where}[{i}]: non-finite entry {entry!r}")
 
 
 def matrix_to_payload(m) -> dict:

@@ -28,11 +28,13 @@ steps behind ``solve_biorthogonal`` and the symmetry checks, which
 ``diagnose`` and ``build_bundle`` call directly;
 ``diagnose`` measures ||H||_F once and hands it down, and ``build_bundle``
 keeps ||Theta||_F for the quasi-Hermiticity check.  Matrices the
-package derives itself (Theta, Q, C) are not re-validated as
-operands; the checks that catch one that overflows stay where they
-are: the solver's residual caps, P's invertibility rule, the float64
-gate of ``metric.build_bundle`` (which reads ||Theta||_F) and the
-renderer's finiteness checks.
+package derives itself (Theta, Q, C) are not re-validated between
+steps; the checks that catch one that overflows are the solver's
+residual caps, P's invertibility rule and the float64 gate of
+``metric.build_bundle`` (which reads ||Theta||_F).  Each is validated
+once more where it leaves the package: ``io.save_matrix`` passes it
+through ``as_complex_matrix``, and ``io.complex_pairs`` refuses a
+non-finite part of any array a report prints.
 Theta is exactly Hermitian where ``metric.build_metric`` makes it, so
 no step tests or symmetrizes it again.
 """

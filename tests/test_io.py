@@ -62,18 +62,18 @@ class TestCanonicalJson:
 @pytest.mark.parametrize("value", [
     0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3,
     "", "plain", 'q"uote\\back/slash', "\x00\x1f\x7f\t\n\r", "\u2028\xe9\u2603\U0001d11e\ud800",
-    True, False,
+    True, False, 0, -7, 2**64, None,
 ])
 def test_exact_type_table_prints_what_scalar_prints(value):
-    # the renderer's table for an exact float, str or bool, against _scalar's chain
-    assert io._EXACT[type(value)](value) == io._scalar(value) == canonical_json(value)
+    # the renderer's one table, against the test-side scalar reference _ref_scalar
+    assert io._EXACT[type(value)](value) == _ref_scalar(value) == canonical_json(value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_exact_type_table_refuses_what_scalar_refuses(value):
     got = _outcome(io._EXACT[float], value)
     assert got[0] is ValueError
-    assert got == _outcome(io._scalar, value) == _outcome(canonical_json, {"k": value})
+    assert got == _outcome(_ref_scalar, value) == _outcome(canonical_json, {"k": value})
 
 
 def _read_in_text_mode(path):
@@ -125,6 +125,18 @@ def test_complex_pairs_layout():
     assert complex_pairs(np.array([1 + 2j, -3j])) == [[1.0, 2.0], [-0.0, -3.0]]
 
 
+@pytest.mark.parametrize("values, text", [
+    ([math.inf], "inf"),
+    ([1.0, complex(0.0, -math.inf)], "-inf"),
+    (np.array([[1j, complex(math.nan, math.inf)]]), "nan"),
+])
+def test_complex_pairs_refuses_a_non_finite_part(values, text):
+    # the first non-finite part, in format_float's words with a Python float's repr
+    with pytest.raises(ValueError) as info:
+        complex_pairs(values)
+    assert str(info.value) == f"cannot serialize non-finite value {text}"
+
+
 class TestMatrixPayload:
     def test_round_trip_exact(self, tmp_path):
         m = build_h3(0.1, 0.3 + 0.4j)
@@ -145,14 +157,16 @@ class TestMatrixPayload:
             np.signbit(m.view(np.float64)).tolist() == [[True, False, False, True],
                                                         [True, True, False, False]]
 
-    def test_tuple_and_numpy_pairs_match_the_list_form(self):
-        # pairs that are tuples or hold an np.float64 take the per-entry path
-        floats = [[1.0, -0.0], [0.5, 2.0], [-0.0, 0.25], [3.0, 0.0]]
-        want = payload_to_matrix({"dim": 2, "data": floats}).tobytes()
-        tuples = [(1.0, -0.0), (0.5, 2.0), (-0.0, 0.25), (3, 0)]
-        numpy_entry = [[1.0, -0.0], [np.float64(0.5), 2.0], [-0.0, 0.25], [3, 0]]
-        for data in (tuples, numpy_entry):
-            assert payload_to_matrix({"dim": 2, "data": data}).tobytes() == want
+    def test_tuple_and_numpy_pairs_are_refused(self):
+        # no JSON file holds a tuple or a numpy scalar: each is refused by its index
+        for data, index in [
+            ([[1.0, -0.0], (0.5, 2.0), [-0.0, 0.25], (3, 0)], 1),
+            ([[1.0, -0.0], [0.5, 2.0], [-0.0, np.float64(0.25)], [3, 0]], 2),
+        ]:
+            with pytest.raises(MatrixFileError) as info:
+                payload_to_matrix({"dim": 2, "data": data})
+            assert str(info.value) == \
+                f"matrix file: data[{index}]: expected an [re, im] pair, got {data[index]!r}"
 
     def test_rejects_wrong_data_length(self):
         with pytest.raises(MatrixFileError):
@@ -273,7 +287,8 @@ class TestIntegerBeyondFloat64:
 
 # -- reference equivalence --------------------------------------------------
 # The per-element renderer and pair parser as they were before the one-pass
-# versions; canonical_json and the loaders must match them byte for byte.
+# versions, on the exact scalar types a report holds and the values a JSON
+# file holds; canonical_json and the loaders must match them byte for byte.
 
 
 def _ref_render(value, indent, pieces):
@@ -296,7 +311,7 @@ def _ref_render(value, indent, pieces):
         if not seq:
             pieces.append("[]")
             return
-        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) for x in seq):
+        if all(type(x) in (bool, int, float) for x in seq):
             pieces.append("[" + ", ".join(_ref_scalar(x) for x in seq) + "]")
             return
         pieces.append("[\n")
@@ -312,16 +327,15 @@ def _ref_render(value, indent, pieces):
 def _ref_scalar(value):
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
+    if type(value) is int:
+        return str(value)
+    if type(value) is float:
+        if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite value {value!r}")
-        return format(v, ".17g")
-    if isinstance(value, str):
+        return format(value, ".17g")
+    if type(value) is str:
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -333,13 +347,19 @@ def _ref_canonical_json(value):
 
 
 def _ref_pair_to_complex(entry, where):
+    # the parser's per-entry converter, the reference for its one-pass conversion
+    # and for the walk that names the first entry that conversion refused; it
+    # takes tuples and numpy floats too, which no JSON file holds
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
     ):
         raise MatrixFileError(f"{where}: expected an [re, im] pair, got {entry!r}")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:
+        raise MatrixFileError(f"{where}: entry out of float64 range {entry!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise MatrixFileError(f"{where}: non-finite entry {entry!r}")
     return complex(re, im)
@@ -369,7 +389,6 @@ pair_element = st.one_of(
     finite_floats,
     st.integers(-(2**70), 2**70),
     st.booleans(),
-    finite_floats.map(np.float64),
 )
 pair_lists = st.one_of(
     st.lists(st.lists(finite_floats, min_size=2, max_size=2), max_size=12),
@@ -389,21 +408,13 @@ class _Float(float):
     pass
 
 
-# bool before int in the renderer's chain: every subclass of int, float and
-# numpy's scalar types must render as the reference does
+# the exact scalar types a report holds; any other is refused, below
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     finite_floats,
-    finite_floats.map(np.float64),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.text(max_size=8),
-    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
-    st.integers(-128, 127).map(np.int8),
-    st.integers(0, 2**64 - 1).map(np.uint64),
-    st.sampled_from(_Level),
-    finite_floats.map(_Float),
 )
 reports = st.recursive(
     st.one_of(scalars, pair_lists),
@@ -448,6 +459,19 @@ def test_numpy_bool_is_refused_as_reference(value):
     got = _outcome(canonical_json, value)
     assert got[0] is TypeError
     assert got == _outcome(_ref_canonical_json, value)
+
+
+@pytest.mark.parametrize("value, name", [
+    (np.float64(0.5), "float64"), (np.int64(3), "int64"), (np.float32(1.5), "float32"),
+    (_Level.EXCITED, "_Level"), (_Float(0.5), "_Float"),
+], ids=["float64", "int64", "float32", "IntEnum", "float-subclass"])
+def test_canonical_json_refuses_an_inexact_scalar(value, name):
+    # a scalar whose type is not one of the table's exact types is refused by name,
+    # alone, in a list of numbers, in a dict and in a pair
+    for report in (value, [1, value], {"k": [0.5, value]}, [[0.5, value]]):
+        got = _outcome(canonical_json, report)
+        assert got == (TypeError, f"cannot serialize {name}")
+        assert got == _outcome(_ref_canonical_json, report)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,6 +532,67 @@ def test_parser_errors_match_reference(entries, data):
     want = _outcome(_ref_pairs, json.loads(json.dumps(entries)), "KAPPA: ")
     assert got[0] is MatrixFileError
     assert got == want
+
+
+#: JSON number tokens: finite ones, "-0" (read as -0.0), and the literals and
+#: integers that leave float64
+_JSON_FINITE = st.one_of(finite_floats.map(json.dumps), st.integers(-(2**70), 2**70).map(str),
+                         st.sampled_from(["-0", "0", "-0.0", str(2**1024 - 2**970 - 1)]))
+_JSON_NUMBER = st.one_of(_JSON_FINITE, st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(2**1024 - 2**970), str(-(10**400)),
+]))
+_JSON_VALUE = st.one_of(_JSON_NUMBER, _JSON_NUMBER,
+                        st.sampled_from(["true", "false", "null", '"1"', "[]", "[1, 0]", "{}"]))
+
+
+def _json_list(tokens):
+    return "[" + ", ".join(tokens) + "]"
+
+
+_JSON_ENTRY = st.one_of(
+    st.lists(_JSON_FINITE, min_size=2, max_size=2).map(_json_list),
+    st.lists(_JSON_NUMBER, min_size=2, max_size=2).map(_json_list),
+    st.lists(_JSON_VALUE, min_size=2, max_size=2).map(_json_list),
+    st.lists(_JSON_VALUE, max_size=3).map(_json_list),
+    _JSON_VALUE,
+)
+
+
+@st.composite
+def _pair_list_texts(draw):
+    """(k, the JSON text of k^2 entries): all finite pairs half the time, any entries else."""
+    k = draw(st.integers(1, 3))
+    entry = draw(st.sampled_from([st.lists(_JSON_FINITE, min_size=2, max_size=2).map(_json_list),
+                                  _JSON_ENTRY]))
+    return k, _json_list(draw(st.lists(entry, min_size=k * k, max_size=k * k)))
+
+
+def _bits(outcome):
+    """An _outcome with an array result as its dtype, shape and bytes, signed zeros included."""
+    kind, value = outcome
+    return (kind, value.dtype, value.shape, value.tobytes()) if kind == "ok" else outcome
+
+
+def _ref_kappa(entries):
+    values = _ref_pairs(entries, "KAPPA: ")
+    if np.any(values == 0):
+        raise MatrixFileError("KAPPA: kappa entries must be nonzero")
+    return values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_pair_list_texts())
+@example((2, "[[1, -0], [true, 0], [NaN, 0], [1e400, 0]]"))
+@example((1, f"[[Infinity, {10**400}]]"))
+@example((2, "[[0.5, -0], [-0, 2], [-0.0, 0.25], [3, 1]]"))
+def test_parser_matches_the_per_entry_reference_on_json_texts(case):
+    # each text converts to the reference's bits or is refused in the reference's
+    # words, naming the same entry; both read the text with the package's decoder
+    k, text = case
+    entries = io._DECODER.decode(text)
+    got = _outcome(payload_to_matrix, {"dim": k, "data": entries})
+    assert _bits(got) == _bits(_outcome(lambda: _ref_pairs(entries, "matrix file: data").reshape(k, k)))
+    assert _bits(_outcome(_load_kappa_text, text, k * k)) == _bits(_outcome(_ref_kappa, entries))
 
 
 # -- golden digests ---------------------------------------------------------
