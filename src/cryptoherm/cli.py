@@ -19,9 +19,11 @@ verdict failed, 3 spectrum obstruction (complex, degenerate or
 defective; diagnose still prints its report), 4 quasiparity
 coefficients not real (no involutive rescaling exists).
 Identical inputs and flags produce byte-identical stdout and files.
-The argument parser is built once per process, at import; ``main`` only
-parses and dispatches.  The commands load, call the library and render:
-what a diagnosis finds and whether it holds is decided in
+The argument parser is built once per process, at import, and each argv
+is parsed once: ``main`` hands everything after a command's name to that
+command's own parser, and the top-level ``_PARSER`` parses only help and
+the argvs that name no command.  The commands load, call the library and
+render: what a diagnosis finds and whether it holds is decided in
 ``symmetry.diagnose``; only the exit codes, the CLI's contract, live here,
 those of a refused run in one ordered table, ``_REFUSALS``.
 
@@ -116,6 +118,9 @@ _REFUSALS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    #: each command's parser by name; ``build_parser`` sets it on the top-level parser
+    commands: dict[str, _Parser]
+
     # argparse exits with status 2 on bad usage; the contract wants 1,
     # so usage failures are turned into exceptions handled in main()
     def error(self, message):
@@ -130,9 +135,11 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="cryptoherm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the subparsers action's own name -> parser table, the one it dispatches through
+    parser.commands = sub.choices
 
     d = sub.add_parser("diagnose", help="full symmetry/metric diagnostic of (H, P)")
     d.add_argument("hamiltonian", help="matrix file for H")
@@ -422,7 +429,8 @@ def _attach_option_values(argv: list[str]) -> list[str]:
     argparse takes a value that starts with "-" and is not a plain
     negative decimal such as -0.5 for a flag, so "-1e-3", "-1:1:5" or
     "-1.5,0" would otherwise be refused.  Every option of this parser
-    except --help takes exactly one value, so the token after a bare
+    except --help, which argparse also reads from any prefix such as
+    "--he", takes exactly one value, so the token after any other bare
     option is always its value.  A lone "--" given as a value is refused
     here, because argparse drops it on Python 3.10 to 3.12 (and would pass
     the command an empty list) but keeps it as the value on 3.13.
@@ -434,7 +442,8 @@ def _attach_option_values(argv: list[str]) -> list[str]:
             raise _UsageError(f"argument {option}: expected a value, got '--'")
         negative = token.startswith("-") and not token.startswith("--")
         prev = out[-1] if out else ""
-        bare_option = prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
+        # "--help".startswith(prev) holds for "--" and every abbreviation of --help
+        bare_option = prev.startswith("--") and not "--help".startswith(prev) and "=" not in prev
         if negative and bare_option:
             out[-1] = f"{prev}={token}"
         else:
@@ -444,6 +453,21 @@ def _attach_option_values(argv: list[str]) -> list[str]:
 
 #: parse_args returns a fresh namespace on every call, so one parser serves them all
 _PARSER = build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with each token parsed once.
+
+    When argv[0] names a command, the rest goes straight to that command's
+    parser, which is what the subparsers action would call, into a
+    namespace that already holds ``command``.  Only an argv that names no
+    command (empty, help, an unknown command or an option first) reaches
+    ``_PARSER``.
+    """
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 # cli never calls eig; the name stays reachable because bench/test_bench.py's
@@ -456,8 +480,7 @@ def __getattr__(name: str):
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(
-            _attach_option_values(sys.argv[1:] if argv is None else list(argv)))
+        args = _parse(_attach_option_values(sys.argv[1:] if argv is None else list(argv)))
         code = args.func(args)
         # a pipe buffers the output until here, so a closed one shows up inside main
         sys.stdout.flush()

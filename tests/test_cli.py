@@ -24,10 +24,20 @@ import cryptoherm.errors
 import cryptoherm.h2
 import cryptoherm.linalg
 from cryptoherm import build_h2, build_h3, classify_h2, cyclic_p, parity2, sweep_h2
-from cryptoherm.cli import _PARSER, _REFUSALS, _parse_axis, _UsageError, _verdict_rows, main
+from cryptoherm.cli import (
+    _PARSER,
+    _REFUSALS,
+    _attach_option_values,
+    _parse,
+    _parse_axis,
+    _UsageError,
+    _verdict_rows,
+    main,
+)
 from cryptoherm.io import canonical_json, format_float, load_matrix, save_matrix
 from cryptoherm.symmetry import SymmetryVerdict
 from conftest import SWAP2, count_calls, sample_similar
+from test_numpy_free import parse_outcome
 
 
 @pytest.fixture
@@ -630,10 +640,8 @@ def test_refused_argument_is_one_error_line(argv, files, capsys):
 
 def _every_option():
     """(command, option) for every option of every command but --help, read off the parser."""
-    commands = next(action.choices for action in _PARSER._actions
-                    if isinstance(action, argparse._SubParsersAction))
     return [pytest.param(command, action.option_strings[-1], id=command + action.option_strings[-1])
-            for command, parser in commands.items()
+            for command, parser in _PARSER.commands.items()
             for action in parser._actions if action.option_strings[-1:] not in ([], ["--help"])]
 
 
@@ -647,6 +655,118 @@ def test_lone_double_dash_value_is_one_error_line(command, option, files, capsys
     code, out, err = run(capsys, *argv, f"{option}=--")
     assert (code, out) == (1, "")
     assert err == f"error: argument {option}: expected a value, got '--'\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--he", "--h"])
+@pytest.mark.parametrize("command", list(_PARSER.commands))
+def test_help_before_a_negative_number_prints_help(command, flag, capsys):
+    # --help takes no value under any of its abbreviations, so the "-1" after
+    # it is not attached to it as one
+    assert _attach_option_values([command, flag, "-1"]) == [command, flag, "-1"]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, "-1"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (_PARSER.commands[command].format_help(), "")
+
+
+#: a well-formed argv of each command: its operands and its options with their values
+_WELL_FORMED = {
+    "diagnose": (["H", "P"], [("--out-dir", "d"), ("--tol-rel", "1e-8")]),
+    "metric": (["H", "P"], [("--kappa", "involutive"), ("--out-dir", "d"), ("--tol-rel", "-1")]),
+    "sweep": ([], [("--model", "h2"), ("--a", "1"), ("--d", "-0.3"), ("--b-re", "-1:1:5"),
+                   ("--b-im", "0")]),
+    "hermitize": (["P"], [("--theta", "scan:4")]),
+}
+
+
+def _parse_known_args_calls(monkeypatch) -> list[str]:
+    """Record, in order, whose ``parse_known_args`` runs: "top" or a command's name."""
+    calls: list[str] = []
+    for name, parser in [("top", _PARSER), *_PARSER.commands.items()]:
+        def recorded(*args, _name=name, _real=parser.parse_known_args):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setitem(vars(parser), "parse_known_args", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("command", list(_PARSER.commands))
+def test_a_command_line_is_parsed_once_by_its_command(command, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setitem(_PARSER.commands[command]._defaults, "func", seen.append)
+    calls = _parse_known_args_calls(monkeypatch)
+    operands, options = _WELL_FORMED[command]
+    argv = [command, *operands, *[token for pair in options for token in pair]]
+    main(argv)
+    assert calls == [command]
+    assert vars(seen[0]) == vars(_PARSER.parse_args(_attach_option_values(argv)))
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--model", "h2", "sweep"]],
+                         ids=["empty", "help", "unknown-command", "option-first"])
+def test_a_line_that_names_no_command_goes_to_the_top_level_parser(argv, capsys, monkeypatch):
+    calls = _parse_known_args_calls(monkeypatch)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert calls == ["top"]
+
+
+def _prefixes(option: str) -> list[str]:
+    """``option`` and every abbreviation of it that argparse would read."""
+    return [option[:k] for k in range(3, len(option) + 1)]
+
+
+_OPTIONS = sorted({option for parser in _PARSER.commands.values() for action in parser._actions
+                   for option in action.option_strings if option.startswith("--")})
+_VALUES = ["H", "P", "d", "h2", "h3", "1", "0.5", "abc", "involutive", "scan", "scan:4", "0:1:3",
+           "-1", "-0.5", "-1e-3", "-1:1:5", "-1.5,0", "--"]
+_TOKENS = st.sampled_from(sorted({
+    *_PARSER.commands, "nope", "-h", "-x", *_VALUES,
+    *[prefix for option in _OPTIONS for prefix in _prefixes(option)],
+    *[f"{option}={value}" for option in _OPTIONS for value in _VALUES]}))
+
+
+@st.composite
+def _well_formed_argv(draw) -> list[str]:
+    """A command's operands and its options in any order, each option whole or abbreviated,
+    with its value apart or after "=", and maybe one drawn token inserted anywhere."""
+    command = draw(st.sampled_from(list(_WELL_FORMED)))
+    operands, options = _WELL_FORMED[command]
+    tokens: list[str] = []
+    for option, value in draw(st.permutations(options)):
+        option = draw(st.sampled_from(_prefixes(option)))
+        tokens += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    at = draw(st.integers(0, len(tokens)))
+    tokens[at:at] = operands
+    at = draw(st.integers(0, len(tokens)))
+    tokens[at:at] = draw(st.lists(_TOKENS, max_size=1))
+    return [command, *tokens]
+
+
+_ARGVS = st.one_of(
+    st.lists(_TOKENS, max_size=8),
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(list(_PARSER.commands)), st.lists(_TOKENS, max_size=8)),
+    _well_formed_argv(),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_ARGVS)
+@example(["sweep", "--model", "h2", "--a", "1", "--d", "-0.3", "--b-re", "-1:1:5", "--b-im", "0"])
+@example(["diagnose", "H", "P", "--he", "-1"])
+@example(["hermitize", "--", "P"])
+@example(["metric", "H", "P", "--out-dir=--"])
+def test_drawn_argv_parses_as_the_top_level_parser(tokens):
+    # main hands an argv that names a command to that command's parser alone:
+    # the namespace, the usage error or the help it prints must be the top-level
+    # parser's, on the tokens as given and as main rewrites them
+    argvs = [tokens]
+    with contextlib.suppress(_UsageError):
+        argvs.append(_attach_option_values(tokens))
+    for argv in argvs:
+        assert parse_outcome(_parse, argv) == parse_outcome(_PARSER.parse_args, argv), argv
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -753,9 +873,7 @@ def test_each_refusal_has_its_exit_code_and_line(kind, files, capsys, monkeypatc
     def refuse(args):
         raise kind("boom")
 
-    commands = next(action.choices for action in _PARSER._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    monkeypatch.setitem(commands["diagnose"]._defaults, "func", refuse)
+    monkeypatch.setitem(_PARSER.commands["diagnose"]._defaults, "func", refuse)
     expected_code, expected_err = _EXPECTED_REFUSALS[kind.__name__]
     assert run(capsys, "diagnose", files["h2.json"], files["p2.json"]) == \
         (expected_code, "", expected_err)

@@ -5,16 +5,22 @@ numpy is not installed.  Each child is ``sys.executable`` with ``src``
 on ``PYTHONPATH``, started in an empty directory that must stay empty.
 A check asserts the child's exit code, its stdout and stderr bytes, the
 collector it leaves, and that none of ``PROBED`` entered its
-``sys.modules``.  The exception contract, which ``cli`` relies on along
-the same path, is checked in the running interpreter.
+``sys.modules``.  Two contracts that ``cli`` relies on along the same
+path are checked in the running interpreter: the exceptions', and that
+``cli._parse``, which hands an argv that names a command to that
+command's own parser, parses each argv of ``ARGVS`` as the top-level
+parser does, on this Python's argparse.
 
-This module imports only the standard library and ``cryptoherm.errors``,
-which imports nothing else, so pytest collects it and it also runs on
-any supported Python with no third-party package installed::
+This module imports only the standard library, ``cryptoherm.errors`` and
+``cryptoherm.cli``, neither of which loads numpy, so pytest collects it
+and it also runs on any supported Python with no third-party package
+installed::
 
     PYTHONPATH=src python tests/test_numpy_free.py
 """
+import contextlib
 import hashlib
+import io
 import math
 import os
 import pickle
@@ -24,6 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import cryptoherm.cli as cli
 import cryptoherm.errors as errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -182,8 +189,80 @@ def test_exception_keeps_its_context(name, case):
             assert (getattr(exc, key), getattr(back, key)) == (pair[column],) * 2, (name, key)
 
 
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What ``parse(argv)`` gives, as a value two parsers can be compared by.
+
+    ("args", the namespace's dict), ("usage", the usage error's text) or,
+    for help, ("exit", the SystemExit code, the bytes written to stdout).
+    """
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return ("args", vars(parse(list(argv))))
+    except cli._UsageError as exc:
+        return ("usage", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue().encode())
+
+
+#: argvs whose parse turns on argparse's version-dependent handling of "--",
+#: of abbreviations and of "=--", and the other ways an argv can start: each
+#: goes to both parsers as it is, without main's rewriting of option values
+ARGVS = {
+    "empty": [],
+    "help": ["--help"],
+    "help-short": ["-h"],
+    "help-abbreviated": ["--he"],
+    "unknown-command": ["nope"],
+    "unknown-command-help": ["nope", "--help"],
+    "option-first": ["--model", "h2", "sweep"],
+    "dashes-first": ["--", "sweep", "--model", "h2", "--a", "1", "--d", "0", "--b-re", "0",
+                     "--b-im", "0"],
+    "diagnose": ["diagnose", "H", "P", "--out-dir", "d", "--tol-rel", "1e-8"],
+    "metric": ["metric", "H", "P", "--kappa", "involutive", "--out-dir=d"],
+    "sweep": ["sweep", "--model", "h2", "--a", "1", "--d=-0.3", "--b-re", "-1:1:5",
+              "--b-im=0"],
+    "hermitize": ["hermitize", "P", "--theta", "scan:4"],
+    "diagnose-help": ["diagnose", "--help"],
+    "metric-help-abbreviated": ["metric", "H", "--he"],
+    "sweep-help-short": ["sweep", "-h"],
+    "hermitize-help-value": ["hermitize", "--help=1"],
+    "abbreviations": ["sweep", "--mod", "h2", "--a", "1", "--d", "0", "--b-r", "0", "--b-i", "0"],
+    "abbreviations-diagnose": ["diagnose", "H", "P", "--out", "d", "--tol", "1e-3"],
+    "abbreviation-ambiguous": ["sweep", "--model", "h2", "--a", "1", "--d", "0", "--b", "0"],
+    "dashes-before-positionals": ["diagnose", "--", "H", "P"],
+    "dashes-between-positionals": ["diagnose", "H", "--", "P"],
+    "dashes-after-positionals": ["diagnose", "H", "P", "--"],
+    "dashes-before-option": ["hermitize", "P", "--", "--theta", "1"],
+    "dashes-as-value": ["hermitize", "P", "--theta", "--"],
+    "dashes-twice": ["metric", "--", "H", "--", "P"],
+    "equals-dashes": ["diagnose", "H", "P", "--out-dir=--"],
+    "equals-dashes-abbreviated": ["sweep", "--mod=--", "--a", "1", "--d", "0", "--b-re", "0",
+                                  "--b-im", "0"],
+    "equals-dashes-positional": ["hermitize", "--theta=--", "P"],
+    "negative-separate": ["hermitize", "P", "--theta", "-1.5,0"],
+    "negative-range-separate": ["sweep", "--model", "h2", "--a", "1", "--d", "0",
+                                "--b-re", "-1:1:5", "--b-im", "0"],
+    "negative-positional": ["hermitize", "-1"],
+    "missing-required": ["sweep", "--model", "h2"],
+    "missing-positional": ["diagnose", "H"],
+    "extra-positional": ["hermitize", "P", "Q"],
+    "unknown-option": ["diagnose", "H", "P", "--bogus"],
+    "invalid-choice": ["sweep", "--model", "h3"],
+    "repeated-option": ["hermitize", "P", "--theta", "1", "--theta", "2"],
+    "command-names-as-operands": ["diagnose", "sweep", "metric"],
+}
+
+
+def test_command_parser_parses_as_the_top_level_parser(name, case):
+    # main parses once: an argv that names a command goes to that command's
+    # parser alone, and must come out as the two-step top-level parse does
+    assert parse_outcome(cli._parse, case) == parse_outcome(cli._PARSER.parse_args, case), name
+
+
 #: each test and its cases, by name: pytest's ids and this module's own runner
-TABLES = {test_child_runs_without_numpy: CHILDREN, test_exception_keeps_its_context: CONTEXTS}
+TABLES = {test_child_runs_without_numpy: CHILDREN, test_exception_keeps_its_context: CONTEXTS,
+          test_command_parser_parses_as_the_top_level_parser: ARGVS}
 
 
 def pytest_generate_tests(metafunc):
