@@ -1,9 +1,9 @@
 """cryptoherm: operator machinery for quasi-Hermitian models at finite dimension.
 
 Construct biorthogonal eigensystems of a non-Hermitian matrix with real
-spectrum, rescale them, build the quasiparity/charge operators and the
-positive-definite metric family they factorize, and verify every
-symmetry identity numerically.
+spectrum, weight their levels by normalization factors, build the
+quasiparity/charge operators and the positive-definite metric family
+they factorize, and verify every symmetry identity numerically.
 
 ``import cryptoherm`` loads nothing but this file, so neither numpy nor
 the library modules are imported until they are needed (PEP 562).  The
@@ -27,7 +27,6 @@ _EXPORTS = {
         "BiorthogonalSystem",
         "biorthonormality_residual",
         "completeness_residual",
-        "renormalize",
         "solve_biorthogonal",
     ),
     "errors": (
@@ -55,7 +54,6 @@ _EXPORTS = {
         "build_bundle",
         "build_metric",
         "involutive_normalization",
-        "quasiparity_coeffs",
     ),
     "models": (
         "DomainClass",

@@ -1,4 +1,4 @@
-"""Biorthogonal eigensystem construction and rescaling.
+"""Biorthogonal eigensystem construction.
 
 For a diagonalizable matrix ``H`` with real non-degenerate spectrum the
 solver returns paired column families ``right`` / ``left`` such that
@@ -7,34 +7,27 @@ solver returns paired column families ``right`` / ``left`` such that
     adjoint(H) left_n = E_n left_n,
     adjoint(left_m) @ right_n = delta_mn,
 
-with energies strictly ascending.  In the reference normalization the
-right columns are ``linalg.eig``'s as they come, which ZGEEV leaves with
-unit Euclidean norm and the largest-modulus entry real positive; the
-left columns are adjoint(inverse(right)), fixed by the right ones.
+with energies strictly ascending.  The right columns are
+``linalg.eig``'s as they come, which ZGEEV leaves with unit Euclidean
+norm and the largest-modulus entry real positive; the left columns are
+adjoint(inverse(right)), fixed by the right ones.  These are the
+kappa = 1 columns, and no code rescales them.
 Theta, Q, C, the coefficients and every residual are invariant under a
 phase r_n -> e^{i phi} r_n, so no reported number depends on which entry
-carries the phase.  All freedom left after that is the diagonal rescaling
-
-    right_n -> kappa_n right_n,   left_n -> left_n / conj(kappa_n),
-
-which ``renormalize`` applies while tracking the cumulative ``kappa``.
+carries the phase.  All freedom left after that is the per-level
+normalization kappa_n, which ``BiorthogonalSystem.kappa`` carries as a
+weight for ``metric.build_bundle`` to read as 1/|kappa_n|^2.
 Reruns on the same input are byte-identical at a fixed BLAS thread
 count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    ComplexSpectrum,
-    ConvergenceFailure,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    ZeroKappa,
-)
+from .errors import ComplexSpectrum, ConvergenceFailure, DegenerateSpectrum
 from .linalg import (
     ComplexMatrix,
     DEFAULT_TOL,
@@ -60,13 +53,16 @@ COMPLETENESS_RESIDUAL_CAP = 1e-9
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared and hashed by identity
 class BiorthogonalSystem:
-    """Paired eigenbases of H and adjoint(H) with their rescaling state.
+    """Paired eigenbases of H and adjoint(H) with the normalization the metric applies.
 
-    ``right[:, n]`` and ``left[:, n]`` belong to ``energies[n]``;
-    ``kappa[n]`` is the cumulative rescaling applied on top of the
-    reference normalization, the eigensolver's unit-norm columns with
-    their largest-modulus entry real positive (all ones straight out of
-    the solver).
+    ``right[:, n]`` and ``left[:, n]`` belong to ``energies[n]``; they are
+    always the kappa = 1 columns, the eigensolver's unit-norm right
+    columns with their largest-modulus entry real positive and
+    left = adjoint(inverse(right)).  ``kappa[n]`` is the normalization
+    factor of level n: not applied to the columns, it is the weight
+    1/|kappa_n|^2 that ``metric.build_bundle`` gives the level, so only
+    its modulus counts (all ones straight out of the solver; set it with
+    ``dataclasses.replace(system, kappa=...)``).
     ``eigenvalues`` are the complex values the eigensolver returned,
     whose real parts are ``energies`` (None for a system built by hand).
     """
@@ -162,10 +158,7 @@ def biorthonormality_residual(system: BiorthogonalSystem) -> float:
 
 
 def completeness_residual(system: BiorthogonalSystem) -> float:
-    """Frobenius deviation of sum_n right_n adjoint(left_n) from the identity.
-
-    Kappa-independent, since each term carries kappa_n / kappa_n.
-    """
+    """Frobenius deviation of sum_n right_n adjoint(left_n) from the identity."""
     return _minus_identity_norm(system.right @ system.left.conj().T)
 
 
@@ -176,34 +169,3 @@ def _minus_identity_norm(product: ComplexMatrix) -> float:
     product.ravel()[:: product.shape[0] + 1] -= 1.0
     return frobenius(product)
 
-
-def renormalize(system: BiorthogonalSystem, kappa) -> BiorthogonalSystem:
-    """Apply the diagonal rescaling right_n *= kappa_n, left_n /= conj(kappa_n).
-
-    The returned system keeps biorthonormality exactly (each bra still
-    carries the inverse of its ket's factor) and records the cumulative
-    coefficients; energies are untouched.  The coefficients divide by
-    |kappa_n|^2, so a cumulative kappa_n whose |kappa_n|^2 or
-    1/|kappa_n|^2 leaves float64 raises ZeroKappa naming the level.
-    """
-    k = np.asarray(kappa, dtype=np.complex128)
-    if k.shape != (system.dim,):
-        raise DimensionMismatch(
-            f"kappa must have shape ({system.dim},), got {k.shape}"
-        )
-    # a zero, inf or NaN entry leaves |kappa_n|^2 or its inverse non-finite: refused below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cumulative = system.kappa * k
-        weight = np.abs(cumulative) ** 2
-        out_of_range = np.flatnonzero(~(np.isfinite(weight) & np.isfinite(1.0 / weight)))
-    if out_of_range.size:
-        n = int(out_of_range[0])
-        raise ZeroKappa(
-            f"|kappa_{n}| = {abs(cumulative[n]):.3e}: |kappa_{n}|^2 or its inverse leaves float64"
-        )
-    return replace(
-        system,
-        right=system.right * k[None, :],
-        left=system.left / np.conj(k)[None, :],
-        kappa=cumulative,
-    )

@@ -5,7 +5,7 @@ Four subcommands over JSON matrix files:
 * diagnose   - render ``cryptoherm.diagnose`` of one (H, P) pair (every
                applicable symmetry check plus the full metric pipeline)
                as a JSON report on stdout
-* metric     - build Theta/Q/C (optionally kappa-rescaled or involutive)
+* metric     - build Theta/Q/C (optionally kappa-weighted or involutive)
                and write them as matrix files
 * sweep      - CSV scan of the two-level model's reality domain, one
                row per point of ``h2.sweep_h2``; each axis value, and
@@ -41,7 +41,8 @@ which loads numpy, ``dataclasses`` or ``models``, so ``sweep``,
 and ``hermitize`` and the report helpers they share reach the library
 as ``cryptoherm.<module>.<name>``: the first such read imports the
 library and numpy, and every later one is a dictionary lookup, with no
-import statement run per call.
+import statement run per call, but for ``metric --kappa FILE``'s
+``dataclasses.replace``, which the library has loaded by then.
 ``python -m cryptoherm.cli`` and the ``cryptoherm`` console script run
 ``entry``, which runs ``main`` with the garbage collector off and freezes
 the heap once it returns.  A process runs one command, so most of its
@@ -285,9 +286,11 @@ def cmd_metric(args) -> int:
     if involutive:
         _, system = cryptoherm.metric.involutive_normalization(system, pm)
     elif args.kappa is not None:
+        from dataclasses import replace  # loaded with the library by now; not at module scope
+
         kappa = cryptoherm.io.load_kappa(args.kappa, system.dim)
         kappa_tag = cryptoherm.io.complex_pairs(kappa)
-        system = cryptoherm.biortho.renormalize(system, kappa)
+        system = replace(system, kappa=kappa)
     # a bundle that leaves float64 is refused here, before anything is written
     bundle = cryptoherm.metric.build_bundle(system, pm)
 

@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cryptoherm import (
     BiorthogonalSystem,
@@ -9,11 +10,14 @@ from cryptoherm import (
     DegenerateSpectrum,
     ZeroKappa,
     biorthonormality_residual,
+    build_bundle,
     build_h2,
     build_h3,
+    build_metric,
     completeness_residual,
     frobenius,
-    renormalize,
+    involutive_normalization,
+    parity2,
     solve_biorthogonal,
 )
 from cryptoherm.errors import DimensionMismatch
@@ -74,7 +78,7 @@ def test_system_keeps_complex_eigenvalues(h2_system):
     _, sys_ = h2_system
     assert sys_.eigenvalues.dtype == np.complex128
     assert np.array_equal(sys_.eigenvalues.real, sys_.energies)
-    assert renormalize(sys_, [2.0, 1j]).eigenvalues is sys_.eigenvalues
+    assert involutive_normalization(sys_, parity2())[1].eigenvalues is sys_.eigenvalues
 
 
 def _similar_to_diagonal(rng, n=16):
@@ -115,40 +119,56 @@ def test_right_columns_unit_norm_phase_fixed(h):
 
 
 class TestRenormalize:
+    """Per-level renormalization: the kappa a system carries, never applied to its columns."""
+
+    _FLOAT64 = "metric operators leave float64: theta, Q, C or a residual is not finite"
+
     def test_identity_kappa_is_noop(self, h2_system):
+        # at kappa = 1 the weight divides by 1.0: Theta is the unweighted sum bit for bit
         _, sys_ = h2_system
-        out = renormalize(sys_, np.ones(2))
-        assert np.array_equal(out.right, sys_.right)
-        assert np.array_equal(out.left, sys_.left)
+        m = sys_.left @ sys_.left.conj().T
+        m += m.conj().T
+        m *= 0.5
+        assert np.array_equal(build_metric(replace(sys_, kappa=np.ones(2))), m)
+        assert np.array_equal(build_bundle(sys_, parity2()).theta, m)
 
     def test_phases_preserve_residuals(self, h3_system):
         _, sys_ = h3_system
-        before = biorthonormality_residual(sys_)
-        out = renormalize(sys_, np.exp(1j * np.array([0.3, -1.2, 2.5])))
-        assert abs(biorthonormality_residual(out) - before) <= 1e-14
-        assert abs(completeness_residual(out) - completeness_residual(sys_)) <= 1e-14
+        phases = np.exp(1j * np.array([0.3, -1.2, 2.5]))
+        out = build_bundle(replace(sys_, kappa=phases), np.eye(3))
+        moduli = build_bundle(replace(sys_, kappa=np.abs(phases)), np.eye(3))
+        assert out.residuals == moduli.residuals
+        before = build_bundle(sys_, np.eye(3)).residuals
+        assert max(abs(out.residuals[k] - before[k]) for k in before) <= 1e-14
 
     def test_overlap_still_unity_after_scaling(self, h2_system):
+        # a system that carries kappa keeps the solver's columns themselves
         _, sys_ = h2_system
-        out = renormalize(sys_, np.array([2.0, 1.0]))
+        kappa, out = involutive_normalization(sys_, parity2())
+        assert not np.array_equal(kappa, np.ones(2))
+        assert out.right is sys_.right and out.left is sys_.left
         overlap = np.vdot(out.left[:, 0], out.right[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    def test_kappa_tracked_multiplicatively(self, h2_system):
+    def test_kappa_is_absolute(self, h2_system):
+        # kappa is the weight the metric applies, not a product of rescalings
         _, sys_ = h2_system
-        out = renormalize(renormalize(sys_, [2.0, 3.0]), [0.5j, 1.0])
-        assert out.kappa == pytest.approx([1.0j, 3.0])
+        first = involutive_normalization(sys_, parity2())
+        again = involutive_normalization(replace(sys_, kappa=np.array([2.0, 3.0j])), parity2())
+        assert np.array_equal(again[0], first[0])
+        assert np.array_equal(again[1].kappa, first[0])
 
     def test_completeness_invariant_under_kappa(self, h3_system):
         _, sys_ = h3_system
-        out = renormalize(sys_, np.array([2.0, 0.5 - 0.5j, 3.0j]))
-        assert abs(completeness_residual(out) - completeness_residual(sys_)) <= 1e-13
+        out = replace(sys_, kappa=np.array([2.0, 0.5 - 0.5j, 3.0j]))
+        assert completeness_residual(out) == completeness_residual(sys_)
+        assert biorthonormality_residual(out) == biorthonormality_residual(sys_)
 
     @pytest.mark.parametrize("bad", [[0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0]])
     def test_rejects_zero_or_non_finite(self, bad, h2_system):
         _, sys_ = h2_system
-        with pytest.raises(ZeroKappa):
-            renormalize(sys_, bad)
+        with pytest.raises(ZeroKappa, match=r"^\|kappa_0\| = "):
+            build_bundle(replace(sys_, kappa=np.array(bad, dtype=complex)), parity2())
 
     def test_rejects_kappa_whose_square_leaves_float64(self, h2_system):
         # the coefficients divide by |kappa_n|^2: 1e-200 and 1e200 square out of
@@ -156,35 +176,16 @@ class TestRenormalize:
         _, sys_ = h2_system
         for bad in ([1.0, 1e-200], [1.0, 1e-160], [1.0, 1e200]):
             with pytest.raises(ZeroKappa, match=r"^\|kappa_1\| = .*: \|kappa_1\|\^2 or its inverse"):
-                renormalize(sys_, bad)
-        # the cumulative kappa is what counts: 1e100 twice is refused, 1e150 once is not
-        with pytest.raises(ZeroKappa, match=r"^\|kappa_0\| = 1.000e\+200"):
-            renormalize(renormalize(sys_, [1e100, 1.0]), [1e100, 1.0])
-        assert renormalize(sys_, [1e150, 1e-150]).kappa.tolist() == [1e150, 1e-150]
+                build_bundle(replace(sys_, kappa=np.array(bad, dtype=complex)), parity2())
+        # 1e150 and 1e-150 pass the range check, and the bundle's own gate refuses them
+        with pytest.raises(ZeroKappa) as info:
+            build_bundle(replace(sys_, kappa=np.array([1e150, 1e-150], dtype=complex)), parity2())
+        assert str(info.value) == self._FLOAT64
 
     def test_rejects_wrong_length(self, h2_system):
         _, sys_ = h2_system
-        with pytest.raises(DimensionMismatch):
-            renormalize(sys_, [1.0, 1.0, 1.0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.complex_numbers(
-            min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False
-        ),
-        min_size=2,
-        max_size=2,
-    )
-)
-def test_renormalize_round_trip(kappa):
-    sys_ = solve_biorthogonal(build_h2(1.0, 0.0, 0.4j))
-    k = np.asarray(kappa)
-    out = renormalize(renormalize(sys_, k), 1.0 / k)
-    assert np.allclose(out.right, sys_.right, atol=1e-12)
-    assert np.allclose(out.left, sys_.left, atol=1e-12)
-    assert np.allclose(out.kappa, sys_.kappa, atol=1e-12)
+        with pytest.raises(DimensionMismatch, match=r"^kappa must have shape \(2,\), got \(3,\)$"):
+            build_bundle(replace(sys_, kappa=np.ones(3, dtype=complex)), parity2())
 
 
 def test_identity_model_completeness_is_exact():

@@ -1066,6 +1066,33 @@ class TestMetricCommand:
         t2 = load_matrix(d2 / "theta.json")
         assert np.max(np.abs(t1 - t2)) <= 1e-12
 
+    @pytest.mark.kernel
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 16), (3, 16)])
+    def test_kappa_file_and_its_moduli_write_the_same_files(self, seed, n, capsys, tmp_path):
+        # only |kappa| reaches the metric: a kappa file with moduli in e^+-3 and random
+        # phases, and the file of its moduli, write the same bytes and residuals
+        rng = np.random.default_rng(seed)
+        h, s_inv = sample_similar(rng, n)
+        kappa = np.exp(rng.uniform(-3.0, 3.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        phases = np.exp(2j * np.pi * rng.uniform(size=n))
+        save_matrix(tmp_path / "h.json", h)
+        for u in (np.ones(n), phases):
+            save_matrix(tmp_path / "p.json", (s_inv.conj().T * u) @ s_inv)
+            outcomes = []
+            for name, k in (("kappa", kappa), ("moduli", np.abs(kappa))):
+                kfile, out_dir = tmp_path / f"{name}.json", tmp_path / name
+                kfile.write_text(json.dumps([[float(z.real), float(z.imag)] for z in k]))
+                code, out, err = run(capsys, "metric", str(tmp_path / "h.json"),
+                                     str(tmp_path / "p.json"), "--kappa", str(kfile),
+                                     "--out-dir", str(out_dir))
+                metric = json.loads(out)["metric"]
+                written = {f: (out_dir / f).read_bytes() for f in ("theta.json", "q.json",
+                                                                   "c.json")}
+                outcomes.append((code, err, metric["residuals"], metric["factorizations_hold"],
+                                 written))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][:2] == (0, "")
+
     def test_bad_kappa_file_is_usage_error(self, files, capsys, tmp_path):
         kfile = tmp_path / "bad.json"
         kfile.write_text("[[0.0, 0.0], [1.0, 0.0]]")

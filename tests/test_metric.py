@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +20,10 @@ from cryptoherm import (
     frobenius,
     involutive_normalization,
     parity2,
-    quasiparity_coeffs,
-    renormalize,
     solve_biorthogonal,
 )
 from cryptoherm.linalg import DEFAULT_TOL, _hermitian, resolved_positive
-from cryptoherm.metric import INVOLUTIVITY_TOL
+from cryptoherm.metric import INVOLUTIVITY_TOL, reference_quasiparity_coeffs
 from conftest import SWAP2, count_calls, factorization_residuals, sample_h2_params, sample_similar
 
 
@@ -39,24 +39,24 @@ class TestQuasiparityCoeffs:
     def test_two_level_oracle(self, h2_system):
         # overlaps <E|P|E> = -0.6, +0.6 give q = (-5/3, +5/3)
         _, sys_ = h2_system
-        q = quasiparity_coeffs(sys_, parity2())
+        q = build_bundle(sys_, parity2()).q
         assert q == pytest.approx([-5.0 / 3.0, 5.0 / 3.0], abs=1e-12)
 
     def test_three_level_oracle(self, h3_system):
         # Fourier eigenvectors give q_k = exp(2 pi i k / 3), energy order (w, w^2, 1)
         _, sys_ = h3_system
-        q = quasiparity_coeffs(sys_, cyclic_p(3))
+        q = build_bundle(sys_, cyclic_p(3)).q
         assert q == pytest.approx([W3, W3**2, 1.0], abs=1e-12)
 
     def test_hermitian_identity_candidate(self, rng):
         sys_ = _hermitian_system(rng)
-        assert quasiparity_coeffs(sys_, np.eye(4)) == pytest.approx(np.ones(4), abs=1e-12)
+        assert build_bundle(sys_, np.eye(4)).q == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_kappa_two_on_one_level_quarters_that_coefficient(self, rng):
         sys_ = _hermitian_system(rng)
         kappa = np.ones(4, dtype=complex)
         kappa[1] = 2.0
-        q = quasiparity_coeffs(renormalize(sys_, kappa), np.eye(4))
+        q = build_bundle(replace(sys_, kappa=kappa), np.eye(4)).q
         assert q[1] == pytest.approx(0.25, abs=1e-12)
         assert q[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -66,13 +66,13 @@ class TestQuasiparityCoeffs:
         h = u @ np.diag([1.0, 2.0]) @ u.conj().T
         sys_ = solve_biorthogonal(h)
         with pytest.raises(VanishingOverlap) as info:
-            quasiparity_coeffs(sys_, SWAP2)
+            build_bundle(sys_, SWAP2)
         assert info.value.index in (0, 1)
 
     def test_candidate_of_another_dimension_refused(self):
         sys_ = solve_biorthogonal(build_h2(1.0, 0.0, 0.4j))
         with pytest.raises(DimensionMismatch) as info:
-            quasiparity_coeffs(sys_, cyclic_p(3))
+            build_bundle(sys_, cyclic_p(3))
         assert str(info.value) == "candidate dimension 3 != system dimension 2"
 
 
@@ -80,7 +80,7 @@ class TestChargeCoeffs:
     def test_conjugate_of_quasiparity(self, h3_system):
         _, sys_ = h3_system
         p = cyclic_p(3)
-        q = quasiparity_coeffs(sys_, p)
+        q = reference_quasiparity_coeffs(sys_, p)
         c = np.conj(build_bundle(sys_, p).q)
         assert c == pytest.approx(np.conj(q), abs=1e-12)
 
@@ -91,7 +91,7 @@ class TestChargeCoeffs:
     def test_real_for_self_adjoint_candidate(self, h2_system):
         _, sys_ = h2_system
         c = np.conj(build_bundle(sys_, parity2()).q)
-        q = quasiparity_coeffs(sys_, parity2())
+        q = reference_quasiparity_coeffs(sys_, parity2())
         assert np.max(np.abs(c.imag)) <= 1e-12
         assert c == pytest.approx(q, abs=1e-12)
 
@@ -128,7 +128,7 @@ class TestBuilders:
     def test_quasiparity_eigen_relation(self, h3_system):
         _, sys_ = h3_system
         p = cyclic_p(3)
-        q = quasiparity_coeffs(sys_, p)
+        q = reference_quasiparity_coeffs(sys_, p)
         qop = build_bundle(sys_, p).quasiparity
         for n in range(3):
             v = sys_.right[:, n]
@@ -147,7 +147,7 @@ class TestBuilders:
         _, sys_ = h2_system
         p = parity2()
         r = 1.7
-        scaled = renormalize(sys_, np.full(2, r, dtype=complex))
+        scaled = replace(sys_, kappa=np.full(2, r, dtype=complex))
         q_before = build_bundle(sys_, p).quasiparity
         q_after = build_bundle(scaled, p).quasiparity
         assert np.allclose(q_after, q_before / r**2, atol=1e-12)
@@ -213,7 +213,7 @@ def _similar_bundles(seed: int, n: int):
     for u in (np.ones(n), phases):
         p = (s_inv.conj().T * u) @ s_inv
         yield p, build_bundle(sys_, p)
-        yield p, build_bundle(renormalize(sys_, kappa), p)
+        yield p, build_bundle(replace(sys_, kappa=kappa), p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -227,6 +227,27 @@ def test_bundle_theta_is_hermitian_bit_for_bit(seed, n):
         res = factorization_residuals(bundle.theta, p, bundle.quasiparity, bundle.charge)
         assert bundle.residuals == {"pq": res["pq"], "cp": res["cp"]}
         assert (res["qdag_pdag"], res["pdag_cdag"]) == (res["pq"], res["cp"])
+
+
+@pytest.mark.kernel
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 16]))
+def test_only_the_moduli_of_kappa_reach_the_bundle(seed, n):
+    # Theta = sum_n l_n |kappa_n|^-2 adjoint(l_n) and q_n = q1_n / |kappa_n|^2: the bundle
+    # reads kappa once, as |kappa|^2, so kappa and its moduli give the same bits everywhere
+    rng = np.random.default_rng(seed)
+    h, s_inv = sample_similar(rng, n)
+    sys_ = solve_biorthogonal(h)
+    moduli = np.exp(rng.uniform(-3.0, 3.0, n))
+    kappa = moduli * np.exp(2j * np.pi * rng.uniform(size=n))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    for u in (np.ones(n), phases):
+        p = (s_inv.conj().T * u) @ s_inv
+        a = build_bundle(replace(sys_, kappa=kappa), p)
+        b = build_bundle(replace(sys_, kappa=np.abs(kappa).astype(np.complex128)), p)
+        for field in ("theta", "quasiparity", "charge", "q", "theta_eigenvalues"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (field, seed, n)
+        assert (a.residuals, a.theta_norm) == (b.residuals, b.theta_norm)
 
 
 #: ||Theta(H^dag) Theta(H) - I||_F / sqrt(N) may reach C_DUAL kappa^2 eps ||H||_F / gap,
@@ -248,7 +269,7 @@ def test_the_metric_of_the_adjoint_is_the_inverse_metric(seed, n):
     h, _ = sample_similar(np.random.default_rng(seed), n)
     system = solve_biorthogonal(h)
     norms = np.linalg.norm(system.left, axis=0)
-    dual = renormalize(solve_biorthogonal(h.conj().T), norms)
+    dual = replace(solve_biorthogonal(h.conj().T), kappa=norms)
     product = build_metric(dual) @ build_metric(system)
     unit = float(norms.max()) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(h) / float(
         np.diff(system.energies).min())
@@ -282,7 +303,7 @@ class TestGates:
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real(*a, **k))
         bundle = build_bundle(sys_, parity2())
-        assert bundle.right is sys_.right and svds == []
+        assert bundle.right is sys_.right and bundle.kappa is sys_.kappa and svds == []
         w = bundle.theta_eigenvalues
         assert bundle.theta_eigenvalues is w and len(svds) == 1
         assert w == pytest.approx(np.linalg.eigvalsh(bundle.theta), rel=1e-14)
@@ -298,7 +319,7 @@ class TestGates:
         for k0 in grid:
             for k1 in grid:
                 try:
-                    bundle = build_bundle(renormalize(sys_, np.array([k0, k1])), parity2())
+                    bundle = build_bundle(replace(sys_, kappa=np.array([k0, k1])), parity2())
                 except ZeroKappa:
                     continue
                 w = bundle.theta_eigenvalues
@@ -311,13 +332,13 @@ class TestGates:
         # |kappa_0|^2 and its inverse fit, but C overflows
         _, sys_ = h2_system
         with pytest.raises(ZeroKappa) as info:
-            build_bundle(renormalize(sys_, np.array([1e-150, 1.0])), parity2())
+            build_bundle(replace(sys_, kappa=np.array([1e-150, 1.0])), parity2())
         assert str(info.value) == self._FLOAT64
 
     @staticmethod
     def _edge_system(kappa0):
         # build_h2(1, 0, 0.3i) with kappa_0 = kappa0: Theta's largest entry is about kappa0^-2
-        return renormalize(solve_biorthogonal(build_h2(1.0, 0.0, 0.3j)), np.array([kappa0, 1.0]))
+        return replace(solve_biorthogonal(build_h2(1.0, 0.0, 0.3j)), kappa=np.array([kappa0, 1.0]))
 
     def test_theta_norm_overflow_is_refused(self):
         # at kappa_0 = 1e-80 every entry of Theta is finite (the largest is 1.4e160), but
@@ -353,9 +374,9 @@ class TestGates:
         # q_1 = 1/<v|P|v>/|kappa_1|^2 is about 1e-150/1e308: it underflows to -0,
         # while Theta, Q, C and the residuals stay finite
         pm = PseudoMetric.from_matrix(1e150 * parity2())
-        sys_ = renormalize(solve_biorthogonal(np.array([[1.0, 2.0], [0.5, 3.0]])),
-                           np.array([-1 + 1e-8j, 1e154 + 1e-12j]))
-        assert quasiparity_coeffs(sys_, pm.matrix)[1] == 0
+        sys_ = replace(solve_biorthogonal(np.array([[1.0, 2.0], [0.5, 3.0]])),
+                       kappa=np.array([-1 + 1e-8j, 1e154 + 1e-12j]))
+        assert (reference_quasiparity_coeffs(sys_, pm) / np.abs(sys_.kappa) ** 2)[1] == 0
         with pytest.raises(ZeroKappa) as info:
             build_bundle(sys_, pm)
         assert str(info.value) == "quasiparity coefficient q_1 underflows to zero"
@@ -365,16 +386,16 @@ class TestKappaInvariance:
     def test_pure_phases_leave_metric_unchanged(self, h3_system):
         _, sys_ = h3_system
         theta = build_metric(sys_)
-        out = renormalize(sys_, np.exp(1j * np.array([0.7, -2.1, 0.4])))
+        out = replace(sys_, kappa=np.exp(1j * np.array([0.7, -2.1, 0.4])))
         assert np.max(np.abs(build_metric(out) - theta)) <= 1e-12
 
     def test_coeffs_scale_as_inverse_modulus_squared(self, h2_system):
         _, sys_ = h2_system
         p = parity2()
-        q1 = quasiparity_coeffs(sys_, p)
+        q1 = build_bundle(sys_, p).q
         kappa = np.array([2.0, 0.5 - 1.0j])
-        out = renormalize(sys_, kappa)
-        q2 = quasiparity_coeffs(out, p)
+        out = replace(sys_, kappa=kappa)
+        q2 = build_bundle(out, p).q
         assert q2 == pytest.approx(q1 / np.abs(kappa) ** 2, rel=1e-11)
 
 
@@ -384,7 +405,7 @@ class TestInvolutive:
         p = parity2()
         kappa, out = involutive_normalization(sys_, p)
         assert kappa == pytest.approx(np.full(2, np.sqrt(5.0 / 3.0)), abs=1e-12)
-        assert quasiparity_coeffs(out, p) == pytest.approx([-1.0, 1.0], abs=1e-10)
+        assert build_bundle(out, p).q == pytest.approx([-1.0, 1.0], abs=1e-10)
         bundle = build_bundle(out, p)
         qop, cop = bundle.quasiparity, bundle.charge
         assert frobenius(qop @ qop - np.eye(2)) <= 1e-10
@@ -397,7 +418,7 @@ class TestInvolutive:
         sys_ = solve_biorthogonal(h)
         kappa, out = involutive_normalization(sys_, p)
         assert kappa == pytest.approx([2.0, 1.0, 0.5], abs=1e-12)
-        assert quasiparity_coeffs(out, p) == pytest.approx(np.ones(3), abs=1e-12)
+        assert build_bundle(out, p).q == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_hermitian_identity_candidate_is_trivial(self, rng):
         sys_ = _hermitian_system(rng)
@@ -425,21 +446,22 @@ class TestInvolutive:
         p = parity2()
         kappa1, out1 = involutive_normalization(sys_, p)
         kappa2, out2 = involutive_normalization(out1, p)
-        assert kappa2 == pytest.approx(kappa1, abs=1e-12)
-        assert np.allclose(out2.right, out1.right, atol=1e-12)
+        # the coefficients come from the same columns, whatever kappa out1 carries
+        assert np.array_equal(kappa2, kappa1)
+        assert out2.right is out1.right is sys_.right
 
 
 def test_naive_loop_equivalence_three_level(h3_system):
     # independent entrywise reimplementation of all three spectral sums
     _, sys_ = h3_system
     p = cyclic_p(3)
-    sys_ = renormalize(sys_, np.array([2.0, 1.0 + 1.0j, 0.5]))
+    sys_ = replace(sys_, kappa=np.array([2.0, 1.0 + 1.0j, 0.5]))
     n = sys_.dim
 
-    ref_right = sys_.right / sys_.kappa[None, :]
+    weight = 1.0 / np.abs(sys_.kappa) ** 2
     q = np.array(
-        [1.0 / np.vdot(ref_right[:, k], p @ ref_right[:, k]) for k in range(n)]
-    ) / np.abs(sys_.kappa) ** 2
+        [1.0 / np.vdot(sys_.right[:, k], p @ sys_.right[:, k]) for k in range(n)]
+    ) * weight
 
     theta = np.zeros((n, n), dtype=complex)
     qop = np.zeros((n, n), dtype=complex)
@@ -447,7 +469,7 @@ def test_naive_loop_equivalence_three_level(h3_system):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                theta[i, j] += sys_.left[i, k] * np.conj(sys_.left[j, k])
+                theta[i, j] += sys_.left[i, k] * weight[k] * np.conj(sys_.left[j, k])
                 qop[i, j] += sys_.right[i, k] * q[k] * np.conj(sys_.left[j, k])
                 cop[i, j] += sys_.left[i, k] * q[k] * np.conj(sys_.right[j, k])
 

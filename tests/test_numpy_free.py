@@ -4,8 +4,10 @@
 numpy is not installed.  Each child is ``sys.executable`` with ``src``
 on ``PYTHONPATH``, started in an empty directory that must stay empty.
 A check asserts the child's exit code, its stdout and stderr bytes, the
-collector it leaves, and that none of ``PROBED`` entered its
-``sys.modules``.  Two contracts that ``cli`` relies on along the same
+collector it leaves, and that the child's code brought none of
+``PROBED`` into its ``sys.modules``: what the interpreter's own start-up
+loaded (a ``sitecustomize`` that imports ``inspect``, say) is not
+counted.  Two contracts that ``cli`` relies on along the same
 path are checked in the running interpreter: the exceptions', and that
 ``cli._parse``, which hands an argv that names a command to that
 command's own parser, parses each argv of ``ARGVS`` as the top-level
@@ -66,20 +68,26 @@ PROBED = ("numpy", "dataclasses", "inspect", "cryptoherm.models")
 ENTRY_GC, UNTOUCHED_GC = (False, True), (True, False)
 
 
-def _child(code: str, *args: str) -> tuple[int, bytes, bytes, list[str], tuple[bool, bool]]:
+def _child(code: str, *args: str,
+           site: str | None = None) -> tuple[int, bytes, bytes, list[str], tuple[bool, bool]]:
     """``code`` run in a fresh interpreter in an empty directory.
 
     Returns the ``code`` variable it sets, its stdout and stderr, those of
-    ``PROBED`` in its sys.modules, and the collector after it as (enabled,
-    any object frozen since it started).  The probe prints its line last, after the
-    command's own output, which ends with a newline.
+    ``PROBED`` that entered its sys.modules while ``code`` ran, and the
+    collector after it as (enabled, any object frozen since it started).
+    The probe prints its line last, after the command's own output, which
+    ends with a newline.  ``site``, when given, is the source of a
+    ``sitecustomize`` module in a directory put first on the child's
+    PYTHONPATH (empty otherwise), which the interpreter's start-up imports.
     """
     # a fresh 3.12.1 interpreter already counts 375 frozen objects
-    probe = (f"import gc, sys\nfrozen = gc.get_freeze_count()\n{code}\n"
-             f"print(code, gc.isenabled(), gc.get_freeze_count() > frozen, "
-             f"*[m for m in {PROBED!r} if m in sys.modules])\n")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as cwd:
+    probe = (f"import gc, sys\nfrozen = gc.get_freeze_count()\nstarted = set(sys.modules)\n"
+             f"{code}\nprint(code, gc.isenabled(), gc.get_freeze_count() > frozen, "
+             f"*[m for m in {PROBED!r} if m in sys.modules and m not in started])\n")
+    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as site_dir:
+        if site is not None:
+            Path(site_dir, "sitecustomize.py").write_text(site, encoding="utf-8")
+        path = os.pathsep.join(filter(None, [site_dir, str(SRC), os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, cwd=cwd,
                               env={**os.environ, "PYTHONPATH": path})
         assert os.listdir(cwd) == [], "the child left files in its directory"
@@ -152,6 +160,18 @@ CHILDREN = {
                            1, b"", _refused("--out-dir"), ENTRY_GC),
     "import-cryptoherm": ("import cryptoherm\ncode = 0", [], 0, b"", b"", UNTOUCHED_GC),
 }
+
+
+#: the source of a ``sitecustomize`` for each start-up check: what start-up loads
+#: before the child's code runs is the interpreter's, as a conda CPython whose site
+#: imports ``inspect`` has it, and the README's sweep still loads none of ``PROBED``
+START_UPS = {"sitecustomize-imports-inspect": "import inspect\n"}
+
+
+def test_start_up_imports_are_not_counted(name, case):
+    got_code, out, err, loaded, _ = _child(AS_MAIN, *SWEEP, site=case)
+    assert (got_code, loaded, err) == (0, [], b""), name
+    assert _matches(out, SWEEP_SHA256), (name, out[-500:])
 
 
 def test_child_runs_without_numpy(name, case):
@@ -261,7 +281,9 @@ def test_command_parser_parses_as_the_top_level_parser(name, case):
 
 
 #: each test and its cases, by name: pytest's ids and this module's own runner
-TABLES = {test_child_runs_without_numpy: CHILDREN, test_exception_keeps_its_context: CONTEXTS,
+TABLES = {test_child_runs_without_numpy: CHILDREN,
+          test_start_up_imports_are_not_counted: START_UPS,
+          test_exception_keeps_its_context: CONTEXTS,
           test_command_parser_parses_as_the_top_level_parser: ARGVS}
 
 
